@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..data.documents import Document, DocumentRenderer
 from ..data.table import Column, Schema, Table
@@ -83,23 +83,49 @@ def _entities_to_json(entities: Sequence[Entity]) -> List[Dict[str, object]]:
     return records
 
 
-def _key_paths(record: Dict[str, object], prefix: str = "") -> List[str]:
-    paths: List[str] = []
+def _leaves(record: Dict[str, object], prefix: str = "") -> Iterator[Tuple[str, object]]:
+    """Yield ``(key path, value)`` for every non-dict leaf of a nested record."""
     for key, value in record.items():
         path = f"{prefix}.{key}" if prefix else str(key)
         if isinstance(value, dict):
-            paths.extend(_key_paths(value, path))
+            yield from _leaves(value, path)
         else:
-            paths.append(path)
-    return paths
+            yield path, value
+
+
+def _flatten(record: Dict[str, object]) -> Dict[str, object]:
+    """One JSON record as a flat row keyed by leaf name.
+
+    Two key paths ending in the same leaf name would share one column, so
+    the collision raises instead of keeping whichever value came last.
+    """
+    flat: Dict[str, object] = {}
+    paths: Dict[str, str] = {}
+    for path, value in _leaves(record):
+        column = path.rsplit(".", 1)[-1]
+        if column in paths:
+            raise ConfigError(
+                f"key paths {paths[column]!r} and {path!r} both flatten to "
+                f"column {column!r}"
+            )
+        paths[column] = path
+        flat[column] = value
+    return flat
 
 
 class DataLake:
-    """Catalog of multi-modal assets over one world."""
+    """Catalog of multi-modal assets over one world.
+
+    A JSON asset is flattened into a relation once, on its first scan, and
+    every later :meth:`json_as_table` returns that same shared relation —
+    the contract table assets already have. Assets are never re-registered,
+    so the stored relations need no invalidation.
+    """
 
     def __init__(self, world: World) -> None:
         self.world = world
         self._assets: Dict[str, LakeAsset] = {}
+        self._json_tables: Dict[str, Table] = {}
 
     # ------------------------------------------------------------- building
     @classmethod
@@ -165,7 +191,7 @@ class DataLake:
         *,
         description_extra: str = "",
     ) -> LakeAsset:
-        paths = sorted(set(_key_paths(records[0]))) if records else []
+        paths = sorted({path for path, _ in _leaves(records[0])}) if records else []
         description = (
             f"json collection {name} with key paths {', '.join(paths)}. "
             + description_extra
@@ -242,27 +268,31 @@ class DataLake:
         return [a for a in self.assets() if a.modality == modality]
 
     def json_as_table(self, asset_id: str) -> Table:
-        """Flatten a JSON asset into a relation (key paths -> columns)."""
+        """Flatten a JSON asset into a relation (key-path leaves -> columns).
+
+        The relation is built from the asset's records at its first scan and
+        shared by every later call, so callers must treat it as read-only
+        (every :class:`Table` operator returns a new table). Later edits to
+        ``asset.records`` are not seen. Errors are not stored: an unknown
+        id, a non-JSON asset or an empty collection raise on every call.
+        """
+        table = self._json_tables.get(asset_id)
+        if table is not None:
+            return table
         asset = self.get(asset_id)
         if asset.modality != "json":
             raise ConfigError(f"{asset_id!r} is not a json asset")
-        rows = []
-        for record in asset.records:
-            flat: Dict[str, object] = {}
-            for path in _key_paths(record):
-                node: object = record
-                for part in path.split("."):
-                    node = node[part]  # type: ignore[index]
-                flat[path.split(".")[-1]] = node
-            rows.append(flat)
-        if not rows:
+        if not asset.records:
             raise ConfigError(f"json asset {asset_id!r} is empty")
+        rows = [_flatten(record) for record in asset.records]
         columns = []
         for key in sorted(rows[0]):
             sample = str(rows[0][key])
             dtype = "int" if sample.lstrip("-").isdigit() else "str"
             columns.append(Column(key, dtype))
-        return Table(asset.name, Schema(tuple(columns)), rows)
+        table = Table(asset.name, Schema(tuple(columns)), rows)
+        self._json_tables[asset_id] = table
+        return table
 
     def __len__(self) -> int:
         return len(self._assets)

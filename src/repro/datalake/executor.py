@@ -3,7 +3,7 @@
 Interprets :class:`~repro.datalake.plan.Plan` DAGs against a
 :class:`~repro.datalake.catalog.DataLake`:
 
-* ``scan`` — tables directly; JSON flattened to a relation;
+* ``scan`` — tables directly; JSON through the catalog's once-flattened relation;
 * ``extract`` — document collections materialized into relations via an
   extraction strategy (Evaporate by default; views are cached so repeated
   queries amortize, as in ZENDB);

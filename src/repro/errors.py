@@ -75,20 +75,3 @@ class WorkloadError(ReproError):
 class PipelineError(ReproError):
     """A data-preparation pipeline stage failed."""
 
-
-def __getattr__(name: str) -> type:
-    """Deprecated aliases kept importable for one release.
-
-    ``IndexError_`` (the old awkward builtin-shadow-avoiding name) became
-    :class:`VectorIndexError`; importing the old name still works but warns.
-    """
-    if name == "IndexError_":
-        import warnings
-
-        warnings.warn(
-            "repro.errors.IndexError_ is deprecated; use VectorIndexError",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return VectorIndexError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,12 +13,13 @@ RAG is cheap for point look-ups, extraction amortizes for aggregates.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..data.documents import Document
-from ..data.table import Table
+from ..data.table import Predicate, Row, Table
 from ..errors import ExecutionError
 from ..llm.model import SimLLM
 from ..rag.pipeline import RAGPipeline
@@ -228,27 +229,59 @@ class DocumentAnalytics:
         raise ExecutionError(f"unsupported aggregate {query.agg!r}")
 
 
-def _string_predicate(field_name: str, op: str, literal: str):
-    """Predicate over string-typed extracted cells with numeric fallback."""
+_ORDER_OPS: Dict[str, Callable[[float, float], bool]] = {
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
 
-    def as_float(text: object) -> Optional[float]:
-        try:
-            return float(str(text))
+
+def _never(row: Row) -> bool:
+    return False
+
+
+def _string_predicate(field_name: str, op: str, literal: str) -> Predicate:
+    """Predicate over string-typed extracted cells with numeric fallback.
+
+    The literal is lowered and parsed, and the op resolved, once per filter
+    rather than once per row. A missing cell never matches; ``==``/``!=``
+    compare stripped, case-folded text; ``contains`` is a case-folded
+    substring test; the order ops compare both sides as floats and fail
+    when either is not numeric. Any other op raises
+    :class:`~repro.errors.ExecutionError` here, before a row is seen.
+    """
+    needle = literal.lower()
+    if op == "contains":
+
+        def contains(row: Row) -> bool:
+            actual = row.get(field_name)
+            return actual is not None and needle in str(actual).lower()
+
+        return contains
+    if op in ("==", "!="):
+        want = op == "=="
+
+        def equals(row: Row) -> bool:
+            actual = row.get(field_name)
+            return actual is not None and (str(actual).strip().lower() == needle) == want
+
+        return equals
+    compare = _ORDER_OPS.get(op)
+    if compare is None:
+        raise ExecutionError(
+            f"unknown filter op {op!r}; expected one of == != < > <= >= contains"
+        )
+    try:
+        bound = float(literal)
+    except ValueError:
+        return _never
+
+    def ordered(row: Row) -> bool:
+        try:  # a missing cell reads "None", which is not numeric either
+            actual = float(str(row.get(field_name)))
         except (TypeError, ValueError):
-            return None
-
-    def predicate(row: Dict[str, object]) -> bool:
-        actual = row.get(field_name)
-        if actual is None:
             return False
-        if op == "contains":
-            return literal.lower() in str(actual).lower()
-        if op in {"==", "!="}:
-            equal = str(actual).strip().lower() == literal.lower()
-            return equal if op == "==" else not equal
-        a, b = as_float(actual), as_float(literal)
-        if a is None or b is None:
-            return False
-        return {"<": a < b, ">": a > b, "<=": a <= b, ">=": a >= b}[op]
+        return compare(actual, bound)
 
-    return predicate
+    return ordered

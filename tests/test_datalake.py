@@ -1,5 +1,7 @@
 """Tests for the data-lake catalog, linking, planning, execution, NL2SQL."""
 
+import hashlib
+
 import pytest
 
 from repro.data.table import Table
@@ -71,6 +73,75 @@ class TestCatalog:
     def test_duplicate_asset_rejected(self, world, lake):
         with pytest.raises(ConfigError):
             lake.add_table(Table("companies", lake.get("table:companies").table.schema))
+
+
+def _rows_digest(table: Table) -> str:
+    return hashlib.sha256(repr(table.rows).encode()).hexdigest()
+
+
+class TestJsonTableMemo:
+    """``json_as_table`` flattens each JSON asset once and shares the relation."""
+
+    def test_second_scan_shares_the_relation_without_flattening(self, world, monkeypatch):
+        from repro.datalake import catalog
+
+        flattened = []
+        real_flatten = catalog._flatten
+
+        def counting_flatten(record):
+            flattened.append(record)
+            return real_flatten(record)
+
+        monkeypatch.setattr(catalog, "_flatten", counting_flatten)
+        lake = DataLake.from_world(world)
+        first = lake.json_as_table("json:products")
+        assert len(flattened) == len(world.products)
+        assert lake.json_as_table("json:products") is first
+        assert len(flattened) == len(world.products)
+
+    @pytest.mark.parametrize("asset_id", ["json:ghosts", "table:companies", "json:empty"])
+    def test_errors_raise_on_every_call(self, world, asset_id):
+        lake = DataLake.from_world(world)
+        lake.add_json("empty", [])
+        for _ in range(3):
+            with pytest.raises(ConfigError):
+                lake.json_as_table(asset_id)
+
+    def test_colliding_key_paths_raise(self, world):
+        lake = DataLake(world)
+        lake.add_json("widgets", [{"name": "w1", "properties": {"name": "w2", "size": 3}}])
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=r"'name' and 'properties\.name'"):
+                lake.json_as_table("json:widgets")
+
+    def test_nested_leaves_become_columns(self, world):
+        lake = DataLake(world)
+        lake.add_json("boxes", [{"id": 1, "dims": {"outer": {"w": 2, "h": 3}}, "tag": "x"}])
+        table = lake.json_as_table("json:boxes")
+        assert table.schema.names() == ["h", "id", "tag", "w"]
+        assert table.rows == [{"h": 3, "id": 1, "tag": "x", "w": 2}]
+
+    def test_memo_changes_no_answer_and_no_shared_row(self, world):
+        questions = LakeWorkload(world, seed=3).mixed(150)
+
+        def run(clear_memo):
+            lake = DataLake.from_world(world)
+            llm = make_llm("sim-base", world=world, seed=14)
+            analytics = LakeAnalytics(lake, llm, doc_attributes=DOC_ATTRS)
+            shared = lake.json_as_table("json:products")
+            digest = _rows_digest(shared)
+            answers = []
+            for question in questions:
+                if clear_memo:
+                    lake._json_tables.clear()
+                answers.append(analytics.ask(question.text).answer)
+            return answers, lake, shared, digest
+
+        warm, lake, shared, digest = run(clear_memo=False)
+        cold, _, _, _ = run(clear_memo=True)
+        assert warm == cold
+        assert lake.json_as_table("json:products") is shared
+        assert _rows_digest(shared) == digest
 
 
 class TestLinking:

@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.data.synth import TrainingDocument
 from repro.data.table import Schema, Table
-from repro.errors import CacheError
+from repro.errors import CacheError, ExecutionError
 from repro.inference.kvcache import PagedAllocator
 from repro.llm.protocol import Prompt, parse_prompt
 from repro.prep.dedup import MinHashDeduper, jaccard, shingles
+from repro.unstructured.query import _string_predicate
 
 # --------------------------------------------------------------- protocol
 # The wire format is newline-delimited: exclude the exotic characters that
@@ -228,3 +229,71 @@ def test_resharding_arbitrary_shapes(tensors, rows, world_size):
 
     state = make_state(num_tensors=tensors, rows=rows, cols=3, seed=rows)
     assert states_equal(consolidate(shard_state(state, world_size)), state)
+
+
+# ------------------------------------------------------- filter predicate
+def _reference_string_predicate(field_name, op, literal):
+    """The per-row predicate as first written: literal re-parsed on every row."""
+
+    def as_float(text):
+        try:
+            return float(str(text))
+        except (TypeError, ValueError):
+            return None
+
+    def predicate(row):
+        actual = row.get(field_name)
+        if actual is None:
+            return False
+        if op == "contains":
+            return literal.lower() in str(actual).lower()
+        if op in {"==", "!="}:
+            equal = str(actual).strip().lower() == literal.lower()
+            return equal if op == "==" else not equal
+        a, b = as_float(actual), as_float(literal)
+        if a is None or b is None:
+            return False
+        return {"<": a < b, ">": a > b, "<=": a <= b, ">=": a >= b}[op]
+
+    return predicate
+
+
+_FILTER_OPS = ("==", "!=", ">", "<", ">=", "<=", "contains")
+# Short strings over digits, signs, exponent/nan/inf letters, mixed case and
+# spaces: numeric, padded numeric, and non-numeric text all come out of it.
+_cell_text = st.text(alphabet=" 0123456789.-+eEnNaAiIfFxX", max_size=7)
+_padded_words = st.builds(
+    lambda left, word, right: " " * left + word + " " * right,
+    st.integers(0, 2),
+    st.sampled_from(["Biotech", "biotech", "ACME corp", "42", "-3.5", "1e3", "NaN", "inf"]),
+    st.integers(0, 2),
+)
+_literals = st.one_of(_cell_text, _padded_words)
+_cells = st.one_of(
+    st.none(),
+    st.integers(-(10**6), 10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    _literals,
+)
+
+
+@seed(20251)
+@given(op=st.sampled_from(_FILTER_OPS), literal=_literals, cells=st.lists(_cells, max_size=6))
+@settings(max_examples=400, deadline=None)
+def test_compiled_filter_predicate_matches_per_row_reference(op, literal, cells):
+    """Hoisting the literal out of the row loop changes no row's verdict."""
+    compiled = _string_predicate("f", op, literal)
+    reference = _reference_string_predicate("f", op, literal)
+    # Cells equal to the literal up to padding and case hit every boundary.
+    echoes = [literal, f" {literal.upper()} ", literal.swapcase()]
+    rows = [{"f": cell} for cell in cells + echoes] + [{}, {"g": literal}]
+    assert [compiled(row) for row in rows] == [reference(row) for row in rows]
+
+
+@seed(20252)
+@given(op=st.text(max_size=4).filter(lambda op: op not in _FILTER_OPS), literal=_literals)
+@settings(max_examples=60, deadline=None)
+def test_unknown_filter_op_raises_when_built(op, literal):
+    with pytest.raises(ExecutionError):
+        _string_predicate("f", op, literal)

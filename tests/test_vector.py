@@ -312,17 +312,10 @@ def test_flat_search_property(rows):
 
 
 class TestDeprecatedIndexErrorAlias:
-    def test_old_name_still_importable_and_warns(self):
-        import importlib
-
-        errors = importlib.import_module("repro.errors")
-        with pytest.warns(DeprecationWarning, match="VectorIndexError"):
-            legacy = errors.IndexError_
-        assert legacy is VectorIndexError
-
     def test_unknown_attribute_still_raises(self):
         import importlib
 
         errors = importlib.import_module("repro.errors")
         with pytest.raises(AttributeError):
             errors.NoSuchError_
+        assert not hasattr(errors, "IndexError_")  # the expired alias is gone
