@@ -300,11 +300,12 @@ def bench_fleet(env: Dict[str, str], quick: bool) -> Dict[str, object]:
         and all(c["speedup"] >= 5.0 for c in cases if not c["workload"]["faulty"])
     )
     fleet["notes"] = {
-        "core": "sharded per-replica finish heaps merged by a lazy top-of-heap "
-        "tournament, incrementally maintained packed integer load keys, "
-        "per-prefix holder lists, and a rare-event-free fast path replace the "
-        "naive global heap that rebuilds its routable list and rescans every "
-        "replica's load on each routing decision.",
+        "core": "a plain ClusterFleet runs on the pool DES (run_pool_fleet) as "
+        "PoolSpec(colocated=N): sharded per-replica finish heaps merged by a "
+        "lazy top-of-heap tournament, incrementally maintained packed integer "
+        "load keys, and per-prefix holder lists replace the naive global heap "
+        "that rebuilds its routable list and rescans every replica's load on "
+        "each routing decision.",
         "faulty": "the faulty case layers seeded replica deaths, in-flight "
         "re-routing, a TTFT shed SLO, and queue-depth autoscaling on both "
         "simulators; parity stays bitwise through every rare-event path.",

@@ -109,7 +109,6 @@ class LintConfig:
     hot_loop_functions: Tuple[str, ...] = (
         "src/repro/inference/scheduler.py::ServingEngine.run",
         "src/repro/inference/scheduler.py::ServingEngine.step",
-        "src/repro/inference/fleet.py::ClusterFleet.run",
         "src/repro/inference/fleet.py::EngineFleet.run",
         "src/repro/inference/pools.py::run_pool_fleet",
     )

@@ -8,7 +8,6 @@ from .attention_store import (
     simulate_multiturn,
 )
 from .disaggregation import (
-    TransferModel,
     simulate_colocated,
     simulate_disaggregated,
     sweep_splits,
@@ -69,6 +68,7 @@ from .scheduler import (
     ServingEngine,
     StaticBatchScheduler,
 )
+from .transfer import TransferModel
 from .workload import (
     LengthDistribution,
     multi_turn_workload,

@@ -21,15 +21,9 @@ from ..faults import KV_DEGRADED, KV_TRANSFER_FAIL, FaultPlan, RetryPolicy
 from .metrics import ServingReport, summarize
 from .request import SLO, Request
 from .scheduler import ContinuousBatchScheduler, IterationCost, ServingEngine
-
-# TransferModel grew up and moved out: the fleet-scale pool DES
-# (repro.inference.pools) prices its handoffs and migrations with the same
-# model, so it now lives in repro.inference.transfer.  Re-exported here for
-# backward compatibility with the original two-lane E4 API.
 from .transfer import TransferModel
 
 __all__ = [
-    "TransferModel",
     "simulate_colocated",
     "simulate_disaggregated",
     "sweep_splits",

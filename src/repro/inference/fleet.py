@@ -20,26 +20,17 @@ Both understand :data:`~repro.faults.REPLICA_DEATH` faults (whole-replica
 loss: queue re-routed, in-flight work retried with backoff on survivors)
 and queue-depth-driven autoscaling (:class:`AutoscalePolicy`).
 
-``ClusterFleet.run`` is the perf_opt core.  The naive fleet DES
-(``benchmarks/perf/_legacy_fleet.py``, frozen) keeps one global event heap
-holding every future arrival, finish, and tick — pops cost O(log n) over
-millions of entries, replica deaths leave stale finish records that need
-epoch-tag lazy invalidation, and router metrics are recomputed by scanning
-per-replica Python objects.  The optimized loop shards the heap: arrivals
-stay an index into the sorted workload columns, each replica keeps its own
-small finish heap (bounded by its concurrency ``slots``), and the next
-event emerges from a top-of-heap tournament over the per-replica minima —
-a death simply discards one replica's heap, no tombstones.  The three
-built-in policies run inline against incrementally maintained packed
-integer load keys (an O(R) membership rebuild only on the rare death /
-spawn / drain events), random routing consumes buffered uniform draws,
-and prefix-aware routing scans per-prefix *holder lists* — only the
-replicas that actually cache a prefix — instead of the whole fleet.
-Custom routers still see the NumPy-column
-:class:`~repro.inference.router.RouterState` contract.
-Golden parity with the frozen baseline is bitwise (``FleetResult.
-equals``), exactly as PR 1/PR 4 pinned the single-engine and prep
-kernels.
+``ClusterFleet.run`` delegates to the one request-level fleet event loop,
+:func:`repro.inference.pools.run_pool_fleet`: a plain fleet is the
+all-colocated pool layout ``PoolSpec(colocated=n_replicas)``.  That loop
+shards the event heap (per-replica finish heaps merged by a top-of-heap
+tournament, arrivals read straight off the sorted workload columns),
+keeps packed integer load keys incrementally, and scans per-prefix
+holder lists for prefix-aware routing; custom routers still see the
+NumPy-column :class:`~repro.inference.router.RouterState` contract.
+The frozen naive fleet DES (``benchmarks/perf/_legacy_fleet.py``: one
+global event heap, epoch tombstones, per-decision rescans) pins plain
+fleets bitwise (``FleetResult.equals``).
 """
 
 from __future__ import annotations
@@ -254,11 +245,12 @@ class AutoscalePolicy:
 class FleetResult:
     """Per-request outcome columns plus fleet counters from a cluster run.
 
-    The trailing block only fills on disaggregated runs
-    (:mod:`repro.inference.pools`): which decode replica served each
-    request, when its decode admission happened, and the pool-level
-    counters (KV handoffs, migrations, re-prefills).  Plain colocated
-    runs leave the arrays ``None`` and the counters 0.
+    The trailing block is the pool view: which replica ran each request's
+    decode, when its decode admission happened, and the pool-level
+    counters (KV handoffs, migrations, re-prefills).  ``ClusterFleet.run``
+    always fills the decode columns (a colocated row decodes where it
+    prefilled, from its first token); only the frozen legacy oracle
+    leaves them ``None``, and its counters 0.
     """
 
     replica: np.ndarray
@@ -287,9 +279,9 @@ class FleetResult:
         """Bitwise parity: every column and counter identical.
 
         The optional decode columns are compared when both sides carry
-        them (every pool-DES parity case does); a plain run's ``None``
-        against a pool run's array is not a comparison the parity suite
-        makes, so it is treated as "no shared column to compare".
+        them; ``None`` (which only the legacy fleet oracle produces)
+        against an array is treated as "no shared column to compare", so
+        a current run still equals its oracle.
         """
 
         def opt_eq(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
@@ -404,24 +396,22 @@ def summarize_fleet(
 class ClusterFleet:
     """Request-granular fleet DES over sharded per-replica event heaps.
 
-    Each replica owns a small finish heap (never larger than its ``slots``
-    concurrency), the next finish comes from a tournament over the heap
-    tops, and arrivals are consumed straight off the sorted workload
-    columns — no global heap, no stale-event tombstones.  Event order is
-    total and deterministic: at equal timestamps, death < spawn < finish <
-    retry < arrival < autoscale tick, finishes tie-break on (replica,
-    request), and the frozen naive baseline realizes the identical order
-    through one global priority heap, which the parity suite exploits.
+    A plain fleet (``pools=None``) is the all-colocated pool: ``run``
+    hands it to :func:`~repro.inference.pools.run_pool_fleet` as
+    ``PoolSpec(colocated=n_replicas)``, the same loop that runs every
+    disaggregated ``pools`` layout.  ``pools`` itself stays as given.
+    Event order is total and deterministic: at equal timestamps, death <
+    spawn < finish < retry < arrival < autoscale tick, finishes tie-break
+    on (replica, request), and the frozen naive baseline realizes the
+    identical order through one global priority heap, which the parity
+    suite exploits.
 
-    Router decisions are batched out of the per-request path: the three
-    built-in policies are specialized inline — the seeded-uniform stream
-    is drawn in vectorized blocks, and the least-loaded / prefix-aware
-    argmin reads a packed integer load key that admission and completion
-    maintain *incrementally* (O(1) per state change) instead of being
-    recomputed by scanning replicas per decision, which is what the naive
-    baseline does.  A custom :class:`~repro.inference.router.Router`
-    subclass still works: the fleet falls back to syncing the
-    :class:`~repro.inference.router.RouterState` columns and calling
+    The three built-in router policies are specialized against
+    incrementally maintained packed integer load keys (the seeded-uniform stream of a
+    :class:`~repro.inference.router.RandomRouter` is drawn in blocks from
+    its ``stream``).  A custom :class:`~repro.inference.router.Router`
+    subclass still works: the fleet syncs the
+    :class:`~repro.inference.router.RouterState` columns and calls
     ``route`` per request (correct, but off the fast path).
     """
 
@@ -463,542 +453,16 @@ class ClusterFleet:
         )
         self.fault_log: List[FaultEvent] = []
 
-    # The loop below is the optimized counterpart of
-    # benchmarks/perf/_legacy_fleet.py:LegacyClusterFleet.run — any change
-    # here must preserve bitwise FleetResult parity with that frozen code.
     def run(self, workload: FleetWorkload) -> FleetResult:
-        """Simulate the trace to completion; returns per-request outcomes."""
-        if self.pools is not None:
-            from .pools import run_pool_fleet  # lazy: pools imports fleet
+        """Simulate the trace to completion; returns per-request outcomes.
 
-            return run_pool_fleet(self, workload)
-        model = self.model
-        n = workload.n
-        need_l: List[int] = (workload.prompt_tokens + workload.output_tokens).tolist()
-        need_max = max(need_l)
-        if need_max > model.kv_capacity_tokens:
-            raise ConfigError(
-                "a request needs more KV than one replica holds "
-                f"({need_max} > {model.kv_capacity_tokens})"
-            )
-        # Scalar-read copies of the workload columns: list indexing beats
-        # ndarray scalar indexing by ~4x in the per-event hot path.
-        arr_l: List[float] = workload.arrival_s.tolist()
-        prompt_l: List[int] = workload.prompt_tokens.tolist()
-        out_l: List[int] = workload.output_tokens.tolist()
-        code_l: List[int] = workload.prefix_code.tolist()
-        ptok_l: List[int] = workload.prefix_tokens.tolist()
+        A plain fleet runs as the all-colocated pool layout; ``self.pools``
+        is left as given (``None`` on a plain fleet).
+        """
+        from .pools import PoolSpec, run_pool_fleet  # lazy: pools imports fleet
 
-        max_replicas = self.max_replicas
-        state = RouterState(max_replicas, model.kv_capacity_tokens)
-        state.routable[: self.n_replicas] = True
-        state.rebuild_routable()
-        router = self.router
-        router.bind(state)
-        # Policy specialization: the built-in routers run inline against
-        # incrementally maintained integer keys (mode 0-2); anything else
-        # goes through the generic column-sync path (mode 3).
-        from .router import LeastLoadedRouter, PrefixAwareRouter, RandomRouter
-
-        if type(router) is RandomRouter:
-            mode = 0
-            route_rng = derive_rng(router.seed, "fleet", "router")
-        elif type(router) is LeastLoadedRouter:
-            mode = 1
-        elif type(router) is PrefixAwareRouter:
-            mode = 2
-        else:
-            mode = 3
-
-        huge = 1 << 62
-        span = model.kv_capacity_tokens + 1
-        alive = [True] * self.n_replicas + [False] * (max_replicas - self.n_replicas)
-        draining = [False] * max_replicas
-        routable_f = list(alive)
-        routable_l = [r for r in range(max_replicas) if routable_f[r]]
-        alive_count = self.n_replicas
-        depth_l = [0] * max_replicas
-        running_l = [0] * max_replicas
-        kv_l = [0] * max_replicas
-        key_l = [0 if routable_f[r] else huge for r in range(max_replicas)]
-        # Prefix caches: code -> cached tokens per replica slot, plus a
-        # per-code *holder list* (replicas with a non-zero cache entry) so
-        # the prefix-aware scan touches only replicas that can possibly
-        # hit — O(holders), not O(R), per decision.
-        prefix_tab: Dict[int, List[int]] = {}
-        holders: Dict[int, List[int]] = {}
-        generic = mode == 3
-        block_route = (
-            router.block_tokens if isinstance(router, PrefixAwareRouter) else model.block_tokens
-        )
-
-        queues: List[Deque[int]] = [deque() for _ in range(max_replicas)]
-        heaps: List[List[Tuple[float, int]]] = [[] for _ in range(max_replicas)]
-        tops: List[float] = [_INF] * max_replicas
-        # Tournament heap over per-replica top finishes: ``(top, replica)``
-        # entries, lazily invalidated — an entry is live iff it still
-        # equals ``tops[replica]``.  ``fin_min`` caches the live minimum.
-        fheap: List[Tuple[float, int]] = []
-        fin_min = _INF
-
-        # first_token_s / finish_s are NOT tracked per event: both derive
-        # exactly (same IEEE expression order as the loop's scalars) from
-        # start_s and the hit column, so they are vectorized at the end.
-        res_rep = [-1] * n
-        res_start = [float("nan")] * n
-        res_retry = [0] * n
-        res_rej = [False] * n
-        res_hit = [0] * n
-        served = [0] * max_replicas
-        completed = 0
-        rejected = 0
-        deaths = spawns = drains = reroutes = 0
-
-        retry_heap: List[Tuple[float, int, int]] = []
-        retry_seq = 0
-        spawn_heap: List[float] = []
-        death_list = self._deaths
-        di = 0
-        scale = self.autoscale
-        tick = scale.interval_s if scale is not None else _INF
-        shed = self.shed_slo
-        # +inf sentinel: "t - arrival > shed_ttft" is then never true, so
-        # the hot loop needs no separate shed-enabled test.
-        shed_ttft = shed.ttft_s if shed is not None else _INF
-        retry_policy = self.retry
-        slots = model.slots
-        kv_cap = model.kv_capacity_tokens
-        base = model.base_s
-        per_pf = model.per_prefill_token_s
-        per_out = model.per_output_token_s
-        block = model.block_tokens
-        clock = 0.0
-        ptr = 0
-        rng_buf: List[float] = []
-        rng_ptr = 0
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        def try_start(r: int, t: float) -> None:
-            nonlocal rejected, fin_min
-            q = queues[r]
-            top = tops[r]
-            rt = routable_f[r]
-            while q and running_l[r] < slots:
-                i = q[0]
-                if t - arr_l[i] > shed_ttft:
-                    q.popleft()
-                    depth_l[r] -= 1
-                    if rt:
-                        key_l[r] -= span
-                    res_rej[i] = True
-                    rejected += 1
-                    continue
-                need = need_l[i]
-                if kv_l[r] + need > kv_cap:
-                    break
-                q.popleft()
-                depth_l[r] -= 1
-                running_l[r] += 1
-                kv_l[r] += need
-                if rt:
-                    key_l[r] += need  # depth-1/running+1 cancel in the key
-                hit = 0
-                code = code_l[i]
-                if code >= 0:
-                    pt = ptok_l[i]
-                    col = prefix_tab.get(code)
-                    if col is None:
-                        col = [0] * max_replicas
-                        col[r] = pt
-                        prefix_tab[code] = col
-                        if pt > 0:
-                            holders[code] = [r]
-                        if generic:
-                            state.record_prefix(code, r, pt)
-                    else:
-                        cached = col[r]
-                        m = cached if cached < pt else pt
-                        hit = m - m % block
-                        if pt > cached:
-                            col[r] = pt
-                            if cached == 0:
-                                holders.setdefault(code, []).append(r)
-                            if generic:
-                                state.record_prefix(code, r, pt)
-                eff = prompt_l[i] - hit
-                if eff < 1:
-                    eff = 1
-                first = t + (base + eff * per_pf)
-                fin = first + (out_l[i] - 1) * per_out
-                res_rep[i] = r
-                res_start[i] = t
-                res_hit[i] = hit
-                heappush(heaps[r], (fin, i))
-                if fin < top:
-                    top = fin
-            if top != tops[r]:  # tops only ever drop inside try_start
-                tops[r] = top
-                heappush(fheap, (top, r))
-                if top < fin_min:
-                    fin_min = top
-
-        def route_to(i: int, t: float) -> None:
-            nonlocal rng_buf, rng_ptr
-            if not routable_l:
-                raise SchedulerError("no routable replicas")
-            if mode == 0:
-                if rng_ptr >= len(rng_buf):
-                    rng_buf = route_rng.random(8192).tolist()
-                    rng_ptr = 0
-                u = rng_buf[rng_ptr]
-                rng_ptr += 1
-                k = len(routable_l)
-                j = int(u * k)
-                if j >= k:
-                    j = k - 1
-                r = routable_l[j]
-            elif mode == 1:
-                r = key_l.index(min(key_l))
-            elif mode == 2:
-                r = -1
-                code = code_l[i]
-                pt = ptok_l[i]
-                if code >= 0 and pt > 0:
-                    hl = holders.get(code)
-                    if hl is not None:
-                        # Only holders can hit; pick by lexicographic
-                        # (-hit, load key, index) — identical to the
-                        # ascending-index two-pass scan of the baseline.
-                        col = prefix_tab[code]
-                        best = 0
-                        bk = 0
-                        for r2 in hl:
-                            if not routable_f[r2]:
-                                continue
-                            c = col[r2]
-                            m = c if c < pt else pt
-                            h = m - m % block_route
-                            if h <= 0:
-                                continue
-                            if h > best:
-                                best = h
-                                bk = key_l[r2]
-                                r = r2
-                            elif h == best:
-                                k2 = key_l[r2]
-                                if k2 < bk or (k2 == bk and r2 < r):
-                                    bk = k2
-                                    r = r2
-                if r < 0:  # no prefix, or no routable replica caches it
-                    r = key_l.index(min(key_l))
-            else:
-                state.queue_depth[:] = depth_l
-                state.running[:] = running_l
-                state.kv_used[:] = kv_l
-                r = router.route(code_l[i], ptok_l[i])
-            queues[r].append(i)
-            depth_l[r] += 1
-            if routable_f[r]:
-                key_l[r] += span
-            if running_l[r] < slots:
-                try_start(r, t)
-
-        def membership_changed() -> None:
-            nonlocal routable_l
-            routable_l = [r for r in range(max_replicas) if routable_f[r]]
-            state.rebuild_routable()
-            router.on_membership_change()
-
-        def drop_prefixes(r: int) -> None:
-            for code, col in prefix_tab.items():
-                if col[r]:
-                    col[r] = 0
-                    holders[code].remove(r)
-
-        def retire(r: int) -> None:
-            nonlocal alive_count, drains
-            alive[r] = False
-            draining[r] = False
-            alive_count -= 1
-            drains += 1
-            depth_l[r] = 0
-            running_l[r] = 0
-            kv_l[r] = 0
-            drop_prefixes(r)
-            state.reset_counters(r)
-            state.clear_replica(r)
-
-        while completed + rejected < n:
-            t_death = death_list[di].at_s if di < len(death_list) else _INF
-            t_spawn = spawn_heap[0] if spawn_heap else _INF
-            t_retry = retry_heap[0][0] if retry_heap else _INF
-            t_tick = tick
-            t_rare_hi = t_death if t_death <= t_spawn else t_spawn
-            if t_rare_hi == _INF and t_retry == _INF and t_tick == _INF:
-                # No rare event can ever interleave again: only finishes
-                # and arrivals remain.  Ticks drive draining and deaths
-                # are spent, so every finishing replica is routable and
-                # the membership guards drop out of the loop.
-                while True:
-                    t_arr = arr_l[ptr] if ptr < n else _INF
-                    if fin_min <= t_arr:
-                        if fin_min == _INF:
-                            break
-                        r = fheap[0][1]
-                        heappop(fheap)
-                        fin, i = heappop(heaps[r])
-                        h = heaps[r]
-                        if h:
-                            top = h[0][0]
-                            tops[r] = top
-                            heappush(fheap, (top, r))
-                        else:
-                            tops[r] = _INF
-                        while fheap:  # discard stale entries off the head
-                            f0, r0 = fheap[0]
-                            if tops[r0] == f0:
-                                fin_min = f0
-                                break
-                            heappop(fheap)
-                        else:
-                            fin_min = _INF
-                        running_l[r] -= 1
-                        kv_l[r] -= need_l[i]
-                        key_l[r] -= span + need_l[i]
-                        completed += 1
-                        served[r] += 1
-                        clock = fin
-                        if queues[r]:
-                            try_start(r, fin)
-                        continue
-                    # Arrival.  The two cheapest policies are inlined —
-                    # one uniform draw / one C-level min — the rest go
-                    # through route_to (identical decisions either way).
-                    clock = t_arr
-                    if mode == 0:
-                        if rng_ptr >= len(rng_buf):
-                            rng_buf = route_rng.random(8192).tolist()
-                            rng_ptr = 0
-                        u = rng_buf[rng_ptr]
-                        rng_ptr += 1
-                        k = len(routable_l)
-                        if k == 0:
-                            raise SchedulerError("no routable replicas")
-                        j = int(u * k)
-                        if j >= k:
-                            j = k - 1
-                        r = routable_l[j]
-                    elif mode == 1:
-                        if not routable_l:
-                            raise SchedulerError("no routable replicas")
-                        r = key_l.index(min(key_l))
-                    else:
-                        route_to(ptr, t_arr)
-                        ptr += 1
-                        continue
-                    queues[r].append(ptr)
-                    depth_l[r] += 1
-                    key_l[r] += span
-                    if running_l[r] < slots:
-                        try_start(r, t_arr)
-                    ptr += 1
-                if completed + rejected >= n:
-                    break
-            # Hot inner loop: finishes and arrivals strictly ordered ahead
-            # of every rare event (ties per the priority ladder above).
-            while True:
-                t_arr = arr_l[ptr] if ptr < n else _INF
-                t_fin = fin_min
-                if (
-                    t_fin < t_rare_hi
-                    and t_fin <= t_retry
-                    and t_fin <= t_arr
-                    and t_fin <= t_tick
-                ):
-                    r = fheap[0][1]  # head is live: fheap[0][0] == fin_min
-                    heappop(fheap)
-                    fin, i = heappop(heaps[r])
-                    if heaps[r]:
-                        top = heaps[r][0][0]
-                        tops[r] = top
-                        heappush(fheap, (top, r))
-                    else:
-                        tops[r] = _INF
-                    while fheap:  # discard stale entries off the head
-                        f0, r0 = fheap[0]
-                        if tops[r0] == f0:
-                            fin_min = f0
-                            break
-                        heappop(fheap)
-                    else:
-                        fin_min = _INF
-                    running_l[r] -= 1
-                    kv_l[r] -= need_l[i]
-                    if routable_f[r]:
-                        key_l[r] -= span + need_l[i]
-                    completed += 1
-                    served[r] += 1
-                    clock = fin
-                    if queues[r]:
-                        try_start(r, fin)
-                    if draining[r] and running_l[r] == 0 and not queues[r]:
-                        retire(r)
-                    continue
-                if (
-                    t_arr < t_rare_hi
-                    and t_arr < t_retry
-                    and t_arr < t_fin
-                    and t_arr <= t_tick
-                ):
-                    clock = t_arr
-                    route_to(ptr, t_arr)
-                    ptr += 1
-                    continue
-                break
-            if completed + rejected >= n:
-                break
-            # Rare event dispatch: smallest (time, priority).
-            best_t = t_death
-            best_kind = 0
-            if t_spawn < best_t:
-                best_t, best_kind = t_spawn, 1
-            if t_retry < best_t:
-                best_t, best_kind = t_retry, 2
-            if t_tick < best_t:
-                best_t, best_kind = t_tick, 3
-            if best_t == _INF:
-                raise SchedulerError(
-                    "fleet stalled: queued work but no runnable event "
-                    f"({completed + rejected}/{n} settled)"
-                )
-            clock = best_t
-            if best_kind == 0:
-                event = death_list[di]
-                di += 1
-                cands = [r for r in range(max_replicas) if alive[r] and not draining[r]]
-                if not cands:
-                    cands = [r for r in range(max_replicas) if alive[r]]
-                victim = -1
-                if event.target is not None:
-                    name = event.target
-                    if name.startswith("replica-"):
-                        slot = int(name[len("replica-") :])
-                        if 0 <= slot < max_replicas and alive[slot]:
-                            victim = slot
-                elif cands:
-                    victim = cands[deaths % len(cands)]
-                if victim < 0:
-                    continue  # nothing to kill (all dead or bad target)
-                self.fault_log.append(event)
-                deaths += 1
-                r = victim
-                alive[r] = False
-                draining[r] = False
-                routable_f[r] = False
-                key_l[r] = huge
-                alive_count -= 1
-                state.routable[r] = False
-                membership_changed()
-                in_flight = sorted(heaps[r])
-                heaps[r] = []
-                tops[r] = _INF
-                while fheap:  # victim's entries just went stale
-                    f0, r0 = fheap[0]
-                    if tops[r0] == f0:
-                        fin_min = f0
-                        break
-                    heappop(fheap)
-                else:
-                    fin_min = _INF
-                # repro-lint: disable=R010 — runs only on rare REPLICA_DEATH
-                # fault events, and the copy is required before .clear()
-                stranded = list(queues[r])
-                queues[r].clear()
-                depth_l[r] = 0
-                running_l[r] = 0
-                kv_l[r] = 0
-                drop_prefixes(r)
-                state.reset_counters(r)
-                state.clear_replica(r)
-                for _, i in in_flight:
-                    res_retry[i] += 1
-                    res_rep[i] = -1
-                    res_start[i] = float("nan")
-                    res_hit[i] = 0
-                    if retry_policy.exhausted(res_retry[i]):
-                        res_rej[i] = True
-                        rejected += 1
-                    else:
-                        ready = event.end_s + retry_policy.delay_s(res_retry[i])
-                        heappush(retry_heap, (ready, retry_seq, i))
-                        retry_seq += 1
-                for i in stranded:
-                    reroutes += 1
-                    route_to(i, event.at_s)
-            elif best_kind == 1:
-                heappop(spawn_heap)
-                slot = -1
-                for r in range(max_replicas):
-                    if not alive[r]:
-                        slot = r
-                        break
-                if slot >= 0:
-                    alive[slot] = True
-                    draining[slot] = False
-                    routable_f[slot] = True
-                    key_l[slot] = 0
-                    alive_count += 1
-                    spawns += 1
-                    state.routable[slot] = True
-                    membership_changed()
-            elif best_kind == 2:
-                _, _, i = heappop(retry_heap)
-                route_to(i, best_t)
-            else:
-                tick = tick + scale.interval_s  # type: ignore[union-attr]
-                nr = len(routable_l)
-                if nr > 0 and scale is not None:
-                    waiting = 0
-                    for r in routable_l:
-                        waiting += depth_l[r]
-                    per = waiting / nr
-                    if (
-                        per > scale.high_queue_per_replica
-                        and alive_count + len(spawn_heap) < scale.max_replicas
-                    ):
-                        heappush(spawn_heap, best_t + scale.spawn_delay_s)
-                    elif per < scale.low_queue_per_replica and nr > scale.min_replicas:
-                        r = routable_l[nr - 1]
-                        draining[r] = True
-                        routable_f[r] = False
-                        key_l[r] = huge
-                        state.routable[r] = False
-                        membership_changed()
-                        if running_l[r] == 0 and not queues[r]:
-                            retire(r)
-
-        start_col = np.asarray(res_start, dtype=np.float64)
-        hit_col = np.asarray(res_hit, dtype=np.int64)
-        eff_col = np.maximum(workload.prompt_tokens - hit_col, 1)
-        first_col = start_col + (base + eff_col * per_pf)
-        fin_col = first_col + (workload.output_tokens - 1) * per_out
-        return FleetResult(
-            replica=np.asarray(res_rep, dtype=np.int64),
-            start_s=start_col,
-            first_token_s=first_col,
-            finish_s=fin_col,
-            retries=np.asarray(res_retry, dtype=np.int64),
-            rejected=np.asarray(res_rej, dtype=np.bool_),
-            prefix_hit_tokens=hit_col,
-            completed=completed,
-            rejected_total=rejected,
-            deaths=deaths,
-            spawns=spawns,
-            drains=drains,
-            reroutes=reroutes,
-            served_per_replica=np.asarray(served, dtype=np.int64),
-            sim_end_s=clock,
+        return run_pool_fleet(
+            self, workload, self.pools or PoolSpec(colocated=self.n_replicas)
         )
 
 

@@ -133,8 +133,9 @@ def fleet_phase_breakdown(
     """Decompose a pool-DES :class:`FleetResult` into latency phases.
 
     Only requests that finished are counted; the transfer and decode
-    phases additionally need the decode columns a disaggregated run
-    fills (a plain colocated run yields empty phases there).
+    phases additionally need the decode columns every ``ClusterFleet``
+    run fills (colocated rows show a zero transfer phase; a result
+    without decode columns yields empty phases there).
     """
     finish = result.finish_s
     done = ~np.isnan(finish)

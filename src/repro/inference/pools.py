@@ -23,9 +23,12 @@ Request life cycle (the "pull" KV protocol)::
             pool, exactly the failure mode disaggregation papers fight.
       |  decode finish: KV freed, request complete.
 
-Colocated replicas serve end-to-end with the exact closed-form of the
-plain fleet, which gives the metamorphic anchor: an all-colocated
-:class:`PoolSpec` reproduces ``ClusterFleet.run`` **bitwise**.
+Colocated replicas serve end to end with one closed-form interval.
+:func:`run_pool_fleet` is the only request-level fleet event loop: a
+plain ``ClusterFleet`` (no ``pools``) runs here as
+``PoolSpec(colocated=n_replicas)``, and its results stay bitwise equal to
+the frozen naive fleet (``benchmarks/perf/_legacy_fleet.py``), which is
+the metamorphic anchor for the colocated role.
 
 perf_opt contract: ``benchmarks/perf/_legacy_disagg.py`` freezes the
 naive pool DES — one global event heap over every arrival, finish,
@@ -158,12 +161,17 @@ def make_pool_routers(*, block_tokens: int = 64) -> Tuple[Router, Router]:
 
 
 # The loop below is the optimized counterpart of
-# benchmarks/perf/_legacy_disagg.py:LegacyPoolFleet.run — any change here
-# must preserve bitwise FleetResult parity with that frozen code.
-def run_pool_fleet(fleet: "ClusterFleet", workload: FleetWorkload) -> FleetResult:
-    """Simulate a disaggregated trace to completion (sharded pool DES)."""
-    pools = fleet.pools
-    assert pools is not None
+# benchmarks/perf/_legacy_disagg.py:LegacyPoolFleet.run and, on plain
+# fleets, of benchmarks/perf/_legacy_fleet.py:LegacyClusterFleet.run — any
+# change here must preserve bitwise FleetResult parity with both.
+def run_pool_fleet(
+    fleet: "ClusterFleet", workload: FleetWorkload, pools: PoolSpec
+) -> FleetResult:
+    """Simulate ``workload`` on ``fleet`` laid out as ``pools`` (sharded pool DES).
+
+    This is the one request-level fleet event loop: a plain
+    :class:`ClusterFleet` runs here as ``PoolSpec(colocated=n_replicas)``.
+    """
     model = fleet.model
     n = workload.n
     need_l: List[int] = (workload.prompt_tokens + workload.output_tokens).tolist()
@@ -173,7 +181,9 @@ def run_pool_fleet(fleet: "ClusterFleet", workload: FleetWorkload) -> FleetResul
             "a request needs more KV than one replica holds "
             f"({need_max} > {model.kv_capacity_tokens})"
         )
-    arr_l: List[float] = workload.arrival_s.tolist()
+    # +inf sentinel past the last arrival: the hot loop reads arr_l[ptr]
+    # with no bounds test.
+    arr_l: List[float] = workload.arrival_s.tolist() + [_INF]
     prompt_l: List[int] = workload.prompt_tokens.tolist()
     out_l: List[int] = workload.output_tokens.tolist()
     code_l: List[int] = workload.prefix_code.tolist()
@@ -273,7 +283,6 @@ def run_pool_fleet(fleet: "ClusterFleet", workload: FleetWorkload) -> FleetResul
 
     res_rep = [-1] * n
     res_start = [float("nan")] * n
-    res_first = [float("nan")] * n
     res_drep = [-1] * n
     res_dstart = [float("nan")] * n
     res_fin = [float("nan")] * n
@@ -514,10 +523,6 @@ def run_pool_fleet(fleet: "ClusterFleet", workload: FleetWorkload) -> FleetResul
             res_rep[i] = r
             res_start[i] = t
             res_hit[i] = hit
-            res_first[i] = first
-            res_drep[i] = r
-            res_dstart[i] = first
-            res_fin[i] = fin
             heappush(heaps[r], (fin, i))
             if fin < top:
                 top = fin
@@ -581,7 +586,6 @@ def run_pool_fleet(fleet: "ClusterFleet", workload: FleetWorkload) -> FleetResul
             res_rep[i] = r
             res_start[i] = t
             res_hit[i] = hit
-            res_first[i] = first
             heappush(heaps[r], (first, i))
             if first < top:
                 top = first
@@ -818,7 +822,6 @@ def run_pool_fleet(fleet: "ClusterFleet", workload: FleetWorkload) -> FleetResul
         res_rep[i] = -1
         res_start[i] = float("nan")
         res_hit[i] = 0
-        res_first[i] = float("nan")
         res_drep[i] = -1
         res_dstart[i] = float("nan")
         res_fin[i] = float("nan")
@@ -906,20 +909,19 @@ def run_pool_fleet(fleet: "ClusterFleet", workload: FleetWorkload) -> FleetResul
         t_retry = retry_heap[0][0] if retry_heap else _INF
         t_tick = tick
         t_rare_hi = t_death if t_death <= t_spawn else t_spawn
-        # Hot inner loop: finishes, handoff arrivals, and workload
-        # arrivals strictly ordered ahead of every rare event (ties per
-        # the module-docstring priority ladder).
+        t_late = t_retry if t_retry <= t_tick else t_tick
+        t_rare_arr = t_rare_hi if t_rare_hi <= t_retry else t_retry
+        # Hot inner loop: the earliest of finish, handoff arrival and
+        # workload arrival (ties per the module-docstring priority ladder)
+        # runs while it is ahead of every rare event.  A finish or handoff
+        # arrival must precede death/spawn (t_rare_hi) and may tie a retry
+        # or tick (t_late); a workload arrival must precede every rare
+        # event but the tick (t_rare_arr), which it may tie.
+        t_arr = arr_l[ptr]
         while True:
-            t_arr = arr_l[ptr] if ptr < n else _INF
-            t_fin = fin_min
-            t_inc = inc_min
-            if (
-                t_fin < t_rare_hi
-                and t_fin <= t_inc
-                and t_fin <= t_retry
-                and t_fin <= t_arr
-                and t_fin <= t_tick
-            ):
+            if fin_min <= t_arr and fin_min <= inc_min:
+                if fin_min >= t_rare_hi or fin_min > t_late:
+                    break
                 r = fheap[0][1]  # head is live: fheap[0][0] == fin_min
                 heappop(fheap)
                 fin, i = heappop(heaps[r])
@@ -992,13 +994,9 @@ def run_pool_fleet(fleet: "ClusterFleet", workload: FleetWorkload) -> FleetResul
                     ):
                         retire(r)
                 continue
-            if (
-                t_inc < t_rare_hi
-                and t_inc < t_fin
-                and t_inc <= t_retry
-                and t_inc <= t_arr
-                and t_inc <= t_tick
-            ):
+            if inc_min <= t_arr:
+                if inc_min >= t_rare_hi or inc_min > t_late:
+                    break
                 dst = iheap[0][1]
                 heappop(iheap)
                 t_a, sq = heappop(inc[dst])
@@ -1026,18 +1024,12 @@ def run_pool_fleet(fleet: "ClusterFleet", workload: FleetWorkload) -> FleetResul
                 if running_l[dst] < slots:
                     try_start_decode(dst, t_a)
                 continue
-            if (
-                t_arr < t_rare_hi
-                and t_arr < t_retry
-                and t_arr < t_fin
-                and t_arr < t_inc
-                and t_arr <= t_tick
-            ):
-                clock = t_arr
-                route_arrival(ptr, t_arr)
-                ptr += 1
-                continue
-            break
+            if t_arr >= t_rare_arr or t_arr > t_tick:
+                break
+            clock = t_arr
+            route_arrival(ptr, t_arr)
+            ptr += 1
+            t_arr = arr_l[ptr]
         if completed + rejected >= n:
             break
         # Rare event dispatch: smallest (time, priority).
@@ -1302,14 +1294,30 @@ def run_pool_fleet(fleet: "ClusterFleet", workload: FleetWorkload) -> FleetResul
             )
         )
 
+    # first_token_s is not tracked per admission: it derives exactly (same
+    # IEEE expression order as the admission scalars) from start_s and the
+    # hit column.  Colocated-served rows (admitted, never decode-admitted)
+    # also derive their decode columns and finish_s the same way.
+    rep_col = np.asarray(res_rep, dtype=np.int64)
+    start_col = np.asarray(res_start, dtype=np.float64)
+    hit_col = np.asarray(res_hit, dtype=np.int64)
+    eff_col = np.maximum(workload.prompt_tokens - hit_col, 1)
+    first_col = start_col + (base + eff_col * per_pf)
+    drep_col = np.asarray(res_drep, dtype=np.int64)
+    dstart_col = np.asarray(res_dstart, dtype=np.float64)
+    fin_col = np.asarray(res_fin, dtype=np.float64)
+    colo = np.logical_and(drep_col < 0, rep_col >= 0)
+    drep_col[colo] = rep_col[colo]
+    dstart_col[colo] = first_col[colo]
+    fin_col[colo] = first_col[colo] + (workload.output_tokens[colo] - 1) * per_out
     return FleetResult(
-        replica=np.asarray(res_rep, dtype=np.int64),
-        start_s=np.asarray(res_start, dtype=np.float64),
-        first_token_s=np.asarray(res_first, dtype=np.float64),
-        finish_s=np.asarray(res_fin, dtype=np.float64),
+        replica=rep_col,
+        start_s=start_col,
+        first_token_s=first_col,
+        finish_s=fin_col,
         retries=np.asarray(res_retry, dtype=np.int64),
         rejected=np.asarray(res_rej, dtype=np.bool_),
-        prefix_hit_tokens=np.asarray(res_hit, dtype=np.int64),
+        prefix_hit_tokens=hit_col,
         completed=completed,
         rejected_total=rejected,
         deaths=deaths,
@@ -1318,8 +1326,8 @@ def run_pool_fleet(fleet: "ClusterFleet", workload: FleetWorkload) -> FleetResul
         reroutes=reroutes,
         served_per_replica=np.asarray(served, dtype=np.int64),
         sim_end_s=clock,
-        decode_replica=np.asarray(res_drep, dtype=np.int64),
-        decode_start_s=np.asarray(res_dstart, dtype=np.float64),
+        decode_replica=drep_col,
+        decode_start_s=dstart_col,
         handoffs=handoffs,
         migrations=migrations,
         shipped_migrations=shipped_migrations,

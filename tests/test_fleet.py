@@ -33,6 +33,7 @@ from repro.inference import (
     LeastLoadedRouter,
     LengthDistribution,
     PagedAllocator,
+    PoolSpec,
     PrefixAwareRouter,
     RandomRouter,
     ReplicaModel,
@@ -262,6 +263,19 @@ class TestClusterFleetParity:
             )
             assert bare.run(w).equals(empty.run(w))
 
+    def test_plain_fleet_honours_random_router_stream(self):
+        """A plain fleet draws from RandomRouter.stream, like the pool DES."""
+        w = small_workload(800)
+
+        def run(stream, **kw):
+            router = RandomRouter(seed=5, stream=stream)
+            return ClusterFleet(4, router, model=SMALL_MODEL, **kw).run(w)
+
+        alt = run("router-alt")
+        pooled = run("router-alt", pools=PoolSpec(colocated=4))
+        assert alt.equals(pooled)
+        assert not np.array_equal(alt.replica, run("router").replica)
+
 
 class TestClusterFleetBehavior:
     def test_replica_death_reroutes_and_retries(self):
@@ -280,6 +294,22 @@ class TestClusterFleetBehavior:
         assert np.all(np.isfinite(res.finish_s))
         # The victim serves nothing after t=1.0, so its share is small.
         assert int((res.served_per_replica > 0).sum()) == 4
+
+    def test_pool_target_on_plain_fleet(self):
+        """A plain fleet is the colocated pool: only "pool-colocated" hits."""
+        w = small_workload(500)
+        for target, deaths in (("pool-colocated", 1), ("pool-decode", 0)):
+            plan = FaultPlan(
+                events=(
+                    FaultEvent(at_s=0.5, kind=REPLICA_DEATH, target=target, duration_s=0.1),
+                )
+            )
+            fleet = ClusterFleet(
+                4, make_router("least-loaded"), model=SMALL_MODEL, faults=plan
+            )
+            res = fleet.run(w)
+            assert res.deaths == deaths
+            assert res.completed == w.n
 
     def test_death_of_named_target(self):
         w = small_workload(500)

@@ -7,9 +7,10 @@ Four layers of correctness for the prefill/decode pool subsystem:
 * **Parity** — the sharded pool DES matches the frozen naive baseline
   (``benchmarks/perf/_legacy_disagg.py``) **bitwise** through transfer
   faults, death storms, migration, warm-up autoscale, and shedding.
-* **Metamorphic anchors** — an all-colocated spec reproduces the plain
-  ``ClusterFleet`` bitwise; a contention-free (1 prefill, 1 decode) pair
-  with a free wire reproduces a colocated fleet-of-one; the token-level
+* **Metamorphic anchors** — an all-colocated spec reproduces the frozen
+  plain fleet (``benchmarks/perf/_legacy_fleet.py``) bitwise; a
+  contention-free (1 prefill, 1 decode) pair with a free wire
+  reproduces a colocated fleet-of-one; the token-level
   :class:`DisaggEngineFleet` of (1, 1) with ``overlap=1.0`` walks the
   exact per-token timeline of a bare ``ServingEngine.run``.
 * **Conservation** — after any run (death storms included), every KV
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 from benchmarks.perf._legacy_disagg import LegacyPoolFleet
+from benchmarks.perf._legacy_fleet import LegacyClusterFleet
 from repro.errors import ConfigError
 from repro.faults import (
     KV_DEGRADED,
@@ -53,6 +55,7 @@ from repro.inference import (
     fleet_phase_breakdown,
     fleet_poisson_workload,
     make_pool_routers,
+    make_router,
     phase_breakdown,
     summarize,
 )
@@ -238,26 +241,52 @@ class TestLegacyParity:
 # ===================================================== metamorphic anchors
 class TestMetamorphicAnchors:
     def test_all_colocated_equals_plain_fleet(self):
-        """An all-colocated PoolSpec is the plain ClusterFleet, bitwise."""
+        """An all-colocated PoolSpec is the frozen plain fleet, bitwise.
+
+        Anchored on the legacy oracle rather than on ``ClusterFleet``
+        without pools, which runs the same pool DES: every policy, clean
+        and under deaths + retry + shed SLO + autoscale.
+        """
         wl = pool_workload()
-        pooled = ClusterFleet(
-            4,
-            PrefixAwareRouter(block_tokens=SMALL_MODEL.block_tokens),
-            model=SMALL_MODEL,
-            pools=PoolSpec(colocated=4),
-            decode_router=LeastLoadedRouter(),
-        ).run(wl)
-        plain = ClusterFleet(
-            4,
-            PrefixAwareRouter(block_tokens=SMALL_MODEL.block_tokens),
-            model=SMALL_MODEL,
-        ).run(wl)
-        assert np.array_equal(pooled.replica, plain.replica)
-        assert np.array_equal(pooled.start_s, plain.start_s, equal_nan=True)
-        assert np.array_equal(pooled.first_token_s, plain.first_token_s, equal_nan=True)
-        assert np.array_equal(pooled.finish_s, plain.finish_s, equal_nan=True)
-        assert pooled.completed == plain.completed
-        assert pooled.handoffs == 0
+        horizon = float(wl.arrival_s[-1])
+        faulty = dict(
+            faults=FaultPlan.seeded(
+                seed=11, horizon_s=horizon, rates={REPLICA_DEATH: 2.5 / horizon}
+            ),
+            retry=RetryPolicy(),
+            shed_slo=SLO(ttft_s=30.0),
+            autoscale=AutoscalePolicy(
+                min_replicas=2,
+                max_replicas=8,
+                high_queue_per_replica=6.0,
+                low_queue_per_replica=0.5,
+                interval_s=2.0,
+                spawn_delay_s=4.0,
+            ),
+        )
+        for policy in ("random", "least-loaded", "prefix-aware"):
+            for kw in ({}, faulty):
+                pooled = ClusterFleet(
+                    4,
+                    make_router(policy, seed=5, block_tokens=SMALL_MODEL.block_tokens),
+                    model=SMALL_MODEL,
+                    pools=PoolSpec(colocated=4),
+                    decode_router=LeastLoadedRouter(),
+                    **kw,
+                ).run(wl)
+                legacy = LegacyClusterFleet(
+                    4,
+                    policy,
+                    router_seed=5,
+                    block_tokens=SMALL_MODEL.block_tokens,
+                    model=SMALL_MODEL,
+                    **kw,
+                ).run(wl)
+                assert pooled.equals(legacy), (policy, bool(kw))
+                assert pooled.handoffs == 0
+                assert pooled.completed + pooled.rejected_total == wl.n
+                if kw:
+                    assert pooled.deaths > 0
 
     def test_free_wire_pair_equals_colocated_one(self):
         """(1 prefill, 1 decode) with a free wire == colocated fleet-of-one.

@@ -297,3 +297,152 @@ def test_compiled_filter_predicate_matches_per_row_reference(op, literal, cells)
 def test_unknown_filter_op_raises_when_built(op, literal):
     with pytest.raises(ExecutionError):
         _string_predicate("f", op, literal)
+
+
+# ------------------------------------------------------------- fleet tier
+_FLEET_POLICIES = ("random", "least-loaded", "prefix-aware")
+
+
+@st.composite
+def _fleet_scenarios(draw):
+    """A small fleet trace plus a fleet config, faults and all.
+
+    Bulk columns come from a drawn seed; the knobs Hypothesis shrinks are
+    the shapes: rate segments, prefix share and sizes (0 and block-edge
+    values, so prefix hits land on and next to block boundaries), KV
+    headroom, and the optional death plan / retry / shed SLO / autoscale.
+    """
+    from repro.faults import REPLICA_DEATH, FaultEvent, FaultPlan, RetryPolicy
+    from repro.inference import SLO, AutoscalePolicy, FleetWorkload, ReplicaModel
+    from repro.utils import derive_rng
+
+    rng = derive_rng(draw(st.integers(0, 2**31 - 1)), "tests", "fleet-property")
+    segments = draw(
+        st.lists(
+            st.tuples(st.integers(1, 200), st.sampled_from([2.0, 40.0, 400.0, 4000.0])),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    n = min(sum(count for count, _ in segments), 400)
+    gaps = np.concatenate([rng.exponential(1.0 / rate, count) for count, rate in segments])
+    arrival = np.cumsum(gaps[:n])
+    block = draw(st.sampled_from([16, 64]))
+    sizes = draw(
+        st.lists(
+            st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block, 3 * block]),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    share = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    shared = rng.random(n) < share
+    codes = np.where(shared, rng.integers(0, draw(st.integers(1, 4)), n), -1).astype(np.int64)
+    ptoks = np.where(shared, np.asarray(sizes)[rng.integers(0, len(sizes), n)], 0).astype(np.int64)
+    prompts = (rng.integers(1, 300, n) + ptoks).astype(np.int64)
+    outputs = rng.integers(1, 40, n).astype(np.int64)
+    workload = FleetWorkload(
+        arrival_s=arrival,
+        prompt_tokens=prompts,
+        output_tokens=outputs,
+        prefix_code=codes,
+        prefix_tokens=ptoks,
+    )
+    need = int((prompts + outputs).max())
+    model = ReplicaModel(
+        slots=draw(st.integers(1, 8)),
+        kv_capacity_tokens=need + draw(st.integers(0, 4 * need)),
+        block_tokens=block,
+    )
+    replicas = draw(st.integers(1, 8))
+    horizon = float(arrival[-1])
+    kw = {}
+    if draw(st.booleans()):
+        kw["faults"] = FaultPlan(
+            events=[
+                FaultEvent(
+                    at_s=draw(st.floats(0.0, 1.2)) * horizon,
+                    kind=REPLICA_DEATH,
+                    duration_s=draw(st.floats(0.0, 1.0)),
+                    target=draw(st.none() | st.integers(0, 9).map("replica-{}".format)),
+                )
+                for _ in range(draw(st.integers(1, 4)))
+            ]
+        )
+    if draw(st.booleans()):
+        kw["retry"] = RetryPolicy(
+            max_retries=draw(st.integers(0, 3)), base_delay_s=draw(st.floats(0.0, 0.5))
+        )
+    if draw(st.booleans()):
+        kw["shed_slo"] = SLO(ttft_s=draw(st.floats(0.01, 5.0)))
+    if draw(st.booleans()):
+        floor = draw(st.integers(1, replicas))
+        low = draw(st.floats(0.0, 2.0))
+        kw["autoscale"] = AutoscalePolicy(
+            min_replicas=floor,
+            max_replicas=floor + draw(st.integers(0, 4)),
+            high_queue_per_replica=low + draw(st.floats(0.5, 8.0)),
+            low_queue_per_replica=low,
+            interval_s=draw(st.floats(0.05, 2.0)),
+            spawn_delay_s=draw(st.floats(0.0, 2.0)),
+        )
+    return dict(
+        workload=workload,
+        model=model,
+        replicas=replicas,
+        policy=draw(st.sampled_from(_FLEET_POLICIES)),
+        router_seed=draw(st.integers(0, 9)),
+        router_block=draw(st.sampled_from([16, 64])),
+        kw=kw,
+    )
+
+
+def _cluster_fleet(s, **extra):
+    from repro.inference import ClusterFleet, make_router
+
+    router = make_router(s["policy"], seed=s["router_seed"], block_tokens=s["router_block"])
+    return ClusterFleet(s["replicas"], router, model=s["model"], **s["kw"], **extra)
+
+
+def _legacy_fleet(s):
+    from benchmarks.perf._legacy_fleet import LegacyClusterFleet
+
+    return LegacyClusterFleet(
+        s["replicas"],
+        s["policy"],
+        router_seed=s["router_seed"],
+        block_tokens=s["router_block"],
+        model=s["model"],
+        **s["kw"],
+    )
+
+
+def _fleet_outcome(fleet, workload):
+    """The run's result, or the SchedulerError type it raised (every replica dead)."""
+    from repro.errors import SchedulerError
+
+    try:
+        return fleet.run(workload)
+    except SchedulerError as exc:
+        return type(exc)
+
+
+@seed(20261)
+@given(_fleet_scenarios())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cluster_fleet_matches_legacy_oracle(scenario):
+    """ClusterFleet.run == frozen naive fleet, bitwise, on generated traces."""
+    from repro.faults import FaultPlan
+
+    workload = scenario["workload"]
+    current = _fleet_outcome(_cluster_fleet(scenario), workload)
+    legacy = _fleet_outcome(_legacy_fleet(scenario), workload)
+    if isinstance(current, type) or isinstance(legacy, type):
+        assert current is legacy
+        return
+    assert current.equals(legacy)
+    assert current.completed + current.rejected_total == workload.n
+    assert current.decode_replica is not None and current.decode_start_s is not None
+    if "faults" not in scenario["kw"]:
+        empty = _cluster_fleet(scenario, faults=FaultPlan.empty()).run(workload)
+        assert empty.equals(current)
