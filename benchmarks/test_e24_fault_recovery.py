@@ -27,10 +27,10 @@ from repro.faults import (
 )
 from repro.inference import (
     ContinuousBatchScheduler,
+    DisaggEngineFleet,
     ServingEngine,
     TransferModel,
     poisson_workload,
-    simulate_disaggregated,
     summarize,
 )
 from repro.training import (
@@ -103,17 +103,23 @@ def test_e24_disaggregation_transfer_recovery(benchmark):
     def experiment():
         work = poisson_workload(rate_rps=10, duration_s=20, seed=24)
         transfer = TransferModel(bandwidth=5e8, overlap=0.5)
-        kwargs = dict(prefill_gpus=2, decode_gpus=2, transfer=transfer)
-        clean = simulate_disaggregated(work, **kwargs)
+
+        def serve(**kwargs):
+            def engine():
+                return ServingEngine(ContinuousBatchScheduler(max_batch=64))
+
+            requests = copy.deepcopy(work)
+            DisaggEngineFleet(engine, 2, 2, transfer=transfer, **kwargs).run(requests)
+            return summarize(requests)
+
+        clean = serve()
         plan = FaultPlan.seeded(
             seed=24,
             horizon_s=60.0,
             rates={KV_TRANSFER_FAIL: 0.3, KV_DEGRADED: 0.1},
             mean_duration_s={KV_TRANSFER_FAIL: 0.5, KV_DEGRADED: 2.0},
         )
-        faulty = simulate_disaggregated(
-            work, faults=plan, retry=RetryPolicy(), **kwargs
-        )
+        faulty = serve(faults=plan, retry=RetryPolicy())
         rows = []
         for name, report in [("clean", clean), ("faulty", faulty)]:
             rows.append(

@@ -84,7 +84,7 @@ class LintConfig:
         "src/repro/inference/scheduler.py::ServingEngine.run",
         "src/repro/inference/scheduler.py::ServingEngine.step",
         "src/repro/inference/fleet.py::ClusterFleet.run",
-        "src/repro/inference/fleet.py::EngineFleet.run",
+        "src/repro/inference/fleet.py::serve_engines",
         "src/repro/inference/pools.py::run_pool_fleet",
         "src/repro/semopt/executor.py::SemExecutor.run",
         "src/repro/prep/pipeline.py::PrepPipeline.run",
@@ -109,7 +109,7 @@ class LintConfig:
     hot_loop_functions: Tuple[str, ...] = (
         "src/repro/inference/scheduler.py::ServingEngine.run",
         "src/repro/inference/scheduler.py::ServingEngine.step",
-        "src/repro/inference/fleet.py::EngineFleet.run",
+        "src/repro/inference/fleet.py::serve_engines",
         "src/repro/inference/pools.py::run_pool_fleet",
     )
 

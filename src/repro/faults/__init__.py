@@ -14,8 +14,8 @@ actually happen inside the simulators, reproducibly:
 
 Recovery hooks live with their consumers: ``inference.scheduler`` absorbs
 lane crashes by re-queuing in-flight requests (KV freed, ``retries``
-counted, optional SLO-aware load shedding), ``inference.disaggregation``
-falls back to re-prefill on the decode pool when a KV ship fails, and
+counted, optional SLO-aware load shedding), ``inference.fleet`` falls
+back to re-prefill on the decode pool when a KV ship fails, and
 ``training.trainer`` restores bit-exactly from the last checkpoint on a
 rank death.  The invariant throughout: an **empty plan changes nothing**
 (bit-identical trajectories, enforced by the golden tests), and a seeded
@@ -35,6 +35,7 @@ from .plan import (
     FaultInjector,
     FaultPlan,
     pool_target,
+    slot_target,
 )
 from .retry import RetryPolicy
 
@@ -52,4 +53,5 @@ __all__ = [
     "FaultPlan",
     "RetryPolicy",
     "pool_target",
+    "slot_target",
 ]

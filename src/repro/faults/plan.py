@@ -37,12 +37,15 @@ KV_DEGRADED = "kv_degraded"
 RANK_DEATH = "rank_death"
 #: A whole serving replica drops out of the fleet: its queue, KV, and prefix
 #: caches are lost and every in-flight request must be re-routed to a
-#: surviving replica (see ``inference.fleet``).  In a disaggregated fleet
-#: (``inference.pools``) the ``target`` may name a slot (``"replica-3"``) or
-#: a role pool (``"pool-prefill"`` / ``"pool-decode"`` / ``"pool-colocated"``,
-#: see :func:`pool_target`): the victim is then drawn round-robin from that
-#: pool's live replicas only.
+#: surviving replica (see ``inference.fleet``).  The ``target`` may name a
+#: slot (``"replica-3"``, see :func:`slot_target`) or, in a pool fleet
+#: (``inference.pools``), a role pool (``"pool-prefill"`` /
+#: ``"pool-decode"`` / ``"pool-colocated"``, see :func:`pool_target`): the
+#: victim is then drawn round-robin from that pool's live replicas only.
 REPLICA_DEATH = "replica_death"
+
+#: Prefix a :data:`REPLICA_DEATH` target with this to kill one fixed slot.
+SLOT_TARGET_PREFIX = "replica-"
 
 #: Prefix a :data:`REPLICA_DEATH` target with this to kill a replica from a
 #: specific role pool instead of a fixed slot.
@@ -68,6 +71,24 @@ def pool_target(target: Optional[str]) -> Optional[str]:
             + ", ".join(POOL_TARGET_PREFIX + r for r in POOL_TARGET_ROLES)
         )
     return role
+
+
+def slot_target(target: Optional[str]) -> Optional[int]:
+    """The fleet slot a :data:`REPLICA_DEATH` target names, or ``None``.
+
+    ``"replica-3"`` -> ``3``; pool targets and ``None`` return ``None``.  A
+    slot that is not a non-negative decimal integer (``"replica-x"``)
+    raises ``ConfigError`` instead of a bare ``ValueError`` mid-run.
+    """
+    if target is None or not target.startswith(SLOT_TARGET_PREFIX):
+        return None
+    slot = target[len(SLOT_TARGET_PREFIX):]
+    if not (slot.isascii() and slot.isdigit()):
+        raise ConfigError(
+            f"bad slot target {target!r}; want {SLOT_TARGET_PREFIX}<non-negative int>"
+        )
+    return int(slot)
+
 
 FAULT_KINDS: Tuple[str, ...] = (
     GPU_CRASH,

@@ -7,11 +7,6 @@ from .attention_store import (
     Tier,
     simulate_multiturn,
 )
-from .disaggregation import (
-    simulate_colocated,
-    simulate_disaggregated,
-    sweep_splits,
-)
 from .eviction import (
     POLICIES,
     AllOrNothingPolicy,
@@ -48,6 +43,7 @@ from .pools import (
     MigrationPolicy,
     PoolSpec,
     make_pool_routers,
+    sweep_splits,
 )
 from .prefix import PrefixCacheSimulator, PrefixReport, compare_policies
 from .request import SLO, Request
@@ -78,7 +74,7 @@ from .workload import (
 
 __all__ = [
     "DEFAULT_TIERS", "AttentionStore", "MultiTurnReport", "Tier", "simulate_multiturn",
-    "TransferModel", "simulate_colocated", "simulate_disaggregated", "sweep_splits",
+    "TransferModel",
     "POLICIES", "AllOrNothingPolicy", "CacheEntry", "DependencyTreePolicy",
     "EvictionPolicy", "KVEntryCache", "LFUPolicy", "LRUPolicy",
     "AutoscalePolicy", "ClusterFleet", "EngineFleet", "FleetReport", "FleetResult",
@@ -88,6 +84,7 @@ __all__ = [
     "fleet_phase_breakdown", "phase_breakdown", "summarize",
     "PrefixCacheSimulator", "PrefixReport", "compare_policies",
     "ROLE_NAMES", "DisaggEngineFleet", "MigrationPolicy", "PoolSpec", "make_pool_routers",
+    "sweep_splits",
     "SLO", "Request",
     "ROUTER_NAMES", "LeastLoadedRouter", "PrefixAwareRouter", "RandomRouter",
     "Router", "RouterState", "make_router",

@@ -11,6 +11,9 @@ single-engine simulator to that level, twice over:
   a pluggable :class:`~repro.inference.router.Router`.  Token-level
   fidelity: a fleet of one replica follows a **bit-identical** trajectory
   to a bare engine (the metamorphic anchor in ``tests/test_fleet.py``).
+  :func:`serve_engines` is the one token-level event loop; it also runs
+  :class:`~repro.inference.pools.DisaggEngineFleet`, an ``EngineFleet``
+  whose replicas are a prefill pool shipping KV to a decode pool.
 * :class:`ClusterFleet` — a request-granular fleet model for *scale*:
   each request is one service interval (prefill + decode from the replica
   model's closed-form latency), which keeps the event count at O(1) per
@@ -44,11 +47,12 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequenc
 import numpy as np
 
 from ..errors import ConfigError, SchedulerError
-from ..faults import REPLICA_DEATH, FaultEvent, FaultPlan, RetryPolicy
+from ..faults import REPLICA_DEATH, FaultEvent, FaultPlan, RetryPolicy, pool_target, slot_target
 from ..utils import derive_rng, percentile
 from .request import SLO, Request
 from .router import Router, RouterState
-from .scheduler import STEP_IDLE, ServingEngine
+from .scheduler import STEP_HANDOFF, STEP_IDLE, ServingEngine
+from .transfer import TransferModel
 
 if TYPE_CHECKING:  # pools imports fleet; the reverse edge is lazy
     from .pools import PoolSpec
@@ -393,6 +397,19 @@ def summarize_fleet(
 
 
 # ========================================================== cluster fleet
+def _death_events(faults: Optional[FaultPlan]) -> List[FaultEvent]:
+    """The plan's REPLICA_DEATH events, every target parsed up front.
+
+    A malformed slot or an unknown pool raises ``ConfigError`` here, when
+    the fleet is built, not in the middle of a run.
+    """
+    deaths = faults.of_kind(REPLICA_DEATH) if faults is not None else []
+    for event in deaths:
+        slot_target(event.target)
+        pool_target(event.target)
+    return deaths
+
+
 class ClusterFleet:
     """Request-granular fleet DES over sharded per-replica event heaps.
 
@@ -448,9 +465,7 @@ class ClusterFleet:
             max(n_replicas, autoscale.max_replicas) if autoscale else n_replicas
         )
         self._faults = faults
-        self._deaths: List[FaultEvent] = (
-            faults.of_kind(REPLICA_DEATH) if faults is not None else []
-        )
+        self._deaths = _death_events(faults)
         self.fault_log: List[FaultEvent] = []
 
     def run(self, workload: FleetWorkload) -> FleetResult:
@@ -490,17 +505,29 @@ class EngineFleet:
     """N token-level :class:`ServingEngine` replicas behind a router.
 
     Replicas advance through :meth:`ServingEngine.step`, each on its own
-    clock; the fleet interleaves replica steps with routed arrivals,
-    replica-death faults, fleet-level retries, and autoscale ticks in
-    deterministic (time, priority) order.  With one replica and no fleet
-    faults, the driven engine's trajectory — every timestamp, iteration
-    count, and KV decision — is bit-identical to ``engine.run()`` on the
-    same requests, whatever the router policy (the ROADMAP item-5
-    metamorphic invariant).  Routers see the same :class:`RouterState`
-    columns as :class:`ClusterFleet`, refreshed from live engine state
-    before every decision; prefix-hit columns are optimistic route-time
-    estimates, as in a real cluster's routing tier.
+    clock; :func:`serve_engines` interleaves replica steps with routed
+    arrivals, replica-death faults, fleet-level retries, and autoscale
+    ticks in deterministic (time, priority) order.  With one replica and no
+    fleet faults, the driven engine's trajectory — every timestamp,
+    iteration count, and KV decision — is bit-identical to ``engine.run()``
+    on the same requests, whatever the router policy (the metamorphic
+    invariant).  Routers see the same :class:`RouterState` columns as
+    :class:`ClusterFleet`, refreshed from live engine state before every
+    decision; prefix-hit columns are optimistic route-time estimates, as in
+    a real cluster's routing tier.
+
+    A plain fleet's ``decode`` pool is empty, so nothing ever ships; the
+    KV-ship and decode-routing methods serve
+    :class:`~repro.inference.pools.DisaggEngineFleet`, whose replicas are
+    the prefill pool.
     """
+
+    # Set by DisaggEngineFleet, the only fleet with a decode pool.
+    decode_router: Router
+    transfer: TransferModel
+    _state_d: RouterState
+    _fail_windows: List[FaultEvent]
+    _deg_windows: List[FaultEvent]
 
     def __init__(
         self,
@@ -514,6 +541,7 @@ class EngineFleet:
     ) -> None:
         if n_replicas <= 0:
             raise ConfigError("n_replicas must be positive")
+        self._deaths = _death_events(faults)
         self.engine_factory = engine_factory
         self.router = router
         self.retry = retry or RetryPolicy()
@@ -527,17 +555,13 @@ class EngineFleet:
         sample = self.replicas[0].engine  # type: ignore[union-attr]
         capacity = getattr(sample.allocator, "capacity_tokens", None)
         self._kv_proxy = capacity is None
-        self.state = RouterState(
-            self.max_replicas,
-            int(capacity) if capacity is not None else max(sample.max_running, 1),
-        )
+        self._kv_span = int(capacity) if capacity is not None else max(sample.max_running, 1)
+        self.state = RouterState(self.max_replicas, self._kv_span)
         for r in range(n_replicas):
             self.state.routable[r] = True
         self.state.rebuild_routable()
         self.router.bind(self.state)
-        self._deaths: List[FaultEvent] = (
-            faults.of_kind(REPLICA_DEATH) if faults is not None else []
-        )
+        self.decode: List[_EngineReplica] = []
         self.fault_log: List[FaultEvent] = []
         self.assignments: Dict[str, int] = {}
         self._prefix_codes: Dict[str, int] = {}
@@ -547,6 +571,12 @@ class EngineFleet:
         self.spawns = 0
         self.drains = 0
         self.reroutes = 0
+        self.handoffs = 0
+        self.reprefills = 0
+
+    def run(self, requests: Sequence[Request]) -> List[Request]:
+        """Route and serve ``requests`` across the fleet to completion."""
+        return serve_engines(self, requests)
 
     # --------------------------------------------------------- router feed
     def _code_of(self, request: Request) -> int:
@@ -558,10 +588,9 @@ class EngineFleet:
             self._prefix_codes[request.prefix_id] = code
         return code
 
-    def _refresh_columns(self) -> None:
-        state = self.state
+    def _refresh(self, state: RouterState, pool: Sequence[Optional[_EngineReplica]]) -> None:
         for r in state.routable_indices.tolist():
-            w = self.replicas[r]
+            w = pool[r]
             assert w is not None
             engine = w.engine
             state.queue_depth[r] = len(w.pending)
@@ -572,7 +601,7 @@ class EngineFleet:
                 state.kv_used[r] = engine.allocator.stats.reserved_tokens  # type: ignore[union-attr]
 
     def _route(self, request: Request, count_reroute: bool = False) -> None:
-        self._refresh_columns()
+        self._refresh(self.state, self.replicas)
         code = self._code_of(request)
         r = self.router.route(code, request.prefix_tokens)
         if code >= 0:
@@ -585,14 +614,82 @@ class EngineFleet:
         if count_reroute:
             self.reroutes += 1
 
-    def _retire(self, r: int) -> None:
+    def _deliver(self, request: Request) -> None:
+        """Queue a request whose KV ship landed on a decode engine."""
+        self._refresh(self._state_d, self.decode)
+        w = self.decode[self.decode_router.route(-1, 0)]
+        w.pending.append(request)
+        w.active = True
+
+    # ------------------------------------------------------------ KV ship
+    @staticmethod
+    def _covering(windows: List[FaultEvent], t: float, rid: str) -> Optional[FaultEvent]:
+        for e in windows:
+            if e.at_s > t:
+                break
+            if e.end_s >= t and (e.target is None or e.target == rid):
+                return e
+        return None
+
+    def _ship(
+        self,
+        request: Request,
+        t: float,
+        heap: List[Tuple[float, int, Request]],
+        seq: List[int],
+    ) -> None:
+        """Price the KV handoff leaving the prefill pool at time ``t``.
+
+        A ship inside a KV_TRANSFER_FAIL window pays the full wire time,
+        backs off, and lands as a decode-side re-prefill (the KV is gone);
+        a KV_DEGRADED window divides the wire speed by its severity.
+        """
+        self.handoffs += 1
+        fail = self._covering(self._fail_windows, t, request.request_id)
+        if fail is not None:
+            self.reprefills += 1
+            request.kv_shipped = False
+            if not self._restart(request):
+                return
+            delay = self.transfer.raw_delay(request.prompt_tokens) + self.retry.delay_s(
+                request.retries
+            )
+        else:
+            delay = self.transfer.visible_delay(request.prompt_tokens)
+            deg = self._covering(self._deg_windows, t, request.request_id)
+            if deg is not None and deg.severity != 1.0:
+                delay /= deg.severity
+            request.kv_shipped = True
+        request.handoff_s = t + delay
+        heapq.heappush(heap, (t + delay, seq[0], request))
+        seq[0] += 1
+
+    # ---------------------------------------------------------- membership
+    def _restart(self, request: Request) -> bool:
+        """Wipe a request's progress for a retry; ``False`` once it is
+        out of retries (then it is rejected)."""
+        request.retries += 1
+        request.admitted_s = None
+        request.first_token_s = None
+        request.token_times = []
+        request.prefix_hit = False
+        if self.retry.exhausted(request.retries):
+            request.rejected = True
+            self.rejected += 1
+            return False
+        return True
+
+    def _remove(self, r: int) -> None:
         self.replicas[r] = None
         self.state.routable[r] = False
         self.state.rebuild_routable()
         self.state.reset_counters(r)
         self.state.clear_replica(r)
-        self.drains += 1
         self.router.on_membership_change()
+
+    def _retire(self, r: int) -> None:
+        self._remove(r)
+        self.drains += 1
 
     def _absorb_death(
         self,
@@ -609,11 +706,9 @@ class EngineFleet:
             cands = [r for r in range(self.max_replicas) if self.replicas[r] is not None]
         victim = -1
         if event.target is not None:
-            name = event.target
-            if name.startswith("replica-"):
-                slot = int(name[len("replica-") :])
-                if 0 <= slot < self.max_replicas and self.replicas[slot] is not None:
-                    victim = slot
+            slot = slot_target(event.target)
+            if slot is not None and slot < self.max_replicas and self.replicas[slot] is not None:
+                victim = slot
         elif cands:
             victim = cands[self.deaths % len(cands)]
         if victim < 0:
@@ -626,23 +721,11 @@ class EngineFleet:
         in_flight = list(engine.running.values()) + engine._preempted
         stranded = list(w.pending)
         carried = sorted(engine._retry_queue)
-        self.replicas[victim] = None
-        self.state.routable[victim] = False
-        self.state.rebuild_routable()
-        self.state.reset_counters(victim)
-        self.state.clear_replica(victim)
-        self.router.on_membership_change()
+        self._remove(victim)
         for run_seq in in_flight:
             request = run_seq.request
-            request.retries += 1
             self.retries += 1
-            request.admitted_s = None
-            request.first_token_s = None
-            request.token_times = []
-            request.prefix_hit = False
-            if self.retry.exhausted(request.retries):
-                request.rejected = True
-                self.rejected += 1
+            if not self._restart(request):
                 continue
             ready = event.end_s + self.retry.delay_s(request.retries)
             heapq.heappush(retry_heap, (max(ready, event.at_s), seq[0], request))
@@ -655,101 +738,121 @@ class EngineFleet:
         for request in stranded:
             self._route(request, count_reroute=True)
 
-    # ------------------------------------------------------------ main loop
-    def run(self, requests: Sequence[Request]) -> List[Request]:
-        """Route and serve ``requests`` across the fleet to completion."""
-        order = sorted(requests, key=lambda r: r.arrival_s)
-        n = len(order)
-        ptr = 0
-        retry_heap: List[Tuple[float, int, Request]] = []
-        seq = [0]
-        spawn_heap: List[float] = []
-        di = 0
-        scale = self.autoscale
-        tick = scale.interval_s if scale is not None else _INF
-        while True:
-            t_death = self._deaths[di].at_s if di < len(self._deaths) else _INF
-            t_spawn = spawn_heap[0] if spawn_heap else _INF
-            t_retry = retry_heap[0][0] if retry_heap else _INF
-            t_arr = order[ptr].arrival_s if ptr < n else _INF
-            t_step = _INF
-            r_step = -1
-            for r in range(self.max_replicas):
-                w = self.replicas[r]
-                if w is not None and w.active and w.engine.now < t_step:
-                    t_step = w.engine.now
-                    r_step = r
-            work_left = ptr < n or retry_heap or r_step >= 0
-            t_tick = tick if (scale is not None and work_left) else _INF
-            # Deterministic order: death < spawn < retry < arrival < step < tick.
-            best_t, best_kind = t_death, 0
-            if t_spawn < best_t:
-                best_t, best_kind = t_spawn, 1
-            if t_retry < best_t:
-                best_t, best_kind = t_retry, 2
-            if t_arr < best_t:
-                best_t, best_kind = t_arr, 3
-            if t_step < best_t:
-                best_t, best_kind = t_step, 4
-            if t_tick < best_t:
-                best_t, best_kind = t_tick, 5
-            if best_t == _INF:
-                if di < len(self._deaths):
-                    di += 1  # faults scheduled after the fleet drained: no-op
-                    continue
-                break
-            if best_kind == 0:
-                di += 1
-                self._absorb_death(self._deaths[di - 1], retry_heap, seq)
-            elif best_kind == 1:
-                heapq.heappop(spawn_heap)
-                slot = -1
-                for r in range(self.max_replicas):
-                    if self.replicas[r] is None:
-                        slot = r
-                        break
-                if slot >= 0:
-                    self.replicas[slot] = _EngineReplica(self.engine_factory())
-                    self.spawns += 1
-                    self.state.routable[slot] = True
-                    self.state.rebuild_routable()
-                    self.router.on_membership_change()
-            elif best_kind == 2:
-                _, _, request = heapq.heappop(retry_heap)
-                self._route(request, count_reroute=True)
-            elif best_kind == 3:
-                self._route(order[ptr])
-                ptr += 1
-            elif best_kind == 4:
-                w = self.replicas[r_step]
-                assert w is not None
-                if w.engine.step(w.pending) == STEP_IDLE:
-                    w.active = False
-                    if w.draining and w.idle():
-                        self._retire(r_step)
-            else:
-                tick = tick + scale.interval_s  # type: ignore[union-attr]
-                routable = self.state.routable_indices.tolist()
-                nr = len(routable)
-                if nr > 0 and scale is not None:
-                    waiting = sum(
-                        len(self.replicas[r].pending) for r in routable  # type: ignore[union-attr]
-                    )
-                    per = waiting / nr
-                    live = sum(1 for w in self.replicas if w is not None)
-                    if (
-                        per > scale.high_queue_per_replica
-                        and live + len(spawn_heap) < scale.max_replicas
-                    ):
-                        heapq.heappush(spawn_heap, best_t + scale.spawn_delay_s)
-                    elif per < scale.low_queue_per_replica and nr > scale.min_replicas:
-                        r = routable[nr - 1]
-                        w = self.replicas[r]
-                        assert w is not None
-                        w.draining = True
-                        self.state.routable[r] = False
-                        self.state.rebuild_routable()
-                        self.router.on_membership_change()
-                        if w.idle():
-                            self._retire(r)
-        return list(requests)
+
+def serve_engines(fleet: EngineFleet, requests: Sequence[Request]) -> List[Request]:
+    """The one token-level serving loop, for every :class:`EngineFleet`.
+
+    Picks the earliest event each turn, at equal times in the order death
+    < spawn < retry < KV delivery < arrival < engine step < autoscale
+    tick; engine steps tie-break on replica index, then decode index.  A
+    prefill engine reporting :data:`STEP_HANDOFF` has its finished
+    prefills shipped (:meth:`EngineFleet._ship`); each lands as a delivery
+    on the decode pool.  Returns ``requests`` as given, served in place.
+    """
+    order = sorted(requests, key=lambda r: r.arrival_s)
+    n = len(order)
+    ptr = 0
+    replicas = fleet.replicas
+    decode = fleet.decode
+    death_list = fleet._deaths
+    retry_heap: List[Tuple[float, int, Request]] = []
+    handoff_heap: List[Tuple[float, int, Request]] = []
+    seq = [0]
+    spawn_heap: List[float] = []
+    di = 0
+    scale = fleet.autoscale
+    tick = scale.interval_s if scale is not None else _INF
+    while True:
+        t_death = death_list[di].at_s if di < len(death_list) else _INF
+        t_spawn = spawn_heap[0] if spawn_heap else _INF
+        t_retry = retry_heap[0][0] if retry_heap else _INF
+        t_deliver = handoff_heap[0][0] if handoff_heap else _INF
+        t_arr = order[ptr].arrival_s if ptr < n else _INF
+        t_step = _INF
+        w_step: Optional[_EngineReplica] = None
+        for w in replicas:
+            if w is not None and w.active and w.engine.now < t_step:
+                t_step = w.engine.now
+                w_step = w
+        for w in decode:
+            if w.active and w.engine.now < t_step:
+                t_step = w.engine.now
+                w_step = w
+        work_left = ptr < n or retry_heap or handoff_heap or w_step is not None
+        t_tick = tick if (scale is not None and work_left) else _INF
+        best_t, best_kind = t_death, 0
+        if t_spawn < best_t:
+            best_t, best_kind = t_spawn, 1
+        if t_retry < best_t:
+            best_t, best_kind = t_retry, 2
+        if t_deliver < best_t:
+            best_t, best_kind = t_deliver, 3
+        if t_arr < best_t:
+            best_t, best_kind = t_arr, 4
+        if t_step < best_t:
+            best_t, best_kind = t_step, 5
+        if t_tick < best_t:
+            best_t, best_kind = t_tick, 6
+        if best_t == _INF:
+            if di < len(death_list):
+                di += 1  # faults scheduled after the fleet drained: no-op
+                continue
+            break
+        if best_kind == 0:
+            di += 1
+            fleet._absorb_death(death_list[di - 1], retry_heap, seq)
+        elif best_kind == 1:
+            heapq.heappop(spawn_heap)
+            slot = next((r for r, w in enumerate(replicas) if w is None), -1)
+            if slot >= 0:
+                replicas[slot] = _EngineReplica(fleet.engine_factory())
+                fleet.spawns += 1
+                fleet.state.routable[slot] = True
+                fleet.state.rebuild_routable()
+                fleet.router.on_membership_change()
+        elif best_kind == 2:
+            _, _, request = heapq.heappop(retry_heap)
+            fleet._route(request, count_reroute=True)
+        elif best_kind == 3:
+            _, _, request = heapq.heappop(handoff_heap)
+            fleet._deliver(request)
+        elif best_kind == 4:
+            fleet._route(order[ptr])
+            ptr += 1
+        elif best_kind == 5:
+            assert w_step is not None
+            status = w_step.engine.step(w_step.pending)
+            if status == STEP_IDLE:
+                w_step.active = False
+                if w_step.draining and w_step.idle():
+                    fleet._retire(replicas.index(w_step))
+            elif status == STEP_HANDOFF:
+                t = w_step.engine.now
+                for request in w_step.engine.drain_finished():
+                    fleet._ship(request, t, handoff_heap, seq)
+        else:
+            tick = tick + scale.interval_s  # type: ignore[union-attr]
+            routable = fleet.state.routable_indices.tolist()
+            nr = len(routable)
+            if nr > 0 and scale is not None:
+                waiting = sum(
+                    len(replicas[r].pending) for r in routable  # type: ignore[union-attr]
+                )
+                per = waiting / nr
+                live = sum(1 for w in replicas if w is not None)
+                if (
+                    per > scale.high_queue_per_replica
+                    and live + len(spawn_heap) < scale.max_replicas
+                ):
+                    heapq.heappush(spawn_heap, best_t + scale.spawn_delay_s)
+                elif per < scale.low_queue_per_replica and nr > scale.min_replicas:
+                    r = routable[nr - 1]
+                    w = replicas[r]
+                    assert w is not None
+                    w.draining = True
+                    fleet.state.routable[r] = False
+                    fleet.state.rebuild_routable()
+                    fleet.router.on_membership_change()
+                    if w.idle():
+                        fleet._retire(r)
+    return list(requests)

@@ -1,11 +1,19 @@
-"""Disaggregated prefill/decode replica pools at fleet scale.
+"""Disaggregated prefill/decode replica pools (DistServe [69], Splitwise
+[44], Mooncake [45]), at two fidelities.
 
-The two-lane toy in :mod:`repro.inference.disaggregation` proves the E4
-architecture point; this module makes it a *fleet* property (DistServe
-[69], Splitwise [44], Mooncake [45]): :class:`ClusterFleet` replicas carry
-a **role** — prefill, decode, or colocated — requests route prefix-aware
-over the prefill pool, finished prefills ship their KV to a decode replica
-chosen least-loaded, and the ship is priced by the shared
+* :func:`run_pool_fleet` — the request-level pool DES at fleet scale
+  (below);
+* :class:`DisaggEngineFleet` — token-level: an
+  :class:`~repro.inference.fleet.EngineFleet` whose replicas are a
+  prefill pool of real engines shipping KV to a decode pool, run by the
+  one token-level loop :func:`~repro.inference.fleet.serve_engines`.
+  :func:`sweep_splits` (E4) compares a colocated ``EngineFleet`` against
+  every prefill/decode split of the same engines.
+
+In the pool DES :class:`ClusterFleet` replicas carry a **role** —
+prefill, decode, or colocated — requests route prefix-aware over the
+prefill pool, finished prefills ship their KV to a decode replica chosen
+least-loaded, and the ship is priced by the shared
 :class:`~repro.inference.transfer.TransferModel` (degraded windows and
 transfer failures included).  On top of the handoff sit the ROADMAP
 item-1 follow-ons: KV-aware **migration** of queued and running decode
@@ -50,6 +58,7 @@ handoffs on ``(destination, ship sequence)``), so parity is bitwise
 
 from __future__ import annotations
 
+import copy
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
@@ -58,12 +67,28 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..errors import ConfigError, SchedulerError
-from ..faults import KV_DEGRADED, KV_TRANSFER_FAIL, FaultEvent, FaultPlan, RetryPolicy, pool_target
+from ..faults import (
+    KV_DEGRADED,
+    KV_TRANSFER_FAIL,
+    FaultEvent,
+    FaultPlan,
+    RetryPolicy,
+    pool_target,
+    slot_target,
+)
 from ..utils import derive_rng
-from .fleet import ClusterFleet, FleetResult, FleetWorkload
-from .request import Request
+from .fleet import (
+    ClusterFleet,
+    EngineFleet,
+    FleetResult,
+    FleetWorkload,
+    _EngineReplica,
+    serve_engines,
+)
+from .metrics import ServingReport, summarize
+from .request import SLO, Request
 from .router import LeastLoadedRouter, PrefixAwareRouter, RandomRouter, Router, RouterState
-from .scheduler import STEP_HANDOFF, STEP_IDLE, ServingEngine
+from .scheduler import ContinuousBatchScheduler, IterationCost, ServingEngine
 from .transfer import TransferModel
 
 _INF = float("inf")
@@ -1053,11 +1078,9 @@ def run_pool_fleet(
             role_want = pool_target(event.target)
             victim = -1
             if event.target is not None and role_want is None:
-                name = event.target
-                if name.startswith("replica-"):
-                    slot = int(name[len("replica-") :])
-                    if 0 <= slot < max_replicas and alive[slot]:
-                        victim = slot
+                slot = slot_target(event.target)
+                if slot is not None and slot < max_replicas and alive[slot]:
+                    victim = slot
             else:
                 want = -1 if role_want is None else ROLE_NAMES.index(role_want)
                 cands = [
@@ -1336,29 +1359,22 @@ def run_pool_fleet(
 
 
 # ==================================================== token-level disagg
-class _PoolEngine:
-    """One token-level pool slot: an engine and its arrival deque."""
-
-    def __init__(self, engine: ServingEngine) -> None:
-        self.engine = engine
-        self.pending: Deque[Request] = deque()
-        self.active = False
-
-
-class DisaggEngineFleet:
+class DisaggEngineFleet(EngineFleet):
     """Token-level disaggregation: prefill engines feeding decode engines.
 
     The pool DES above answers fleet-scale questions with an aggregate
     latency model; this class answers *mechanism* questions with real
     :class:`~repro.inference.scheduler.ServingEngine` instances — batching
     policies, chunked prefill, KV allocators, and per-token timelines all
-    participate.  Prefill engines run in ``handoff_mode`` (a sequence
-    retires at its first token); each drained request's KV ship is priced
-    by the shared :class:`~repro.inference.transfer.TransferModel`
-    (KV_TRANSFER_FAIL windows convert the ship into a decode-side
-    re-prefill with backoff, KV_DEGRADED divides the wire speed) and the
-    request is delivered to a decode engine — chosen by ``decode_router``
-    at delivery time — which admits it straight into decode.
+    participate.  It is an :class:`EngineFleet` whose replicas are the
+    prefill pool, run in ``handoff_mode`` (a sequence retires at its first
+    token), plus a decode pool: the shared loop
+    :func:`~repro.inference.fleet.serve_engines` prices each drained
+    request's KV ship with the :class:`~repro.inference.transfer.
+    TransferModel` (KV_TRANSFER_FAIL windows turn the ship into a
+    decode-side re-prefill with backoff, KV_DEGRADED divides the wire
+    speed) and delivers it to the decode engine ``decode_router`` picks,
+    which admits it straight into decode.
 
     With one engine per pool, a zero-visible-delay transfer
     (``overlap=1.0``) and no contention, per-token timelines match a
@@ -1369,7 +1385,7 @@ class DisaggEngineFleet:
 
     def __init__(
         self,
-        engine_factory: "Callable[[], ServingEngine]",
+        engine_factory: Callable[[], ServingEngine],
         n_prefill: int,
         n_decode: int,
         *,
@@ -1381,155 +1397,57 @@ class DisaggEngineFleet:
     ) -> None:
         if n_prefill <= 0 or n_decode <= 0:
             raise ConfigError("need at least one prefill and one decode engine")
-        self.transfer = transfer or TransferModel()
-        self.retry = retry or RetryPolicy()
-        self.prefill: List[_PoolEngine] = []
-        for _ in range(n_prefill):
+
+        def prefill_engine() -> ServingEngine:
             engine = engine_factory()
             engine.handoff_mode = True
-            self.prefill.append(_PoolEngine(engine))
-        self.decode: List[_PoolEngine] = [
-            _PoolEngine(engine_factory()) for _ in range(n_decode)
-        ]
-        sample = self.prefill[0].engine
-        capacity = getattr(sample.allocator, "capacity_tokens", None)
-        self._kv_proxy = capacity is None
-        kv_span = int(capacity) if capacity is not None else max(sample.max_running, 1)
-        self.router = router or PrefixAwareRouter()
+            return engine
+
+        super().__init__(prefill_engine, n_prefill, router or PrefixAwareRouter(), retry=retry)
+        self.decode = [_EngineReplica(engine_factory()) for _ in range(n_decode)]
         self.decode_router = decode_router or LeastLoadedRouter()
-        self._state_p = RouterState(n_prefill, kv_span)
-        self._state_p.routable[:] = True
-        self._state_p.rebuild_routable()
-        self.router.bind(self._state_p)
-        self._state_d = RouterState(n_decode, kv_span)
+        self._state_d = RouterState(n_decode, self._kv_span)
         self._state_d.routable[:] = True
         self._state_d.rebuild_routable()
         self.decode_router.bind(self._state_d)
-        self._fail_windows: List[FaultEvent] = (
-            faults.of_kind(KV_TRANSFER_FAIL) if faults is not None else []
-        )
-        self._deg_windows: List[FaultEvent] = (
-            faults.of_kind(KV_DEGRADED) if faults is not None else []
-        )
-        self._prefix_codes: Dict[str, int] = {}
-        self.handoffs = 0
-        self.reprefills = 0
-        self.rejected = 0
+        self.transfer = transfer or TransferModel()
+        self._fail_windows = faults.of_kind(KV_TRANSFER_FAIL) if faults is not None else []
+        self._deg_windows = faults.of_kind(KV_DEGRADED) if faults is not None else []
 
-    # ----------------------------------------------------------- plumbing
-    def _code_of(self, request: Request) -> int:
-        if request.prefix_id is None or request.prefix_tokens <= 0:
-            return -1
-        code = self._prefix_codes.get(request.prefix_id)
-        if code is None:
-            code = len(self._prefix_codes)
-            self._prefix_codes[request.prefix_id] = code
-        return code
-
-    def _refresh(self, state: RouterState, pool: List[_PoolEngine]) -> None:
-        for r, w in enumerate(pool):
-            engine = w.engine
-            state.queue_depth[r] = len(w.pending)
-            state.running[r] = len(engine.running) + len(engine._preempted)
-            if self._kv_proxy:
-                state.kv_used[r] = len(engine.running)
-            else:
-                state.kv_used[r] = engine.allocator.stats.reserved_tokens  # type: ignore[union-attr]
-
-    def _covering(self, windows: List[FaultEvent], t: float, rid: str) -> Optional[FaultEvent]:
-        for e in windows:
-            if e.at_s > t:
-                break
-            if e.end_s >= t and (e.target is None or e.target == rid):
-                return e
-        return None
-
-    def _ship(
-        self,
-        request: Request,
-        t: float,
-        heap: List[Tuple[float, int, Request]],
-        seq: List[int],
-    ) -> None:
-        """Price the KV handoff leaving the prefill pool at time ``t``."""
-        self.handoffs += 1
-        fail = self._covering(self._fail_windows, t, request.request_id)
-        if fail is not None:
-            request.retries += 1
-            self.reprefills += 1
-            request.admitted_s = None
-            request.first_token_s = None
-            request.token_times = []
-            request.prefix_hit = False
-            request.kv_shipped = False
-            if self.retry.exhausted(request.retries):
-                request.rejected = True
-                self.rejected += 1
-                return
-            delay = self.transfer.raw_delay(request.prompt_tokens) + self.retry.delay_s(
-                request.retries
-            )
-        else:
-            delay = self.transfer.visible_delay(request.prompt_tokens)
-            deg = self._covering(self._deg_windows, t, request.request_id)
-            if deg is not None and deg.severity != 1.0:
-                delay /= deg.severity
-            request.kv_shipped = True
-        request.handoff_s = t + delay
-        heapq.heappush(heap, (t + delay, seq[0], request))
-        seq[0] += 1
-
-    # ---------------------------------------------------------- main loop
-    def run(self, requests: "Sequence[Request]") -> List[Request]:
+    def run(self, requests: Sequence[Request]) -> List[Request]:
         """Serve ``requests`` through both pools to completion."""
-        order = sorted(requests, key=lambda r: r.arrival_s)
-        n = len(order)
-        ptr = 0
-        handoff_heap: List[Tuple[float, int, Request]] = []
-        seq = [0]
-        engines = [(w, True) for w in self.prefill] + [(w, False) for w in self.decode]
-        while True:
-            t_deliver = handoff_heap[0][0] if handoff_heap else _INF
-            t_arr = order[ptr].arrival_s if ptr < n else _INF
-            t_step = _INF
-            step_at = -1
-            for k, (w, _) in enumerate(engines):
-                if w.active and w.engine.now < t_step:
-                    t_step = w.engine.now
-                    step_at = k
-            # Deterministic order: delivery < arrival < engine step.
-            best_t, best_kind = t_deliver, 0
-            if t_arr < best_t:
-                best_t, best_kind = t_arr, 1
-            if t_step < best_t:
-                best_t, best_kind = t_step, 2
-            if best_t == _INF:
-                break
-            if best_kind == 0:
-                _, _, request = heapq.heappop(handoff_heap)
-                self._refresh(self._state_d, self.decode)
-                r = self.decode_router.route(-1, 0)
-                w = self.decode[r]
-                w.pending.append(request)
-                w.active = True
-            elif best_kind == 1:
-                request = order[ptr]
-                ptr += 1
-                self._refresh(self._state_p, self.prefill)
-                code = self._code_of(request)
-                r = self.router.route(code, request.prefix_tokens)
-                if code >= 0:
-                    self._state_p.record_prefix(code, r, request.prefix_tokens)
-                w = self.prefill[r]
-                w.pending.append(request)
-                w.active = True
-            else:
-                w, is_prefill = engines[step_at]
-                status = w.engine.step(w.pending)
-                if status == STEP_IDLE:
-                    w.active = False
-                elif is_prefill and status == STEP_HANDOFF:
-                    t = w.engine.now
-                    for request in w.engine.drain_finished():
-                        self._ship(request, t, handoff_heap, seq)
-        return list(requests)
+        return serve_engines(self, requests)
+
+
+def sweep_splits(
+    requests: Sequence[Request],
+    total_gpus: int,
+    *,
+    cost: Optional[IterationCost] = None,
+    slo: Optional[SLO] = None,
+) -> List[Tuple[str, ServingReport]]:
+    """Colocated vs every prefill/decode split of ``total_gpus`` engines.
+
+    The colocated arm is a least-loaded :class:`EngineFleet` of
+    ``total_gpus`` engines; each split ``p`` is a
+    :class:`DisaggEngineFleet` of ``p`` prefill and ``total_gpus - p``
+    decode engines.  Every arm serves its own deep copy of ``requests``.
+    """
+    if total_gpus < 2:
+        raise ConfigError("need at least 2 GPUs to disaggregate")
+
+    def engine() -> ServingEngine:
+        return ServingEngine(ContinuousBatchScheduler(max_batch=64), cost=cost)
+
+    def serve(fleet: EngineFleet) -> ServingReport:
+        work = copy.deepcopy(list(requests))
+        fleet.run(work)
+        return summarize(work, slo=slo)
+
+    results = [("colocated", serve(EngineFleet(engine, total_gpus, LeastLoadedRouter())))]
+    for prefill in range(1, total_gpus):
+        decode = total_gpus - prefill
+        results.append(
+            (f"disagg-{prefill}p{decode}d", serve(DisaggEngineFleet(engine, prefill, decode)))
+        )
+    return results

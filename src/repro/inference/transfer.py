@@ -7,10 +7,10 @@ time of the full payload and ``visible_delay`` the fraction not hidden
 behind decode compute (both Mooncake and AttentionStore overlap
 transmission with computation).
 
-The model started life inside :mod:`repro.inference.disaggregation` (the
-two-lane E4 toy); it now also prices the fleet-scale pool DES in
-:mod:`repro.inference.pools` — handoffs between role-typed replica pools,
-re-pricing after a destination death, and the KV-aware migration
+It prices both disaggregated simulators: the token-level ships of
+:class:`~repro.inference.pools.DisaggEngineFleet` and the fleet-scale pool
+DES in :mod:`repro.inference.pools` — handoffs between role-typed replica
+pools, re-pricing after a destination death, and the KV-aware migration
 break-even rule :meth:`TransferModel.ship_wins`: move a request's KV only
 when shipping it beats rebuilding it with a local re-prefill.
 """

@@ -8,7 +8,7 @@ lower recall than HNSW at equal latency — included as the classic baseline.
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, List, Set
 
 import numpy as np
 
@@ -59,28 +59,16 @@ class LSHIndex(VectorIndex):
                 else:
                     bucket.append(row)
 
-    def _probe(self, query: np.ndarray, k: int) -> List[tuple]:
-        """Score the union of the query's buckets; best candidates first.
-
-        The union is formed by concatenating bucket lists and deduplicating
-        with ``np.unique`` — one vectorized pass instead of a Python-set
-        union — so candidate rows arrive sorted. Scores are unaffected;
-        only the (arbitrary) ordering among exact score ties can differ
-        from the historical set-iteration order.
-        """
-        buckets = []
+    def _search_ids(self, query: np.ndarray, k: int) -> List[tuple]:
+        """Score the union of the query's buckets; best candidates first."""
+        candidates: Set[int] = set()
         for table, key in zip(self._tables, self._signatures(query).tolist()):
             bucket = table.get(key)
             if bucket:
-                buckets.append(bucket)
-        if not buckets:
+                candidates.update(bucket)
+        if not candidates:
             return []
-        if len(buckets) == 1:
-            rows = np.unique(np.asarray(buckets[0], dtype=np.int64))
-        else:
-            rows = np.unique(
-                np.concatenate([np.asarray(b, dtype=np.int64) for b in buckets])
-            )
+        rows = np.fromiter(candidates, dtype=np.int64, count=len(candidates))
         scores = self._score_fn(query, self._vectors[rows])
         scores = np.where(self._deleted[rows], -np.inf, scores)
         order = np.argsort(-scores)[: max(k, 1)]
@@ -91,15 +79,6 @@ class LSHIndex(VectorIndex):
             for row, score in zip(rows_top, scores_top)
             if math.isfinite(score)
         ]
-
-    def _search_ids(self, query: np.ndarray, k: int) -> List[tuple]:
-        return self._probe(query, k)
-
-    def _search_ids_many(self, queries: np.ndarray, k: int) -> List[List[tuple]]:
-        """Batched probe: signatures stay per query (see :meth:`_signatures`);
-        the win over the generic fallback is the vectorized bucket union."""
-        probe = self._probe
-        return [probe(query, k) for query in queries]
 
     def _on_compact(self, rows_live: np.ndarray, row_map: np.ndarray) -> None:
         for t, table in enumerate(self._tables):

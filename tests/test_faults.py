@@ -24,13 +24,13 @@ from repro.faults import (
 from repro.inference import (
     SLO,
     ContinuousBatchScheduler,
+    DisaggEngineFleet,
     PagedAllocator,
     ServingEngine,
     ShortestJobFirstScheduler,
     StaticBatchScheduler,
     TransferModel,
     poisson_workload,
-    simulate_disaggregated,
     summarize,
 )
 from repro.training import ClusterSpec, ParallelConfig, TrainingRun, get_model_spec
@@ -287,27 +287,36 @@ class TestDisaggregationFaults:
     def _workload(self):
         return poisson_workload(rate_rps=8, duration_s=10, seed=4)
 
+    def _run(self, **kwargs):
+        """A 2+2 DisaggEngineFleet run: the fleet and its served requests."""
+
+        def engine():
+            return ServingEngine(ContinuousBatchScheduler(max_batch=64))
+
+        fleet = DisaggEngineFleet(engine, 2, 2, **kwargs)
+        return fleet, fleet.run(self._workload())
+
     def test_empty_plan_is_bit_identical(self):
-        base = simulate_disaggregated(
-            self._workload(), prefill_gpus=2, decode_gpus=2
-        )
-        injected = simulate_disaggregated(
-            self._workload(), prefill_gpus=2, decode_gpus=2, faults=FaultPlan.empty()
-        )
-        assert base == injected
+        _, base = self._run()
+        _, injected = self._run(faults=FaultPlan.empty())
+        assert summarize(base) == summarize(injected)
+        assert [(r.handoff_s, r.token_times, r.finished_s) for r in base] == [
+            (r.handoff_s, r.token_times, r.finished_s) for r in injected
+        ]
 
     def test_failed_ship_falls_back_to_reprefill(self):
         plan = FaultPlan(
             [FaultEvent(at_s=0.0, kind=KV_TRANSFER_FAIL, duration_s=100.0)]
         )
-        base = simulate_disaggregated(self._workload(), prefill_gpus=2, decode_gpus=2)
-        faulty = simulate_disaggregated(
-            self._workload(), prefill_gpus=2, decode_gpus=2, faults=plan
-        )
+        _, base_reqs = self._run()
+        fleet, faulty_reqs = self._run(faults=plan)
+        base, faulty = summarize(base_reqs), summarize(faulty_reqs)
         # Nothing silently completes for free: every request still finishes,
         # but pays the re-prefill on the decode pool.
         assert faulty.completed == base.completed == faulty.requests
         assert faulty.mean_retries == 1.0  # every ship failed exactly once
+        assert fleet.reprefills == faulty.requests
+        assert not any(r.kv_shipped for r in faulty_reqs)
         assert faulty.makespan_s > base.makespan_s
         assert faulty.tbt_p99 > base.tbt_p99
 
@@ -317,16 +326,8 @@ class TestDisaggregationFaults:
         plan = FaultPlan(
             [FaultEvent(at_s=0.0, kind=KV_DEGRADED, duration_s=100.0, severity=0.1)]
         )
-        base = simulate_disaggregated(
-            self._workload(), prefill_gpus=2, decode_gpus=2, transfer=slow_link
-        )
-        degraded = simulate_disaggregated(
-            self._workload(),
-            prefill_gpus=2,
-            decode_gpus=2,
-            transfer=slow_link,
-            faults=plan,
-        )
+        base = summarize(self._run(transfer=slow_link)[1])
+        degraded = summarize(self._run(transfer=slow_link, faults=plan)[1])
         assert degraded.completed == base.completed
         assert degraded.mean_retries == 0.0  # slow, but no failures
         # The transfer stall is each request's single worst gap, so the
@@ -334,8 +335,7 @@ class TestDisaggregationFaults:
         assert degraded.max_tbt_p99 > base.max_tbt_p99
 
     def test_targeted_transfer_failure_only_hits_its_request(self):
-        workload = self._workload()
-        victim = workload[0].request_id
+        victim = self._workload()[0].request_id
         plan = FaultPlan(
             [
                 FaultEvent(
@@ -346,11 +346,12 @@ class TestDisaggregationFaults:
                 )
             ]
         )
-        report = simulate_disaggregated(
-            workload, prefill_gpus=2, decode_gpus=2, faults=plan
-        )
+        fleet, requests = self._run(faults=plan)
+        report = summarize(requests)
         assert report.completed == report.requests
         assert report.mean_retries == pytest.approx(1.0 / report.requests)
+        assert fleet.reprefills == 1
+        assert [r.request_id for r in requests if r.retries] == [victim]
 
 
 class TestTrainingRankDeath:

@@ -532,3 +532,61 @@ class TestEngineFleetMetamorphic:
         assert all(r.done or r.rejected for r in requests)
         completed = sum(1 for r in requests if r.done)
         assert completed == len(requests) - fleet.rejected
+
+
+# ================================================= death-target validation
+BAD_DEATH_TARGETS = ("replica-x", "replica--1", "pool-perfill")
+
+
+def _plan_with_bad_second_death(target):
+    """A valid untargeted death, then a malformed one later in the run."""
+    return FaultPlan(
+        events=(
+            FaultEvent(at_s=0.1, kind=REPLICA_DEATH),
+            FaultEvent(at_s=0.5, kind=REPLICA_DEATH, target=target),
+        )
+    )
+
+
+class TestDeathTargetValidation:
+    """A malformed REPLICA_DEATH target fails the constructor, not the run.
+
+    Raising mid-run would leave the first death already applied (fault
+    log, replica state); raising at build time leaves nothing behind.
+    """
+
+    @pytest.mark.parametrize("target", BAD_DEATH_TARGETS)
+    @pytest.mark.parametrize("pools", (None, PoolSpec(prefill=2, decode=2)))
+    def test_cluster_fleet_rejects_at_build(self, target, pools):
+        plan = _plan_with_bad_second_death(target)
+        events = plan.events
+        with pytest.raises(ConfigError):
+            ClusterFleet(
+                4, make_router("least-loaded"), model=SMALL_MODEL, faults=plan, pools=pools
+            )
+        assert plan.events == events
+
+    @pytest.mark.parametrize("target", BAD_DEATH_TARGETS)
+    def test_engine_fleet_rejects_before_building_engines(self, target):
+        built = []
+
+        def factory():
+            built.append(1)
+            return engine_factory()
+
+        router = make_router("least-loaded")
+        with pytest.raises(ConfigError):
+            EngineFleet(factory, 2, router, faults=_plan_with_bad_second_death(target))
+        assert built == []
+        assert not hasattr(router, "_state")  # never bound to a fleet
+
+    def test_valid_targets_still_build(self):
+        plan = FaultPlan(
+            events=(
+                FaultEvent(at_s=0.1, kind=REPLICA_DEATH, target="replica-1"),
+                FaultEvent(at_s=0.2, kind=REPLICA_DEATH, target="pool-colocated"),
+                FaultEvent(at_s=0.3, kind=REPLICA_DEATH, target="replica-99"),
+            )
+        )
+        ClusterFleet(4, make_router("least-loaded"), model=SMALL_MODEL, faults=plan)
+        EngineFleet(engine_factory, 2, make_router("least-loaded"), faults=plan)

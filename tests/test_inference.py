@@ -12,8 +12,11 @@ from repro.inference import (
     AllOrNothingPolicy,
     ContinuousBatchScheduler,
     DependencyTreePolicy,
+    DisaggEngineFleet,
+    EngineFleet,
     IterationCost,
     KVEntryCache,
+    LeastLoadedRouter,
     LFUPolicy,
     LRUPolicy,
     PagedAllocator,
@@ -27,8 +30,6 @@ from repro.inference import (
     multi_turn_workload,
     poisson_workload,
     shared_prefix_workload,
-    simulate_colocated,
-    simulate_disaggregated,
     simulate_multiturn,
     summarize,
     sweep_splits,
@@ -277,6 +278,21 @@ class TestMetrics:
         assert "goodput_rps" in row and "ttft_p99_s" in row
 
 
+def _engine():
+    return ServingEngine(ContinuousBatchScheduler(max_batch=64))
+
+
+def _colocated(gpus):
+    return EngineFleet(_engine, gpus, LeastLoadedRouter())
+
+
+def _serve(fleet, requests, slo=None):
+    """Run ``fleet`` on a private copy of ``requests``; summarize it."""
+    work = copy.deepcopy(list(requests))
+    fleet.run(work)
+    return summarize(work, slo=slo)
+
+
 class TestDisaggregation:
     @pytest.fixture(scope="class")
     def workload(self):
@@ -284,10 +300,8 @@ class TestDisaggregation:
 
     def test_disaggregation_improves_goodput(self, workload):
         slo = SLO(ttft_s=1.0, tbt_s=0.04)
-        colo = simulate_colocated(workload, num_gpus=4, slo=slo)
-        disagg = simulate_disaggregated(
-            workload, prefill_gpus=2, decode_gpus=2, slo=slo
-        )
+        colo = _serve(_colocated(4), workload, slo)
+        disagg = _serve(DisaggEngineFleet(_engine, 2, 2), workload, slo)
         assert disagg.goodput_rps > colo.goodput_rps
         assert disagg.tbt_p99 < colo.tbt_p99
 
@@ -302,7 +316,10 @@ class TestDisaggregation:
 
     def test_gpu_count_validation(self, workload):
         with pytest.raises(ConfigError):
-            simulate_colocated(workload, num_gpus=0)
+            _colocated(0)
+        for prefill, decode in ((0, 2), (2, 0)):
+            with pytest.raises(ConfigError):
+                DisaggEngineFleet(_engine, prefill, decode)
 
 
 class TestTransferModelValidation:
@@ -333,18 +350,18 @@ class TestTransferModelValidation:
 
 
 class TestDisaggregationEdgeCases:
-    """More GPUs than requests => empty lanes; they must be no-ops."""
+    """More engines than requests => idle engines; they must be no-ops."""
 
     def test_more_gpus_than_requests_colocated(self):
         requests = poisson_workload(rate_rps=1, duration_s=2, seed=9)
         assert 0 < len(requests) < 8
-        report = simulate_colocated(requests, num_gpus=8)
+        report = _serve(_colocated(8), requests)
         assert report.completed == len(requests)
 
     def test_more_gpus_than_requests_disaggregated(self):
         requests = poisson_workload(rate_rps=1, duration_s=2, seed=9)
         assert 0 < len(requests) < 8
-        report = simulate_disaggregated(requests, prefill_gpus=8, decode_gpus=8)
+        report = _serve(DisaggEngineFleet(_engine, 8, 8), requests)
         assert report.completed == len(requests)
 
     def test_zero_requests_engine_run(self):
@@ -353,12 +370,12 @@ class TestDisaggregationEdgeCases:
         assert engine.iterations == 0 and engine.now == 0.0
 
     def test_zero_requests_colocated(self):
-        report = simulate_colocated([], num_gpus=2)
+        report = _serve(_colocated(2), [])
         assert report.completed == 0
         assert report.goodput_rps == 0.0
 
     def test_zero_requests_disaggregated(self):
-        report = simulate_disaggregated([], prefill_gpus=1, decode_gpus=1)
+        report = _serve(DisaggEngineFleet(_engine, 1, 1), [])
         assert report.completed == 0
         # Empty runs report infinite latency (nothing finished), zero goodput.
         assert report.ttft_p99 == float("inf") and report.goodput_rps == 0.0

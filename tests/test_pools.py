@@ -35,6 +35,7 @@ from repro.faults import (
     FaultPlan,
     RetryPolicy,
     pool_target,
+    slot_target,
 )
 from repro.inference import (
     SLO,
@@ -144,6 +145,15 @@ class TestPoolSpec:
         assert pool_target(None) is None
         with pytest.raises(ConfigError):
             pool_target("pool-perfill")
+
+    def test_slot_target_parses_and_rejects_garbage(self):
+        assert slot_target("replica-3") == 3
+        assert slot_target("replica-03") == 3
+        assert slot_target("pool-decode") is None
+        assert slot_target(None) is None
+        for bad in ("replica-x", "replica--1", "replica-", "replica- 2", "replica-\u0663"):
+            with pytest.raises(ConfigError):
+                slot_target(bad)
 
     def test_make_pool_routers_recommended_pair(self):
         router, drouter = make_pool_routers(block_tokens=32)

@@ -446,3 +446,179 @@ def test_cluster_fleet_matches_legacy_oracle(scenario):
     if "faults" not in scenario["kw"]:
         empty = _cluster_fleet(scenario, faults=FaultPlan.empty()).run(workload)
         assert empty.equals(current)
+
+
+# ------------------------------------------------------ token-level fleets
+@st.composite
+def _engine_requests(draw, spaced=False):
+    """0-60 requests with 1-token outputs and shared prefixes in the mix.
+
+    ``spaced`` puts 50 s between arrivals, so no two requests ever share
+    an engine: the contention-free regime of the disaggregation anchor.
+    """
+    from repro.inference import Request
+
+    prefix_sizes = draw(st.lists(st.sampled_from([1, 15, 16, 17, 64, 160]), min_size=1, max_size=3))
+    n = draw(st.integers(0, 60))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.001, 0.02, 0.3]),  # inter-arrival gap
+                st.integers(1, 300),  # unique prompt tokens
+                st.sampled_from([1, 1, 2, 7, 40]),  # output tokens
+                st.integers(-1, len(prefix_sizes) - 1),  # prefix family, -1 = none
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    requests = []
+    t = 0.0
+    for i, (gap, unique, out, fam) in enumerate(rows):
+        t = i * 50.0 if spaced else t + gap
+        ptoks = prefix_sizes[fam] if fam >= 0 else 0
+        requests.append(
+            Request(
+                request_id=f"r{i:03d}",
+                arrival_s=t,
+                prompt_tokens=unique + ptoks,
+                output_tokens=out,
+                prefix_id=f"p{fam}" if fam >= 0 else None,
+                prefix_tokens=ptoks,
+            )
+        )
+    return requests
+
+
+def _paged_engines(max_batch, chunk_tokens, kv_tokens):
+    """An engine factory plus the list of every allocator it has built."""
+    from repro.inference import ContinuousBatchScheduler, ServingEngine
+
+    allocators = []
+
+    def factory():
+        alloc = PagedAllocator(kv_tokens, block_size=16)
+        allocators.append(alloc)
+        return ServingEngine(
+            ContinuousBatchScheduler(max_batch=max_batch, chunk_tokens=chunk_tokens),
+            allocator=alloc,
+        )
+
+    return factory, allocators
+
+
+def _timeline(requests):
+    return [
+        (
+            r.request_id,
+            r.admitted_s,
+            r.first_token_s,
+            r.finished_s,
+            tuple(r.token_times),
+            r.preemptions,
+            r.prefix_hit,
+            r.retries,
+            r.rejected,
+        )
+        for r in requests
+    ]
+
+
+# (max_batch, chunk_tokens, KV tokens); 640 KV tokens fit one long request
+# but not two, so admission stalls and preemption get exercised.
+_ENGINE_SHAPES = st.tuples(
+    st.sampled_from([1, 4, 16]), st.sampled_from([None, 64, 512]), st.sampled_from([640, 8192])
+)
+
+
+@seed(20262)
+@given(_engine_requests(), _ENGINE_SHAPES, st.sampled_from(_FLEET_POLICIES), st.integers(0, 9))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_engine_fleet_of_one_is_bare_engine(requests, shape, policy, router_seed):
+    """EngineFleet(1 replica) walks a bare ServingEngine.run's trajectory."""
+    import copy
+
+    from repro.inference import EngineFleet, make_router
+
+    factory, _ = _paged_engines(*shape)
+    bare = copy.deepcopy(requests)
+    factory().run(bare)
+    routed = copy.deepcopy(requests)
+    EngineFleet(factory, 1, make_router(policy, seed=router_seed)).run(routed)
+    assert _timeline(routed) == _timeline(bare)
+
+
+@seed(20263)
+@given(_engine_requests(spaced=True), _ENGINE_SHAPES)
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_free_wire_disagg_pair_is_bare_engine(requests, shape):
+    """DisaggEngineFleet(1, 1) over a free wire == a bare engine, uncontended."""
+    import copy
+
+    from repro.inference import DisaggEngineFleet, TransferModel
+
+    factory, _ = _paged_engines(*shape)
+    bare = copy.deepcopy(requests)
+    factory().run(bare)
+    split = copy.deepcopy(requests)
+    fleet = DisaggEngineFleet(factory, 1, 1, transfer=TransferModel(overlap=1.0))
+    fleet.run(split)
+    assert [(r.first_token_s, r.finished_s, tuple(r.token_times)) for r in split] == [
+        (r.first_token_s, r.finished_s, tuple(r.token_times)) for r in bare
+    ]
+    assert fleet.handoffs == len(requests)
+
+
+@st.composite
+def _kv_fault_windows(draw, requests):
+    """1-4 KV_TRANSFER_FAIL / KV_DEGRADED windows over the trace's span,
+    from instants to whole-run outages, untargeted or on one request."""
+    from repro.faults import KV_DEGRADED, KV_TRANSFER_FAIL, FaultEvent
+
+    n = len(requests)
+    span = requests[-1].arrival_s + 1.0 if requests else 1.0
+    return [
+        FaultEvent(
+            at_s=draw(st.sampled_from([0.0, 0.25, 0.5])) * span,
+            kind=draw(st.sampled_from([KV_TRANSFER_FAIL, KV_DEGRADED])),
+            duration_s=draw(st.sampled_from([0.0, 0.01, 0.2, 5.0, 1e3])),
+            severity=draw(st.sampled_from([0.05, 0.5, 1.0])),
+            target=draw(st.none() | st.integers(0, max(n - 1, 0)).map("r{:03d}".format)),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+@seed(20264)
+@given(st.data(), _engine_requests(), _ENGINE_SHAPES, st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_disagg_fleet_conserves_requests_and_kv(data, requests, shape, n_prefill, n_decode):
+    """Under KV fault windows every request completes or is rejected, and
+    every allocator ends empty; an empty plan changes nothing."""
+    import copy
+
+    from repro.faults import FaultPlan, RetryPolicy
+    from repro.inference import DisaggEngineFleet
+
+    n = len(requests)
+    windows = data.draw(_kv_fault_windows(requests))
+    # A failed ship is retried once, as a decode-side re-prefill, so only
+    # max_retries=0 can reject: draw it often.
+    retry = RetryPolicy(max_retries=data.draw(st.sampled_from([0, 0, 1])), base_delay_s=0.05)
+    factory, allocators = _paged_engines(*shape)
+
+    def serve(faults):
+        work = copy.deepcopy(requests)
+        fleet = DisaggEngineFleet(factory, n_prefill, n_decode, faults=faults, retry=retry)
+        fleet.run(work)
+        return fleet, work
+
+    fleet, faulty = serve(FaultPlan(windows))
+    done = sum(1 for r in faulty if r.done)
+    rejected = sum(1 for r in faulty if r.rejected)
+    assert done + rejected == n
+    assert rejected == fleet.rejected
+    assert all(alloc.stats.reserved_tokens == 0 for alloc in allocators)
+    _, plain = serve(None)
+    _, empty = serve(FaultPlan.empty())
+    assert _timeline(empty) == _timeline(plain)
