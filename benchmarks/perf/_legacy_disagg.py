@@ -623,11 +623,10 @@ class LegacyPoolFleet:
         def drain_decode(rep: _PoolReplica, t: float) -> None:
             nonlocal migrations, shipped_migrations, reprefills
             assert mig is not None
-            if mig.drain_queued:
-                while rep.queue:
-                    record = rep.queue.popleft()
-                    migrate_entry(record, t, -1)
-            if mig.drain_running and rep.in_flight:
+            while rep.queue:
+                record = rep.queue.popleft()
+                migrate_entry(record, t, -1)
+            if rep.in_flight:
                 moved = sorted(
                     rep.in_flight.values(), key=lambda q: (q.next_t, q.index)
                 )

@@ -87,6 +87,8 @@ class FleetWorkload:
             raise ConfigError("arrival_s must be sorted non-decreasing")
         if n and (int(self.prompt_tokens.min()) < 1 or int(self.output_tokens.min()) < 1):
             raise ConfigError("prompt/output token counts must be >= 1")
+        if n and int(self.prefix_tokens.min()) < 0:
+            raise ConfigError("prefix_tokens must be non-negative")
 
     @property
     def n(self) -> int:
@@ -410,6 +412,32 @@ def _death_events(faults: Optional[FaultPlan]) -> List[FaultEvent]:
     return deaths
 
 
+def _death_victim(
+    event: FaultEvent,
+    alive: Sequence[bool],
+    draining: Sequence[bool],
+    deaths: int,
+    members: Optional[Sequence[bool]] = None,
+) -> int:
+    """The slot a REPLICA_DEATH ``event`` kills, or -1 when nothing matches.
+
+    A ``replica-N`` target names slot N.  Otherwise the victim rotates, by
+    the ``deaths`` so far, over the live replicas that are not draining
+    (over every live one when all drain), limited to the slots
+    ``members`` marks when the event names a pool.  Without ``members`` a
+    pool target kills nothing.
+    """
+    target = event.target
+    if target is not None and pool_target(target) is None:
+        slot = slot_target(target)
+        return slot if slot is not None and slot < len(alive) and alive[slot] else -1
+    if target is not None and members is None:
+        return -1
+    live = [r for r in range(len(alive)) if alive[r] and (members is None or members[r])]
+    cands = [r for r in live if not draining[r]] or live
+    return cands[deaths % len(cands)] if cands else -1
+
+
 class ClusterFleet:
     """Request-granular fleet DES over sharded per-replica event heaps.
 
@@ -697,20 +725,9 @@ class EngineFleet:
         retry_heap: List[Tuple[float, int, Request]],
         seq: List[int],
     ) -> None:
-        cands = [
-            r
-            for r in range(self.max_replicas)
-            if self.replicas[r] is not None and not self.replicas[r].draining  # type: ignore[union-attr]
-        ]
-        if not cands:
-            cands = [r for r in range(self.max_replicas) if self.replicas[r] is not None]
-        victim = -1
-        if event.target is not None:
-            slot = slot_target(event.target)
-            if slot is not None and slot < self.max_replicas and self.replicas[slot] is not None:
-                victim = slot
-        elif cands:
-            victim = cands[self.deaths % len(cands)]
+        alive = [w is not None for w in self.replicas]
+        draining = [w is not None and w.draining for w in self.replicas]
+        victim = _death_victim(event, alive, draining, self.deaths)
         if victim < 0:
             return
         self.fault_log.append(event)

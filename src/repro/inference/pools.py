@@ -38,6 +38,14 @@ plain ``ClusterFleet`` (no ``pools``) runs here as
 the frozen naive fleet (``benchmarks/perf/_legacy_fleet.py``), which is
 the metamorphic anchor for the colocated role.
 
+The loop has one rule per mechanism, shared by every role: one admission
+closure for prefill and colocated replicas (they differ only in the KV
+they reserve and the heap key: first token vs finish), one decode
+admission, one KV ship (the payload size follows the request's decode-entry
+kind), one decode enqueue, and one retire-if-idle test.  The per-role tables
+``role_keys`` and ``role_states`` pick a replica's load-key array and
+router state.
+
 perf_opt contract: ``benchmarks/perf/_legacy_disagg.py`` freezes the
 naive pool DES — one global event heap over every arrival, finish,
 handoff, retry and tick (stale entries lazily invalidated by generation
@@ -62,7 +70,7 @@ import copy
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -74,7 +82,6 @@ from ..faults import (
     FaultPlan,
     RetryPolicy,
     pool_target,
-    slot_target,
 )
 from ..utils import derive_rng
 from .fleet import (
@@ -83,6 +90,7 @@ from .fleet import (
     FleetResult,
     FleetWorkload,
     _EngineReplica,
+    _death_victim,
     serve_engines,
 )
 from .metrics import ServingReport, summarize
@@ -107,17 +115,17 @@ class MigrationPolicy:
 
     A decode replica is *hot* when its queue exceeds ``hot_queue_ratio``
     times the pool mean (and at least ``min_queue``); each autoscale tick
-    migrates its excess tail to the least-loaded other replica.  On a
-    drain, ``drain_queued`` relocates the backlog immediately and
-    ``drain_running`` also moves in-flight decodes — each request ships
-    its KV only when :meth:`TransferModel.ship_wins` says the wire beats
-    a from-scratch re-prefill (the explicit break-even rule).
+    migrates its excess tail to the least-loaded other replica.  A
+    draining decode replica evacuates its whole backlog and every
+    in-flight decode at once; there is no knob to keep either, because a
+    backlog left on a replica that moved its running work away is never
+    admitted again.  Each request ships its KV only when
+    :meth:`TransferModel.ship_wins` says the wire beats a from-scratch
+    re-prefill (the explicit break-even rule).
     """
 
     hot_queue_ratio: float = 3.0
     min_queue: int = 4
-    drain_queued: bool = True
-    drain_running: bool = True
 
     def __post_init__(self) -> None:
         if self.hot_queue_ratio <= 1.0:
@@ -185,6 +193,37 @@ def make_pool_routers(*, block_tokens: int = 64) -> Tuple[Router, Router]:
     return (PrefixAwareRouter(block_tokens=block_tokens), LeastLoadedRouter())
 
 
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """An endless uniform stream off ``rng``, drawn in blocks of 8192.
+
+    Block draws consume the generator exactly as one scalar draw per
+    decision would, so the stream matches a naive per-decision loop.
+    """
+    while True:
+        yield from rng.random(8192).tolist()
+
+
+def _pick(cands: Sequence[int], u: float) -> int:
+    """The uniform choice ``cands[floor(u * len)]``, clamped as RandomRouter's."""
+    k = len(cands)
+    j = int(u * k)
+    return cands[j if j < k else k - 1]
+
+
+def _tournament_min(heap: List[Tuple[float, int]], tops: List[float]) -> float:
+    """Drop stale heads off a lazy ``(top, replica)`` tournament heap.
+
+    An entry is live while it equals its replica's ``tops`` value; returns
+    the live minimum (``inf`` once nothing is live).
+    """
+    while heap:
+        t, r = heap[0]
+        if tops[r] == t:
+            return t
+        heapq.heappop(heap)
+    return _INF
+
+
 # The loop below is the optimized counterpart of
 # benchmarks/perf/_legacy_disagg.py:LegacyPoolFleet.run and, on plain
 # fleets, of benchmarks/perf/_legacy_fleet.py:LegacyClusterFleet.run — any
@@ -196,11 +235,12 @@ def run_pool_fleet(
 
     This is the one request-level fleet event loop: a plain
     :class:`ClusterFleet` runs here as ``PoolSpec(colocated=n_replicas)``.
+    An empty workload returns an empty result.
     """
     model = fleet.model
     n = workload.n
     need_l: List[int] = (workload.prompt_tokens + workload.output_tokens).tolist()
-    need_max = max(need_l)
+    need_max = max(need_l, default=0)
     if need_max > model.kv_capacity_tokens:
         raise ConfigError(
             "a request needs more KV than one replica holds "
@@ -223,14 +263,12 @@ def run_pool_fleet(
     decode_router = fleet.decode_router or LeastLoadedRouter()
     state_p = RouterState(max_replicas, model.kv_capacity_tokens)
     state_d = RouterState(max_replicas, model.kv_capacity_tokens)
+    role_states = (state_p, state_d, state_p)  # indexed by role
     role_l = [pools.role_of(r) for r in range(pools.total)] + [-1] * (
         max_replicas - pools.total
     )
     for r in range(pools.total):
-        if role_l[r] == ROLE_DECODE:
-            state_d.routable[r] = True
-        else:
-            state_p.routable[r] = True
+        role_states[role_l[r]].routable[r] = True
     state_p.rebuild_routable()
     state_d.rebuild_routable()
     router.bind(state_p)
@@ -238,7 +276,7 @@ def run_pool_fleet(
 
     if type(router) is RandomRouter:
         mode = 0
-        route_rng = derive_rng(router.seed, "fleet", router.stream)
+        route_u = _uniforms(derive_rng(router.seed, "fleet", router.stream))
     elif type(router) is LeastLoadedRouter:
         mode = 1
     elif type(router) is PrefixAwareRouter:
@@ -247,13 +285,12 @@ def run_pool_fleet(
         mode = 3
     if type(decode_router) is RandomRouter:
         mode_d = 0
-        droute_rng = derive_rng(decode_router.seed, "fleet", decode_router.stream)
+        droute_u = _uniforms(derive_rng(decode_router.seed, "fleet", decode_router.stream))
     elif type(decode_router) is LeastLoadedRouter:
         mode_d = 1
     else:
         mode_d = 3
     generic = mode == 3
-    generic_d = mode_d == 3
     block_route = (
         router.block_tokens if isinstance(router, PrefixAwareRouter) else model.block_tokens
     )
@@ -267,18 +304,13 @@ def run_pool_fleet(
     depth_l = [0] * max_replicas
     running_l = [0] * max_replicas
     kv_l = [0] * max_replicas
-    # One packed load key per replica, in its pool's array; the other
-    # array keeps `huge` so an argmin can never cross pools.
-    pkey_l = [
-        0 if routable_f[r] and role_l[r] != ROLE_DECODE else huge
-        for r in range(max_replicas)
-    ]
-    dkey_l = [
-        0 if routable_f[r] and role_l[r] == ROLE_DECODE else huge
-        for r in range(max_replicas)
-    ]
     routable_p = [r for r in range(max_replicas) if routable_f[r] and role_l[r] != ROLE_DECODE]
     routable_d = [r for r in range(max_replicas) if routable_f[r] and role_l[r] == ROLE_DECODE]
+    # One packed load key per replica, in its pool's array; the other
+    # array keeps `huge` so an argmin can never cross pools.
+    pkey_l = [0 if r in routable_p else huge for r in range(max_replicas)]
+    dkey_l = [0 if r in routable_d else huge for r in range(max_replicas)]
+    role_keys = (pkey_l, dkey_l, pkey_l)  # indexed by role
     prefix_tab: Dict[int, List[int]] = {}
     holders: Dict[int, List[int]] = {}
 
@@ -301,9 +333,7 @@ def run_pool_fleet(
     # replica (KV lost), 2 = migrated mid-decode (st_rem seconds left).
     st_src = [-1] * n
     st_flag = [0] * n
-    st_seq = [-1] * n
     st_rem = [0.0] * n
-    res_gen = [0] * n  # bumped on retry/migration; tags naive heap entries
     pins: List[Set[int]] = [set() for _ in range(max_replicas)]
 
     res_rep = [-1] * n
@@ -346,10 +376,6 @@ def run_pool_fleet(
     block = model.block_tokens
     clock = 0.0
     ptr = 0
-    rng_buf: List[float] = []
-    rng_ptr = 0
-    drng_buf: List[float] = []
-    drng_ptr = 0
     heappush = heapq.heappush
     heappop = heapq.heappop
 
@@ -392,7 +418,6 @@ def run_pool_fleet(
         nonlocal inc_min
         sq = len(tq_i)
         tq_i.append(i)
-        st_seq[i] = sq
         heappush(inc[dst], (t_a, sq))
         if t_a < itops[dst]:
             itops[dst] = t_a
@@ -401,164 +426,72 @@ def run_pool_fleet(
                 inc_min = t_a
 
     def decode_route(i: int, excl: int = -1) -> int:
-        nonlocal drng_buf, drng_ptr
-        if excl < 0:
-            if not routable_d:
-                raise SchedulerError("no routable decode replicas")
-            if mode_d == 1:
-                return dkey_l.index(min(dkey_l))
-            if mode_d == 0:
-                if drng_ptr >= len(drng_buf):
-                    drng_buf = droute_rng.random(8192).tolist()
-                    drng_ptr = 0
-                u = drng_buf[drng_ptr]
-                drng_ptr += 1
-                k = len(routable_d)
-                j = int(u * k)
-                if j >= k:
-                    j = k - 1
-                return routable_d[j]
-            state_d.queue_depth[:] = depth_l
-            state_d.running[:] = running_l
-            state_d.kv_used[:] = kv_l
-            return decode_router.route(code_l[i], ptok_l[i])
-        # Exclusion variants run only on rare migration events.
-        cands = [r2 for r2 in routable_d if r2 != excl]
+        """The decode replica for request ``i``, never ``excl``.
+
+        ``excl`` is a routable replica shedding its hot queue; the
+        exclusion only runs on those rare migration events.
+        """
+        cands = routable_d if excl < 0 else [r2 for r2 in routable_d if r2 != excl]
         if not cands:
             raise SchedulerError("no routable decode replicas")
-        if mode_d == 1:
-            return min(cands, key=lambda r2: dkey_l[r2])
         if mode_d == 0:
-            if drng_ptr >= len(drng_buf):
-                drng_buf = droute_rng.random(8192).tolist()
-                drng_ptr = 0
-            u = drng_buf[drng_ptr]
-            drng_ptr += 1
-            k = len(cands)
-            j = int(u * k)
-            if j >= k:
-                j = k - 1
-            return cands[j]
-        was = bool(state_d.routable[excl])
-        state_d.routable[excl] = False
-        state_d.rebuild_routable()
+            return _pick(cands, next(droute_u))
+        if mode_d == 1:
+            return dkey_l.index(min(dkey_l)) if excl < 0 else min(cands, key=dkey_l.__getitem__)
+        if excl >= 0:
+            state_d.routable[excl] = False
+            state_d.rebuild_routable()
         state_d.queue_depth[:] = depth_l
         state_d.running[:] = running_l
         state_d.kv_used[:] = kv_l
         r2 = decode_router.route(code_l[i], ptok_l[i])
-        state_d.routable[excl] = was
-        state_d.rebuild_routable()
+        if excl >= 0:
+            state_d.routable[excl] = True
+            state_d.rebuild_routable()
         return r2
 
-    def ship_kv(i: int, src: int, t: float, excl: int = -1) -> None:
-        """Price and schedule the prompt-KV ship ``src -> decode pool``.
+    def ship(i: int, t: float, excl: int = -1) -> None:
+        """Price and schedule request ``i``'s KV ship to the decode pool.
 
-        The pin on ``src`` must already be set.  A ship starting inside a
-        KV_TRANSFER_FAIL window burns the full wire time plus backoff and
-        converts to a decode-side re-prefill — the source KV is released
-        immediately (the payload is gone either way).
+        The payload is the prompt KV pinned on ``st_src[i]`` or, for a
+        mid-decode migration (``st_flag`` 2), the prompt + output KV.  A
+        ship starting inside a KV_TRANSFER_FAIL window burns the full wire
+        time plus backoff and converts to a decode-side re-prefill; any
+        pin is released at once (the payload is gone either way).
         """
         nonlocal handoffs, reprefills
         handoffs += 1
         dst = decode_route(i, excl)
+        tokens = need_l[i] if st_flag[i] == 2 else prompt_l[i]
         if fail_covers(t, i):
             res_retry[i] += 1
-            delay = transfer.raw_delay(prompt_l[i]) + retry_policy.delay_s(res_retry[i])
-            release_pin(i)
+            delay = transfer.raw_delay(tokens) + retry_policy.delay_s(res_retry[i])
+            if st_src[i] >= 0:
+                release_pin(i)
             st_flag[i] = 1
             reprefills += 1
         else:
-            delay = transfer.visible_delay(prompt_l[i])
-            sev = degraded_severity(t)
-            if sev != 1.0:
-                delay /= sev
-            st_flag[i] = 0
+            delay = transfer.visible_delay(tokens) / degraded_severity(t)
         schedule_arrival(i, t + delay, dst)
 
-    def ship_resume(i: int, t: float) -> None:
-        """Ship a mid-decode migration payload (prompt + output KV)."""
-        nonlocal handoffs, reprefills
-        handoffs += 1
-        dst = decode_route(i)
-        if fail_covers(t, i):
-            res_retry[i] += 1
-            delay = transfer.raw_delay(need_l[i]) + retry_policy.delay_s(res_retry[i])
+    def restart_decode(i: int) -> None:
+        """A lost mid-decode snapshot (flag 2) restarts as a re-prefill."""
+        nonlocal reprefills
+        if st_flag[i] == 2:
             st_flag[i] = 1
             reprefills += 1
-        else:
-            delay = transfer.visible_delay(need_l[i])
-            sev = degraded_severity(t)
-            if sev != 1.0:
-                delay /= sev
-        schedule_arrival(i, t + delay, dst)
 
     # -------------------------------------------------------- admission
-    def try_start_colo(r: int, t: float) -> None:
-        nonlocal rejected, fin_min
-        q = queues[r]
-        top = tops[r]
-        rt = routable_f[r]
-        while q and running_l[r] < slots:
-            i = q[0]
-            if t - arr_l[i] > shed_ttft:
-                q.popleft()
-                depth_l[r] -= 1
-                if rt:
-                    pkey_l[r] -= span
-                res_rej[i] = True
-                rejected += 1
-                continue
-            need = need_l[i]
-            if kv_l[r] + need > kv_cap:
-                break
-            q.popleft()
-            depth_l[r] -= 1
-            running_l[r] += 1
-            kv_l[r] += need
-            if rt:
-                pkey_l[r] += need
-            hit = 0
-            code = code_l[i]
-            if code >= 0:
-                pt = ptok_l[i]
-                col = prefix_tab.get(code)
-                if col is None:
-                    col = [0] * max_replicas
-                    col[r] = pt
-                    prefix_tab[code] = col
-                    if pt > 0:
-                        holders[code] = [r]
-                    if generic:
-                        state_p.record_prefix(code, r, pt)
-                else:
-                    cached = col[r]
-                    m = cached if cached < pt else pt
-                    hit = m - m % block
-                    if pt > cached:
-                        col[r] = pt
-                        if cached == 0:
-                            holders.setdefault(code, []).append(r)
-                        if generic:
-                            state_p.record_prefix(code, r, pt)
-            eff = prompt_l[i] - hit
-            if eff < 1:
-                eff = 1
-            first = t + (base + eff * per_pf)
-            fin = first + (out_l[i] - 1) * per_out
-            res_rep[i] = r
-            res_start[i] = t
-            res_hit[i] = hit
-            heappush(heaps[r], (fin, i))
-            if fin < top:
-                top = fin
-        if top != tops[r]:
-            tops[r] = top
-            heappush(fheap, (top, r))
-            if top < fin_min:
-                fin_min = top
+    def try_start(r: int, t: float) -> None:
+        """Admit queued requests on prefill or colocated replica ``r``.
 
-    def try_start_prefill(r: int, t: float) -> None:
+        A colocated replica reserves prompt + output KV and keys its heap
+        on the finish time; a prefill replica reserves the prompt KV only
+        and keys on the first token.
+        """
         nonlocal rejected, fin_min
+        colo = role_l[r] == ROLE_COLOCATED
+        kv_need = need_l if colo else prompt_l
         q = queues[r]
         top = tops[r]
         rt = routable_f[r]
@@ -572,7 +505,7 @@ def run_pool_fleet(
                 res_rej[i] = True
                 rejected += 1
                 continue
-            need = prompt_l[i]  # prefill holds prompt KV only
+            need = kv_need[i]
             if kv_l[r] + need > kv_cap:
                 break
             q.popleft()
@@ -608,12 +541,13 @@ def run_pool_fleet(
             if eff < 1:
                 eff = 1
             first = t + (base + eff * per_pf)
+            key = first + (out_l[i] - 1) * per_out if colo else first
             res_rep[i] = r
             res_start[i] = t
             res_hit[i] = hit
-            heappush(heaps[r], (first, i))
-            if first < top:
-                top = first
+            heappush(heaps[r], (key, i))
+            if key < top:
+                top = key
         if top != tops[r]:
             tops[r] = top
             heappush(fheap, (top, r))
@@ -659,34 +593,36 @@ def run_pool_fleet(
             heappush(fheap, (top, r))
             if top < fin_min:
                 fin_min = top
-        for src in freed:  # may repeat a source; try_start is idempotent
-            if queues[src] and running_l[src] < slots:
-                try_start_prefill(src, t)
-            if (
-                draining[src]
-                and running_l[src] == 0
-                and not queues[src]
-                and kv_l[src] == 0
-                and not inc[src]
-            ):
-                retire(src)
+        for src in freed:  # may repeat a source; refilling is idempotent
+            refill_source(src, t)
+
+    def enqueue_decode(r: int, i: int, t: float) -> None:
+        """Queue request ``i`` on decode replica ``r``; admit it if a slot is free."""
+        queues[r].append(i)
+        depth_l[r] += 1
+        if routable_f[r]:
+            dkey_l[r] += span
+        if running_l[r] < slots:
+            try_start_decode(r, t)
+
+    def retire_if_idle(r: int) -> None:
+        nonlocal drains
+        if draining[r] and running_l[r] == 0 and not queues[r] and kv_l[r] == 0 and not inc[r]:
+            drains += 1
+            clear_slot(r)
+
+    def refill_source(src: int, t: float) -> None:
+        """Prefill replica ``src`` released a KV pin: admit its queue, retire it if idle."""
+        if queues[src] and running_l[src] < slots:
+            try_start(src, t)
+        retire_if_idle(src)
 
     # ---------------------------------------------------------- routing
     def route_arrival(i: int, t: float) -> None:
-        nonlocal rng_buf, rng_ptr
         if not routable_p:
             raise SchedulerError("no routable prefill/colocated replicas")
         if mode == 0:
-            if rng_ptr >= len(rng_buf):
-                rng_buf = route_rng.random(8192).tolist()
-                rng_ptr = 0
-            u = rng_buf[rng_ptr]
-            rng_ptr += 1
-            k = len(routable_p)
-            j = int(u * k)
-            if j >= k:
-                j = k - 1
-            r = routable_p[j]
+            r = _pick(routable_p, next(route_u))
         elif mode == 1:
             r = pkey_l.index(min(pkey_l))
         elif mode == 2:
@@ -728,114 +664,60 @@ def run_pool_fleet(
         if routable_f[r]:
             pkey_l[r] += span
         if running_l[r] < slots:
-            if role_l[r] == ROLE_COLOCATED:
-                try_start_colo(r, t)
-            else:
-                try_start_prefill(r, t)
-
-    def requeue_decode(i: int, t: float) -> None:
-        """Re-place one displaced decode-queue entry at time ``t``."""
-        nonlocal reprefills
-        flag = st_flag[i]
-        if flag == 0:
-            ship_kv(i, st_src[i], t)  # payload must cross the wire again
-            return
-        if flag == 2:
-            st_flag[i] = 1  # the shipped snapshot is gone; restart decode
-            reprefills += 1
-        dst = decode_route(i)
-        queues[dst].append(i)
-        depth_l[dst] += 1
-        if routable_f[dst]:
-            dkey_l[dst] += span
-        if running_l[dst] < slots:
-            try_start_decode(dst, t)
+            try_start(r, t)
 
     def migrate_entry(i: int, t: float, excl: int) -> None:
-        """Move one queued decode entry off a hot replica (break-even)."""
+        """Move one queued decode entry off a hot or draining replica (break-even)."""
         nonlocal migrations, shipped_migrations, reprefills
         migrations += 1
-        flag = st_flag[i]
-        if flag == 0:
+        if st_flag[i] == 0:
             src = st_src[i]
             if transfer.ship_wins(prompt_l[i], base + prompt_l[i] * per_pf):
                 shipped_migrations += 1
-                ship_kv(i, src, t, excl)
+                ship(i, t, excl)
                 if st_flag[i] == 1:  # the re-ship failed: source KV freed
-                    if queues[src] and running_l[src] < slots:
-                        try_start_prefill(src, t)
-                    if (
-                        draining[src]
-                        and running_l[src] == 0
-                        and not queues[src]
-                        and kv_l[src] == 0
-                        and not inc[src]
-                    ):
-                        retire(src)
+                    refill_source(src, t)
                 return
             release_pin(i)
             st_flag[i] = 1
             reprefills += 1
-            dst = decode_route(i, excl)
-            queues[dst].append(i)
-            depth_l[dst] += 1
-            if routable_f[dst]:
-                dkey_l[dst] += span
-            if running_l[dst] < slots:
-                try_start_decode(dst, t)
-            if queues[src] and running_l[src] < slots:
-                try_start_prefill(src, t)
-            if (
-                draining[src]
-                and running_l[src] == 0
-                and not queues[src]
-                and kv_l[src] == 0
-                and not inc[src]
-            ):
-                retire(src)
+            enqueue_decode(decode_route(i, excl), i, t)
+            refill_source(src, t)
             return
-        if flag == 2:
-            st_flag[i] = 1
-            reprefills += 1
-        dst = decode_route(i, excl)
-        queues[dst].append(i)
-        depth_l[dst] += 1
-        if routable_f[dst]:
-            dkey_l[dst] += span
-        if running_l[dst] < slots:
-            try_start_decode(dst, t)
+        restart_decode(i)
+        enqueue_decode(decode_route(i, excl), i, t)
 
     # ------------------------------------------------------- membership
     def membership_changed() -> None:
         nonlocal routable_p, routable_d
-        routable_p = [
-            r for r in range(max_replicas) if routable_f[r] and role_l[r] != ROLE_DECODE
-        ]
-        routable_d = [
-            r for r in range(max_replicas) if routable_f[r] and role_l[r] == ROLE_DECODE
-        ]
+        routable_p = [r for r in range(max_replicas) if routable_f[r] and role_l[r] != ROLE_DECODE]
+        routable_d = [r for r in range(max_replicas) if routable_f[r] and role_l[r] == ROLE_DECODE]
         state_p.rebuild_routable()
         state_d.rebuild_routable()
         router.on_membership_change()
         decode_router.on_membership_change()
 
-    def drop_prefixes(r: int) -> None:
-        for code, col in prefix_tab.items():
-            if col[r]:
-                col[r] = 0
-                holders[code].remove(r)
+    def unroute(r: int) -> None:
+        """Take replica ``r`` out of routing (a death or a drain)."""
+        routable_f[r] = False
+        role_keys[role_l[r]][r] = huge
+        role_states[role_l[r]].routable[r] = False
+        membership_changed()
 
-    def retire(r: int) -> None:
-        nonlocal alive_count, drains
+    def clear_slot(r: int) -> None:
+        """Free replica ``r``'s slot: ledgers zeroed, prefix caches dropped."""
+        nonlocal alive_count
         alive[r] = False
         draining[r] = False
         alive_count -= 1
-        drains += 1
         depth_l[r] = 0
         running_l[r] = 0
         kv_l[r] = 0
         if role_l[r] != ROLE_DECODE:
-            drop_prefixes(r)
+            for code, col in prefix_tab.items():
+                if col[r]:
+                    col[r] = 0
+                    holders[code].remove(r)
         state_p.reset_counters(r)
         state_p.clear_replica(r)
         state_d.reset_counters(r)
@@ -850,11 +732,7 @@ def run_pool_fleet(
         res_drep[i] = -1
         res_dstart[i] = float("nan")
         res_fin[i] = float("nan")
-        st_src[i] = -1
         st_flag[i] = 0
-        st_seq[i] = -1
-        st_rem[i] = 0.0
-        res_gen[i] += 1
         if retry_policy.exhausted(res_retry[i]):
             res_rej[i] = True
             rejected += 1
@@ -863,69 +741,31 @@ def run_pool_fleet(
             heappush(retry_heap, (ready, retry_seq, i))
             retry_seq += 1
 
-    def fix_fheap(r: int) -> None:
-        """Re-establish fin_min after replica ``r``'s heap was cleared."""
-        nonlocal fin_min
-        tops[r] = _INF
-        while fheap:
-            f0, r0 = fheap[0]
-            if tops[r0] == f0:
-                fin_min = f0
-                break
-            heappop(fheap)
-        else:
-            fin_min = _INF
-
-    def fix_iheap(r: int) -> None:
-        nonlocal inc_min
-        itops[r] = _INF
-        while iheap:
-            f0, r0 = iheap[0]
-            if itops[r0] == f0:
-                inc_min = f0
-                break
-            heappop(iheap)
-        else:
-            inc_min = _INF
-
     def drain_decode(r: int, t: float) -> None:
-        """KV-aware evacuation of a draining decode replica."""
-        nonlocal migrations, shipped_migrations, reprefills
-        assert mig is not None
-        if mig.drain_queued:
-            while queues[r]:
-                i = queues[r].popleft()
-                depth_l[r] -= 1  # r is already unroutable: no key update
-                migrate_entry(i, t, -1)  # r left routable_d when it drained
-        if mig.drain_running and heaps[r]:
-            # repro-lint: disable=R010 — rare drain event; the sort fixes
-            # the (finish, request) processing order before the heap dies
-            for fin, i in sorted(heaps[r]):
-                res_gen[i] += 1
-                running_l[r] -= 1
-                kv_l[r] -= need_l[i]
-                remaining = fin - t
-                recompute = (base + prompt_l[i] * per_pf) + (out_l[i] - 1) * per_out
-                migrations += 1
-                if transfer.ship_wins(need_l[i], recompute, remaining):
-                    shipped_migrations += 1
-                    st_flag[i] = 2
-                    st_rem[i] = remaining
-                    st_src[i] = -1
-                    ship_resume(i, t)
-                else:
-                    reprefills += 1
-                    st_flag[i] = 1
-                    st_src[i] = -1
-                    dst = decode_route(i)
-                    queues[dst].append(i)
-                    depth_l[dst] += 1
-                    if routable_f[dst]:
-                        dkey_l[dst] += span
-                    if running_l[dst] < slots:
-                        try_start_decode(dst, t)
-            heaps[r] = []
-            fix_fheap(r)
+        """KV-aware evacuation of a draining decode replica: queue, then running work."""
+        nonlocal migrations, shipped_migrations, reprefills, fin_min
+        while queues[r]:
+            i = queues[r].popleft()
+            depth_l[r] -= 1  # r is already unroutable: no key update
+            migrate_entry(i, t, -1)  # r left routable_d when it drained
+        for fin, i in sorted(heaps[r]):
+            running_l[r] -= 1
+            kv_l[r] -= need_l[i]
+            remaining = fin - t
+            recompute = (base + prompt_l[i] * per_pf) + (out_l[i] - 1) * per_out
+            migrations += 1
+            if transfer.ship_wins(need_l[i], recompute, remaining):
+                shipped_migrations += 1
+                st_flag[i] = 2
+                st_rem[i] = remaining
+                ship(i, t)
+            else:
+                reprefills += 1
+                st_flag[i] = 1
+                enqueue_decode(decode_route(i), i, t)
+        heaps[r] = []
+        tops[r] = _INF
+        fin_min = _tournament_min(fheap, tops)
 
     # -------------------------------------------------------- main loop
     while completed + rejected < n:
@@ -956,68 +796,27 @@ def run_pool_fleet(
                     heappush(fheap, (top, r))
                 else:
                     tops[r] = _INF
-                while fheap:  # discard stale entries off the head
-                    f0, r0 = fheap[0]
-                    if tops[r0] == f0:
-                        fin_min = f0
-                        break
-                    heappop(fheap)
-                else:
-                    fin_min = _INF
+                fin_min = _tournament_min(fheap, tops)
                 clock = fin
                 role = role_l[r]
-                if role == ROLE_PREFILL:
-                    running_l[r] -= 1
-                    if routable_f[r]:
-                        pkey_l[r] -= span
-                    served[r] += 1
+                kv_done = 0 if role == ROLE_PREFILL else need_l[i]
+                running_l[r] -= 1
+                kv_l[r] -= kv_done
+                served[r] += 1
+                if routable_f[r]:
+                    role_keys[role][r] -= span + kv_done
+                if role == ROLE_PREFILL:  # the KV stays pinned on r until decode admission
                     st_src[i] = r
                     pins[r].add(i)
-                    ship_kv(i, r, fin)
-                    if queues[r] and running_l[r] < slots:
-                        try_start_prefill(r, fin)
-                    if (
-                        draining[r]
-                        and running_l[r] == 0
-                        and not queues[r]
-                        and kv_l[r] == 0
-                        and not inc[r]
-                    ):
-                        retire(r)
-                elif role == ROLE_DECODE:
-                    running_l[r] -= 1
-                    kv_l[r] -= need_l[i]
-                    if routable_f[r]:
-                        dkey_l[r] -= span + need_l[i]
-                    completed += 1
-                    served[r] += 1
-                    if queues[r]:
-                        try_start_decode(r, fin)
-                    if (
-                        draining[r]
-                        and running_l[r] == 0
-                        and not queues[r]
-                        and kv_l[r] == 0
-                        and not inc[r]
-                    ):
-                        retire(r)
+                    ship(i, fin)
                 else:
-                    running_l[r] -= 1
-                    kv_l[r] -= need_l[i]
-                    if routable_f[r]:
-                        pkey_l[r] -= span + need_l[i]
                     completed += 1
-                    served[r] += 1
-                    if queues[r]:
-                        try_start_colo(r, fin)
-                    if (
-                        draining[r]
-                        and running_l[r] == 0
-                        and not queues[r]
-                        and kv_l[r] == 0
-                        and not inc[r]
-                    ):
-                        retire(r)
+                if queues[r]:  # direct calls: R007/R010 reach both admission loops from here
+                    if role == ROLE_DECODE:
+                        try_start_decode(r, fin)
+                    else:
+                        try_start(r, fin)
+                retire_if_idle(r)
                 continue
             if inc_min <= t_arr:
                 if inc_min >= t_rare_hi or inc_min > t_late:
@@ -1031,23 +830,9 @@ def run_pool_fleet(
                     heappush(iheap, (top, dst))
                 else:
                     itops[dst] = _INF
-                while iheap:
-                    f0, r0 = iheap[0]
-                    if itops[r0] == f0:
-                        inc_min = f0
-                        break
-                    heappop(iheap)
-                else:
-                    inc_min = _INF
+                inc_min = _tournament_min(iheap, itops)
                 clock = t_a
-                i = tq_i[sq]
-                st_seq[i] = -1
-                queues[dst].append(i)
-                depth_l[dst] += 1
-                if routable_f[dst]:
-                    dkey_l[dst] += span
-                if running_l[dst] < slots:
-                    try_start_decode(dst, t_a)
+                enqueue_decode(dst, tq_i[sq], t_a)
                 continue
             if t_arr >= t_rare_arr or t_arr > t_tick:
                 break
@@ -1075,121 +860,63 @@ def run_pool_fleet(
         if best_kind == 0:
             event = death_list[di]
             di += 1
-            role_want = pool_target(event.target)
-            victim = -1
-            if event.target is not None and role_want is None:
-                slot = slot_target(event.target)
-                if slot is not None and slot < max_replicas and alive[slot]:
-                    victim = slot
-            else:
-                want = -1 if role_want is None else ROLE_NAMES.index(role_want)
-                cands = [
-                    r
-                    for r in range(max_replicas)
-                    if alive[r]
-                    and not draining[r]
-                    and (want < 0 or role_l[r] == want)
-                ]
-                if not cands:
-                    cands = [
-                        r
-                        for r in range(max_replicas)
-                        if alive[r] and (want < 0 or role_l[r] == want)
-                    ]
-                if cands:
-                    victim = cands[deaths % len(cands)]
-            if victim < 0:
+            pool = pool_target(event.target)
+            want = -1 if pool is None else ROLE_NAMES.index(pool)
+            members = None if pool is None else [role == want for role in role_l]
+            r = _death_victim(event, alive, draining, deaths, members)
+            if r < 0:
                 continue  # nothing to kill (all dead or bad target)
             fleet.fault_log.append(event)
             deaths += 1
-            r = victim
-            role = role_l[r]
-            alive[r] = False
-            draining[r] = False
-            routable_f[r] = False
-            if role == ROLE_DECODE:
-                dkey_l[r] = huge
-            else:
-                pkey_l[r] = huge
-            alive_count -= 1
-            state_p.routable[r] = False
-            state_d.routable[r] = False
-            membership_changed()
+            unroute(r)
+            clear_slot(r)
             # Requests whose prompt KV was pinned on the victim lose it:
             # wherever they are (on the wire or queued at a decode
             # replica), they continue as decode-side re-prefills.
-            if pins[r]:
-                # repro-lint: disable=R010 — rare death event; sorted()
-                # fixes the conversion order for parity with the baseline
-                for i in sorted(pins[r]):
-                    st_src[i] = -1
-                    st_flag[i] = 1
-                    reprefills += 1
-                pins[r].clear()
+            for i in sorted(pins[r]):
+                st_src[i] = -1
+                st_flag[i] = 1
+                reprefills += 1
+            pins[r].clear()
             in_flight = sorted(heaps[r])
             heaps[r] = []
-            fix_fheap(r)
-            # repro-lint: disable=R010 — runs only on rare REPLICA_DEATH
-            # fault events, and the copy is required before .clear()
-            stranded = list(queues[r])
-            queues[r].clear()
-            incoming: List[Tuple[float, int]] = []
-            if role == ROLE_DECODE:
-                incoming = sorted(inc[r])
-                inc[r] = []
-                fix_iheap(r)
-            depth_l[r] = 0
-            running_l[r] = 0
-            kv_l[r] = 0
-            if role != ROLE_DECODE:
-                drop_prefixes(r)
-            state_p.reset_counters(r)
-            state_p.clear_replica(r)
-            state_d.reset_counters(r)
-            state_d.clear_replica(r)
+            tops[r] = _INF
+            fin_min = _tournament_min(fheap, tops)
+            stranded = queues[r]
+            queues[r] = deque()
+            incoming = sorted(inc[r])  # only a decode replica has any
+            inc[r] = []
+            itops[r] = _INF
+            inc_min = _tournament_min(iheap, itops)
             for _, i in in_flight:
                 retry_or_reject(i, event)
-            if role == ROLE_DECODE:
-                for i in stranded:
-                    reroutes += 1
-                    requeue_decode(i, event.at_s)
-                for t_a, sq in incoming:
-                    i = tq_i[sq]
-                    st_seq[i] = -1
-                    reroutes += 1
-                    if st_flag[i] == 0:
-                        # KV still pinned on the source: ship it again.
-                        ship_kv(i, st_src[i], event.at_s)
-                    else:
-                        if st_flag[i] == 2:
-                            st_flag[i] = 1  # snapshot died with the replica
-                            reprefills += 1
-                        dst = decode_route(i)
-                        schedule_arrival(i, t_a, dst)  # redirect in flight
-            else:
-                for i in stranded:
-                    reroutes += 1
+            for i in stranded:
+                reroutes += 1
+                if role_l[r] != ROLE_DECODE:
                     route_arrival(i, event.at_s)
+                elif st_flag[i] == 0:
+                    ship(i, event.at_s)  # the payload must cross the wire again
+                else:
+                    restart_decode(i)
+                    enqueue_decode(decode_route(i), i, event.at_s)
+            for t_a, sq in incoming:
+                i = tq_i[sq]
+                reroutes += 1
+                if st_flag[i] == 0:
+                    ship(i, event.at_s)  # KV still pinned on the source: ship it again
+                else:
+                    restart_decode(i)
+                    schedule_arrival(i, t_a, decode_route(i))  # redirect in flight
         elif best_kind == 1:
             _, _, srole = heappop(spawn_heap)
-            slot = -1
-            for r in range(max_replicas):
-                if not alive[r]:
-                    slot = r
-                    break
-            if slot >= 0:
+            slot = alive.index(False) if False in alive else -1
+            if slot >= 0:  # a free slot joins the pressured pool, unloaded
                 alive[slot] = True
-                draining[slot] = False
                 routable_f[slot] = True
                 role_l[slot] = srole
-                if srole == ROLE_DECODE:
-                    dkey_l[slot] = 0
-                    pkey_l[slot] = huge
-                    state_d.routable[slot] = True
-                else:
-                    pkey_l[slot] = 0
-                    dkey_l[slot] = huge
-                    state_p.routable[slot] = True
+                pkey_l[slot] = dkey_l[slot] = huge
+                role_keys[srole][slot] = 0
+                role_states[srole].routable[slot] = True
                 alive_count += 1
                 spawns += 1
                 membership_changed()
@@ -1202,93 +929,48 @@ def run_pool_fleet(
                 nr_p = len(routable_p)
                 nr_d = len(routable_d)
                 if nr_p > 0 or nr_d > 0:
-                    wp = 0
-                    for r in routable_p:
-                        wp += depth_l[r]
-                    mp = wp / nr_p if nr_p > 0 else _INF
+                    mp = sum(depth_l[r] for r in routable_p) / nr_p if nr_p > 0 else _INF
                     if split:
-                        wd = 0
-                        for r in routable_d:
-                            wd += depth_l[r]
-                        md = wd / nr_d if nr_d > 0 else _INF
+                        md = sum(depth_l[r] for r in routable_d) / nr_d if nr_d > 0 else _INF
                         if mp >= md:
                             srole, sper = ROLE_PREFILL, mp
                         else:
                             srole, sper = ROLE_DECODE, md
                     else:
                         srole, sper = ROLE_COLOCATED, mp
+                    victim = -1
                     if (
                         sper > scale.high_queue_per_replica
                         and alive_count + len(spawn_heap) < scale.max_replicas
                     ):
-                        heappush(
-                            spawn_heap,
-                            (
-                                best_t + scale.spawn_delay_s + pools.warmup_s,
-                                spawn_seq,
-                                srole,
-                            ),
-                        )
+                        ready = best_t + scale.spawn_delay_s + pools.warmup_s
+                        heappush(spawn_heap, (ready, spawn_seq, srole))
                         spawn_seq += 1
                     elif not split:
-                        if (
-                            mp < scale.low_queue_per_replica
-                            and nr_p > scale.min_replicas
-                        ):
-                            r = routable_p[nr_p - 1]
-                            draining[r] = True
-                            routable_f[r] = False
-                            pkey_l[r] = huge
-                            state_p.routable[r] = False
-                            membership_changed()
-                            if running_l[r] == 0 and not queues[r] and kv_l[r] == 0:
-                                retire(r)  # colocated: never a handoff target
+                        if mp < scale.low_queue_per_replica and nr_p > scale.min_replicas:
+                            victim = routable_p[-1]
                     elif (
                         mp < scale.low_queue_per_replica
                         and nr_p > 1
                         and alive_count > scale.min_replicas
                     ):
-                        r = routable_p[nr_p - 1]
-                        draining[r] = True
-                        routable_f[r] = False
-                        pkey_l[r] = huge
-                        state_p.routable[r] = False
-                        membership_changed()
-                        if (
-                            running_l[r] == 0
-                            and not queues[r]
-                            and kv_l[r] == 0
-                            and not inc[r]
-                        ):
-                            retire(r)
+                        victim = routable_p[-1]
                     elif (
                         md < scale.low_queue_per_replica
                         and nr_d > 1
                         and alive_count > scale.min_replicas
                     ):
-                        r = routable_d[nr_d - 1]
-                        draining[r] = True
-                        routable_f[r] = False
-                        dkey_l[r] = huge
-                        state_d.routable[r] = False
-                        membership_changed()
-                        if mig is not None:
-                            drain_decode(r, best_t)
-                        if (
-                            running_l[r] == 0
-                            and not queues[r]
-                            and kv_l[r] == 0
-                            and not inc[r]
-                        ):
-                            retire(r)
+                        victim = routable_d[-1]
+                    if victim >= 0:
+                        draining[victim] = True
+                        unroute(victim)
+                        if role_l[victim] == ROLE_DECODE and mig is not None:
+                            drain_decode(victim, best_t)
+                        retire_if_idle(victim)
                 # Hot-spot rebalancing: the tick also sweeps the decode
                 # pool for outlier queues and migrates their excess tail.
                 if mig is not None and len(routable_d) >= 2:
-                    nr_d = len(routable_d)
-                    wd = 0
-                    for r in routable_d:
-                        wd += depth_l[r]
-                    mean_d = wd / nr_d
+                    mean_d = sum(depth_l[r] for r in routable_d) / len(routable_d)
                     for r in routable_d:
                         d = depth_l[r]
                         if d >= mig.min_queue and d > mig.hot_queue_ratio * mean_d:

@@ -133,6 +133,34 @@ class TestFleetWorkload:
         with pytest.raises(ConfigError):
             fleet_poisson_workload(10, prefix_fraction=0.5, num_prefixes=0)
 
+    def test_negative_prefix_tokens_rejected(self):
+        """A negative shared prefix would score a negative cache hit."""
+        with pytest.raises(ConfigError, match="prefix_tokens"):
+            FleetWorkload(
+                arrival_s=np.arange(4, dtype=np.float64),
+                prompt_tokens=np.full(4, 100, dtype=np.int64),
+                output_tokens=np.full(4, 8, dtype=np.int64),
+                prefix_code=np.zeros(4, dtype=np.int64),
+                prefix_tokens=np.full(4, -5, dtype=np.int64),
+            )
+        with pytest.raises(ConfigError, match="prefix_tokens"):
+            fleet_poisson_workload(4, num_prefixes=1, prefix_tokens=-5, prefix_fraction=1.0)
+
+    @pytest.mark.parametrize("pools", (None, PoolSpec(prefill=1, decode=1)))
+    def test_empty_workload_runs_to_an_empty_result(self, pools):
+        empty = FleetWorkload(
+            arrival_s=np.zeros(0, dtype=np.float64),
+            prompt_tokens=np.zeros(0, dtype=np.int64),
+            output_tokens=np.zeros(0, dtype=np.int64),
+            prefix_code=np.zeros(0, dtype=np.int64),
+            prefix_tokens=np.zeros(0, dtype=np.int64),
+        )
+        res = ClusterFleet(2, LeastLoadedRouter(), model=SMALL_MODEL, pools=pools).run(empty)
+        assert res.completed == 0 and res.rejected_total == 0
+        assert res.sim_end_s == 0.0
+        assert res.replica.shape == res.finish_s.shape == (0,)
+        assert res.served_per_replica.tolist() == [0, 0]
+
 
 # ================================================================= routers
 def make_state(n=4, kv=1000):

@@ -19,6 +19,7 @@ Four layers of correctness for the prefill/decode pool subsystem:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -77,7 +78,7 @@ def pool_workload(n=1500, seed=11, rate=320.0):
     )
 
 
-def run_pair(policy, dpolicy, pools, workload, **kw):
+def run_pair(policy, dpolicy, pools, workload, model=SMALL_MODEL, **kw):
     """Run optimized + legacy pool fleets on identical inputs."""
     if policy == "random":
         router = RandomRouter(seed=5)
@@ -90,7 +91,7 @@ def run_pair(policy, dpolicy, pools, workload, **kw):
     else:
         drouter = LeastLoadedRouter()
     fleet = ClusterFleet(
-        pools.total, router, model=SMALL_MODEL, pools=pools, decode_router=drouter, **kw
+        pools.total, router, model=model, pools=pools, decode_router=drouter, **kw
     )
     res = fleet.run(workload)
     legacy = LegacyPoolFleet(
@@ -100,7 +101,7 @@ def run_pair(policy, dpolicy, pools, workload, **kw):
         router_seed=5,
         decode_seed=5,
         block_tokens=SMALL_MODEL.block_tokens,
-        model=SMALL_MODEL,
+        model=model,
         pools=pools,
         **kw,
     )
@@ -137,6 +138,15 @@ class TestPoolSpec:
             MigrationPolicy(hot_queue_ratio=1.0)
         with pytest.raises(ConfigError):
             MigrationPolicy(min_queue=0)
+
+    def test_migration_policy_has_no_drain_knobs(self):
+        """A drain always moves both the queue and the running work."""
+        assert [f.name for f in dataclasses.fields(MigrationPolicy)] == [
+            "hot_queue_ratio",
+            "min_queue",
+        ]
+        with pytest.raises(TypeError):
+            MigrationPolicy(1.5, 1, False, True)  # the old livelocking setting
 
     def test_pool_target_parses_and_rejects_typo(self):
         assert pool_target("pool-decode") == "decode"
@@ -234,6 +244,60 @@ class TestLegacyParity:
         )
         assert res.equals(lres)
         assert res.spawns > 0
+
+    def test_decode_drain_ships_running_kv(self):
+        """Shrunk from the PoolSpec property: a drained decode replica's
+        running work ships prompt + output KV, priced on a wire with no
+        compute overlap, so the payload size moves every finish time."""
+        res, lres = run_pair(
+            "random",
+            "random",
+            PoolSpec(
+                prefill=1,
+                decode=2,
+                transfer=TransferModel(overlap=0.0),
+                migration=MigrationPolicy(hot_queue_ratio=1.1, min_queue=1),
+            ),
+            fleet_poisson_workload(160, rate_rps=2.0, prompt_mean=150, output_mean=20, seed=2),
+            model=ReplicaModel(slots=1, kv_capacity_tokens=4096),
+            autoscale=AutoscalePolicy(
+                min_replicas=1,
+                max_replicas=3,
+                high_queue_per_replica=1.5,
+                low_queue_per_replica=0.5,
+                interval_s=8.5,
+                spawn_delay_s=0.0,
+            ),
+        )
+        assert res.equals(lres)
+        assert res.shipped_migrations > 0
+
+    def test_decode_drain_evacuates_queue_and_running(self):
+        """The drain that once livelocked both simulators: a decode drain
+        that moved running work but left its queue on the draining replica,
+        where no later event admitted it."""
+        res, lres = run_pair(
+            "prefix-aware",
+            "least-loaded",
+            PoolSpec(
+                prefill=2,
+                decode=1,
+                migration=MigrationPolicy(hot_queue_ratio=1.5, min_queue=1),
+            ),
+            fleet_poisson_workload(120, rate_rps=60.0, prompt_mean=128, output_mean=24, seed=1),
+            model=ReplicaModel(slots=1, kv_capacity_tokens=65536),
+            autoscale=AutoscalePolicy(
+                min_replicas=1,
+                max_replicas=3,
+                high_queue_per_replica=2.0,
+                low_queue_per_replica=1.0,
+                interval_s=0.5,
+                spawn_delay_s=0.0,
+            ),
+        )
+        assert res.equals(lres)
+        assert res.completed == 120
+        assert res.migrations > 0 and res.drains > 0
 
     def test_shed_slow_wire(self):
         res, lres = run_pair(

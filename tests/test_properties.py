@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core invariants across modules."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
@@ -446,6 +448,137 @@ def test_cluster_fleet_matches_legacy_oracle(scenario):
     if "faults" not in scenario["kw"]:
         empty = _cluster_fleet(scenario, faults=FaultPlan.empty()).run(workload)
         assert empty.equals(current)
+
+
+@st.composite
+def _pool_scenarios(draw):
+    """A :func:`_fleet_scenarios` trace on a drawn :class:`PoolSpec`.
+
+    Adds the pool knobs: a prefill/decode/colocated mix, the wire
+    (bandwidth, overlap), warm-up, migration, the decode router, deaths
+    aimed at ``pool-prefill`` / ``pool-decode`` / ``replica-N``, and
+    KV_TRANSFER_FAIL / KV_DEGRADED windows.  Half the draws are biased
+    toward draining busy decode replicas: one prefill replica (so only the
+    decode pool can drain), migration on, and an autoscaler whose low
+    watermark sits above an idle decode queue.
+    """
+    from repro.faults import KV_DEGRADED, KV_TRANSFER_FAIL, REPLICA_DEATH, FaultEvent, FaultPlan
+    from repro.inference import AutoscalePolicy, MigrationPolicy, PoolSpec, TransferModel
+
+    s = draw(_fleet_scenarios())
+    horizon = float(s["workload"].arrival_s[-1]) + 0.1
+    drains = draw(st.booleans())
+    if drains:
+        prefill, decode, colocated = 1, draw(st.integers(2, 4)), 0
+        # Slower decode keeps the drained replica busy when its tick comes.
+        per_out = draw(st.sampled_from([0.0095, 0.05, 0.2]))
+        s["model"] = dataclasses.replace(s["model"], per_output_token_s=per_out)
+    else:
+        prefill = draw(st.integers(0, 3))
+        decode = draw(st.integers(1, 3)) if prefill else 0
+        colocated = draw(st.integers(0 if prefill else 1, 2))
+    migration = None
+    if drains or draw(st.booleans()):
+        migration = MigrationPolicy(
+            hot_queue_ratio=draw(st.sampled_from([1.1, 1.5, 3.0])),
+            min_queue=draw(st.integers(1, 4)),
+        )
+    pools = PoolSpec(
+        prefill=prefill,
+        decode=decode,
+        colocated=colocated,
+        transfer=TransferModel(
+            bandwidth=draw(st.sampled_from([5e7, 1e9, 50e9])),
+            overlap=draw(st.sampled_from([0.0, 0.5, 0.8, 1.0])),
+        ),
+        warmup_s=draw(st.sampled_from([0.0, 0.01, 1.0])),
+        migration=migration,
+    )
+    kw = {k: v for k, v in s["kw"].items() if k not in ("faults", "autoscale")}
+    if drains or draw(st.booleans()):
+        low = draw(st.sampled_from([0.5, 1.0, 2.0])) if drains else draw(st.floats(0.0, 2.0))
+        kw["autoscale"] = AutoscalePolicy(
+            min_replicas=1 if drains else draw(st.integers(1, pools.total)),
+            max_replicas=pools.total + draw(st.integers(0, 3)),
+            high_queue_per_replica=low + draw(st.floats(0.5, 8.0)),
+            low_queue_per_replica=low,
+            interval_s=horizon * draw(st.sampled_from([0.02, 0.1, 0.3])),
+            spawn_delay_s=draw(st.floats(0.0, 1.0)),
+        )
+    # A drained fleet has one prefill replica; killing it ends the run.
+    targets = st.integers(int(drains), pools.total + 1).map("replica-{}".format)
+    targets |= st.sampled_from(["pool-decode"] if drains else [None, "pool-prefill", "pool-decode"])
+    n = s["workload"].n
+    events = [
+        FaultEvent(
+            at_s=draw(st.floats(0.0, 1.2)) * horizon,
+            kind=REPLICA_DEATH,
+            duration_s=draw(st.floats(0.0, 1.0)),
+            target=draw(targets),
+        )
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    events += [
+        FaultEvent(
+            at_s=draw(st.floats(0.0, 1.0)) * horizon,
+            kind=draw(st.sampled_from([KV_TRANSFER_FAIL, KV_DEGRADED])),
+            duration_s=horizon * draw(st.sampled_from([0.0, 0.05, 0.5, 2.0])),
+            severity=draw(st.sampled_from([0.05, 0.5, 1.0])),
+            target=draw(st.none() | st.integers(0, n - 1).map("req-{:07d}".format)),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    if events:
+        kw["faults"] = FaultPlan(events)
+    return dict(
+        s,
+        replicas=pools.total,
+        pools=pools,
+        decode_policy=draw(st.sampled_from(["random", "least-loaded"])),
+        decode_seed=draw(st.integers(0, 9)),
+        kw=kw,
+    )
+
+
+def _pool_fleet(s):
+    from repro.inference import LeastLoadedRouter, RandomRouter
+
+    if s["decode_policy"] == "random":
+        decode_router = RandomRouter(seed=s["decode_seed"], stream="router-decode")
+    else:
+        decode_router = LeastLoadedRouter()
+    return _cluster_fleet(s, pools=s["pools"], decode_router=decode_router)
+
+
+def _legacy_pool_fleet(s):
+    from benchmarks.perf._legacy_disagg import LegacyPoolFleet
+
+    return LegacyPoolFleet(
+        s["replicas"],
+        s["policy"],
+        s["decode_policy"],
+        router_seed=s["router_seed"],
+        decode_seed=s["decode_seed"],
+        block_tokens=s["router_block"],
+        model=s["model"],
+        pools=s["pools"],
+        **s["kw"],
+    )
+
+
+@seed(20265)
+@given(_pool_scenarios())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_pool_spec_matches_legacy_disagg_oracle(scenario):
+    """ClusterFleet.run on a PoolSpec == frozen naive pool DES, bitwise."""
+    workload = scenario["workload"]
+    current = _fleet_outcome(_pool_fleet(scenario), workload)
+    legacy = _fleet_outcome(_legacy_pool_fleet(scenario), workload)
+    if isinstance(current, type) or isinstance(legacy, type):
+        assert current is legacy
+        return
+    assert current.equals(legacy)
+    assert current.completed + current.rejected_total == workload.n
 
 
 # ------------------------------------------------------ token-level fleets
