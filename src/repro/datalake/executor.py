@@ -29,7 +29,7 @@ from ..llm.model import SimLLM
 from ..rag.pipeline import RAGPipeline
 from ..semopt import SemExecutor, SemFilter, SemPipeline
 from ..unstructured.operators import SemanticOperators
-from ..unstructured.query import _string_predicate
+from ..unstructured.query import _string_predicate, aggregate_cells
 from ..unstructured.schema_extract import EvaporateExtractor
 from .catalog import DataLake
 from .linking import EmbeddingLinker
@@ -229,25 +229,7 @@ class PlanExecutor:
             raise ExecutionError(
                 f"aggregate column {column!r} not in {table.schema.names()}"
             )
-        numeric: List[float] = []
-        for raw in table.column_values(column):
-            if raw is None:
-                continue
-            try:
-                numeric.append(float(str(raw)))
-            except ValueError:
-                continue
-        if not numeric:
-            return "unknown"
-        result = {
-            "avg": sum(numeric) / len(numeric),
-            "sum": sum(numeric),
-            "max": max(numeric),
-            "min": min(numeric),
-        }.get(fn)
-        if result is None:
-            raise ExecutionError(f"unknown aggregate {fn!r}")
-        return f"{result:.1f}"
+        return aggregate_cells(table.column_values(column), fn)
 
     def _op_lookup(self, step: PlanStep, values: Dict[str, Value]) -> str:
         asset = self.lake.get(str(step.params["asset_id"]))

@@ -19,7 +19,19 @@ kernel over reused buffers with a segmented ``np.minimum.reduceat`` min,
 and LSH banding factorizes band rows into dense int64 keys grouped with
 ``np.unique`` instead of hashing one string per document per band.
 Outputs are identical to the legacy path (proven element-wise in
-``tests/test_prep_batch.py``).
+``tests/test_prep_batch.py``). The scalar :func:`shingles` and
+:meth:`MinHashDeduper.signature` are one-row views of these kernels.
+
+One linking core serves both entry points. :meth:`MinHashDeduper.dedup`
+(one corpus) and :meth:`MinHashDeduper.dedup_incremental` (one stream
+batch against the persistent :class:`SignatureStore`) differ only in how
+they generate candidate pairs; both hand them to :func:`_link`, which
+verifies them and merges clusters in one oldest-root union-find. Candidate
+generation stays two: on the 20,160-document ``BENCH_prep`` corpus, probing
+a fresh store's band buckets one document at a time took 2.44, 2.29 and
+2.05 s against 1.87, 1.85 and 1.91 s for the batched banding kernel
+(best of 3 each, 2-core x86 host; 7-31% slower), so a one-shot corpus
+keeps the kernel.
 
 Detection quality is measurable against the corpus generator's
 ``dup_group`` ground truth via :func:`dedup_metrics`.
@@ -30,7 +42,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -47,17 +59,21 @@ _MERSENNE = (1 << 61) - 1
 _SIGNATURE_BLOCK = 1 << 15
 
 
+def _first_occurrence(keys: Iterable[Hashable]) -> Tuple[np.ndarray, np.ndarray]:
+    """Group positions by equal key, groups numbered in first-occurrence order.
+
+    Returns ``(reps, group_of)``: ``group_of[i]`` is the group of position
+    ``i`` and ``reps[g]`` the first position in group ``g`` (ascending).
+    """
+    index: Dict[Hashable, int] = {}
+    setdefault = index.setdefault
+    group_of = np.fromiter((setdefault(k, len(index)) for k in keys), dtype=np.int64)
+    return np.unique(group_of, return_index=True)[1], group_of
+
+
 def shingles(text: str, n: int = 3) -> Set[int]:
     """Hashed token n-gram shingle set of a document."""
-    tokens = default_tokenizer().content_tokens(text)
-    if len(tokens) < n:
-        # Reduced modulo the Mersenne prime like the main branch: raw 64-bit
-        # stable_hash values above 2**63 - 1 overflow int64 signature kernels.
-        return {stable_hash(" ".join(tokens)) % _MERSENNE} if tokens else set()
-    return {
-        stable_hash(" ".join(tokens[i : i + n])) % _MERSENNE
-        for i in range(len(tokens) - n + 1)
-    }
+    return set(shingle_hashes_many([text], n)[0].tolist())
 
 
 def _hash_shingle(shingle: str) -> int:
@@ -81,29 +97,20 @@ def shingle_hashes_many(texts: Sequence[str], n: int = 3) -> List[np.ndarray]:
     """
     if n < 1:
         raise ConfigError(f"shingle size must be >= 1, got {n}")
-    tok = default_tokenizer()
-    out: List[Optional[np.ndarray]] = [None] * len(texts)
-    first_of: Dict[str, int] = {}
-    rep_idx: List[int] = []
-    dup_pairs: List[Tuple[int, int]] = []
-    for i, t in enumerate(texts):
-        j = first_of.setdefault(t, i)
-        if j == i:
-            rep_idx.append(i)
-        else:
-            dup_pairs.append((i, j))
-    token_lists = tok.content_tokens_many([texts[i] for i in rep_idx])
-    empty = np.zeros(0, dtype=np.int64)
+    reps, group_of = _first_occurrence(texts)
+    token_lists = default_tokenizer().content_tokens_many(
+        [texts[i] for i in reps.tolist()]
+    )
+    # One array per distinct text (group), broadcast back at the end.
+    out: List[np.ndarray] = [np.zeros(0, dtype=np.int64)] * len(token_lists)
     long_pos: List[int] = []
     for p, tokens in enumerate(token_lists):
-        if not tokens:
-            out[rep_idx[p]] = empty
-        elif len(tokens) < n:
-            out[rep_idx[p]] = np.array(
-                [_hash_shingle(" ".join(tokens))], dtype=np.int64
-            )
-        else:
+        if len(tokens) >= n:
             long_pos.append(p)
+        elif tokens:
+            # Reduced modulo the Mersenne prime like every other shingle:
+            # raw 64-bit hashes above 2**63 - 1 overflow the int64 kernels.
+            out[p] = np.array([_hash_shingle(" ".join(tokens))], dtype=np.int64)
     if long_pos:
         token_ids: Dict[str, int] = {}
         setdefault = token_ids.setdefault
@@ -126,7 +133,7 @@ def shingle_hashes_many(texts: Sequence[str], n: int = 3) -> List[np.ndarray]:
                     if h is None:
                         h = memo[key] = _hash_shingle(key)
                     values.append(h)
-                out[rep_idx[p]] = np.array(values, dtype=np.int64)
+                out[p] = np.array(values, dtype=np.int64)
         else:
             all_ids = np.array(ids_list, dtype=np.int64)
             lengths = np.array(
@@ -170,10 +177,8 @@ def shingle_hashes_many(texts: Sequence[str], n: int = 3) -> List[np.ndarray]:
             offsets = np.zeros(len(long_pos) + 1, dtype=np.int64)
             np.cumsum(counts, out=offsets[1:])
             for q, p in enumerate(long_pos):
-                out[rep_idx[p]] = hashes[offsets[q] : offsets[q + 1]]
-    for i, j in dup_pairs:
-        out[i] = out[j]
-    return out  # type: ignore[return-value]
+                out[p] = hashes[offsets[q] : offsets[q + 1]]
+    return [out[g] for g in group_of.tolist()]
 
 
 def _permute_mod_mersenne(
@@ -203,29 +208,79 @@ def _permute_mod_mersenne(
 
 
 def jaccard(a: Set[int], b: Set[int]) -> float:
-    """Exact Jaccard similarity of two shingle sets."""
+    """Exact Jaccard similarity of two shingle sets (1.0 when both are empty)."""
     if not a and not b:
         return 1.0
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
+    inter = len(a & b)
+    return inter / (len(a) + len(b) - inter)
 
 
-class _UnionFind:
-    """Path-compressed union-find over arbitrary hashable items."""
+def _find(parent: List[int], x: int) -> int:
+    """Root of ``x`` in a list-backed union-find, compressing the path."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
 
-    def __init__(self) -> None:
-        self._parent: Dict[int, int] = {}
 
-    def find(self, x: int) -> int:
-        parent = self._parent.setdefault(x, x)
-        if parent != x:
-            self._parent[x] = self.find(parent)
-        return self._parent[x]
+def _link(
+    parent: List[int],
+    unique_of: Callable[[int], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    threshold: float,
+) -> Tuple[int, List[int]]:
+    """Verify candidate pairs ``(lo[k], hi[k])`` and union the verified ones.
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
+    ``unique_of(i)`` is document ``i``'s sorted unique-shingle array. Pairs
+    with byte-identical arrays have Jaccard exactly 1.0: they count as
+    verified without set algebra, and each such equal-set group is joined
+    by chain unions, O(size) instead of O(size**2) (equal sets mean equal
+    signatures, so every pair inside a group is a candidate). The other
+    pairs get exact :func:`jaccard`. A union roots at the smaller index, so
+    every cluster's root is its oldest member — the representative a full
+    dedup keeps. Returns ``(verified pair count, roots demoted by a union)``.
+    """
+    demoted: List[int] = []
+    if lo.shape[0] == 0:
+        return 0, demoted
+
+    def union(a: int, b: int) -> None:
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
-            self._parent[rb] = ra
+            if rb < ra:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            demoted.append(rb)
+
+    involved = np.union1d(lo, hi)
+    docs = involved.tolist()
+    uniques = [unique_of(i) for i in docs]
+    _, group = _first_occurrence(u.tobytes() for u in uniques)
+    pos_lo = np.searchsorted(involved, lo)
+    pos_hi = np.searchsorted(involved, hi)
+    equal = group[pos_lo] == group[pos_hi]
+    verified = int(np.count_nonzero(equal))
+    # Chain unions: consecutive members of each equal-set group.
+    order = np.argsort(group, kind="stable")
+    chained = group[order[1:]] == group[order[:-1]]
+    for a, b in zip(order[:-1][chained].tolist(), order[1:][chained].tolist()):
+        union(docs[a], docs[b])
+    as_set: Dict[int, Set[int]] = {}
+    unequal = ~equal
+    for a, b in zip(pos_lo[unequal].tolist(), pos_hi[unequal].tolist()):
+        sa = as_set.get(a)
+        if sa is None:
+            sa = as_set[a] = set(uniques[a].tolist())
+        sb = as_set.get(b)
+        if sb is None:
+            sb = as_set[b] = set(uniques[b].tolist())
+        if jaccard(sa, sb) >= threshold:
+            verified += 1
+            union(docs[a], docs[b])
+    return verified, demoted
 
 
 @dataclass
@@ -253,10 +308,10 @@ class SignatureStore:
     Holds, for every document ever ingested (kept *and* rejected — rejected
     documents can transitively bridge future candidates, so dropping them
     would break equivalence with a full re-dedup): its signature band
-    buckets, its unique shingle array, a persistent union-find parent, and
-    the kept flag. Band buckets map band-row bytes to the store indices
-    that produced them, so admitting a batch probes exactly the documents
-    a full LSH banding pass would pair it with.
+    buckets, its unique shingle array, a persistent union-find parent (for
+    :func:`_link`), and the kept flag. Band buckets map band-row bytes to
+    the store indices that produced them, so admitting a batch probes
+    exactly the documents a full LSH banding pass would pair it with.
     """
 
     def __init__(self, bands: int) -> None:
@@ -269,32 +324,9 @@ class SignatureStore:
     def __len__(self) -> int:
         return len(self.docs)
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # Root at the smaller index so every cluster's root is its oldest
-        # member — the representative a full dedup would keep.
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-
     def kept_doc_ids(self) -> List[str]:
         """doc_ids of the currently kept documents, in ingestion order."""
         return [d.doc_id for d, k in zip(self.docs, self.kept) if k]
-
-    def kept_docs(self) -> List[TrainingDocument]:
-        """The currently kept documents, in ingestion order."""
-        return [d for d, k in zip(self.docs, self.kept) if k]
 
 
 @dataclass
@@ -408,8 +440,17 @@ class MinHashDeduper:
         verify_threshold: float = 0.6,
         seed: int = 0,
     ) -> None:
+        if shingle_size < 1 or bands < 1 or rows_per_band < 1:
+            raise ConfigError(
+                "shingle_size, bands and rows_per_band must be >= 1, got "
+                f"{shingle_size}, {bands}, {rows_per_band}"
+            )
         if bands * rows_per_band != num_permutations:
             raise ConfigError("bands * rows_per_band must equal num_permutations")
+        if not 0.0 <= verify_threshold <= 1.0:
+            raise ConfigError(
+                f"verify_threshold must be in [0, 1], got {verify_threshold}"
+            )
         self.num_permutations = num_permutations
         self.bands = bands
         self.rows_per_band = rows_per_band
@@ -434,12 +475,8 @@ class MinHashDeduper:
 
     def signature(self, shingle_set: Set[int]) -> np.ndarray:
         """MinHash signature of one shingle set."""
-        if not shingle_set:
-            return np.full(self.num_permutations, _MERSENNE, dtype=np.int64)
-        values = np.fromiter(shingle_set, dtype=np.int64)
-        # (P, S) permuted hash values; min over shingles per permutation.
-        hashed = (self._a[:, None] * values[None, :] + self._b[:, None]) % _MERSENNE
-        return hashed.min(axis=1)
+        values = np.fromiter(shingle_set, dtype=np.int64, count=len(shingle_set))
+        return self.signature_many([values])[0]
 
     def signature_many(self, shingle_values: Sequence[np.ndarray]) -> np.ndarray:
         """``(n_docs, P)`` signature matrix from per-doc shingle hash arrays.
@@ -448,29 +485,17 @@ class MinHashDeduper:
         buffers; per-document minima are segmented with
         ``np.minimum.reduceat``. Documents with byte-identical shingle
         arrays (exact duplicates) reuse the first copy's signature row.
-        Element-wise identical to calling :meth:`signature` per document
+        Element-wise identical to the legacy per-document ``(P, S)`` kernel
         (repeated values cannot change a min, and the int64 wrap semantics
         of the kernel do not depend on batching).
         """
-        n = len(shingle_values)
-        out = np.full((n, self.num_permutations), _MERSENNE, dtype=np.int64)
-        if n == 0:
-            return out
-        first_by_bytes: Dict[bytes, int] = {}
-        reps: List[int] = []
-        dup_of: List[Tuple[int, int]] = []
-        for i, v in enumerate(shingle_values):
-            if v.shape[0] == 0:
-                continue
-            key = v.tobytes()
-            seen = first_by_bytes.get(key)
-            if seen is None:
-                first_by_bytes[key] = i
-                reps.append(i)
-            else:
-                dup_of.append((i, seen))
-        if not reps:
-            return out
+        first, group_of = _first_occurrence(v.tobytes() for v in shingle_values)
+        # One row per distinct array; empty arrays keep the all-_MERSENNE row.
+        out = np.full((first.shape[0], self.num_permutations), _MERSENNE, dtype=np.int64)
+        groups = [g for g, i in enumerate(first.tolist()) if shingle_values[i].shape[0]]
+        if not groups:
+            return out[group_of]
+        reps = first[groups].tolist()
         sizes = np.array([shingle_values[i].shape[0] for i in reps], dtype=np.int64)
         values = (
             shingle_values[reps[0]]
@@ -502,11 +527,9 @@ class MinHashDeduper:
                 shift_buf[:, :block],
             )
             offs = offsets[start:end] - lo
-            out[reps[start:end]] = np.minimum.reduceat(hashed, offs, axis=1).T
+            out[groups[start:end]] = np.minimum.reduceat(hashed, offs, axis=1).T
             start = end
-        for i, src in dup_of:
-            out[i] = out[src]
-        return out
+        return out[group_of]
 
     def estimated_threshold(self) -> float:
         """The S-curve midpoint of the banding scheme."""
@@ -527,18 +550,17 @@ class MinHashDeduper:
         structured-dtype sort. Returns distinct ``(lo, hi)`` index arrays
         (unordered).
         """
-        n_docs = signatures.shape[0]
-        first_by_row: Dict[bytes, int] = {}
-        groups: List[List[int]] = []
-        for i in range(n_docs):
-            g = first_by_row.setdefault(signatures[i].tobytes(), len(groups))
-            if g == len(groups):
-                groups.append([i])
-            else:
-                groups[g].append(i)
-        n = len(groups)
-        group_sizes = np.array([len(g) for g in groups], dtype=np.int64)
-        rep_rows = np.array([g[0] for g in groups], dtype=np.int64)
+        rep_rows, group_of = _first_occurrence(row.tobytes() for row in signatures)
+        n = rep_rows.shape[0]
+        group_sizes = np.bincount(group_of, minlength=n)
+        # Members of group g, ascending: by_group[group_start[g]:group_start[g + 1]].
+        by_group = np.argsort(group_of, kind="stable")
+        group_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(group_sizes, out=group_start[1:])
+
+        def members_of(g: int) -> np.ndarray:
+            return by_group[group_start[g] : group_start[g + 1]]
+
         banded = signatures[rep_rows].reshape(n, self.bands, self.rows_per_band)
         pair_lo: List[np.ndarray] = []
         pair_hi: List[np.ndarray] = []
@@ -602,14 +624,14 @@ class MinHashDeduper:
             doc_hi.append(np.maximum(a_doc, b_doc))
             multi = ~singleton
             for ga, gb in zip(glo[multi].tolist(), ghi[multi].tolist()):
-                a_mem = np.array(groups[ga], dtype=np.int64)
-                b_mem = np.array(groups[gb], dtype=np.int64)
+                a_mem = members_of(ga)
+                b_mem = members_of(gb)
                 aa = np.repeat(a_mem, b_mem.shape[0])
                 bb = np.tile(b_mem, a_mem.shape[0])
                 doc_lo.append(np.minimum(aa, bb))
                 doc_hi.append(np.maximum(aa, bb))
         for g in np.flatnonzero(group_sizes >= 2).tolist():
-            members = np.array(groups[g], dtype=np.int64)
+            members = members_of(g)
             ii, jj = np.triu_indices(members.shape[0], k=1)
             doc_lo.append(members[ii])
             doc_hi.append(members[jj])
@@ -622,74 +644,21 @@ class MinHashDeduper:
         shingle_values = shingle_hashes_many(
             [d.text for d in docs], self.shingle_size
         )
-        signatures = self.signature_many(shingle_values)
-        lo, hi = self._candidate_pairs(signatures)
-        candidate_pairs = int(lo.shape[0])
-        verified_pairs = 0
+        lo, hi = self._candidate_pairs(self.signature_many(shingle_values))
         parent = list(range(len(docs)))
-
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        def union(i: int, j: int) -> None:
-            ra, rb = find(i), find(j)
-            if ra != rb:
-                parent[rb] = ra
-
-        threshold = self.verify_threshold
-        if candidate_pairs:
-            # Group involved documents by identical unique-shingle arrays:
-            # equal sets ⇒ Jaccard exactly 1.0, no set algebra needed. Docs
-            # with equal shingle sets have equal signatures, so every pair
-            # inside such a group is already a candidate — chain unions
-            # connect the group in O(size) instead of O(size**2).
-            involved = np.union1d(lo, hi)
-            uniques: Dict[int, np.ndarray] = {}
-            group_id = np.full(len(docs), -1, dtype=np.int64)
-            group_members: Dict[int, List[int]] = defaultdict(list)
-            gid_by_bytes: Dict[bytes, int] = {}
-            for i in involved.tolist():
-                ua = np.unique(shingle_values[i])
-                uniques[i] = ua
-                gid = gid_by_bytes.setdefault(ua.tobytes(), len(gid_by_bytes))
-                group_id[i] = gid
-                group_members[gid].append(i)
-            equal_sets = group_id[lo] == group_id[hi]
-            n_equal = int(np.count_nonzero(equal_sets))
-            if n_equal and 1.0 >= threshold:
-                verified_pairs += n_equal
-                for members in group_members.values():
-                    for i, j in zip(members, members[1:]):
-                        union(i, j)
-            as_set: Dict[int, Set[int]] = {}
-            unequal = ~equal_sets
-            for i, j in zip(lo[unequal].tolist(), hi[unequal].tolist()):
-                sa = as_set.get(i)
-                if sa is None:
-                    sa = as_set[i] = set(uniques[i].tolist())
-                sb = as_set.get(j)
-                if sb is None:
-                    sb = as_set[j] = set(uniques[j].tolist())
-                inter = len(sa & sb)
-                union_size = len(sa) + len(sb) - inter
-                # Unequal sets are never both empty, so union_size > 0 and
-                # the legacy both-empty => 1.0 rule cannot apply here.
-                sim = inter / union_size
-                if sim >= threshold:
-                    verified_pairs += 1
-                    union(i, j)
+        verified_pairs, _ = _link(
+            parent,
+            lambda i: np.unique(shingle_values[i]),
+            lo,
+            hi,
+            self.verify_threshold,
+        )
         clusters: Dict[int, List[int]] = defaultdict(list)
         for i in range(len(docs)):
-            clusters[find(i)].append(i)
+            clusters[_find(parent, i)].append(i)
         kept: List[TrainingDocument] = []
         removed: List[TrainingDocument] = []
-        for root, members in clusters.items():
-            members.sort()
+        for members in clusters.values():  # ascending, the root first
             kept.append(docs[members[0]])
             removed.extend(docs[m] for m in members[1:])
         kept.sort(key=lambda d: d.doc_id)
@@ -697,7 +666,7 @@ class MinHashDeduper:
             kept=kept,
             removed=removed,
             clusters=[m for m in clusters.values() if len(m) > 1],
-            candidate_pairs=candidate_pairs,
+            candidate_pairs=int(lo.shape[0]),
             verified_pairs=verified_pairs,
         )
 
@@ -725,32 +694,14 @@ class MinHashDeduper:
         )
         signatures = self.signature_many(shingle_values)
         banded = signatures.reshape(len(new_docs), self.bands, self.rows_per_band)
+        lo: List[int] = []
+        hi: List[int] = []
         for i, doc in enumerate(new_docs):
+            s = base + i
             store.docs.append(doc)
             store.shingles.append(np.unique(shingle_values[i]))
-            store.parent.append(base + i)
+            store.parent.append(s)
             store.kept.append(False)
-        threshold = self.verify_threshold
-        shingles = store.shingles
-        candidate_pairs = 0
-        verified_pairs = 0
-        evicted_idx: List[int] = []
-
-        def union_tracking(a: int, b: int) -> None:
-            ra, rb = store.find(a), store.find(b)
-            if ra == rb:
-                return
-            if rb < ra:
-                ra, rb = rb, ra
-            store.parent[rb] = ra
-            if rb < base and store.kept[rb]:
-                # A previously-kept representative just got subsumed by an
-                # older cluster a new document bridged it to.
-                store.kept[rb] = False
-                evicted_idx.append(rb)
-
-        for i in range(len(new_docs)):
-            s = base + i
             partners: Set[int] = set()
             for band in range(self.bands):
                 key = banded[i, band].tobytes()
@@ -760,32 +711,25 @@ class MinHashDeduper:
                 else:
                     partners.update(bucket)
                     bucket.append(s)
-            candidate_pairs += len(partners)
-            if not partners:
-                continue
-            a = shingles[s]
-            a_bytes = a.tobytes()
-            for p in sorted(partners):
-                b = shingles[p]
-                if a.shape[0] == 0 and b.shape[0] == 0:
-                    sim = 1.0
-                elif a.shape[0] == b.shape[0] and a_bytes == b.tobytes():
-                    sim = 1.0
-                elif a.shape[0] == 0 or b.shape[0] == 0:
-                    sim = 0.0
-                else:
-                    inter = int(
-                        np.intersect1d(a, b, assume_unique=True).shape[0]
-                    )
-                    sim = inter / (a.shape[0] + b.shape[0] - inter)
-                if sim >= threshold:
-                    verified_pairs += 1
-                    union_tracking(p, s)
+            lo.extend(sorted(partners))
+            hi.extend([s] * len(partners))
+        verified_pairs, demoted = _link(
+            store.parent,
+            store.shingles.__getitem__,
+            np.array(lo, dtype=np.int64),
+            np.array(hi, dtype=np.int64),
+            self.verify_threshold,
+        )
+        # Roots older than the batch are exactly the kept documents: one
+        # demoted by a union was bridged into an older cluster.
+        evicted = sorted(r for r in demoted if r < base)
+        for r in evicted:
+            store.kept[r] = False
         admitted: List[TrainingDocument] = []
         rejected: List[TrainingDocument] = []
         for i, doc in enumerate(new_docs):
             s = base + i
-            if store.find(s) == s:
+            if _find(store.parent, s) == s:
                 store.kept[s] = True
                 admitted.append(doc)
             else:
@@ -793,8 +737,8 @@ class MinHashDeduper:
         return IncrementalDedupResult(
             admitted=admitted,
             rejected=rejected,
-            evicted=[store.docs[e].doc_id for e in sorted(evicted_idx)],
-            candidate_pairs=candidate_pairs,
+            evicted=[store.docs[e].doc_id for e in evicted],
+            candidate_pairs=len(lo),
             verified_pairs=verified_pairs,
         )
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..llm.skills import predicate_field
-from ..unstructured.operators import SemanticOperators
+from ..unstructured.operators import SemanticOperators, _is_topical
 from .costmodel import FilterEstimate, SemCostModel, records_all_have_text
 from .plan import (
     BARRIER_STEPS,
@@ -71,10 +71,6 @@ class PhysicalPlan:
             for i, stage in enumerate(self.stages)
         ]
         return lines + [f"  - {d}" for d in self.decisions]
-
-
-def _is_topical(predicate: str) -> bool:
-    return predicate.strip().lower().startswith("is_about")
 
 
 class SemOptimizer:

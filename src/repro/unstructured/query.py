@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..data.documents import Document
 from ..data.table import Predicate, Row, Table
@@ -208,25 +208,35 @@ class DocumentAnalytics:
             raise ExecutionError(
                 f"aggregate {query.agg!r} needs a numeric attribute column"
             )
-        values: List[float] = []
-        for raw in table.column_values(query.attribute):
-            if raw is None:
-                continue
-            try:
-                values.append(float(str(raw)))
-            except ValueError:
-                continue
-        if not values:
-            return "unknown", rows
-        if query.agg == "avg":
-            return f"{sum(values) / len(values):.1f}", rows
-        if query.agg == "sum":
-            return f"{sum(values):.1f}", rows
-        if query.agg == "max":
-            return f"{max(values):.1f}", rows
-        if query.agg == "min":
-            return f"{min(values):.1f}", rows
-        raise ExecutionError(f"unsupported aggregate {query.agg!r}")
+        return aggregate_cells(table.column_values(query.attribute), query.agg), rows
+
+
+def aggregate_cells(cells: Iterable[object], fn: str) -> str:
+    """``avg``/``sum``/``max``/``min`` over the numeric cells, as ``%.1f``.
+
+    Cells that are ``None`` or do not parse as a float are skipped; with no
+    numeric cell left the answer is ``"unknown"``. An unknown ``fn`` raises
+    :class:`ExecutionError`.
+    """
+    numeric: List[float] = []
+    for raw in cells:
+        if raw is None:
+            continue
+        try:
+            numeric.append(float(str(raw)))
+        except ValueError:
+            continue
+    if not numeric:
+        return "unknown"
+    result = {
+        "avg": sum(numeric) / len(numeric),
+        "sum": sum(numeric),
+        "max": max(numeric),
+        "min": min(numeric),
+    }.get(fn)
+    if result is None:
+        raise ExecutionError(f"unknown aggregate {fn!r}")
+    return f"{result:.1f}"
 
 
 _ORDER_OPS: Dict[str, Callable[[float, float], bool]] = {

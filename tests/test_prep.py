@@ -147,6 +147,34 @@ class TestDedup:
         with pytest.raises(ConfigError):
             MinHashDeduper(num_permutations=64, bands=10, rows_per_band=4)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"shingle_size": 0},
+            {"shingle_size": -2},
+            {"num_permutations": 0, "bands": 0, "rows_per_band": 4},
+            {"num_permutations": 0, "bands": 16, "rows_per_band": 0},
+            {"num_permutations": 4, "bands": -1, "rows_per_band": -4},
+            {"verify_threshold": 1.5},
+            {"verify_threshold": -1.0},
+            {"verify_threshold": float("nan")},
+        ],
+    )
+    def test_minhash_rejects_bad_config_at_construction(self, kwargs):
+        with pytest.raises(ConfigError):
+            MinHashDeduper(**kwargs)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_minhash_threshold_bounds_are_inclusive(self, threshold):
+        text = "the same three documents share every single shingle here"
+        docs = [
+            TrainingDocument(doc_id=f"d{i}", text=text, domain="news")
+            for i in range(3)
+        ]
+        result = MinHashDeduper(verify_threshold=threshold).dedup(docs)
+        assert [d.doc_id for d in result.kept] == ["d0"]
+        assert result.verified_pairs == result.candidate_pairs == 3
+
     def test_line_dedup_strips_boilerplate(self):
         docs = [
             _doc("unique one. shared footer line.", "a"),

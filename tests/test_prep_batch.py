@@ -90,6 +90,41 @@ class TestMinHashParity:
             if len(tok.content_tokens(text)) >= n:
                 assert set(values.tolist()) == legacy_shingles(text, n)
 
+    def test_string_hash_fallback_matches_legacy_sets(self):
+        # 300 distinct tokens with n = 8: 300**8 >= 2**63, so packed int64
+        # window keys would overflow and every window is hashed as a string.
+        n = 8
+        vocab = [f"t{i:03d}" for i in range(300)]
+        assert len(vocab) ** n >= 2**63
+        texts = [
+            " ".join(vocab[i : i + 40]) for i in range(0, 300, 20)
+        ] + [" ".join(vocab[:12] * 2), " ".join(vocab[:3]), "", " ".join(vocab[:40])]
+        arrays = shingle_hashes_many(texts, n)
+        tok = Tokenizer()
+        for text, values in zip(texts, arrays):
+            tokens = tok.content_tokens(text)
+            assert values.dtype == np.int64
+            assert values.shape[0] == max(len(tokens) - n + 1, int(bool(tokens)))
+            # The frozen short-document branch skips the modulo reduction.
+            assert set(values.tolist()) == {
+                v % _MERSENNE for v in legacy_shingles(text, n)
+            }
+        # Long documents only: the legacy signature overflows on an
+        # unreduced short-document hash above 2**63 - 1.
+        docs = [
+            _doc(f"d{i:02d}", t)
+            for i, t in enumerate(texts)
+            if len(tok.content_tokens(t)) >= n
+        ]
+        new = MinHashDeduper(shingle_size=n).dedup(docs)
+        old = LegacyMinHashDeduper(shingle_size=n).dedup(docs)
+        assert [d.doc_id for d in new.kept] == [d.doc_id for d in old.kept]
+        assert new.clusters == old.clusters
+        assert (new.candidate_pairs, new.verified_pairs) == (
+            old.candidate_pairs,
+            old.verified_pairs,
+        )
+
     def test_signature_many_matches_legacy(self, corpus):
         texts = [d.text for d in corpus]
         new = MinHashDeduper()

@@ -151,6 +151,7 @@ def test_join_cardinality_property(left, right):
     base=st.text(alphabet="abcdefg ", min_size=30, max_size=120),
     copies=st.integers(min_value=2, max_value=5),
 )
+@seed(20171)
 @settings(max_examples=40, deadline=None)
 def test_exact_copies_always_clustered(base, copies):
     """MinHash must put byte-identical documents in one cluster."""
@@ -170,11 +171,169 @@ def test_exact_copies_always_clustered(base, copies):
 
 
 @given(st.text(alphabet="abcde ", min_size=5, max_size=100))
+@seed(20172)
 @settings(max_examples=50)
 def test_jaccard_identity_property(text):
     s = shingles(text)
     assert jaccard(s, s) == 1.0
     assert jaccard(s, set()) == (1.0 if not s else 0.0)
+
+
+_DEDUP_WORDS = [f"w{i}" for i in range(40)]
+_DEDUP_KINDS = ["fresh"] * 3 + ["copy", "edit", "edit", "bridge", "bridge", "empty", "short"]
+
+
+@st.composite
+def _dedup_streams(draw):
+    """A small-band deduper config, a corpus and its split into batches.
+
+    Each document is fresh words, an exact copy, a token-edited near copy,
+    a bridge (two earlier fresh documents joined), an empty text, or a text
+    shorter than ``shingle_size``.
+    """
+    shingle_size = draw(st.integers(1, 3))
+    bands, rows = draw(st.sampled_from([(32, 2), (16, 4), (64, 1)]))
+    config = dict(
+        num_permutations=bands * rows,
+        bands=bands,
+        rows_per_band=rows,
+        shingle_size=shingle_size,
+        verify_threshold=draw(st.sampled_from([0.0, 0.2, 0.3, 0.4, 0.5, 0.8, 1.0])),
+        seed=draw(st.integers(0, 3)),
+    )
+    words = st.sampled_from(_DEDUP_WORDS)
+    token_lists, fresh = [], []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(_DEDUP_KINDS))
+        earlier = draw(st.sampled_from(token_lists)) if token_lists else []
+        if kind == "copy" and earlier:
+            tokens = list(earlier)
+        elif kind == "edit" and earlier:
+            tokens = list(earlier)
+            for _ in range(draw(st.integers(1, 2))):
+                at = draw(st.integers(0, len(tokens)))
+                op = draw(st.sampled_from(["swap", "insert", "delete"]))
+                if op == "insert" or not tokens:
+                    tokens.insert(at, draw(words))
+                elif op == "swap":
+                    tokens[min(at, len(tokens) - 1)] = draw(words)
+                else:
+                    del tokens[min(at, len(tokens) - 1)]
+        elif kind == "bridge" and len(fresh) >= 2:
+            a, b = draw(st.lists(st.sampled_from(fresh), min_size=2, max_size=2, unique=True))
+            tokens = token_lists[a] + token_lists[b]
+        elif kind == "empty":
+            tokens = []
+        elif kind == "short":
+            tokens = draw(st.lists(words, max_size=shingle_size - 1))
+        else:
+            fresh.append(len(token_lists))
+            tokens = draw(st.lists(words, min_size=shingle_size, max_size=6))
+        token_lists.append(tokens)
+    texts = [" ".join(t) if t else draw(st.sampled_from(["", "  ", "?!"])) for t in token_lists]
+    docs = [
+        TrainingDocument(doc_id=f"d{i:02d}", text=text, domain="news")
+        for i, text in enumerate(texts)
+    ]
+    batches, start = [], 0
+    for _ in range(len(docs)):  # batches of 0-4 documents, then the rest
+        size = draw(st.integers(0, 4))
+        batches.append(docs[start : start + size])
+        start += size
+    batches.append(docs[start:])
+    return config, docs, batches
+
+
+def _legacy_dedup(config, docs):
+    """The frozen oracle, its short-document hashes reduced like the live
+    path's (the frozen branch leaves them unreduced, and its int64 signature
+    overflows on a hash above 2**63 - 1)."""
+    from unittest import mock
+
+    from benchmarks.perf import _legacy_prep
+
+    frozen = _legacy_prep.legacy_shingles
+
+    def reduced(text, n=3):
+        return {v % _legacy_prep._MERSENNE for v in frozen(text, n)}
+
+    with mock.patch.object(_legacy_prep, "legacy_shingles", reduced):
+        return _legacy_prep.LegacyMinHashDeduper(**config).dedup(docs)
+
+
+def _check_split_against_oracle(config, docs, batches):
+    oracle = _legacy_dedup(config, docs)
+    full = MinHashDeduper(**config).dedup(docs)
+    assert [d.doc_id for d in full.kept] == [d.doc_id for d in oracle.kept]
+    assert [d.doc_id for d in full.removed] == [d.doc_id for d in oracle.removed]
+    assert full.clusters == oracle.clusters
+    assert (full.candidate_pairs, full.verified_pairs) == (
+        oracle.candidate_pairs,
+        oracle.verified_pairs,
+    )
+    stream = MinHashDeduper(**config)
+    admitted, evicted = set(), set()
+    candidates = verified = 0
+    for batch in batches:
+        result = stream.dedup_incremental(batch)
+        assert set(result.evicted) <= admitted, "evicted a document never admitted"
+        assert len(result.admitted) + len(result.rejected) == len(batch)
+        admitted |= {d.doc_id for d in result.admitted}
+        evicted |= set(result.evicted)
+        candidates += result.candidate_pairs
+        verified += result.verified_pairs
+    kept = stream.store.kept_doc_ids()
+    assert kept == [d.doc_id for d in oracle.kept]
+    assert evicted.isdisjoint(kept)
+    assert set(kept) == admitted - evicted
+    assert (candidates, verified) == (oracle.candidate_pairs, oracle.verified_pairs)
+
+
+@given(_dedup_streams())
+@seed(20173)
+@settings(max_examples=60, deadline=None)
+def test_dedup_incremental_matches_legacy_oracle_under_any_split(stream):
+    """Any batch split of any corpus: the incremental kept set and summed
+    pair counts equal the frozen one-shot oracle's; ``dedup`` equals it
+    too, clusters included; every eviction hits an earlier admission."""
+    _check_split_against_oracle(*stream)
+
+
+_SMALL_BANDS = dict(
+    num_permutations=64, bands=32, rows_per_band=2, shingle_size=1, verify_threshold=0.0
+)
+
+
+def _docs(*texts):
+    return [
+        TrainingDocument(doc_id=f"d{i:02d}", text=text, domain="news")
+        for i, text in enumerate(texts)
+    ]
+
+
+def test_identical_pair_keeps_the_older_document():
+    # Shrunk from the split property against a union that roots at the
+    # younger index: both entry points must keep d00, not d01.
+    docs = _docs("w0", "w0")
+    full = MinHashDeduper(**_SMALL_BANDS).dedup(docs)
+    assert [d.doc_id for d in full.kept] == ["d00"]
+    result = MinHashDeduper(**_SMALL_BANDS).dedup_incremental(docs)
+    assert [d.doc_id for d in result.admitted] == ["d00"]
+    assert [d.doc_id for d in result.rejected] == ["d01"]
+    _check_split_against_oracle(_SMALL_BANDS, docs, [docs])
+
+
+def test_rejected_documents_stay_in_the_band_buckets():
+    # Shrunk from the split property against a store that drops rejected
+    # documents from its buckets: d03 must still pair with the rejected d02,
+    # so the summed counts match the one-shot run (4 pairs, not 3).
+    docs = _docs("", "w0", "w0", "w0", "")
+    stream = MinHashDeduper(**_SMALL_BANDS)
+    results = [stream.dedup_incremental(docs[:3]), stream.dedup_incremental(docs[3:])]
+    assert sum(r.candidate_pairs for r in results) == 4
+    assert sum(r.verified_pairs for r in results) == 4
+    assert stream.store.kept_doc_ids() == ["d00", "d01"]
+    _check_split_against_oracle(_SMALL_BANDS, docs, [docs[:3], docs[3:]])
 
 
 # -------------------------------------------------------------- embeddings

@@ -16,6 +16,7 @@ from repro.unstructured import (
     majority_vote,
     parse_aggregate,
 )
+from repro.unstructured.query import aggregate_cells
 
 ATTRS = ["headquarters", "industry", "founded", "ceo"]
 
@@ -188,6 +189,24 @@ class TestParseAggregate:
     def test_where_clause(self):
         parsed = parse_aggregate("count companies where founded > 1990")
         assert parsed.where == ("founded", ">", "1990")
+
+
+class TestAggregateCells:
+    CELLS = ["4", None, "n/a", 2, "3.5", ""]
+
+    @pytest.mark.parametrize(
+        "fn,expected", [("avg", "3.2"), ("sum", "9.5"), ("max", "4.0"), ("min", "2.0")]
+    )
+    def test_numeric_cells_only(self, fn, expected):
+        assert aggregate_cells(self.CELLS, fn) == expected
+
+    def test_no_numeric_cell_is_unknown(self):
+        assert aggregate_cells([None, "n/a"], "avg") == "unknown"
+        assert aggregate_cells([], "median") == "unknown"
+
+    def test_unknown_function_raises(self):
+        with pytest.raises(ExecutionError):
+            aggregate_cells(["1"], "median")
 
 
 class TestDocumentAnalytics:
