@@ -34,6 +34,7 @@ class LintConfig:
     hot_path_prefixes: Tuple[str, ...] = (
         "src/repro/faults",
         "src/repro/inference",
+        "src/repro/llm/cache.py",
         "src/repro/llm/embedding.py",
         "src/repro/prep/dedup.py",
         "src/repro/semopt",
@@ -64,6 +65,7 @@ class LintConfig:
         "src/repro/inference/kvcache.py",
         "src/repro/inference/pools.py",
         "src/repro/inference/router.py",
+        "src/repro/llm/cache.py",
         "src/repro/llm/embedding.py",
         "src/repro/prep/dedup.py",
     )

@@ -179,8 +179,8 @@ class PlanExecutor:
 
         Rows become string records and run as a one-step semantic pipeline:
         the :mod:`repro.semopt` executor supplies the batched proxy/judge
-        kernels and the exact cross-operator cache (duplicate rows charge
-        one judge call), so lake-scale semantic filters pay per *unique*
+        kernels and its per-run exact :class:`~repro.llm.cache.CachedLLM`
+        (duplicate rows charge one judge call), so lake-scale semantic filters pay per *unique*
         uncertain row instead of per row.
         """
         table = self._input_table(step, values, 0)

@@ -4,20 +4,26 @@
 reducing unnecessary model invocations." Two cache layers wrap a
 :class:`~repro.llm.model.SimLLM` behind the same ``generate`` interface:
 
-* **exact** — hash of the rendered prompt; hits are free and identical;
+* **exact** — hash of ``(prompt, max_tokens, temperature)``, the full
+  functional input of the deterministic model, so a hit is bit-identical
+  to the response a fresh call would produce.  Every temperature-0 call
+  is stored, whatever its task;
 * **semantic** — embedding lookup of the prompt's *input* section against
   previously answered prompts of the same task; a hit above the
   similarity threshold reuses the stored answer. Semantic hits trade a
   controlled risk of staleness/mismatch for large savings on paraphrase-
-  heavy traffic (the GPTCache design).
+  heavy traffic (the GPTCache design), so only ``cacheable_tasks`` use it.
 
 :class:`CachedLLM` is a drop-in: components that accept a ``SimLLM`` can
-take a ``CachedLLM`` unchanged.
+take a ``CachedLLM`` unchanged.  The semantic optimizer
+(:class:`~repro.semopt.executor.SemExecutor`) wraps each pipeline run in
+an exact-only, unbounded one, so operators that render the same prompt
+share one model call — an answer-preserving optimization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,31 +50,32 @@ class CacheStats:
     semantic_hits: int = 0
     misses: int = 0
     saved_usd: float = 0.0
-    saved_calls: int = 0
+
+    @property
+    def hits(self) -> int:
+        return self.exact_hits + self.semantic_hits
 
     @property
     def lookups(self) -> int:
-        return self.exact_hits + self.semantic_hits + self.misses
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
-        return (
-            (self.exact_hits + self.semantic_hits) / self.lookups
-            if self.lookups
-            else 0.0
-        )
+        return self.hits / self.lookups if self.lookups else 0.0
 
 
 @dataclass
 class _Entry:
-    prompt_text: str
+    key: int  # the exact-layer key stored with it, for FIFO eviction
     input_vector: np.ndarray
     response: LLMResponse
-    # Generation parameters the response was produced under: a semantic hit
-    # is only valid when the caller asked for the same ones (a response
-    # generated with a larger max_tokens may exceed the caller's cap).
-    max_tokens: int = 256
-    temperature: float = 0.0
+    # A semantic hit is only valid when the caller asked for the same cap
+    # (a response generated with a larger max_tokens may exceed the caller's).
+    max_tokens: int
+
+
+def _key(prompt: str, max_tokens: int, temperature: float) -> int:
+    return stable_hash(f"{prompt}|{max_tokens}|{temperature}")
 
 
 class CachedLLM:
@@ -82,10 +89,12 @@ class CachedLLM:
         Cosine similarity above which a same-task cached input is reused;
         ``None`` disables the semantic layer (exact-only).
     max_entries:
-        FIFO capacity bound of the semantic store.
+        FIFO capacity bound of the exact store (the semantic store holds a
+        subset of its entries); ``None`` keeps every response.
     cacheable_tasks:
-        Only these prompt tasks are cached (stateful/creative tasks like
-        ``decompose`` with substitution slots are excluded by default).
+        Only these prompt tasks use the semantic layer (stateful/creative
+        tasks like ``decompose`` with substitution slots are excluded by
+        default: a near match on them would be wrong).
     """
 
     def __init__(
@@ -93,21 +102,20 @@ class CachedLLM:
         llm: SimLLM,
         *,
         semantic_threshold: Optional[float] = 0.9,
-        max_entries: int = 10_000,
+        max_entries: Optional[int] = 10_000,
         cacheable_tasks: Tuple[str, ...] = ("qa", "judge", "label", "extract", "map"),
     ) -> None:
         if semantic_threshold is not None and not 0.0 < semantic_threshold <= 1.0:
             raise ConfigError("semantic_threshold must be in (0, 1]")
-        if max_entries <= 0:
+        if max_entries is not None and max_entries <= 0:
             raise ConfigError("max_entries must be positive")
         self.llm = llm
         self.semantic_threshold = semantic_threshold
         self.max_entries = max_entries
         self.cacheable_tasks = set(cacheable_tasks)
         self.stats = CacheStats()
-        self._exact: Dict[int, LLMResponse] = {}
+        self._exact: Dict[int, LLMResponse] = {}  # insertion order is the FIFO
         self._by_task: Dict[str, List[_Entry]] = {}
-        self._insert_order: List[Tuple[str, int]] = []  # (task, key) FIFO
 
     # ---------------------------------------------------------- delegation
     @property
@@ -135,6 +143,7 @@ class CachedLLM:
         return self.llm.tokenizer
 
     def register_skill(self, task: str, fn: SkillFn) -> None:
+        self.invalidate()
         self.llm.register_skill(task, fn)
 
     def fine_tune(self, facts: "List[Fact]") -> int:
@@ -151,39 +160,35 @@ class CachedLLM:
         tag: str = "default",
     ) -> LLMResponse:
         """Serve from cache when possible; otherwise call through and store."""
-        key = stable_hash(f"{prompt}|{max_tokens}|{temperature}")
+        key = _key(prompt, max_tokens, temperature)
         cached = self._exact.get(key)
         if cached is not None:
-            self._credit(cached)
             self.stats.exact_hits += 1
+            self.stats.saved_usd += cached.usage.usd
             return cached
-        parsed = parse_prompt(prompt)
-        cacheable = parsed.task in self.cacheable_tasks and temperature == 0.0
-        if cacheable and self.semantic_threshold is not None:
-            hit = self._semantic_lookup(
-                parsed.task, parsed.input, max_tokens=max_tokens, temperature=temperature
-            )
-            if hit is not None:
-                self._credit(hit)
-                self.stats.semantic_hits += 1
-                return hit
+        semantic: Optional[Tuple[str, np.ndarray]] = None
+        threshold = self.semantic_threshold
+        if threshold is not None and temperature == 0.0:
+            parsed = parse_prompt(prompt)
+            if parsed.task in self.cacheable_tasks:
+                vector = self.llm.embedder.embed(parsed.input)
+                hit = self._semantic_lookup(parsed.task, vector, max_tokens, threshold)
+                if hit is not None:
+                    self.stats.semantic_hits += 1
+                    self.stats.saved_usd += hit.usage.usd
+                    return hit
+                semantic = (parsed.task, vector)
         response = self.llm.generate(
             prompt, max_tokens=max_tokens, temperature=temperature, tag=tag
         )
         self.stats.misses += 1
-        if cacheable:
+        if temperature == 0.0:
             self._exact[key] = response
-            vector = self.llm.embedder.embed(parsed.input)
-            self._by_task.setdefault(parsed.task, []).append(
-                _Entry(
-                    prompt_text=prompt,
-                    input_vector=vector,
-                    response=response,
-                    max_tokens=max_tokens,
-                    temperature=temperature,
+            if semantic is not None:
+                task, vector = semantic
+                self._by_task.setdefault(task, []).append(
+                    _Entry(key=key, input_vector=vector, response=response, max_tokens=max_tokens)
                 )
-            )
-            self._insert_order.append((parsed.task, key))
             self._evict_if_needed()
         return response
 
@@ -195,58 +200,80 @@ class CachedLLM:
         temperature: float = 0.0,
         tag: str = "default",
     ) -> List[LLMResponse]:
-        """Batched interface parity with :meth:`SimLLM.generate_many`.
+        """Batched lookup with exactly the looped :meth:`generate` semantics.
 
-        Processes prompts sequentially through the cache so semantic-hit
-        behaviour is *exactly* the looped ``generate`` semantics (an early
-        miss in the batch may serve a later prompt semantically); duplicate
-        prompts within one batch hit the exact layer after their first
-        occurrence, so the backing model is charged once per unique miss.
+        Exact-only at temperature 0, the unique misses go to one backing
+        ``generate_many`` call in first-occurrence order; duplicates within
+        the batch count as a miss on first occurrence and hits afterwards,
+        so responses, ledger history and stats equal the loop's.  Prompts go
+        through :meth:`generate` one at a time instead when the loop could
+        differ: with the semantic layer on (an early miss may serve a later
+        prompt semantically), at nonzero temperature (nothing is stored),
+        or when the misses would overflow ``max_entries`` (an eviction
+        inside the batch could turn a later duplicate into a miss).
         """
+        prompt_list = list(prompts)
+        if self.semantic_threshold is None and temperature == 0.0:
+            keys = [_key(prompt, max_tokens, temperature) for prompt in prompt_list]
+            missing: Dict[int, str] = {}
+            for prompt, key in zip(prompt_list, keys):
+                if key not in self._exact:
+                    missing.setdefault(key, prompt)
+            if self.max_entries is None or len(self._exact) + len(missing) <= self.max_entries:
+                if missing:
+                    fetched = self.llm.generate_many(
+                        list(missing.values()),
+                        max_tokens=max_tokens,
+                        temperature=temperature,
+                        tag=tag,
+                    )
+                    self._exact.update(zip(missing, fetched))
+                responses: List[LLMResponse] = []
+                for key in keys:
+                    response = self._exact[key]
+                    if missing.pop(key, None) is not None:
+                        self.stats.misses += 1
+                    else:
+                        self.stats.exact_hits += 1
+                        self.stats.saved_usd += response.usage.usd
+                    responses.append(response)
+                return responses
         return [
-            self.generate(
-                prompt, max_tokens=max_tokens, temperature=temperature, tag=tag
-            )
-            for prompt in prompts
+            self.generate(prompt, max_tokens=max_tokens, temperature=temperature, tag=tag)
+            for prompt in prompt_list
         ]
 
     def _semantic_lookup(
-        self, task: str, input_text: str, *, max_tokens: int, temperature: float
+        self, task: str, query: np.ndarray, max_tokens: int, threshold: float
     ) -> Optional[LLMResponse]:
-        entries = self._by_task.get(task)
-        if not entries:
-            return None
-        query = self.llm.embedder.embed(input_text)
         best_score = -1.0
         best: Optional[_Entry] = None
-        for entry in entries:
-            if entry.max_tokens != max_tokens or entry.temperature != temperature:
-                continue  # generated under different parameters than requested
+        for entry in self._by_task.get(task, ()):
+            if entry.max_tokens != max_tokens:
+                continue  # generated under a different cap than requested
             score = float(np.dot(query, entry.input_vector))
             if score > best_score:
                 best_score, best = score, entry
-        if best is not None and best_score >= self.semantic_threshold:
+        if best is not None and best_score >= threshold:
             return best.response
         return None
 
-    def _credit(self, response: LLMResponse) -> None:
-        self.stats.saved_usd += response.usage.usd
-        self.stats.saved_calls += 1
-
     def _evict_if_needed(self) -> None:
-        while len(self._insert_order) > self.max_entries:
-            task, key = self._insert_order.pop(0)
-            self._exact.pop(key, None)
-            entries = self._by_task.get(task)
-            if entries:
-                entries.pop(0)
+        while self.max_entries is not None and len(self._exact) > self.max_entries:
+            key = next(iter(self._exact))
+            del self._exact[key]
+            # A semantic entry, if the evicted key has one, is the oldest
+            # of its task's list.
+            for entries in self._by_task.values():
+                if entries and entries[0].key == key:
+                    entries.pop(0)
+                    break
 
     # ---------------------------------------------------------- management
     def invalidate(self) -> None:
         """Drop everything (e.g. after fine-tuning changes the model)."""
         self._exact.clear()
         self._by_task.clear()
-        self._insert_order.clear()
 
     def __len__(self) -> int:
-        return len(self._insert_order)
+        return len(self._exact)

@@ -115,36 +115,7 @@ class SimLLM:
         tag: str = "default",
     ) -> LLMResponse:
         """Run one model call on rendered prompt text."""
-        if max_tokens <= 0:
-            raise ModelError(f"max_tokens must be positive, got {max_tokens}")
-        input_tokens = self.tokenizer.count(prompt)
-        if input_tokens > self.spec.context_window:
-            raise ModelError(
-                f"prompt of {input_tokens} tokens exceeds context window "
-                f"{self.spec.context_window} of {self.spec.name}"
-            )
-        parsed = parse_prompt(prompt)
-        text, meta = self._dispatch(parsed, temperature)
-        text, output_tokens = self._cap_output(text, max_tokens)
-        usage = self.spec.cost.usage(input_tokens, output_tokens)
-        self.ledger.charge(usage, tag=tag)
-        self._call_log.append(
-            {"task": parsed.task, "tag": tag, "tokens": usage.total_tokens}
-        )
-        return LLMResponse(text=text, usage=usage, meta=meta)
-
-    def _cap_output(self, text: str, max_tokens: int) -> Tuple[str, int]:
-        """Apply the ``max_tokens`` cap to a skill reply.
-
-        The returned text always agrees with the charged token count: a
-        reply longer than the cap is truncated to the first ``max_tokens``
-        tokens (as a real decode loop stops emitting), never returned whole
-        while only ``max_tokens`` are billed.
-        """
-        output_tokens = self.tokenizer.count(text)
-        if output_tokens > max_tokens:
-            return self.tokenizer.truncate(text, max_tokens), max_tokens
-        return text, max(output_tokens, 1)
+        return self._generate_batch([prompt], max_tokens, temperature, tag)[0]
 
     def generate_many(
         self,
@@ -170,12 +141,24 @@ class SimLLM:
         before *any* prompt in the batch is charged (the loop would charge
         the prompts preceding the offender).
         """
+        return self._generate_batch(list(prompts), max_tokens, temperature, tag)
+
+    def _generate_batch(
+        self, prompts: List[str], max_tokens: int, temperature: float, tag: str
+    ) -> List[LLMResponse]:
+        """The one call path behind :meth:`generate` and :meth:`generate_many`.
+
+        Neither public method calls the other, so a wrapper around both
+        (a tracer, a counter) sees every model call exactly once.  A reply
+        longer than ``max_tokens`` is truncated to its first ``max_tokens``
+        tokens (as a real decode loop stops emitting), so the returned text
+        always agrees with the charged token count.
+        """
         if max_tokens <= 0:
             raise ModelError(f"max_tokens must be positive, got {max_tokens}")
-        prompt_list = list(prompts)
-        if not prompt_list:
+        if not prompts:
             return []
-        input_counts = self.tokenizer.count_many(prompt_list)
+        input_counts = self.tokenizer.count_many(prompts)
         for input_tokens in input_counts:
             if input_tokens > self.spec.context_window:
                 raise ModelError(
@@ -183,10 +166,9 @@ class SimLLM:
                     f"{self.spec.context_window} of {self.spec.name}"
                 )
         unique_index: Dict[str, int] = {}
-        for prompt in prompt_list:
+        for prompt in prompts:
             unique_index.setdefault(prompt, len(unique_index))
-        unique_prompts = list(unique_index)
-        parsed_list = [parse_prompt(prompt) for prompt in unique_prompts]
+        parsed_list = [parse_prompt(prompt) for prompt in unique_index]
         raw_outputs = [self._dispatch(parsed, temperature) for parsed in parsed_list]
         output_counts = self.tokenizer.count_many([text for text, _ in raw_outputs])
         capped: List[Tuple[str, int, Dict[str, object], str]] = []
@@ -198,7 +180,7 @@ class SimLLM:
                 output_tokens = max_tokens
             capped.append((text, max(output_tokens, 1), meta, parsed.task))
         responses: List[LLMResponse] = []
-        for prompt, input_tokens in zip(prompt_list, input_counts):
+        for prompt, input_tokens in zip(prompts, input_counts):
             text, output_tokens, meta, task = capped[unique_index[prompt]]
             usage = self.spec.cost.usage(input_tokens, output_tokens)
             self.ledger.charge(usage, tag=tag)

@@ -3,13 +3,12 @@
 Plans pipelines of LLM-powered operators the way a database optimizes
 relational queries — predicate reordering by estimated selectivity and
 per-row cost, filter pushdown past maps, map fusion into batched model
-rounds, and an exact cross-operator response cache — with one hard rule:
-every transformation is **answer-preserving at the bit level** against
-naive in-order execution (the parity the perf harness asserts inside
-every timed case).
+rounds, and one exact-only :class:`~repro.llm.cache.CachedLLM` per run
+shared by every operator — with one hard rule: every transformation is
+**answer-preserving at the bit level** against naive in-order execution
+(the parity the perf harness asserts inside every timed case).
 """
 
-from .cache import CrossOpCache, CrossOpCacheStats
 from .costmodel import FilterEstimate, SemCostModel, records_all_have_text
 from .executor import PipelineResult, SemExecutor, StepReport
 from .optimizer import PhysicalPlan, PhysicalStage, SemOptimizer
@@ -28,8 +27,6 @@ from .plan import (
 
 __all__ = [
     "BARRIER_STEPS",
-    "CrossOpCache",
-    "CrossOpCacheStats",
     "FilterEstimate",
     "PhysicalPlan",
     "PhysicalStage",

@@ -2,9 +2,9 @@
 
 :class:`SemExecutor` is the runtime half of the optimizer: it plans a
 :class:`~repro.semopt.plan.SemPipeline` over the concrete input records,
-wraps the model in a per-run :class:`~repro.semopt.cache.CrossOpCache`
-(exact layer — answer-preserving by determinism), and executes the
-resulting stages through the batched
+wraps the model in a per-run exact-only :class:`~repro.llm.cache.CachedLLM`
+(answer-preserving by determinism: operators that render the same prompt
+share one model call), and executes the resulting stages through the batched
 :class:`~repro.unstructured.operators.SemanticOperators` kernels.
 
 Accounting is ledger-native: every stage charges under its own tag
@@ -17,13 +17,12 @@ to the run total (the conservation property the tests pin down).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
+from ..llm.cache import CachedLLM, CacheStats
 from ..llm.cost import Usage
-from ..llm.model import SimLLM
 from ..unstructured.operators import OpStats, SemanticOperators
-from .cache import CrossOpCache, CrossOpCacheStats
 from .optimizer import PhysicalStage, SemOptimizer
 from .plan import (
     Record,
@@ -58,7 +57,7 @@ class PipelineResult:
     steps: List[StepReport] = field(default_factory=list)
     decisions: List[str] = field(default_factory=list)
     usage: Usage = field(default_factory=Usage)
-    cache: Optional[CrossOpCacheStats] = None
+    cache: CacheStats = field(default_factory=CacheStats)
 
     @property
     def llm_calls(self) -> int:
@@ -78,10 +77,6 @@ class SemExecutor:
         Operator suite (model + proxy thresholds) pipelines run on.
     optimizer:
         Planner; defaults to a :class:`SemOptimizer` over ``operators``.
-    cross_op_cache:
-        Wrap each run's model in an exact cross-operator cache.  Exact
-        hits are bit-identical replays, so this never changes answers —
-        disable only to measure its contribution.
     tag_prefix:
         Ledger-tag namespace for this executor's stages.
     """
@@ -91,14 +86,12 @@ class SemExecutor:
         operators: SemanticOperators,
         *,
         optimizer: Optional[SemOptimizer] = None,
-        cross_op_cache: bool = True,
         tag_prefix: str = "semopt",
     ) -> None:
         if not tag_prefix:
             raise ExecutionError("tag_prefix must be non-empty")
         self.operators = operators
         self.optimizer = optimizer or SemOptimizer(operators)
-        self.cross_op_cache = cross_op_cache
         self.tag_prefix = tag_prefix
 
     # ------------------------------------------------------------------ run
@@ -108,9 +101,7 @@ class SemExecutor:
         """Optimize and execute ``pipeline`` over ``records``."""
         plan = self.optimizer.optimize(records, pipeline)
         base_llm = self.operators.llm
-        run_llm: Union[SimLLM, CrossOpCache] = (
-            CrossOpCache(base_llm) if self.cross_op_cache else base_llm
-        )
+        run_llm = CachedLLM(base_llm, semantic_threshold=None, max_entries=None)
         ops = SemanticOperators(
             run_llm,
             embedder=self.operators.embedder,
@@ -143,7 +134,7 @@ class SemExecutor:
             steps=reports,
             decisions=list(plan.decisions),
             usage=base_llm.ledger.total - total_before,
-            cache=run_llm.stats if isinstance(run_llm, CrossOpCache) else None,
+            cache=run_llm.stats,
         )
 
     def _run_stage(

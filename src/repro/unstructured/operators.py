@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigError
+from ..llm.cache import CachedLLM
 from ..llm.cost import Usage
 from ..llm.embedding import EmbeddingModel
 from ..llm.model import SimLLM
@@ -58,8 +59,8 @@ class OpStats:
     ``llm_calls`` and ``usd`` are measured as deltas of the model's usage
     ledger under the operator's tag — charged calls only.  ``cache_hits``
     and ``cache_misses`` report cache-layer traffic when the operator runs
-    over a caching wrapper (``CachedLLM`` / ``CrossOpCache``); both stay 0
-    over a bare model.
+    over a :class:`~repro.llm.cache.CachedLLM`; both stay 0 over a bare
+    model.
     """
 
     llm_calls: int = 0
@@ -119,16 +120,10 @@ class SemanticOperators:
         return self.llm.ledger.by_tag.get(tag, Usage())
 
     def _cache_counters(self) -> Tuple[int, int]:
-        """(hits, misses) of a cache wrapper, or (0, 0) over a bare model."""
-        cache_stats = getattr(self.llm, "stats", None)
-        if cache_stats is None:
+        """(hits, misses) of a :class:`CachedLLM`, or (0, 0) over a bare model."""
+        if not isinstance(self.llm, CachedLLM):
             return 0, 0
-        hits = getattr(cache_stats, "hits", None)
-        if hits is None:
-            hits = getattr(cache_stats, "exact_hits", 0) + getattr(
-                cache_stats, "semantic_hits", 0
-            )
-        return int(hits), int(getattr(cache_stats, "misses", 0))
+        return self.llm.stats.hits, self.llm.stats.misses
 
     def _finish(
         self,
@@ -335,7 +330,7 @@ class SemanticOperators:
 
         Records are ranked in groups of ``group_size`` (one LLM call per
         group, all groups of a round batched together); group winners
-        advance until one group remains.
+        advance until one group of at most ``max(group_size, k)`` remains.
         """
         if k <= 0:
             return [], OpStats()
@@ -343,7 +338,7 @@ class SemanticOperators:
         usage_before = self._ledger_usage(tag)
         cache_before = self._cache_counters()
         pool = list(records)
-        while len(pool) > group_size:
+        while len(pool) > max(group_size, k):
             groups = [
                 pool[start : start + group_size]
                 for start in range(0, len(pool), group_size)

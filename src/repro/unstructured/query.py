@@ -181,9 +181,9 @@ class DocumentAnalytics:
 
         Routes through :class:`repro.semopt.SemExecutor`: the pipeline is
         planned against the corpus (filter reordering, pushdown, map
-        fusion) and executed on the batched kernels behind an exact
-        cross-operator cache — answers are identical to naive in-order
-        execution, the cost is not.
+        fusion) and executed on the batched kernels behind one exact-only
+        :class:`~repro.llm.cache.CachedLLM` shared by every operator —
+        answers are identical to naive in-order execution, the cost is not.
         """
         from ..semopt.executor import SemExecutor
 

@@ -18,6 +18,8 @@ from repro.llm import (
     make_llm,
     self_consistency,
 )
+from repro.llm.cache import _key
+from repro.llm.protocol import parse_prompt
 from repro.prep import (
     InstructionGenerator,
     PreferencePairBuilder,
@@ -116,28 +118,41 @@ class TestCachedLLM:
 
     def test_fifo_eviction_keeps_stores_consistent(self, world):
         # Interleave two tasks so eviction pops across *different* per-task
-        # lists; _exact, _by_task, and _insert_order must stay in lockstep.
-        llm = make_llm("sim-base", world=world, seed=30)
-        cached = CachedLLM(llm, semantic_threshold=None, max_entries=4)
+        # lists; the exact dict (whose insertion order is the FIFO) and the
+        # per-task semantic lists must stay in lockstep, with the semantic
+        # layer off (empty semantic store) and on.
         prompts = [
             Prompt(task=task, input=f"How old is person {i}?").render()
             for i in range(4)
             for task in ("qa", "label")
         ]
-        for prompt in prompts:
-            cached.generate(prompt)
-        assert len(cached) == 4
-        assert len(cached._insert_order) == 4
-        assert len(cached._exact) == 4
-        assert sum(len(v) for v in cached._by_task.values()) == 4
-        # The survivors are exactly the last four inserts, in order.
-        assert [task for task, _ in cached._insert_order] == ["qa", "label", "qa", "label"]
-        # Every surviving exact key is tracked by the FIFO and vice versa.
-        assert set(cached._exact) == {key for _, key in cached._insert_order}
-        # Oldest inserts were evicted: re-asking person 0 is a fresh miss.
-        calls_before = llm.usage.calls
-        cached.generate(Prompt(task="qa", input="How old is person 0?").render())
-        assert llm.usage.calls == calls_before + 1
+        survivors = prompts[4:]
+        for threshold in (None, 0.99):
+            llm = make_llm("sim-base", world=world, seed=30)
+            cached = CachedLLM(llm, semantic_threshold=threshold, max_entries=4)
+            for prompt in prompts:
+                cached.generate(prompt)
+            assert cached.stats.misses == len(prompts)
+            assert len(cached) == 4
+            assert len(cached._exact) == 4
+            # The survivors are exactly the last four inserts, in order.
+            assert list(cached._exact) == [_key(p, 256, 0.0) for p in survivors]
+            assert [parse_prompt(p).task for p in survivors] == ["qa", "label", "qa", "label"]
+            # Every surviving semantic entry is an exact survivor of its task.
+            semantic = {
+                task: [entry.key for entry in entries]
+                for task, entries in cached._by_task.items()
+                if entries
+            }
+            expected = {
+                task: [_key(p, 256, 0.0) for p in survivors if parse_prompt(p).task == task]
+                for task in ("qa", "label")
+            }
+            assert semantic == ({} if threshold is None else expected)
+            # Oldest inserts were evicted: re-asking person 0 is a fresh miss.
+            calls_before = llm.usage.calls
+            cached.generate(Prompt(task="qa", input="How old is person 0?").render())
+            assert llm.usage.calls == calls_before + 1
 
     def test_eviction_after_invalidate_is_safe(self, world):
         llm = make_llm("sim-base", world=world, seed=30)
@@ -163,6 +178,36 @@ class TestCachedLLM:
             CachedLLM(llm, semantic_threshold=1.5)
         with pytest.raises(ConfigError):
             CachedLLM(llm, max_entries=0)
+
+    def test_register_skill_invalidates(self, world):
+        # Regression: a new skill changes the model, so answers cached under
+        # the old skill must not be served afterwards.
+        llm = make_llm("sim-base", world=world, seed=30)
+        cached = CachedLLM(llm)
+        prompt = Prompt(
+            task="label", input="storage engine manual", fields={"classes": "a | b"}
+        ).render()
+        cached.generate(prompt)
+        cached.register_skill("label", lambda ctx: ("CUSTOM", {}))
+        assert cached.generate(prompt).text == llm.generate(prompt).text == "CUSTOM"
+
+    def test_exact_only_cache_never_embeds(self, world, monkeypatch):
+        # Regression: with the semantic layer off nothing reads prompt
+        # embeddings, so misses must not pay for them.
+        llm = make_llm("sim-base", world=world, seed=30)
+        embedded = []
+        embed = llm.embedder.embed
+        monkeypatch.setattr(
+            llm.embedder, "embed", lambda text: embedded.append(text) or embed(text)
+        )
+        cached = CachedLLM(llm, semantic_threshold=None)
+        for i in range(3):
+            cached.generate(Prompt(task="qa", input=f"How old is person {i}?").render())
+        cached.generate_many(
+            [Prompt(task="qa", input=f"How old is person {i}?").render() for i in range(5)]
+        )
+        assert cached.stats.misses == 5
+        assert embedded == []
 
 
 class TestReasoning:

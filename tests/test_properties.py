@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.data.synth import TrainingDocument
@@ -914,3 +914,253 @@ def test_disagg_fleet_conserves_requests_and_kv(data, requests, shape, n_prefill
     _, plain = serve(None)
     _, empty = serve(FaultPlan.empty())
     assert _timeline(empty) == _timeline(plain)
+
+
+# ---------------------------------------------------- semopt and llm cache
+_SEM_TEXTS = (
+    "database storage report: the database engine tunes storage query plans",
+    "gardening field notes: weekly gardening observations and practical advice",
+    "survey of mixed systems covering indexing material with one database "
+    "section among many topics",
+    "replication runbook for the database cluster",
+)
+_SEM_CATEGORIES = ("storage", "indexing", "cooking")
+_SEM_PRICES = ("10", "60", "150")  # each side of both price filters
+_SEM_CATALOG = tuple(
+    {"name": f"catalog-{c}", "category": c, "owner": f"team-{c[:4]}"}
+    for c in _SEM_CATEGORIES
+)
+_SEM_FILTERS = (
+    "is_about database",
+    "is_about gardening",
+    "price < 100",
+    "price >= 50",
+    "category == storage",
+    "title contains database",
+)
+_SEM_MAPS = ("Summarize the item", "Give a short title", "Describe the field values")
+_SEM_OUTPUTS = ("price", "category", "summary", "title", "text")
+# Filters that read each field a map may write.
+_SEM_READERS = {
+    "summary": ("summary contains database",),
+    "title": ("title contains database",),
+    "price": ("price < 100", "price >= 50"),
+    "category": ("category == storage",),
+    "text": ("is_about database", "text contains database"),
+}
+
+
+@st.composite
+def _sem_lakes(draw):
+    """Small non-empty record lakes whose texts repeat; one in five may have
+    rows without text (which disables the optimizer's text-reading
+    rewrites).  The empty lake is an explicit example of the property."""
+    texts = _SEM_TEXTS + ((None,) if draw(st.integers(0, 4)) == 0 else ())
+    rows = []
+    for i in range(draw(st.integers(1, 10))):
+        row = {
+            "name": f"r{i}",
+            "category": draw(st.sampled_from(_SEM_CATEGORIES)),
+            "price": draw(st.sampled_from(_SEM_PRICES)),
+        }
+        text = draw(st.sampled_from(texts))
+        if text is not None:
+            row["text"] = text
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def _sem_pipelines(draw):
+    """A run of filters (topical and rule) and maps, some maps followed by
+    a filter that reads the field they write, then optionally a join and a top-k (barriers the
+    optimizer never moves past), each followed by more filters and maps,
+    and an optional terminal group count."""
+    from repro.semopt import SemFilter, SemGroupCount, SemJoin, SemMap, SemPipeline, SemTopK
+
+    def filters_and_maps(max_units):
+        steps = []
+        for _ in range(draw(st.integers(0, max_units))):
+            unit = draw(st.sampled_from(["filter", "map", "map+reader"]))
+            if unit != "filter":
+                instruction = draw(st.sampled_from(_SEM_MAPS))
+                output = draw(st.sampled_from(_SEM_OUTPUTS))
+                steps.append(SemMap(instruction, output_field=output))
+            if unit != "map":
+                readers = _SEM_READERS[output] if unit == "map+reader" else _SEM_FILTERS
+                predicate = draw(st.sampled_from(readers))
+                cascade = draw(st.sampled_from([True, False]))
+                steps.append(SemFilter(predicate, cascade=cascade))
+        return steps
+
+    steps = filters_and_maps(3)
+    if draw(st.booleans()):
+        blocking = draw(st.booleans())
+        steps.append(
+            SemJoin(
+                right=_SEM_CATALOG, left_key="category", right_key="category", blocking=blocking
+            )
+        )
+        steps += filters_and_maps(1)
+    if draw(st.booleans()):
+        # k <= group_size: the frozen naive oracle loops forever on a larger
+        # k (see test_topk_with_k_above_group_size_terminates).
+        group_size = draw(st.integers(2, 4))
+        k = draw(st.integers(1, group_size))
+        steps.append(SemTopK("most detailed database report", k=k, group_size=group_size))
+        steps += filters_and_maps(1)
+    if draw(st.booleans()):
+        steps.append(SemGroupCount(classes=_SEM_CATEGORIES))
+    return SemPipeline(steps)
+
+
+def _empty_lake_pipeline():
+    from repro.semopt import SemFilter, SemGroupCount, SemMap, SemPipeline, SemTopK
+
+    return SemPipeline(
+        [
+            SemMap("Summarize the item", output_field="price"),
+            SemFilter("price < 100"),
+            SemTopK("most detailed database report", k=1, group_size=2),
+            SemGroupCount(classes=_SEM_CATEGORIES),
+        ]
+    )
+
+
+def _check_semopt_against_naive(records, pipeline, model_seed=0):
+    from benchmarks.perf._legacy_semopt import NaiveSemExecutor
+    from repro.llm import make_llm
+    from repro.semopt import SemExecutor
+    from repro.unstructured import SemanticOperators
+
+    naive_rows, naive_counts = NaiveSemExecutor(make_llm("sim-base", seed=model_seed)).run(
+        records, pipeline
+    )
+    llm = make_llm("sim-base", seed=model_seed)
+    result = SemExecutor(SemanticOperators(llm)).run(records, pipeline)
+    assert result.records == naive_rows
+    assert result.group_counts == naive_counts
+    assert sum(s.stats.llm_calls for s in result.steps) == result.usage.calls
+    assert sum(s.stats.usd for s in result.steps) == pytest.approx(result.usage.usd)
+    assert result.usage == llm.ledger.total
+    # Every charged call was a cache miss, and every miss was charged.
+    assert result.usage.calls == result.cache.misses
+
+
+@given(_sem_lakes(), _sem_pipelines(), st.integers(0, 3))
+@example([], _empty_lake_pipeline(), 0)
+@seed(20181)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_semopt_matches_naive_executor(records, pipeline, model_seed):
+    """Any generated pipeline over any lake: the optimized executor's
+    records and group counts equal the frozen naive executor's, per-step
+    ledger deltas sum to the run total, and charged calls equal misses."""
+    _check_semopt_against_naive(records, pipeline, model_seed)
+
+
+def _sem_row(i):
+    return {"name": f"r{i}", "category": "storage", "price": "10", "text": _SEM_TEXTS[0]}
+
+
+def test_filter_reading_a_mapped_field_stays_after_the_map():
+    # Shrunk from the property against a pushdown that ignores the field a
+    # map writes: the rule must see the mapped category, not the input's.
+    from repro.semopt import SemFilter, SemMap, SemPipeline
+
+    pipeline = SemPipeline(
+        [SemMap("Summarize the item", output_field="category"), SemFilter("category == storage")]
+    )
+    _check_semopt_against_naive([_sem_row(0)], pipeline)
+
+
+def test_repeated_rank_prompts_are_one_charged_miss():
+    # Shrunk from the property against a batched cache path that counts
+    # in-batch duplicates as misses: two identical rank groups in one
+    # tournament round are one charged call and one miss.
+    from repro.semopt import SemPipeline, SemTopK
+
+    pipeline = SemPipeline([SemTopK("most detailed database report", k=1, group_size=2)])
+    _check_semopt_against_naive([_sem_row(i) for i in range(4)], pipeline)
+
+
+def _cache_prompts():
+    return tuple(
+        Prompt(task=task, instruction=instruction, input=text, fields=fields).render()
+        for task, instruction, text, fields in (
+            ("qa", "", "Where is Acu Corp headquartered?", {}),
+            ("qa", "", "Where is Acu Corp headquartered ?", {}),
+            ("map", "Summarize the item", "storage engine manual for the database", {}),
+            ("map", "Summarize the item", "storage engine manual for the database !", {}),
+            ("label", "Classify the item.", "gardening notes", {"classes": "storage | garden"}),
+            ("judge", "Decide.", "database indexing report", {"predicate": "is_about database"}),
+            ("decompose", "", "Who founded the company that makes Acu?", {}),
+            ("chat", "", "hello there, what can you do for me today?", {}),
+        )
+    )
+
+
+_CACHE_PROMPTS = _cache_prompts()
+
+
+@st.composite
+def _cache_batches(draw):
+    """Batches with in-batch duplicates, each under its own generation
+    parameters and optionally followed by ``invalidate()``."""
+    return [
+        (
+            draw(st.lists(st.integers(0, len(_CACHE_PROMPTS) - 1), max_size=8)),
+            draw(st.sampled_from([3, 256])),
+            draw(st.sampled_from([0.0, 0.0, 0.7])),
+            draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+def _check_cached_batches(batches, threshold, max_entries):
+    from repro.llm import CachedLLM, make_llm
+
+    def cache():
+        return CachedLLM(
+            make_llm("sim-base", seed=3), semantic_threshold=threshold, max_entries=max_entries
+        )
+
+    looped, batched, bare = cache(), cache(), make_llm("sim-base", seed=3)
+    for indices, max_tokens, temperature, invalidate in batches:
+        prompts = [_CACHE_PROMPTS[i] for i in indices]
+        params = dict(max_tokens=max_tokens, temperature=temperature)
+        expected = [looped.generate(p, **params) for p in prompts]
+        responses = batched.generate_many(prompts, **params)
+        assert responses == expected
+        if threshold is None:  # an exact hit replays what the model answers
+            assert [r.text for r in responses] == [bare.generate(p, **params).text for p in prompts]
+        if invalidate:
+            looped.invalidate()
+            batched.invalidate()
+    assert batched.llm.ledger.total == looped.llm.ledger.total
+    assert batched.llm.ledger.by_tag == looped.llm.ledger.by_tag
+    assert batched.llm.call_log == looped.llm.call_log
+    assert batched.stats == looped.stats
+    assert len(batched) == len(looped)
+
+
+@given(_cache_batches(), st.sampled_from([None, 0.9]), st.sampled_from([1, 3, None]))
+@seed(20182)
+@settings(max_examples=60, deadline=None)
+def test_cached_generate_many_matches_looped_generate(batches, threshold, max_entries):
+    """Mixed-task batches with duplicates, either layer set, any capacity:
+    ``generate_many`` gives the looped ``generate``'s responses, backing
+    ledger and stats; exact-only, every answer is the bare model's."""
+    _check_cached_batches(batches, threshold, max_entries)
+
+
+def test_cache_key_includes_max_tokens():
+    # Shrunk from the property against a key that drops max_tokens: a reply
+    # capped at 3 tokens must not be replayed for a 256-token request.
+    _check_cached_batches([([2], 3, 0.0, False), ([2], 256, 0.0, False)], None, 1)
+
+
+def test_batched_duplicates_hit_after_the_first_miss():
+    # Shrunk from the property against a batched path that counts in-batch
+    # duplicates as misses: the second copy is an exact hit.
+    _check_cached_batches([([0, 0], 3, 0.0, False)], None, 1)

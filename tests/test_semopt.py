@@ -2,8 +2,10 @@
 
 Three layers of guarantees, matching the module's design contract:
 
-* **kernel parity** — ``SimLLM.generate_many`` (and the cached/cross-op
-  wrappers) are bit-identical to the per-call loop they replace;
+* **kernel parity** — ``SimLLM.generate_many`` (and ``CachedLLM``, the
+  one response cache, also the per-run exact cache every pipeline run
+  shares across operators) are bit-identical to the per-call loop they
+  replace;
 * **plan exactness** — every transformation the optimizer applies
   (reorder, pushdown, fusion, caching) reproduces naive in-order
   execution record-for-record, across seeds and model tiers;
@@ -23,7 +25,6 @@ from repro.errors import ModelError, PlanError
 from repro.llm import CachedLLM, Prompt, make_llm
 from repro.llm.skills import compile_predicate, evaluate_predicate, predicate_field
 from repro.semopt import (
-    CrossOpCache,
     SemCostModel,
     SemExecutor,
     SemFilter,
@@ -119,13 +120,18 @@ class TestGenerateManyParity:
         assert batched_cache.stats == looped_cache.stats
 
 
+def _cross_op_cache(llm):
+    """The exact-only, unbounded cache ``SemExecutor`` wraps each run in."""
+    return CachedLLM(llm, semantic_threshold=None, max_entries=None)
+
+
 class TestCrossOpCache:
     def test_hit_is_bit_identical_to_fresh_call(self):
         prompt = Prompt(
             task="map", instruction="Summarize the item", input="storage notes"
         ).render()
         llm = make_llm("sim-base", seed=11)
-        cache = CrossOpCache(llm)
+        cache = _cross_op_cache(llm)
         first = cache.generate(prompt)
         second = cache.generate(prompt)
         fresh = make_llm("sim-base", seed=11).generate(prompt)
@@ -137,7 +143,7 @@ class TestCrossOpCache:
         prompts = _prompts_with_duplicates()
         unique = len(set(prompts))
         llm = make_llm("sim-base", seed=11)
-        cache = CrossOpCache(llm)
+        cache = _cross_op_cache(llm)
         responses = cache.generate_many(prompts)
         assert llm.usage.calls == unique
         assert cache.stats.misses == unique
@@ -147,8 +153,8 @@ class TestCrossOpCache:
 
     def test_generate_many_matches_looped_generate(self):
         prompts = _prompts_with_duplicates()
-        looped_cache = CrossOpCache(make_llm("sim-base", seed=11))
-        batched_cache = CrossOpCache(make_llm("sim-base", seed=11))
+        looped_cache = _cross_op_cache(make_llm("sim-base", seed=11))
+        batched_cache = _cross_op_cache(make_llm("sim-base", seed=11))
         looped = [looped_cache.generate(p) for p in prompts]
         batched = batched_cache.generate_many(prompts)
         assert [r.text for r in batched] == [r.text for r in looped]
@@ -158,7 +164,7 @@ class TestCrossOpCache:
 
     def test_invalidate_and_len(self):
         llm = make_llm("sim-base", seed=11)
-        cache = CrossOpCache(llm)
+        cache = _cross_op_cache(llm)
         cache.generate(Prompt(task="map", input="x").render())
         assert len(cache) == 1
         cache.invalidate()
@@ -349,18 +355,6 @@ class TestExecutorParity:
         assert result.records == naive_rows
         assert result.group_counts == naive_counts
         assert result.group_counts is not None
-
-    def test_parity_holds_without_cross_op_cache(self):
-        records = semopt_lake(160, pool_size=40, seed=9)
-        naive_rows, _ = NaiveSemExecutor(make_llm("sim-base", seed=9)).run(
-            records, cascade_pipeline()
-        )
-        result = SemExecutor(
-            SemanticOperators(make_llm("sim-base", seed=9)),
-            cross_op_cache=False,
-        ).run(records, cascade_pipeline())
-        assert result.records == naive_rows
-        assert result.cache is None
 
     def test_empty_pipeline_is_identity(self):
         records = _planning_rows(10)

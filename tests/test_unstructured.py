@@ -302,6 +302,13 @@ class TestSemanticOperators:
         assert len(top) == 3
         assert stats.llm_calls >= 1
 
+    def test_topk_with_k_above_group_size_terminates(self, ops, records):
+        # Regression: groups smaller than k keep every member, so the
+        # tournament used to stall at k records and loop forever.
+        top, stats = ops.sem_topk(records[:7], "biggest revenue", k=3, group_size=2)
+        assert len(top) == 3
+        assert stats.llm_calls >= 1
+
     def test_topk_empty_k(self, ops, records):
         top, _ = ops.sem_topk(records, "anything", k=0)
         assert top == []
