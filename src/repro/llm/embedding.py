@@ -14,6 +14,21 @@ Two refinements close the gap to learned embedders:
 * **bigram mixing** — adjacent-token bigrams contribute at reduced weight so
   word order matters slightly (distinguishing "flight from Berlin to Rome"
   from "flight from Rome to Berlin").
+
+Each model keeps a bounded **memo** of the rows it has embedded, so a text
+that recurs (a rendered document re-filtered on every pipeline run, a topic
+compared against every row) is embedded once per IDF snapshot:
+
+* **key** — the text alone; the memo is valid for the IDF weights that
+  ``_idf`` currently reads;
+* **invalidation** — :meth:`EmbeddingModel.fit_idf` clears it while nothing
+  is pinned, and :meth:`EmbeddingModel.refresh` clears it when it re-pins.
+  Once pinned, :meth:`EmbeddingModel.partial_fit_idf` moves only live stats
+  (and its first call pins the stats as they stand), so the memo stays;
+* **bound** — at most ``MEMO_ROWS`` rows, evicted first in, first out;
+* **copies** — memo rows are read-only and never handed out: ``embed`` and
+  ``embed_batch`` return fresh arrays, so a caller that writes into its
+  result cannot change what the next call returns.
 """
 
 from __future__ import annotations
@@ -28,6 +43,9 @@ import numpy as np
 from ..errors import ConfigError
 from ..utils import normalize, stable_hash
 from .tokenizer import Tokenizer, default_tokenizer
+
+#: Rows the per-model embedding memo holds before evicting the oldest.
+MEMO_ROWS = 4096
 
 
 @dataclass
@@ -46,6 +64,12 @@ class EmbeddingModel:
         Prefix-stem smoothing (0 weight disables).
     bigram_weight:
         Adjacent-bigram contribution (0 disables).
+
+    ``embed`` and ``embed_batch`` share one memo from text to a read-only
+    row, valid for the current IDF snapshot: ``fit_idf`` clears it while
+    unpinned, ``refresh`` clears it when it re-pins, and pinned
+    ``partial_fit_idf`` leaves it alone. It holds at most ``MEMO_ROWS``
+    rows (FIFO) and both methods return copies, never memo rows.
     """
 
     dim: int = 128
@@ -62,6 +86,7 @@ class EmbeddingModel:
     _pinned_doc_freq: Optional[Dict[str, int]] = field(default=None, repr=False)
     _pinned_num_docs: int = field(default=0, repr=False)
     _stale_docs: int = field(default=0, repr=False)
+    _memo: Dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 8:
@@ -75,6 +100,8 @@ class EmbeddingModel:
         for chaining. One tokenizer pass over the corpus; per-document
         distinct tokens are tallied with a single ``Counter`` merge.
         """
+        if self._pinned_doc_freq is None:
+            self._memo.clear()  # unpinned: these stats are the IDF weights
         token_lists = self.tokenizer.content_tokens_many(list(corpus))
         self._num_docs += len(token_lists)
         counts: Counter = Counter()
@@ -150,6 +177,7 @@ class EmbeddingModel:
         self._pinned_doc_freq = dict(self._doc_freq)
         self._pinned_num_docs = self._num_docs
         self._stale_docs = 0
+        self._memo.clear()
         return True
 
     def _idf(self, token: str) -> float:
@@ -177,8 +205,24 @@ class EmbeddingModel:
             self._token_vectors[key] = vec
         return vec
 
+    def _remember(self, text: str, row: np.ndarray) -> None:
+        """Store ``row`` (owned by the memo from now on) read-only."""
+        memo = self._memo
+        if len(memo) >= MEMO_ROWS:
+            del memo[next(iter(memo))]
+        row.flags.writeable = False
+        memo[text] = row
+
     def embed(self, text: str) -> np.ndarray:
-        """Embed ``text`` into a unit-norm float32 vector."""
+        """Embed ``text`` into a unit-norm float32 vector (a fresh copy)."""
+        row = self._memo.get(text)
+        if row is None:
+            row = self._embed_one(text)
+            self._remember(text, row)
+        return row.copy()
+
+    def _embed_one(self, text: str) -> np.ndarray:
+        """The per-text kernel, bypassing the memo."""
         tokens = self.tokenizer.content_tokens(text)
         acc = np.zeros(self.dim, dtype=np.float32)
         if not tokens:
@@ -194,20 +238,36 @@ class EmbeddingModel:
         return normalize(acc).astype(np.float32)
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """Embed many texts; returns an ``(n, dim)`` float32 matrix.
+        """Embed many texts; returns a fresh ``(n, dim)`` float32 matrix.
 
-        Bit-identical to stacking per-text :meth:`embed` calls, but batched:
-        one tokenizer pass, one IDF lookup per distinct token, one
+        Bit-identical to stacking per-text :meth:`embed` calls, so rows
+        either path put in the memo serve both. Memo hits are copied out;
+        the distinct misses, in first-occurrence order, go through one
+        batched kernel pass (:meth:`_embed_rows`).
+        """
+        memo = self._memo
+        missing = list(dict.fromkeys(text for text in texts if text not in memo))
+        fresh = dict(zip(missing, self._embed_rows(missing))) if missing else {}
+        out = np.empty((len(texts), self.dim), dtype=np.float32)
+        for i, text in enumerate(texts):
+            row = fresh.get(text)
+            out[i] = memo[text] if row is None else row
+        for text, row in fresh.items():
+            self._remember(text, row.copy())
+        return out
+
+    def _embed_rows(self, texts: List[str]) -> np.ndarray:
+        """The batched kernel over a non-empty ``texts``, bypassing the memo.
+
+        One tokenizer pass, one IDF lookup per distinct token, one
         ``_unit_vector`` lookup per distinct key, and the accumulation runs
         as column-slab adds over texts sorted by contribution count. Each
-        text's contributions are applied in the same order as :meth:`embed`
-        (rows are independent, and float32 elementwise ops do not
-        reassociate across rows), so every intermediate rounding step
-        matches the sequential path exactly.
+        text's contributions are applied in the same order as
+        :meth:`_embed_one` (rows are independent, and float32 elementwise
+        ops do not reassociate across rows), so every intermediate rounding
+        step matches the sequential path exactly.
         """
-        if not texts:
-            return np.zeros((0, self.dim), dtype=np.float32)
-        token_lists = self.tokenizer.content_tokens_many(list(texts))
+        token_lists = self.tokenizer.content_tokens_many(texts)
         n = len(token_lists)
         key_ids: Dict[str, int] = {}
         key_of = key_ids.setdefault

@@ -19,8 +19,8 @@ including ``text``) and apply LLM-powered relational semantics:
 Every operator returns an :class:`OpStats` documenting LLM calls saved.
 
 All operators run on **batched kernels**: proxy embeddings go through
-``embed_batch`` over the *unique* record texts (verdicts broadcast back to
-duplicates), rule predicates are compiled once per operator
+one ``embed_batch`` over the record texts (the embedder's memo embeds each
+distinct text once), rule predicates are compiled once per operator
 (:func:`repro.llm.skills.compile_predicate`), and every LLM round is a
 single :meth:`~repro.llm.model.SimLLM.generate_many` call.  The per-record
 decisions are bit-identical to the historical one-call-per-record loop —
@@ -181,9 +181,10 @@ class SemanticOperators:
         """Proxy-layer verdict per row: True/False decided, ``None`` -> LLM.
 
         Without ``cascade`` every entry is ``None``.  Topical predicates use
-        one ``embed_batch`` over the unique row texts and broadcast each
-        unique verdict; rule predicates run a closure compiled once.  The
-        verdicts equal the historical per-row evaluation bit-for-bit.
+        one ``embed_batch`` over the row texts (the embedder's memo embeds
+        each distinct text once); rule predicates run a closure compiled
+        once.  The verdicts equal the historical per-row evaluation
+        bit-for-bit.
         """
         decisions: List[Optional[bool]] = [None] * len(rows)
         if not cascade or not rows:
@@ -191,25 +192,16 @@ class SemanticOperators:
         stats = stats if stats is not None else OpStats()
         if _is_topical(predicate):
             topic_vec = self.embedder.embed(_topic_of(predicate))
-            texts = [_record_text(row) for row in rows]
-            unique_index: Dict[str, int] = {}
-            for text in texts:
-                unique_index.setdefault(text, len(unique_index))
-            vectors = self.embedder.embed_batch(list(unique_index))
-            unique_verdicts: List[Optional[bool]] = []
-            for position in range(len(unique_index)):
-                sim = float(np.dot(topic_vec, vectors[position]))
+            vectors = self.embedder.embed_batch([_record_text(row) for row in rows])
+            for idx, vector in enumerate(vectors):
+                sim = float(np.dot(topic_vec, vector))
                 if sim >= self.proxy_high:
-                    unique_verdicts.append(True)
+                    decisions[idx] = True
                 elif sim <= self.proxy_low:
-                    unique_verdicts.append(False)
+                    decisions[idx] = False
                 else:
-                    unique_verdicts.append(None)  # uncertain band -> LLM
-            for idx, text in enumerate(texts):
-                verdict = unique_verdicts[unique_index[text]]
-                decisions[idx] = verdict
-                if verdict is not None:
-                    stats.proxy_decisions += 1
+                    continue  # uncertain band -> LLM
+                stats.proxy_decisions += 1
         else:
             check = compile_predicate(predicate)
             if check is None:

@@ -350,6 +350,105 @@ def test_embedding_symmetry_and_bounds(a, b):
     assert model.similarity(a, a) == pytest.approx(1.0, abs=1e-5)
 
 
+_MEMO_TEXTS = [
+    "",
+    "alpha beta",
+    "Alpha, beta!",
+    "beta gamma delta",
+    "configuration of alpha",
+    "delta alpha beta gamma",
+]
+_MEMO_DOCS = ["alpha", "beta gamma", "delta delta configuration", "gamma alpha of", "zeta"]
+
+
+@st.composite
+def _memo_programs(draw):
+    """Interleaved IDF updates and embedding calls (duplicates, the empty
+    text, partly-hit batches) under the default or a tiny memo bound."""
+    docs = st.lists(st.integers(0, len(_MEMO_DOCS) - 1), min_size=1, max_size=3)
+    ops = []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(["fit", "partial", "refresh", "embed", "batch"]))
+        if kind in ("fit", "partial"):
+            ops.append((kind, draw(docs)))
+        elif kind == "refresh":  # 0.0 re-pins on any drift, 10.0 never does
+            ops.append((kind, draw(st.sampled_from([0.0, 0.0, 0.05, 10.0]))))
+        elif kind == "embed":
+            ops.append((kind, draw(st.integers(0, len(_MEMO_TEXTS) - 1))))
+        else:
+            ops.append((kind, draw(st.lists(st.integers(0, len(_MEMO_TEXTS) - 1), max_size=6))))
+    return draw(st.sampled_from([None, 1, 2, 3])), ops
+
+
+def _replay_idf(model, op, arg):
+    if op == "fit":
+        model.fit_idf([_MEMO_DOCS[i] for i in arg])
+    elif op == "partial":
+        model.partial_fit_idf([_MEMO_DOCS[i] for i in arg])
+    else:
+        model.refresh(arg)
+
+
+def _check_memo_program(bound, ops):
+    from repro.llm import embedding
+
+    with pytest.MonkeyPatch.context() as patch:
+        if bound is not None:
+            patch.setattr(embedding, "MEMO_ROWS", bound)
+        model = embedding.EmbeddingModel(dim=16)
+        history = []
+        for op, arg in ops:
+            if op in ("fit", "partial", "refresh"):
+                _replay_idf(model, op, arg)
+                history.append((op, arg))
+                continue
+            cold = embedding.EmbeddingModel(dim=16)
+            for past in history:
+                _replay_idf(cold, *past)
+            if op == "embed":
+                got = model.embed(_MEMO_TEXTS[arg])
+                expected = cold._embed_one(_MEMO_TEXTS[arg])
+            else:
+                texts = [_MEMO_TEXTS[i] for i in arg]
+                got = model.embed_batch(texts)
+                expected = cold._embed_rows(texts) if texts else np.zeros((0, 16), np.float32)
+            assert got.dtype == np.float32
+            assert np.array_equal(got, expected)
+            got[...] = -1.0  # a caller scribbling on its result
+            assert len(model._memo) <= embedding.MEMO_ROWS
+
+
+@given(_memo_programs())
+@seed(20191)
+@settings(max_examples=60, deadline=None)
+def test_embedding_memo_matches_cold_embedding(program):
+    """Memo on == off, bitwise: every ``embed``/``embed_batch`` result equals
+    a cold kernel pass on a fresh model that replays the same IDF history,
+    whatever the caller writes into earlier results."""
+    _check_memo_program(*program)
+
+
+def test_unpinned_fit_idf_invalidates_the_memo():
+    # Shrunk from the property against a fit_idf that keeps the memo: the
+    # second embed must see the new IDF weights.
+    _check_memo_program(None, [("embed", 1), ("fit", [0]), ("embed", 1)])
+
+
+def test_refresh_that_repins_invalidates_the_memo():
+    # Shrunk from the property against a refresh that keeps the memo: a row
+    # embedded under the old pin is stale once the pin moves.
+    _check_memo_program(
+        None,
+        [("fit", [0]), ("partial", [1]), ("batch", [1]), ("refresh", 0.0), ("embed", 1)],
+    )
+
+
+def test_batch_result_does_not_alias_the_memo():
+    # Shrunk from the property against an embed_batch that stores views into
+    # the matrix it returns: the caller's write must not reach the memo.
+    _check_memo_program(None, [("batch", [0]), ("embed", 0)])
+
+
 # ------------------------------------------------------------- serving DES
 @given(st.integers(min_value=1, max_value=2**31 - 1))
 @settings(max_examples=15, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, TokenizerError
+from repro.llm import embedding
 from repro.llm.embedding import EmbeddingModel, cosine_similarity, top_k_cosine
 from repro.llm.tokenizer import Tokenizer, count_tokens, default_tokenizer
 
@@ -111,6 +112,45 @@ class TestEmbedding:
     def test_rejects_small_dim(self):
         with pytest.raises(ConfigError):
             EmbeddingModel(dim=4)
+
+
+class TestEmbeddingMemo:
+    def test_writing_into_results_leaves_the_next_call_unchanged(self):
+        texts = ["the red fox", "", "the red fox", "quarterly revenue"]
+        expected = EmbeddingModel(dim=16).embed_batch(texts)
+        model = EmbeddingModel(dim=16)
+        model.embed("the red fox")[:] = 0.0
+        model.embed_batch(texts)[:] = 0.0
+        assert np.array_equal(model.embed("the red fox"), expected[0])
+        assert np.array_equal(model.embed_batch(texts), expected)
+
+    def test_memo_never_exceeds_its_bound(self, monkeypatch):
+        model = EmbeddingModel(dim=8)
+        model.embed_batch([f"text {i}" for i in range(embedding.MEMO_ROWS + 10)])
+        assert len(model._memo) == embedding.MEMO_ROWS
+        monkeypatch.setattr(embedding, "MEMO_ROWS", 3)
+        small = EmbeddingModel(dim=8)
+        for i in range(5):
+            small.embed(f"word {i}")
+            assert len(small._memo) <= 3
+        small.embed_batch([f"term {i}" for i in range(7)])
+        assert list(small._memo) == ["term 4", "term 5", "term 6"]
+
+    def test_batch_with_more_distinct_misses_than_the_bound(self, monkeypatch):
+        monkeypatch.setattr(embedding, "MEMO_ROWS", 2)
+        texts = ["alpha beta", "gamma", "delta", "alpha beta", "", "epsilon", "gamma"]
+        model = EmbeddingModel(dim=16)
+        model.embed("delta")  # a hit that this batch's own misses evict
+        stacked = np.stack([EmbeddingModel(dim=16).embed(t) for t in texts])
+        assert np.array_equal(model.embed_batch(texts), stacked)
+        assert len(model._memo) == 2
+
+    def test_models_compare_and_repr_without_the_memo(self):
+        warm, cold = EmbeddingModel(dim=16), EmbeddingModel(dim=16)
+        warm._memo["text"] = np.zeros(16, dtype=np.float32)
+        assert warm == cold
+        assert repr(warm) == repr(cold)
+        assert "_memo" not in repr(warm)
 
 
 class TestCosineHelpers:
