@@ -32,10 +32,12 @@ class LintConfig:
     # injected, seeded Generator (see repro.utils.derive_rng); wall-clock and
     # global/unseeded random sources are banned under these prefixes.
     hot_path_prefixes: Tuple[str, ...] = (
+        "src/repro/data/documents.py",
         "src/repro/faults",
         "src/repro/inference",
         "src/repro/llm/cache.py",
         "src/repro/llm/embedding.py",
+        "src/repro/llm/tokenizer.py",
         "src/repro/prep/dedup.py",
         "src/repro/semopt",
         "src/repro/stream",
@@ -90,6 +92,7 @@ class LintConfig:
         "src/repro/inference/pools.py::run_pool_fleet",
         "src/repro/semopt/executor.py::SemExecutor.run",
         "src/repro/prep/pipeline.py::PrepPipeline.run",
+        "src/repro/rag/pipeline.py::RAGPipeline.answer",
     )
 
     # R008: the one module allowed to construct numpy Generators directly;

@@ -6,14 +6,28 @@ shared with the simulated LLM's reading skill (``repro.llm.skills``): an LLM
 that reads a passage can extract the facts it states, and our substrate
 reproduces that by inverse-matching these templates — with a configurable
 noise channel standing in for model reading errors.
+
+Reading a sentence does not try every template. At import each template,
+in ``FACT_PATTERNS`` order, is filed in a **word index** under one of its
+literal words: a space-delimited word of the template text with no
+placeholder in it, the rarest such word across templates (``city``,
+``Roughly``, ``work,``, ``CEO``). A sentence's candidates are the
+templates filed under its whitespace tokens, tried in template order until
+one matches. This is exact: in the template a literal word is bounded by
+literal spaces or by the ends of the anchored pattern, so any sentence the
+pattern matches holds that word as a whitespace token — a template that is
+not a candidate cannot match — and the first candidate that matches is the
+first template that matches.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..errors import ConfigError
 from ..utils import derive_rng
 from .world import Entity, Fact, World
 
@@ -136,19 +150,48 @@ FACT_PATTERNS: List[Tuple[Tuple[str, str], re.Pattern]] = [
 ]
 
 
+#: Splits text into sentences after ``.``, ``!`` or ``?``.
+SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
+
+
+def _index_templates() -> Dict[str, Tuple[int, ...]]:
+    """Word -> positions in ``FACT_PATTERNS`` of the templates filed under it."""
+    templates = [tmpl for group in FACT_TEMPLATES.values() for tmpl in group]
+    literals = [[word for word in tmpl.split(" ") if "{" not in word] for tmpl in templates]
+    spread = Counter(word for words in literals for word in words)
+    index: Dict[str, List[int]] = {}
+    for position, (tmpl, words) in enumerate(zip(templates, literals)):
+        if not words:
+            raise ConfigError(f"fact template has no literal word to index: {tmpl!r}")
+        index.setdefault(min(words, key=spread.__getitem__), []).append(position)
+    return {word: tuple(positions) for word, positions in index.items()}
+
+
+_TEMPLATE_INDEX = _index_templates()
+
+
 def extract_stated_facts(text: str) -> List[Fact]:
     """Perfect-reading extraction: every fact explicitly stated in ``text``.
 
     This is the *oracle* reading of a passage; the simulated LLM applies its
     noise channel on top of this to model imperfect comprehension.
+
+    Each sentence yields the fact of the first template, in
+    ``FACT_PATTERNS`` order, whose pattern matches it. Only the templates
+    the word index files under one of the sentence's whitespace tokens are
+    tried, in that order; the others cannot match (see the module
+    docstring), so the result is the same as trying all of them.
     """
     facts: List[Fact] = []
     seen = set()
-    for sentence in re.split(r"(?<=[.!?])\s+", text):
-        sentence = sentence.strip()
-        if not sentence:
+    index = _TEMPLATE_INDEX
+    for sentence in SENTENCE_SPLIT.split(text):
+        candidates = [p for word in sentence.split() for p in index.get(word, ())]
+        if not candidates:
             continue
-        for (etype, attr), pattern in FACT_PATTERNS:
+        sentence = sentence.strip()
+        for position in sorted(set(candidates)):
+            (etype, attr), pattern = FACT_PATTERNS[position]
             match = pattern.match(sentence)
             if match:
                 fact = Fact(

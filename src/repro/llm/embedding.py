@@ -78,7 +78,7 @@ class EmbeddingModel:
     stem_weight: float = 0.4
     bigram_weight: float = 0.25
     tokenizer: Tokenizer = field(default_factory=default_tokenizer)
-    _token_vectors: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    _token_vectors: Dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     _doc_freq: Dict[str, int] = field(default_factory=dict, repr=False)
     _num_docs: int = field(default=0, repr=False)
     # Streaming IDF state (see partial_fit_idf): once pinned, embeddings are

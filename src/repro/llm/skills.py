@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..data.documents import extract_stated_facts
+from ..data.documents import SENTENCE_SPLIT, extract_stated_facts
 from ..data.world import ATTRIBUTE_QUESTIONS
 from ..utils import derive_rng, stable_hash
 from .embedding import EmbeddingModel
@@ -404,7 +404,7 @@ def skill_map(ctx: SkillContext) -> Tuple[str, Dict[str, object]]:
             return match.group(0), {}
         return ctx.fail_output("released", match.group(0) if match else None), {}
     if "first sentence" in instruction or "summar" in instruction:
-        sentences = re.split(r"(?<=[.!?])\s+", text.strip())
+        sentences = SENTENCE_SPLIT.split(text.strip())
         return sentences[0] if sentences else "", {}
     return text, {"reason": "unknown-map"}
 
@@ -476,7 +476,7 @@ def skill_summarize(ctx: SkillContext) -> Tuple[str, Dict[str, object]]:
         lead = facts[0]
         return f"{lead.subject}: {lead.attribute} is {lead.value}.", {"facts": len(facts)}
     text = (ctx.prompt.context or ctx.prompt.input).strip()
-    sentences = re.split(r"(?<=[.!?])\s+", text)
+    sentences = SENTENCE_SPLIT.split(text)
     return (sentences[0] if sentences else ""), {"facts": 0}
 
 

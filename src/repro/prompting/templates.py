@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..data.documents import SENTENCE_SPLIT
 from ..errors import ConfigError
 from ..llm.protocol import Prompt
 from ..llm.tokenizer import Tokenizer, default_tokenizer
@@ -167,7 +168,7 @@ class AutoPrompter:
         if total(prompt) <= budget:
             return prompt
         # Then trim context sentences from the end.
-        sentences = re.split(r"(?<=[.!?])\s+", prompt.context)
+        sentences = SENTENCE_SPLIT.split(prompt.context)
         while len(sentences) > 1:
             sentences.pop()
             candidate = Prompt(

@@ -13,18 +13,15 @@ The paper lists "semantic document segmentation" as a core RAG challenge
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..data.documents import Document
+from ..data.documents import SENTENCE_SPLIT, Document
 from ..errors import ConfigError
 from ..llm.embedding import EmbeddingModel
 from ..llm.tokenizer import Tokenizer, default_tokenizer
-
-_SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
 
 
 @dataclass(frozen=True)
@@ -40,7 +37,7 @@ class Chunk:
 
 def split_sentences(text: str) -> List[str]:
     """Split text into sentences (simple punctuation rule)."""
-    return [s.strip() for s in _SENTENCE_RE.split(text.strip()) if s.strip()]
+    return [s.strip() for s in SENTENCE_SPLIT.split(text.strip()) if s.strip()]
 
 
 def fixed_chunks(

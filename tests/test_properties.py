@@ -1,17 +1,26 @@
 """Property-based tests (hypothesis) on core invariants across modules."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
+from repro.data.documents import (
+    FACT_PATTERNS,
+    FACT_TEMPLATES,
+    _FILLER_SENTENCES,
+    extract_stated_facts,
+)
 from repro.data.synth import TrainingDocument
 from repro.data.table import Schema, Table
+from repro.data.world import Fact
 from repro.errors import CacheError, ExecutionError
 from repro.inference.kvcache import PagedAllocator
 from repro.llm.protocol import Prompt, parse_prompt
+from repro.llm.tokenizer import Tokenizer
 from repro.prep.dedup import MinHashDeduper, jaccard, shingles
 from repro.unstructured.query import _string_predicate
 
@@ -447,6 +456,113 @@ def test_batch_result_does_not_alias_the_memo():
     # Shrunk from the property against an embed_batch that stores views into
     # the matrix it returns: the caller's write must not reach the memo.
     _check_memo_program(None, [("batch", [0]), ("embed", 0)])
+
+
+# ------------------------------------------------------- fact extraction
+def _ordered_loop_extract(text):
+    """Frozen oracle: extract_stated_facts as it was before the word index,
+    every sentence tried against all 44 templates in order."""
+    facts = []
+    seen = set()
+    for sentence in re.split(r"(?<=[.!?])\s+", text):
+        sentence = sentence.strip()
+        if not sentence:
+            continue
+        for (etype, attr), pattern in FACT_PATTERNS:
+            match = pattern.match(sentence)
+            if match:
+                fact = Fact(
+                    subject=match.group("s").strip(),
+                    subject_type=etype,
+                    attribute=attr,
+                    value=match.group("v").strip(),
+                )
+                if fact.key() + (fact.value,) not in seen:
+                    seen.add(fact.key() + (fact.value,))
+                    facts.append(fact)
+                break
+    return facts
+
+
+def _fact_tuples(facts):
+    return [(f.subject, f.subject_type, f.attribute, f.value) for f in facts]
+
+
+_TEMPLATES = [tmpl for group in FACT_TEMPLATES.values() for tmpl in group]
+_LITERALS = sorted({w for t in _TEMPLATES for w in t.split(" ") if "{" not in w})
+# Words a slot pattern accepts: every template's literal word that is one
+# (so subjects and values collide with the index), hyphens, digits,
+# underscores and non-ASCII letters. Then words no slot accepts.
+_SLOT_WORDS = [w for w in _LITERALS if re.fullmatch(r"[\w\-]+", w)] + [
+    "Anti-city", "re-made", "2019", "4_500", "snake_case", "_", "Zürich",
+    "Ærø", "naïve", "東京", "X", "-",
+]
+_ODD_WORDS = [w for w in _LITERALS if w not in _SLOT_WORDS] + [".", ",", "!", "?", "(a)"]
+_SEPARATORS = [" ", "  ", "\n", "\t"]
+_extract_words = st.sampled_from(_SLOT_WORDS * 4 + _ODD_WORDS)
+_extract_separators = st.sampled_from([" "] * 4 + _SEPARATORS)
+
+
+@st.composite
+def _extract_phrases(draw):
+    phrase = draw(_extract_separators).join(draw(st.lists(_extract_words, min_size=1, max_size=3)))
+    return phrase if draw(st.integers(0, 3)) == 0 else phrase[:1].upper() + phrase[1:]
+
+
+def _render_template(draw, template, nested):
+    """``template`` with each slot a drawn phrase or, unless ``nested``,
+    sometimes a whole rendered template (with or without its full stop)."""
+    slots = []
+    for _ in range(2):
+        if not nested and draw(st.integers(0, 3)) == 0:
+            inner = _render_template(draw, draw(st.sampled_from(_TEMPLATES)), True)
+            slots.append(inner[:-1] if draw(st.booleans()) else inner)
+        else:
+            slots.append(draw(_extract_phrases()))
+    return template.format(s=slots[0], v=slots[1])
+
+
+@st.composite
+def _extract_texts(draw):
+    """Each template rendered at most once, in a drawn order, with filler
+    sentences and word soups between them and a drawn separator after
+    every sentence."""
+    text = draw(st.sampled_from(["", " ", "\n"]))
+    for template in draw(st.permutations(_TEMPLATES)):
+        sentences = [_render_template(draw, template, False)] if draw(st.booleans()) else []
+        other = draw(st.sampled_from(["none", "none", "filler", "soup"]))
+        if other == "filler":
+            sentences.append(draw(st.sampled_from(_FILLER_SENTENCES)))
+        elif other == "soup":
+            words = draw(st.lists(_extract_words, min_size=1, max_size=6))
+            sentences.append(" ".join(words) + draw(st.sampled_from(["", ".", "!", "?"])))
+        for sentence in sentences:
+            text += sentence + draw(_extract_separators)
+    return text
+
+
+@given(_extract_texts())
+@seed(20201)
+@settings(max_examples=60, deadline=None)
+def test_indexed_extraction_matches_the_ordered_loop(text):
+    """Word-indexed extraction == trying all 44 templates in order on every
+    sentence: same facts, same order, on generated text."""
+    assert _fact_tuples(extract_stated_facts(text)) == _fact_tuples(_ordered_loop_extract(text))
+
+
+# Underscores, combining marks, CJK, tabs and newlines, then any character.
+_count_chars = st.one_of(st.sampled_from("ab_9 \t\n.,-é\u0301日"), st.characters())
+
+
+@given(
+    st.lists(st.text(alphabet=_count_chars, max_size=40), max_size=8),
+    st.integers(min_value=2, max_value=12),
+)
+@seed(20202)
+@settings(max_examples=60, deadline=None)
+def test_count_many_matches_count(texts, max_word_len):
+    tok = Tokenizer(max_word_len=max_word_len)
+    assert tok.count_many(texts) == [tok.count(text) for text in texts]
 
 
 # ------------------------------------------------------------- serving DES

@@ -57,6 +57,16 @@ class TestTokenizer:
         with pytest.raises(TokenizerError):
             Tokenizer(max_word_len=1)
 
+    def test_tokenizers_compare_equal_whatever_they_encoded(self):
+        a, b = Tokenizer(), Tokenizer()
+        a.encode("same text")
+        b.encode("same text")
+        assert a == b
+        a.encode("a different warm-up")
+        b.count_many(["and another"])
+        assert a == b
+        assert a != Tokenizer(max_word_len=4)
+
 
 class TestEmbedding:
     def test_deterministic(self):
@@ -108,6 +118,22 @@ class TestEmbedding:
         sim_fit = model.similarity("common gem", "rare gem")
         sim_plain = plain.similarity("common gem", "rare gem")
         assert sim_fit > sim_plain
+
+    def test_models_compare_equal_after_embedding_the_same_text(self):
+        # Own tokenizers, so their id caches fill separately too.
+        a = EmbeddingModel(dim=16, tokenizer=Tokenizer())
+        b = EmbeddingModel(dim=16, tokenizer=Tokenizer())
+        a.embed("alpha beta")
+        b.embed("alpha beta")
+        assert a == b
+
+    def test_models_compare_equal_after_different_warm_ups(self):
+        a = EmbeddingModel(dim=16, tokenizer=Tokenizer())
+        b = EmbeddingModel(dim=16, tokenizer=Tokenizer())
+        a.embed_batch(["alpha beta", "gamma"])
+        b.embed("delta epsilon")
+        assert a == b
+        assert a != EmbeddingModel(dim=16, seed=1, tokenizer=Tokenizer())
 
     def test_rejects_small_dim(self):
         with pytest.raises(ConfigError):

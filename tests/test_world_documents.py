@@ -144,3 +144,31 @@ class TestDocumentRenderer:
         assert stats["documents"] == len(docs)
         assert stats["mean_chars"] > 0
         assert corpus_stats([])["documents"] == 0
+
+
+class TestExtractStatedFacts:
+    """The word index tries only templates filed under a sentence's tokens;
+    each case failed on one broken variant of it."""
+
+    @staticmethod
+    def _facts(text):
+        facts = extract_stated_facts(text)
+        return [(f.subject, f.subject_type, f.attribute, f.value) for f in facts]
+
+    def test_earlier_template_wins_when_two_match(self):
+        # "{s} is a {v}." (product category) also matches; the city template
+        # comes first, so candidates must be tried in template order.
+        assert self._facts("Oslo is a city in Norway.") == [("Oslo", "city", "country", "Norway")]
+
+    def test_later_candidate_tried_when_the_first_fails(self):
+        # "Analysts" files "Analysts classify {s} under {v}.", which fails here.
+        assert self._facts("Analysts was founded in 1999.") == [
+            ("Analysts", "company", "founded", "1999")
+        ]
+
+    def test_index_words_keep_their_punctuation(self):
+        # Filed under the whitespace tokens "work," and "old.", not "work"/"old".
+        assert self._facts("At work, Ann Lee is the CEO. Ann Lee is 41 years old.") == [
+            ("Ann Lee", "person", "role", "CEO"),
+            ("Ann Lee", "person", "age", "41"),
+        ]
