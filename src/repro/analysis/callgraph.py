@@ -14,7 +14,11 @@ builds a repository-wide call graph from the already-parsed
   ``from ..faults import FaultInjector`` lands on ``faults/plan.py``;
 * **attribute calls** resolve through ``self``, through parameter / local
   annotations, through constructor assignments (``x = ClassName(...)``),
-  and through ``self.attr`` types inferred from ``__init__`` bodies;
+  through ``x = self.method(...)`` when that method's return annotation
+  names a class of its module, and through ``self.attr`` types inferred
+  from ``__init__`` bodies (``self.x = x or ClassName(...)`` included);
+* **prefix dispatch** ``handler = getattr(self, f"_op_{kind}")`` followed
+  by ``handler(...)`` edges to every method whose name has that prefix;
 * **virtual dispatch** is over-approximated: a call to ``C.method`` also
   edges to every subclass override, so taint never escapes through a
   polymorphic scheduler policy.
@@ -402,10 +406,62 @@ class _Resolver:
             if target is None or value is None:
                 continue
             if isinstance(value, ast.Call):
-                ctor = self._class_of_callable(value.func)
+                ctor = self._class_of_callable(value.func) or self._returned_class(
+                    value.func, func
+                )
                 if ctor is not None:
                     types[target] = ctor
         return types
+
+    def _returned_class(self, callee: ast.expr, func: FunctionNode) -> Optional[str]:
+        """The class a ``self.method(...)`` call returns, read from the
+        method's return annotation when it is defined in this module."""
+        if not (
+            isinstance(callee, ast.Attribute)
+            and isinstance(callee.value, ast.Name)
+            and callee.value.id == "self"
+            and func.class_id is not None
+        ):
+            return None
+        for fid in self.graph.resolve_method(func.class_id, callee.attr):
+            target = self.graph.functions[fid]
+            if target.relpath == self.relpath:
+                returns = getattr(target.node, "returns", None)
+                cid = _annotation_class(returns, self.local_classes, self.imports, self.graph)
+                if cid is not None:
+                    return cid
+        return None
+
+    def _dispatch_locals(self, func: FunctionNode) -> Dict[str, List[str]]:
+        """``name = getattr(self, f"<prefix>{...}"[, default])``: every
+        method of the class whose name starts with the literal prefix."""
+        dispatch: Dict[str, List[str]] = {}
+        if func.class_id is None:
+            return dispatch
+        for node in ast.walk(func.node):
+            if not (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)
+                and node.value.func.id == "getattr"
+                and len(node.value.args) >= 2
+                and isinstance(node.value.args[0], ast.Name)
+                and node.value.args[0].id == "self"
+                and isinstance(node.value.args[1], ast.JoinedStr)
+                and node.value.args[1].values
+                and isinstance(node.value.args[1].values[0], ast.Constant)
+            ):
+                continue
+            prefix = str(node.value.args[1].values[0].value)
+            dispatch[node.targets[0].id] = [
+                fid
+                for cid in self.graph.mro(func.class_id)
+                for name, fid in sorted(self.graph.classes[cid].methods.items())
+                if name.startswith(prefix)
+            ]
+        return dispatch
 
     def _class_of_callable(self, func: ast.expr) -> Optional[str]:
         """If ``func`` names a repo class, return its cid (a constructor call)."""
@@ -439,6 +495,7 @@ class _Resolver:
     ) -> List[CallEdge]:
         local_types = self._infer_locals(func)
         attr_types = self._attr_types_of(func.class_id)
+        dispatch = self._dispatch_locals(func)
         edges: List[CallEdge] = []
 
         def add(targets: List[str], lineno: int) -> None:
@@ -454,6 +511,9 @@ class _Resolver:
                     continue
                 stack.append(child)
             if isinstance(node, ast.Call):
+                if isinstance(node.func, ast.Name) and node.func.id in dispatch:
+                    add(dispatch[node.func.id], node.lineno)
+                    continue
                 add(
                     self._targets_of(node.func, func, local_types, attr_types, nested),
                     node.lineno,
@@ -548,13 +608,17 @@ def _collect_attr_types(
                 and target.value.id == "self"
             ):
                 continue
-            value = node.value
-            if isinstance(value, ast.Call):
-                cid = resolver._class_of_callable(value.func)
+            # ``x or ClassName(...)`` takes the first operand that resolves.
+            operands = node.value.values if isinstance(node.value, ast.BoolOp) else [node.value]
+            for value in operands:
+                cid = None
+                if isinstance(value, ast.Call):
+                    cid = resolver._class_of_callable(value.func)
+                elif isinstance(value, ast.Name):
+                    cid = param_types.get(value.id)
                 if cid is not None:
                     cls.attr_types.setdefault(target.attr, cid)
-            elif isinstance(value, ast.Name) and value.id in param_types:
-                cls.attr_types.setdefault(target.attr, param_types[value.id])
+                    break
 
 
 def build_callgraph(modules: Dict[str, "ModuleInfo"]) -> CallGraph:

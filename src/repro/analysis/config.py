@@ -33,6 +33,7 @@ class LintConfig:
     # global/unseeded random sources are banned under these prefixes.
     hot_path_prefixes: Tuple[str, ...] = (
         "src/repro/data/documents.py",
+        "src/repro/datalake/executor.py",
         "src/repro/faults",
         "src/repro/inference",
         "src/repro/llm/cache.py",
@@ -93,6 +94,7 @@ class LintConfig:
         "src/repro/semopt/executor.py::SemExecutor.run",
         "src/repro/prep/pipeline.py::PrepPipeline.run",
         "src/repro/rag/pipeline.py::RAGPipeline.answer",
+        "src/repro/datalake/executor.py::LakeAnalytics.ask",
     )
 
     # R008: the one module allowed to construct numpy Generators directly;

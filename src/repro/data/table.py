@@ -1,15 +1,16 @@
 """Minimal typed relational engine.
 
 The structured leg of the multi-modal data lake (Figure 1 "Structured
-Tables") and the execution substrate for NL2SQL and lake plans. Supports
-select / project / join / group-by aggregation / order / limit over typed
-columns, with schema validation on construction.
+Tables") and the execution substrate for NL2SQL; lake plans read these
+tables through the plan executor's column cache. Supports select / project
+/ join / group-by aggregation / order / limit over typed columns, with
+schema validation on construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import SchemaError
 
@@ -104,13 +105,9 @@ class Table:
     def insert(self, row: Row) -> None:
         self.rows.append(self._validate(row))
 
-    def extend(self, rows: Iterable[Row]) -> None:
-        for row in rows:
-            self.insert(row)
-
     # ---------------------------------------------------------- operators
-    def select(self, predicate: Predicate, *, name: Optional[str] = None) -> "Table":
-        out = Table(name or f"{self.name}_sel", self.schema)
+    def select(self, predicate: Predicate) -> "Table":
+        out = Table(f"{self.name}_sel", self.schema)
         out.rows = [dict(r) for r in self.rows if predicate(r)]
         return out
 
@@ -141,9 +138,9 @@ class Table:
 
         return self.select(predicate)
 
-    def project(self, columns: Sequence[str], *, name: Optional[str] = None) -> "Table":
+    def project(self, columns: Sequence[str]) -> "Table":
         cols = tuple(self.schema.column(c) for c in columns)
-        out = Table(name or f"{self.name}_proj", Schema(cols))
+        out = Table(f"{self.name}_proj", Schema(cols))
         out.rows = [{c: row[c] for c in columns} for row in self.rows]
         return out
 
@@ -154,7 +151,6 @@ class Table:
         left_on: str,
         right_on: str,
         how: str = "inner",
-        name: Optional[str] = None,
     ) -> "Table":
         """Hash join; right columns are prefixed on name collisions."""
         self.schema.column(left_on)
@@ -169,7 +165,7 @@ class Table:
         out_cols = tuple(self.schema.columns) + tuple(
             Column(renamed[c.name], c.dtype) for c in other.schema.columns
         )
-        out = Table(name or f"{self.name}_{other.name}", Schema(out_cols))
+        out = Table(f"{self.name}_{other.name}", Schema(out_cols))
         build: Dict[Any, List[Row]] = {}
         for row in other.rows:
             build.setdefault(row.get(right_on), []).append(row)
@@ -192,8 +188,6 @@ class Table:
         self,
         keys: Sequence[str],
         aggregates: Dict[str, Tuple[str, str]],
-        *,
-        name: Optional[str] = None,
     ) -> "Table":
         """Group and aggregate.
 
@@ -215,7 +209,7 @@ class Table:
         for out_name, (fn, _col) in aggregates.items():
             dtype = "int" if fn == "count" else "float"
             out_cols.append(Column(out_name, dtype))
-        out = Table(name or f"{self.name}_agg", Schema(tuple(out_cols)))
+        out = Table(f"{self.name}_agg", Schema(tuple(out_cols)))
         for key_values, rows in sorted(groups.items(), key=lambda kv: str(kv[0])):
             agg_row: Row = dict(zip(keys, key_values))
             for out_name, (fn, col) in aggregates.items():
@@ -264,9 +258,6 @@ class Table:
     def column_values(self, column: str) -> List[Any]:
         self.schema.column(column)
         return [row.get(column) for row in self.rows]
-
-    def to_dicts(self) -> List[Row]:
-        return [dict(r) for r in self.rows]
 
     def __len__(self) -> int:
         return len(self.rows)

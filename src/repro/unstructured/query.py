@@ -211,13 +211,23 @@ class DocumentAnalytics:
         return aggregate_cells(table.column_values(query.attribute), query.agg), rows
 
 
+_AGGREGATE_FNS: Dict[str, Callable[[List[float]], float]] = {
+    "avg": lambda xs: sum(xs) / len(xs),
+    "sum": sum,
+    "max": max,
+    "min": min,
+}
+
+
 def aggregate_cells(cells: Iterable[object], fn: str) -> str:
     """``avg``/``sum``/``max``/``min`` over the numeric cells, as ``%.1f``.
 
     Cells that are ``None`` or do not parse as a float are skipped; with no
     numeric cell left the answer is ``"unknown"``. An unknown ``fn`` raises
-    :class:`ExecutionError`.
+    :class:`ExecutionError` before any cell is read.
     """
+    if fn not in _AGGREGATE_FNS:
+        raise ExecutionError(f"unknown aggregate {fn!r}")
     numeric: List[float] = []
     for raw in cells:
         if raw is None:
@@ -228,15 +238,7 @@ def aggregate_cells(cells: Iterable[object], fn: str) -> str:
             continue
     if not numeric:
         return "unknown"
-    result = {
-        "avg": sum(numeric) / len(numeric),
-        "sum": sum(numeric),
-        "max": max(numeric),
-        "min": min(numeric),
-    }.get(fn)
-    if result is None:
-        raise ExecutionError(f"unknown aggregate {fn!r}")
-    return f"{result:.1f}"
+    return f"{_AGGREGATE_FNS[fn](numeric):.1f}"
 
 
 _ORDER_OPS: Dict[str, Callable[[float, float], bool]] = {
@@ -245,6 +247,17 @@ _ORDER_OPS: Dict[str, Callable[[float, float], bool]] = {
     "<=": operator.le,
     ">=": operator.ge,
 }
+
+
+def _order_op(op: str) -> Callable[[float, float], bool]:
+    """The comparison behind an order op; any other op raises
+    :class:`~repro.errors.ExecutionError` naming the filter ops."""
+    compare = _ORDER_OPS.get(op)
+    if compare is None:
+        raise ExecutionError(
+            f"unknown filter op {op!r}; expected one of == != < > <= >= contains"
+        )
+    return compare
 
 
 def _never(row: Row) -> bool:
@@ -277,11 +290,7 @@ def _string_predicate(field_name: str, op: str, literal: str) -> Predicate:
             return actual is not None and (str(actual).strip().lower() == needle) == want
 
         return equals
-    compare = _ORDER_OPS.get(op)
-    if compare is None:
-        raise ExecutionError(
-            f"unknown filter op {op!r}; expected one of == != < > <= >= contains"
-        )
+    compare = _order_op(op)
     try:
         bound = float(literal)
     except ValueError:

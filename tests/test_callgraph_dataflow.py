@@ -206,6 +206,67 @@ class TestCallGraphResolution:
             "src/repro/f.py::outer.inner"
         ]
 
+    def test_attribute_type_from_or_default(self):
+        """self.x = x or ClassName(...) types self.x through either operand."""
+        graph = build_callgraph(modules_from({
+            "src/repro/kv.py": (
+                "class Allocator:\n"
+                "    def admit(self):\n"
+                "        return True\n"
+            ),
+            "src/repro/eng.py": (
+                "from typing import Optional\n"
+                "from repro.kv import Allocator\n"
+                "class Engine:\n"
+                "    def __init__(self, alloc: Optional[Allocator] = None):\n"
+                "        self.alloc = alloc or Allocator()\n"
+                "    def step(self):\n"
+                "        return self.alloc.admit()\n"
+            ),
+        }))
+        assert edge_targets(graph, "src/repro/eng.py::Engine.step") == [
+            "src/repro/kv.py::Allocator.admit"
+        ]
+
+    def test_local_typed_by_self_method_return_annotation(self):
+        graph = build_callgraph(modules_from({
+            "src/repro/r.py": (
+                "class Rel:\n"
+                "    def join(self, other):\n"
+                "        return self\n"
+                "class Exec:\n"
+                "    def _input(self) -> Rel:\n"
+                "        return Rel()\n"
+                "    def run(self):\n"
+                "        left = self._input()\n"
+                "        return left.join(left)\n"
+            ),
+        }))
+        assert edge_targets(graph, "src/repro/r.py::Exec.run") == [
+            "src/repro/r.py::Exec._input",
+            "src/repro/r.py::Rel.join",
+        ]
+
+    def test_getattr_prefix_dispatch_edges_to_every_prefixed_method(self):
+        graph = build_callgraph(modules_from({
+            "src/repro/d.py": (
+                "class Exec:\n"
+                "    def _op_scan(self):\n"
+                "        return 1\n"
+                "    def _op_join(self):\n"
+                "        return 2\n"
+                "    def other(self):\n"
+                "        return 3\n"
+                "    def run(self, kind):\n"
+                "        handler = getattr(self, f\"_op_{kind}\", None)\n"
+                "        return handler()\n"
+            ),
+        }))
+        assert edge_targets(graph, "src/repro/d.py::Exec.run") == [
+            "src/repro/d.py::Exec._op_join",
+            "src/repro/d.py::Exec._op_scan",
+        ]
+
     def test_unresolvable_calls_produce_no_edges(self):
         graph = build_callgraph(modules_from({
             "src/repro/g.py": (

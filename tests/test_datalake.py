@@ -329,6 +329,38 @@ class TestLakeAnalytics:
         assert trace.failed or trace.answer != ""
 
 
+class TestProjectUnknownColumn:
+    """A projection of an unknown column is an execution failure, which the
+    reflection loop reports, not a schema error that escapes ``ask``."""
+
+    @staticmethod
+    def _plan():
+        plan = Plan(description="project a missing column")
+        scan = plan.add("scan", asset_id="table:companies")
+        plan.add("project", inputs=[scan], columns=["name", "nope"])
+        return plan
+
+    def test_executor_raises_execution_error_naming_the_columns(self, lake, world):
+        from repro.datalake.executor import PlanExecutor
+
+        executor = PlanExecutor(lake, make_llm("sim-base", world=world, seed=16))
+        names = lake.get("table:companies").table.schema.names()
+        with pytest.raises(ExecutionError) as err:
+            executor.execute(self._plan())
+        assert str(err.value) == f"project column 'nope' not in {names}"
+
+    def test_ask_reports_the_failure(self, lake, world):
+        class FixedPlanner:
+            def plan(self, question):
+                return TestProjectUnknownColumn._plan(), {}
+
+        llm = make_llm("sim-base", world=world, seed=16)
+        analytics = LakeAnalytics(lake, llm, planner=FixedPlanner())
+        trace = analytics.ask("list the nope of companies")
+        assert trace.failed and trace.answer == "unknown"
+        assert trace.failure.startswith("project column 'nope' not in ")
+
+
 class TestAnswerMatches:
     def test_exact(self):
         assert answer_matches("8", "8")

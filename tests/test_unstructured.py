@@ -202,11 +202,18 @@ class TestAggregateCells:
 
     def test_no_numeric_cell_is_unknown(self):
         assert aggregate_cells([None, "n/a"], "avg") == "unknown"
-        assert aggregate_cells([], "median") == "unknown"
+        assert aggregate_cells([], "sum") == "unknown"
 
     def test_unknown_function_raises(self):
         with pytest.raises(ExecutionError):
             aggregate_cells(["1"], "median")
+
+    @pytest.mark.parametrize("cells", [["1990", "2001"], ["Acme", None], []])
+    def test_unknown_function_raises_whatever_the_cells(self, cells):
+        # A numeric column ("founded") and a text one ("name") give the same
+        # error: fn is checked before any cell is read.
+        with pytest.raises(ExecutionError, match="unknown aggregate 'median'"):
+            aggregate_cells(cells, "median")
 
 
 class TestDocumentAnalytics:
