@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..data.documents import Document, DocumentRenderer
 from ..data.table import Column, Schema, Table
 from ..data.world import Entity, World
-from ..errors import ConfigError
+from ..errors import ConfigError, SchemaError
 
 MODALITIES = ("table", "json", "document", "image")
 
@@ -81,6 +81,20 @@ def _entities_to_json(entities: Sequence[Entity]) -> List[Dict[str, object]]:
             }
         )
     return records
+
+
+def _json_dtype(key: str, rows: Sequence[Dict[str, object]]) -> str:
+    """``int`` when the first row's value is digits and every row's value
+    converts to int (or is missing); ``str`` otherwise."""
+    if not str(rows[0][key]).lstrip("-").isdigit():
+        return "str"
+    column = Column(key, "int")
+    try:
+        for row in rows:
+            column.coerce(row.get(key))
+    except SchemaError:
+        return "str"
+    return "int"
 
 
 def _leaves(record: Dict[str, object], prefix: str = "") -> Iterator[Tuple[str, object]]:
@@ -275,6 +289,9 @@ class DataLake:
         (every :class:`Table` operator returns a new table). Later edits to
         ``asset.records`` are not seen. Errors are not stored: an unknown
         id, a non-JSON asset or an empty collection raise on every call.
+        A column is typed ``int`` only when every record's value converts
+        (see :func:`_json_dtype`), so a later non-numeric value makes it
+        ``str`` instead of failing every scan.
         """
         table = self._json_tables.get(asset_id)
         if table is not None:
@@ -285,12 +302,8 @@ class DataLake:
         if not asset.records:
             raise ConfigError(f"json asset {asset_id!r} is empty")
         rows = [_flatten(record) for record in asset.records]
-        columns = []
-        for key in sorted(rows[0]):
-            sample = str(rows[0][key])
-            dtype = "int" if sample.lstrip("-").isdigit() else "str"
-            columns.append(Column(key, dtype))
-        table = Table(asset.name, Schema(tuple(columns)), rows)
+        columns = tuple(Column(key, _json_dtype(key, rows)) for key in sorted(rows[0]))
+        table = Table(asset.name, Schema(columns), rows)
         self._json_tables[asset_id] = table
         return table
 

@@ -188,12 +188,18 @@ class _Relation:
     def join(self, other: "_Relation", left_on: str, right_on: str) -> "_Relation":
         """Inner equi-join in nested hash-join order: left rows in order,
         each one's matches in right order. A right column whose name is
-        taken on the left is prefixed with the right relation's name."""
+        taken on the left is prefixed with the right relation's name; a
+        prefixed name that is still taken raises ExecutionError."""
         left_names = set(self.schema.names())
         renamed = {
             c.name: (f"{other.name}.{c.name}" if c.name in left_names else c.name)
             for c in other.schema.columns
         }
+        names = self.schema.names() + list(renamed.values())
+        if len(set(names)) != len(names):
+            raise ExecutionError(
+                f"join of {self.name!r} and {other.name!r} repeats a column in {names}"
+            )
         schema = Schema(
             tuple(self.schema.columns)
             + tuple(Column(renamed[c.name], c.dtype) for c in other.schema.columns)
@@ -412,6 +418,8 @@ class PlanExecutor:
                 raise ExecutionError(
                     f"project column {column!r} not in {table.schema.names()}"
                 )
+        if len(set(columns)) != len(columns):
+            raise ExecutionError(f"project repeats a column in {columns}")
         return table.project(columns)
 
     def _op_aggregate(self, step: PlanStep, values: Dict[str, Value]) -> str:

@@ -282,19 +282,7 @@ class FleetResult:
     reprefills: int = 0
 
     def equals(self, other: "FleetResult") -> bool:
-        """Bitwise parity: every column and counter identical.
-
-        The optional decode columns are compared when both sides carry
-        them; ``None`` (which only the legacy fleet oracle produces)
-        against an array is treated as "no shared column to compare", so
-        a current run still equals its oracle.
-        """
-
-        def opt_eq(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
-            if a is None or b is None:
-                return True
-            return np.array_equal(a, b, equal_nan=np.issubdtype(a.dtype, np.floating))
-
+        """Bitwise parity: every column and counter identical."""
         return (
             np.array_equal(self.replica, other.replica)
             and np.array_equal(self.start_s, other.start_s, equal_nan=True)
@@ -304,8 +292,8 @@ class FleetResult:
             and np.array_equal(self.rejected, other.rejected)
             and np.array_equal(self.prefix_hit_tokens, other.prefix_hit_tokens)
             and np.array_equal(self.served_per_replica, other.served_per_replica)
-            and opt_eq(self.decode_replica, other.decode_replica)
-            and opt_eq(self.decode_start_s, other.decode_start_s)
+            and np.array_equal(self.decode_replica, other.decode_replica)
+            and np.array_equal(self.decode_start_s, other.decode_start_s, equal_nan=True)
             and self.completed == other.completed
             and self.rejected_total == other.rejected_total
             and self.deaths == other.deaths

@@ -205,7 +205,7 @@ class CachedLLM:
         Exact-only at temperature 0, the unique misses go to one backing
         ``generate_many`` call in first-occurrence order; duplicates within
         the batch count as a miss on first occurrence and hits afterwards,
-        so responses, ledger history and stats equal the loop's.  Prompts go
+        so responses, ledger charges and stats equal the loop's.  Prompts go
         through :meth:`generate` one at a time instead when the loop could
         differ: with the semantic layer on (an early miss may serve a later
         prompt semantically), at nonzero temperature (nothing is stored),

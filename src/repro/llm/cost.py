@@ -11,7 +11,7 @@ token scales with input length and total time adds per-output-token cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..errors import BudgetExceededError, ConfigError
 
@@ -102,7 +102,6 @@ class UsageLedger:
     max_calls: Optional[int] = None
     total: Usage = field(default_factory=Usage)
     by_tag: Dict[str, Usage] = field(default_factory=dict)
-    history: List[Usage] = field(default_factory=list)
 
     def charge(self, usage: Usage, *, tag: str = "default") -> None:
         """Record ``usage``; raises if a budget would be exceeded."""
@@ -115,7 +114,6 @@ class UsageLedger:
             raise BudgetExceededError(f"call budget {self.max_calls} exceeded")
         self.total = self.total + usage
         self.by_tag[tag] = self.by_tag.get(tag, Usage()) + usage
-        self.history.append(usage)
 
     def remaining_usd(self) -> Optional[float]:
         if self.max_usd is None:
@@ -125,4 +123,3 @@ class UsageLedger:
     def reset(self) -> None:
         self.total = Usage()
         self.by_tag.clear()
-        self.history.clear()

@@ -28,7 +28,10 @@ compared against every row) is embedded once per IDF snapshot:
 * **bound** — at most ``MEMO_ROWS`` rows, evicted first in, first out;
 * **copies** — memo rows are read-only and never handed out: ``embed`` and
   ``embed_batch`` return fresh arrays, so a caller that writes into its
-  result cannot change what the next call returns.
+  result cannot change what the next call returns;
+* **generation** — every clear bumps ``generation``, so a reader that kept
+  something derived from embeddings (the model's reply memo) knows the
+  space moved.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ class EmbeddingModel:
     row, valid for the current IDF snapshot: ``fit_idf`` clears it while
     unpinned, ``refresh`` clears it when it re-pins, and pinned
     ``partial_fit_idf`` leaves it alone. It holds at most ``MEMO_ROWS``
-    rows (FIFO) and both methods return copies, never memo rows.
+    rows (FIFO) and both methods return copies, never memo rows. Each clear
+    bumps ``generation``.
     """
 
     dim: int = 128
@@ -87,6 +91,7 @@ class EmbeddingModel:
     _pinned_num_docs: int = field(default=0, repr=False)
     _stale_docs: int = field(default=0, repr=False)
     _memo: Dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    generation: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 8:
@@ -101,7 +106,7 @@ class EmbeddingModel:
         distinct tokens are tallied with a single ``Counter`` merge.
         """
         if self._pinned_doc_freq is None:
-            self._memo.clear()  # unpinned: these stats are the IDF weights
+            self._new_snapshot()  # unpinned: these stats are the IDF weights
         token_lists = self.tokenizer.content_tokens_many(list(corpus))
         self._num_docs += len(token_lists)
         counts: Counter = Counter()
@@ -177,8 +182,13 @@ class EmbeddingModel:
         self._pinned_doc_freq = dict(self._doc_freq)
         self._pinned_num_docs = self._num_docs
         self._stale_docs = 0
-        self._memo.clear()
+        self._new_snapshot()
         return True
+
+    def _new_snapshot(self) -> None:
+        """The IDF weights moved: drop the memo and bump ``generation``."""
+        self._memo.clear()
+        self.generation += 1
 
     def _idf(self, token: str) -> float:
         if self._pinned_doc_freq is not None:

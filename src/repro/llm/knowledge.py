@@ -21,11 +21,16 @@ from ..utils import derive_rng
 
 @dataclass
 class KnowledgeBase:
-    """A queryable set of (subject, attribute) -> value facts."""
+    """A queryable set of (subject, attribute) -> value facts.
+
+    ``version`` counts :meth:`add` calls, so a reader that derived something
+    from the facts (the model's reply memo) can tell that they moved.
+    """
 
     facts: Dict[Tuple[str, str], str] = field(default_factory=dict)
     by_attribute: Dict[str, List[str]] = field(default_factory=dict)
     subjects: Set[str] = field(default_factory=set)
+    version: int = field(default=0, init=False, repr=False, compare=False)
 
     @classmethod
     def from_world(
@@ -49,6 +54,7 @@ class KnowledgeBase:
 
     def add(self, fact: Fact) -> None:
         """Insert (or overwrite) a fact."""
+        self.version += 1
         self.facts[fact.key()] = fact.value
         self.by_attribute.setdefault(fact.attribute, []).append(fact.value)
         self.subjects.add(fact.subject.lower())

@@ -10,12 +10,36 @@ are control flow *around* an LLM — their value depends on the oracle's
 accuracy/cost/hallucination envelope, not its weights. SimLLM exposes those
 three dials explicitly (per tier, see ``repro.llm.hub``), so every benchmark
 can sweep them.
+
+Determinism contract: a built-in skill (``repro.llm.skills.SKILLS`` and the
+chat fallback) is a pure function of the prompt, the temperature (to the
+thousandth) and the model state it reads — the knowledge base, the
+embedder's IDF snapshot, the tokenizer, the spec and the seed. So each
+model keeps one bounded **reply memo**:
+
+* **key** — ``(prompt, int(temperature * 1000), max_tokens)``; the value is
+  the input token count, the (truncated) reply text, its output token
+  count, the skill's metadata and the parsed task;
+* **invalidation** — a stamp of that state (the identity of each object,
+  ``KnowledgeBase.version``, ``EmbeddingModel.generation``, the seed) is
+  checked once per call batch, and a change clears the memo; so does
+  :meth:`SimLLM.register_skill`;
+* **extra skills** — a prompt whose task resolves to a registered skill is
+  never stored: such skills close over tables their owner may mutate;
+* **bound** — at most ``MEMO_REPLIES`` replies, evicted first in, first out;
+* **charges** — the memo saves computation only. Every prompt is still
+  charged to the ledger, logged and answered with its own
+  :class:`LLMResponse`, so usage, budgets and outputs are those of a cold
+  model. A deployment cache that *saves* charged calls is
+  :class:`repro.llm.cache.CachedLLM`, a separate wrapper.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from ..data.ngram import NGramLM
@@ -32,6 +56,15 @@ from .skills import SKILLS, SkillContext
 from .tokenizer import Tokenizer, default_tokenizer
 
 SkillFn = Callable[[SkillContext], Tuple[str, Dict[str, object]]]
+#: (prompt, temperature in thousandths, max_tokens) -> (input tokens, text,
+#: output tokens, meta, task): the deterministic work of one call.
+ReplyKey = Tuple[str, int, int]
+Reply = Tuple[int, str, int, Dict[str, object], str]
+
+#: Replies the per-model reply memo holds before evicting the oldest.
+MEMO_REPLIES = 4096
+#: Most recent calls :attr:`SimLLM.call_log` keeps.
+CALL_LOG_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -91,12 +124,16 @@ class SimLLM:
         self.ledger = ledger or UsageLedger()
         self._extra_skills: Dict[str, SkillFn] = {}
         self._scorer = None
-        self._call_log: List[Dict[str, object]] = []
+        self._call_log: Deque[Dict[str, object]] = deque(maxlen=CALL_LOG_ROWS)
+        self._memo: Dict[ReplyKey, Reply] = {}
+        self._memo_owners: Tuple[object, ...] = ()
+        self._memo_counters: Tuple[int, ...] = ()
 
     # ----------------------------------------------------------- extension
     def register_skill(self, task: str, fn: SkillFn) -> None:
         """Register a custom task skill (e.g. ``sql``) on this instance."""
         self._extra_skills[task] = fn
+        self._memo.clear()
 
     def fine_tune(self, facts: "List[Fact]") -> int:
         """Inject facts into parametric knowledge (SFT stand-in).
@@ -128,13 +165,11 @@ class SimLLM:
         """Run one model call per prompt, amortizing per-call overhead.
 
         Bit-identical to ``[generate(p, ...) for p in prompts]`` — same
-        response texts, usage records, ledger history, and call log — but
-        batched: token counting runs as two ``count_many`` passes (inputs,
-        then outputs), and prompt parsing, skill dispatch, and the seeded
-        RNG derivation run once per *unique* prompt (duplicates replay the
-        deterministic result instead of re-deriving it).  The ledger is
-        still charged once per prompt, so budgets and per-tag attribution
-        see every call.
+        response texts, usage records, ledger totals, and call log — but
+        batched: the reply memo is read once per *unique* prompt, and the
+        misses' token counting runs as two ``count_many`` passes (inputs,
+        then outputs).  The ledger is still charged once per prompt, so
+        budgets and per-tag attribution see every call.
 
         One contract difference from the loop: prompts are validated
         against the context window up front, so an oversized prompt raises
@@ -152,36 +187,29 @@ class SimLLM:
         (a tracer, a counter) sees every model call exactly once.  A reply
         longer than ``max_tokens`` is truncated to its first ``max_tokens``
         tokens (as a real decode loop stops emitting), so the returned text
-        always agrees with the charged token count.
+        always agrees with the charged token count.  Distinct prompts the
+        reply memo lacks are computed in first-occurrence order (see the
+        module docstring); every prompt is then charged and logged.
         """
         if max_tokens <= 0:
             raise ModelError(f"max_tokens must be positive, got {max_tokens}")
         if not prompts:
             return []
-        input_counts = self.tokenizer.count_many(prompts)
-        for input_tokens in input_counts:
-            if input_tokens > self.spec.context_window:
-                raise ModelError(
-                    f"prompt of {input_tokens} tokens exceeds context window "
-                    f"{self.spec.context_window} of {self.spec.name}"
-                )
-        unique_index: Dict[str, int] = {}
-        for prompt in prompts:
-            unique_index.setdefault(prompt, len(unique_index))
-        parsed_list = [parse_prompt(prompt) for prompt in unique_index]
-        raw_outputs = [self._dispatch(parsed, temperature) for parsed in parsed_list]
-        output_counts = self.tokenizer.count_many([text for text, _ in raw_outputs])
-        capped: List[Tuple[str, int, Dict[str, object], str]] = []
-        for parsed, (text, meta), output_tokens in zip(
-            parsed_list, raw_outputs, output_counts
-        ):
-            if output_tokens > max_tokens:
-                text = self.tokenizer.truncate(text, max_tokens)
-                output_tokens = max_tokens
-            capped.append((text, max(output_tokens, 1), meta, parsed.task))
+        memo = self._reply_memo()
+        milli = int(temperature * 1000)
+        replies: Dict[str, Reply] = {}
+        missing: List[str] = []
+        for prompt in dict.fromkeys(prompts):
+            reply = memo.get((prompt, milli, max_tokens))
+            if reply is None:
+                missing.append(prompt)
+            else:
+                replies[prompt] = reply
+        if missing:
+            replies.update(self._compute(missing, milli, temperature, max_tokens))
         responses: List[LLMResponse] = []
-        for prompt, input_tokens in zip(prompts, input_counts):
-            text, output_tokens, meta, task = capped[unique_index[prompt]]
+        for prompt in prompts:
+            input_tokens, text, output_tokens, meta, task = replies[prompt]
             usage = self.spec.cost.usage(input_tokens, output_tokens)
             self.ledger.charge(usage, tag=tag)
             self._call_log.append(
@@ -189,6 +217,52 @@ class SimLLM:
             )
             responses.append(LLMResponse(text=text, usage=usage, meta=dict(meta)))
         return responses
+
+    def _compute(
+        self, prompts: List[str], milli: int, temperature: float, max_tokens: int
+    ) -> Dict[str, Reply]:
+        """Count, parse, dispatch and count distinct ``prompts``; memoize.
+
+        Every prompt is checked against the context window before any is
+        dispatched.  Replies of registered (extra) skills are returned but
+        not stored.
+        """
+        input_counts = self.tokenizer.count_many(prompts)
+        for input_tokens in input_counts:
+            if input_tokens > self.spec.context_window:
+                raise ModelError(
+                    f"prompt of {input_tokens} tokens exceeds context window "
+                    f"{self.spec.context_window} of {self.spec.name}"
+                )
+        parsed_list = [parse_prompt(prompt) for prompt in prompts]
+        raw_outputs = [self._dispatch(parsed, temperature) for parsed in parsed_list]
+        output_counts = self.tokenizer.count_many([text for text, _ in raw_outputs])
+        memo = self._memo
+        replies: Dict[str, Reply] = {}
+        for prompt, input_tokens, parsed, (text, meta), output_tokens in zip(
+            prompts, input_counts, parsed_list, raw_outputs, output_counts
+        ):
+            if output_tokens > max_tokens:
+                text = self.tokenizer.truncate(text, max_tokens)
+                output_tokens = max_tokens
+            reply = (input_tokens, text, max(output_tokens, 1), meta, parsed.task)
+            replies[prompt] = reply
+            if parsed.task not in self._extra_skills:
+                if len(memo) >= MEMO_REPLIES:
+                    del memo[next(iter(memo))]
+                memo[(prompt, milli, max_tokens)] = reply
+        return replies
+
+    def _reply_memo(self) -> Dict[ReplyKey, Reply]:
+        """The reply memo, cleared first if the model state it was filled under moved."""
+        owners = (self.knowledge, self.embedder, self.tokenizer, self.spec)
+        counters = (self.knowledge.version, self.embedder.generation, self.seed)
+        if counters != self._memo_counters or any(
+            map(operator.is_not, owners, self._memo_owners)
+        ):
+            self._memo.clear()
+            self._memo_owners, self._memo_counters = owners, counters
+        return self._memo
 
     def _dispatch(
         self, parsed: ParsedPrompt, temperature: float
@@ -262,6 +336,7 @@ class SimLLM:
 
     @property
     def call_log(self) -> List[Dict[str, object]]:
+        """The most recent ``CALL_LOG_ROWS`` calls, oldest first."""
         return list(self._call_log)
 
 

@@ -121,6 +121,22 @@ class TestJsonTableMemo:
         assert table.schema.names() == ["h", "id", "tag", "w"]
         assert table.rows == [{"h": 3, "id": 1, "tag": "x", "w": 2}]
 
+    def test_column_with_a_later_non_digit_value_is_str(self, world):
+        # A column used to be typed from its first record alone, so '1'
+        # then 'x' typed it int and every scan raised SchemaError.
+        lake = DataLake(world)
+        lake.add_json("keys", [{"k": "1"}, {"k": "x"}])
+        table = lake.json_as_table("json:keys")
+        assert table.schema.column("k").dtype == "str"
+        assert table.rows == [{"k": "1"}, {"k": "x"}]
+
+    def test_int_column_keeps_its_type(self, world):
+        lake = DataLake(world)
+        lake.add_json("sizes", [{"n": "1"}, {"n": -2}, {"m": "y"}])
+        table = lake.json_as_table("json:sizes")
+        assert table.schema.column("n").dtype == "int"
+        assert [row["n"] for row in table.rows] == [1, -2, None]
+
     def test_memo_changes_no_answer_and_no_shared_row(self, world):
         questions = LakeWorkload(world, seed=3).mixed(150)
 
@@ -359,6 +375,55 @@ class TestProjectUnknownColumn:
         trace = analytics.ask("list the nope of companies")
         assert trace.failed and trace.answer == "unknown"
         assert trace.failure.startswith("project column 'nope' not in ")
+
+
+class TestRepeatedColumnsAreExecutionErrors:
+    """A projection or a join whose output would repeat a column name is an
+    execution failure that reflection reports, not a SchemaError escaping
+    ``ask``."""
+
+    @staticmethod
+    def _repeated_project():
+        plan = Plan(description="project one column twice")
+        scan = plan.add("scan", asset_id="table:companies")
+        plan.add("project", inputs=[scan], columns=["name", "name"])
+        return plan
+
+    @staticmethod
+    def _triple_self_join():
+        # The second join prefixes the right 'name' as 'companies.name',
+        # which the first join already produced.
+        plan = Plan(description="join a table with itself twice")
+        scan = plan.add("scan", asset_id="table:companies")
+        once = plan.add("join", inputs=[scan, scan], left_on="name", right_on="name")
+        plan.add("join", inputs=[once, scan], left_on="name", right_on="name")
+        return plan
+
+    @pytest.mark.parametrize("make_plan, message", [
+        ("_repeated_project", "project repeats a column in ['name', 'name']"),
+        ("_triple_self_join", "join of 'companies_companies' and 'companies' repeats a column"),
+    ])
+    def test_executor_raises_execution_error(self, lake, world, make_plan, message):
+        from repro.datalake.executor import PlanExecutor
+
+        executor = PlanExecutor(lake, make_llm("sim-base", world=world, seed=16))
+        with pytest.raises(ExecutionError) as err:
+            executor.execute(getattr(self, make_plan)())
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("make_plan", ["_repeated_project", "_triple_self_join"])
+    def test_ask_reports_the_failure(self, lake, world, make_plan):
+        plan = getattr(self, make_plan)()
+
+        class FixedPlanner:
+            def plan(self, question):
+                return plan, {}
+
+        llm = make_llm("sim-base", world=world, seed=16)
+        analytics = LakeAnalytics(lake, llm, planner=FixedPlanner())
+        trace = analytics.ask("list the companies")
+        assert trace.failed and trace.answer == "unknown"
+        assert "repeats a column" in trace.failure
 
 
 class TestAnswerMatches:

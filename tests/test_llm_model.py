@@ -261,6 +261,16 @@ class TestCostAndLedger:
         assert llm.usage.calls == 0
         assert llm.call_log == []
 
+    def test_call_log_keeps_the_most_recent_calls(self, monkeypatch):
+        from repro.llm import model
+
+        monkeypatch.setattr(model, "CALL_LOG_ROWS", 2)
+        llm = SimLLM()
+        for tag in ("a", "b", "c"):
+            llm.generate("hello", tag=tag)
+        assert [entry["tag"] for entry in llm.call_log] == ["b", "c"]
+        assert llm.usage.calls == 3
+
 
 class TestHub:
     def test_builtin_tiers(self):

@@ -458,6 +458,209 @@ def test_batch_result_does_not_alias_the_memo():
     _check_memo_program(None, [("batch", [0]), ("embed", 0)])
 
 
+# ------------------------------------------------------ SimLLM reply memo
+_REPLY_BASE_FACTS = (
+    Fact("Norburg", "city", "country", "Freland"),
+    Fact("Acme", "company", "headquarters", "Norburg"),
+    Fact("Volt-3", "product", "maker", "Acme"),
+    Fact("Ulton", "city", "country", "Osland"),
+)
+# Learned mid-program: new keys, and an overwrite of a base fact's value.
+_REPLY_FACTS = (
+    Fact("Bolt", "company", "headquarters", "Ulton"),
+    Fact("Norburg", "city", "country", "Osland"),
+    Fact("Bolt", "company", "founded", "1990"),
+    Fact("Volt-3", "product", "maker", "Bolt"),
+)
+_REPLY_PROMPTS = tuple(
+    Prompt(task=task, instruction=instruction, context=context, input=text, fields=fields).render()
+    for task, instruction, context, text, fields in (
+        ("qa", "", "", "Which country is Norburg in?", {}),
+        ("qa", "", "", "Where is Bolt headquartered?", {}),
+        ("qa", "", "", "Where is the maker of Volt-3 headquartered?", {}),
+        ("qa", "", "Bolt was founded in 1990.", "In what year was Bolt founded?", {}),
+        ("extract", "", "Bolt was founded in 1990.", "",
+         {"subject": "Bolt", "attributes": "founded, headquarters"}),
+        ("judge", "", "", "Acme builds database software.", {"predicate": "is_about software"}),
+        ("judge", "", "", "price=12", {"predicate": "price > 10"}),
+        ("join", "", "", "name=Acme\n---\nname=acme", {}),
+        ("map", "Return the value of field 'price'", "", "price=12; name=x", {}),
+        ("map", "Uppercase the text", "", "Bolt makes widgets.", {}),
+        # Near ties, so an IDF refit or re-pin reorders the items.
+        ("rank", "", "[0] travel\n[1] a database engine\n[2] database city guide\n"
+         "[3] food travel\n[4] travel software", "software", {}),
+        ("decompose", "", "", "Where is the maker of Volt-3 headquartered?", {}),
+        ("summarize", "", "Bolt was founded in 1990. It grew.", "", {}),
+        ("label", "", "", "a database engine", {"classes": "software | travel | city guide"}),
+        ("codegen", "", "Bolt was founded in 1990.", "", {"attribute": "founded", "etype": "company"}),
+        ("tune", "", "", "alpha", {}),
+        ("tune", "", "", "beta", {}),
+    )
+) + ("Which country is Norburg in?", "hello there")
+_REPLY_DOCS = ("database software", "city travel guide", "software company in Ulton", "food")
+
+
+def _table_skill(table, prefix):
+    """A registered skill over a table its owner mutates, as the tuning and
+    rewrite skills are."""
+    return lambda ctx: (prefix + table.get(ctx.prompt.input, "none"), {"rows": len(table)})
+
+
+@st.composite
+def _reply_calls(draw):
+    """One call (``generate``) or batch (``generate_many``, duplicates
+    allowed) at a drawn temperature and token cap; a third of them are a
+    batch of every prompt, so a state change that moves any reply shows."""
+    kind = draw(st.sampled_from(["call", "batch", "batch"]))
+    size = 1 if kind == "call" else draw(st.integers(0, 6))
+    prompts = draw(st.lists(st.integers(0, len(_REPLY_PROMPTS) - 1), min_size=size, max_size=size))
+    if kind == "batch" and draw(st.booleans()):
+        prompts = list(range(len(_REPLY_PROMPTS)))
+    temperature = draw(st.sampled_from([0.0, 0.0, 0.7, 0.7004]))
+    max_tokens = draw(st.sampled_from([256, 256, 3, 1]))
+    return kind, (prompts, temperature, max_tokens)
+
+
+@st.composite
+def _reply_state_ops(draw):
+    kind = draw(st.sampled_from(["learn", "add", "fit", "fit", "partial", "refresh", "register",
+                                 "table", "table"]))
+    if kind in ("learn", "add"):
+        return kind, draw(st.integers(0, len(_REPLY_FACTS) - 1))
+    if kind in ("fit", "partial"):
+        return kind, draw(st.lists(st.integers(0, len(_REPLY_DOCS) - 1), min_size=1, max_size=2))
+    if kind == "refresh":
+        return kind, draw(st.sampled_from([0.0, 10.0]))
+    if kind == "register":
+        return kind, (draw(st.sampled_from(["tune", "label", "label"])), draw(st.sampled_from("AB")))
+    return kind, (draw(st.sampled_from(["alpha", "beta", "a database engine"])),
+                  draw(st.sampled_from(["x", "y"])))
+
+
+@st.composite
+def _reply_programs(draw):
+    """Calls from a short menu, so the same call recurs, with one model-state
+    change of any kind between each two calls."""
+    menu = draw(st.lists(_reply_calls(), min_size=1, max_size=3))
+    ops = [draw(st.sampled_from(menu))]
+    for _ in range(draw(st.integers(0, 7))):
+        ops += [draw(_reply_state_ops()), draw(st.sampled_from(menu))]
+    return draw(st.integers(0, 3)), draw(st.sampled_from([None, 1, 2])), ops
+
+
+def _apply_reply_op(llm, op, arg, table):
+    if op == "learn":
+        llm.fine_tune([_REPLY_FACTS[arg]])
+    elif op == "add":
+        llm.knowledge.add(_REPLY_FACTS[arg])
+    elif op == "fit":
+        llm.embedder.fit_idf([_REPLY_DOCS[i] for i in arg])
+    elif op == "partial":
+        llm.embedder.partial_fit_idf([_REPLY_DOCS[i] for i in arg])
+    elif op == "refresh":
+        llm.embedder.refresh(arg)
+    else:
+        task, prefix = arg
+        llm.register_skill(task, _table_skill(table, prefix))
+
+
+def _reply_model(model_seed, history, table):
+    """A fresh model that went through ``history``'s state changes."""
+    from repro.llm import EmbeddingModel, KnowledgeBase, SimLLM
+
+    knowledge = KnowledgeBase()
+    for fact in _REPLY_BASE_FACTS:
+        knowledge.add(fact)
+    llm = SimLLM(knowledge=knowledge, seed=model_seed,
+                 embedder=EmbeddingModel(dim=16, seed=model_seed))
+    llm.register_skill("tune", _table_skill(table, "A"))
+    for op, arg in history:
+        _apply_reply_op(llm, op, arg, table)
+    return llm
+
+
+def _reply_call(llm, kind, prompts, temperature, max_tokens, tag):
+    texts = [_REPLY_PROMPTS[i] for i in prompts]
+    if kind == "call":
+        return [llm.generate(texts[0], max_tokens=max_tokens, temperature=temperature, tag=tag)]
+    return llm.generate_many(texts, max_tokens=max_tokens, temperature=temperature, tag=tag)
+
+
+def _check_reply_program(model_seed, bound, ops):
+    """Every call of one long-lived model equals the same call on a cold
+    model of the same seed and state; its ledger and call log equal the
+    sums of the cold models'."""
+    from repro.llm import UsageLedger, model
+
+    with pytest.MonkeyPatch.context() as patch:
+        if bound is not None:
+            patch.setattr(model, "MEMO_REPLIES", bound)
+        table = {}
+        llm = _reply_model(model_seed, (), table)
+        history, ledger, log = [], UsageLedger(), []
+        for step, (op, arg) in enumerate(ops):
+            if op == "table":
+                key, value = arg
+                table[key] = value
+            elif op not in ("call", "batch"):
+                _apply_reply_op(llm, op, arg, table)
+                history.append((op, arg))
+            else:
+                tag = f"t{step % 3}"  # calls sit at even steps
+                got = _reply_call(llm, op, *arg, tag)
+                cold = _reply_model(model_seed, history, table)
+                expected = _reply_call(cold, op, *arg, tag)
+                assert [(r.text, r.usage, r.meta) for r in got] == [
+                    (r.text, r.usage, r.meta) for r in expected
+                ]
+                for response in expected:
+                    ledger.charge(response.usage, tag=tag)
+                log += cold.call_log
+                assert llm.ledger.total == ledger.total
+                assert llm.ledger.by_tag == ledger.by_tag
+                assert llm.call_log == log
+                assert len(llm._memo) <= model.MEMO_REPLIES
+
+
+@given(_reply_programs())
+@seed(20221)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_reply_memo_matches_cold_model(program):
+    """Memo on == a cold model, call by call: texts, usage and metadata,
+    then the ledger's total and per-tag usage and the call log, across
+    fine-tuning, direct knowledge edits, IDF refits and re-pins, skill
+    registration and edits to a registered skill's table."""
+    _check_reply_program(*program)
+
+
+def test_learned_fact_invalidates_the_reply_memo():
+    # Shrunk from the property against a stamp that ignores
+    # KnowledgeBase.version: the second call must see the learned fact.
+    _check_reply_program(0, None, [("call", ([1], 0.0, 256)), ("learn", 0), ("call", ([1], 0.0, 256))])
+
+
+def test_registered_skill_replies_are_never_memoized():
+    # Shrunk from the property against a memo that stores a registered
+    # skill's replies: the skill reads a table that changed in between.
+    _check_reply_program(
+        0, None, [("call", ([15], 0.0, 256)), ("table", ("alpha", "x")), ("call", ([15], 0.0, 256))]
+    )
+
+
+def test_idf_refit_invalidates_the_reply_memo():
+    # Shrunk from the property against a stamp that ignores
+    # EmbeddingModel.generation: the refit reorders the label's classes.
+    _check_reply_program(0, None, [("call", ([13], 0.0, 256)), ("fit", [0]), ("call", ([13], 0.0, 256))])
+
+
+def test_register_skill_clears_the_reply_memo():
+    # Shrunk from the property against a register_skill that keeps the
+    # memo: a built-in label reply must not answer for the new skill.
+    _check_reply_program(
+        0, None, [("call", ([13], 0.0, 256)), ("register", ("label", "A")), ("call", ([13], 0.0, 256))]
+    )
+
+
 # ------------------------------------------------------- fact extraction
 def _ordered_loop_extract(text):
     """Frozen oracle: extract_stated_facts as it was before the word index,
@@ -808,6 +1011,7 @@ def _fleet_outcome(fleet, workload):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_cluster_fleet_matches_legacy_oracle(scenario):
     """ClusterFleet.run == frozen naive fleet, bitwise, on generated traces."""
+    from benchmarks.perf.harness_fleet import matches_legacy
     from repro.faults import FaultPlan
 
     workload = scenario["workload"]
@@ -816,7 +1020,7 @@ def test_cluster_fleet_matches_legacy_oracle(scenario):
     if isinstance(current, type) or isinstance(legacy, type):
         assert current is legacy
         return
-    assert current.equals(legacy)
+    assert matches_legacy(current, legacy)
     assert current.completed + current.rejected_total == workload.n
     assert current.decode_replica is not None and current.decode_start_s is not None
     if "faults" not in scenario["kw"]:
@@ -1403,6 +1607,9 @@ def _oracle_join(left, right, left_on, right_on):
         c.name: (f"{right.name}.{c.name}" if c.name in left_names else c.name)
         for c in right.schema.columns
     }
+    names = left.schema.names() + list(renamed.values())
+    if len(set(names)) != len(names):
+        raise ExecutionError(f"join of {left.name!r} and {right.name!r} repeats a column in {names}")
     out_cols = tuple(left.schema.columns) + tuple(
         Column(renamed[c.name], c.dtype) for c in right.schema.columns
     )
@@ -1421,8 +1628,10 @@ def _oracle_join(left, right, left_on, right_on):
 
 class _RowDictExecutor:
     """Frozen oracle: the lake plan executor as it was before relations,
-    every step copying each row into a fresh dict. Only ``project`` differs:
-    an unknown column raises the ExecutionError of the fixed op."""
+    every step copying each row into a fresh dict. Only ``project`` and
+    ``join`` differ: an unknown column, a repeated projected column and a
+    join output that repeats a column raise the ExecutionError of the
+    fixed ops (they raised SchemaError, which escaped reflection)."""
 
     def __init__(self, lake, llm, extractor):
         from repro.semopt import SemExecutor
@@ -1531,6 +1740,8 @@ class _RowDictExecutor:
         for column in columns:
             if column not in table.schema:
                 raise ExecutionError(f"project column {column!r} not in {table.schema.names()}")
+        if len(set(columns)) != len(columns):
+            raise ExecutionError(f"project repeats a column in {columns}")
         return _oracle_project(table, columns)
 
     def _op_aggregate(self, step, values):
