@@ -95,6 +95,8 @@ class LintConfig:
         "src/repro/prep/pipeline.py::PrepPipeline.run",
         "src/repro/rag/pipeline.py::RAGPipeline.answer",
         "src/repro/datalake/executor.py::LakeAnalytics.ask",
+        "src/repro/stream/corpus.py::StreamingCorpus.ingest",
+        "src/repro/stream/corpus.py::StreamingCorpus.search",
     )
 
     # R008: the one module allowed to construct numpy Generators directly;
@@ -147,9 +149,6 @@ class LintConfig:
 
     def in_perf_scope(self, relpath: str) -> bool:
         return _starts_with_any(relpath, self.perf_prefixes)
-
-    def in_public_api_scope(self, relpath: str) -> bool:
-        return _starts_with_any(relpath, (self.public_api_root,))
 
     def in_rng_scope(self, relpath: str) -> bool:
         rel = _norm(relpath)

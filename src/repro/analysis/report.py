@@ -48,14 +48,6 @@ class Violation:
         return f"{self.path}:{self.line}: {self.code} [{self.severity}] {self.message}"
 
 
-def count_fingerprints(violations: Sequence[Violation]) -> Dict[str, int]:
-    """Map fingerprint -> number of occurrences across ``violations``."""
-    counts: Dict[str, int] = {}
-    for violation in violations:
-        counts[violation.fingerprint] = counts.get(violation.fingerprint, 0) + 1
-    return counts
-
-
 def format_report(
     violations: Sequence[Violation],
     *,

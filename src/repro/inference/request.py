@@ -74,11 +74,6 @@ class Request:
         return [times[i] - times[i - 1] for i in range(1, len(times))]
 
     @property
-    def mean_tbt(self) -> Optional[float]:
-        gaps = self.tbt_values
-        return sum(gaps) / len(gaps) if gaps else None
-
-    @property
     def max_tbt(self) -> Optional[float]:
         gaps = self.tbt_values
         return max(gaps) if gaps else None

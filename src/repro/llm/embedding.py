@@ -32,14 +32,38 @@ compared against every row) is embedded once per IDF snapshot:
 * **generation** — every clear bumps ``generation``, so a reader that kept
   something derived from embeddings (the model's reply memo) knows the
   space moved.
+
+Token, stem and bigram vectors ("keys") live in a bounded **key store**:
+
+* **purity** — a key's vector is a pure function of ``(seed, dim, key)``:
+  the first ``standard_normal(dim)`` draw of
+  ``default_rng(stable_hash(f"emb:{seed}:{key}"))``, cast to float32 and
+  normalized. Evicting a key can only cost its recomputation, never change
+  an output;
+* **layout** — ``_keys`` maps a key to its row of one float32 slab of
+  ``KEY_ROWS`` rows, mapped once at the first stored key (its pages become
+  resident as rows are written, so the store never copies itself to grow);
+  rows are reused first in, first out;
+* **reads** — the batch kernel gathers a call's rows into a fresh table
+  before it stores the misses, and the per-text kernel adds each row as it
+  reads it, so a call with more distinct keys than the slab holds still
+  reads every row it needs; slab rows are never handed out;
+* **misses** — the batch kernel builds its misses through
+  :meth:`EmbeddingModel._key_vectors`, up to ``SEED_CHUNK_KEYS`` at a time.
+  From ``SEED_PASS_MIN_KEYS`` misses on, that computes every key's
+  ``SeedSequence`` state in uint32 array arithmetic and re-seeds the
+  model's one PCG64 generator per key with the state seeding would give;
+  below that, and in the per-text kernel, each key gets its own
+  ``default_rng``.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +73,91 @@ from .tokenizer import Tokenizer, default_tokenizer
 
 #: Rows the per-model embedding memo holds before evicting the oldest.
 MEMO_ROWS = 4096
+#: Rows of the per-model key store; the oldest key's row is reused first.
+KEY_ROWS = 65_536
+#: Misses from which :meth:`EmbeddingModel._key_vectors` seeds them in one
+#: vectorized pass. The pass has a fixed cost of about 100 µs and then costs
+#: about 7 µs a key, against about 22 µs a key for one ``default_rng`` each.
+SEED_PASS_MIN_KEYS = 8
+#: Misses one pass seeds at most, bounding its float64 draws (1 MB at dim 128).
+SEED_CHUNK_KEYS = 1024
+
+# numpy's SeedSequence: a pool of 4 uint32 words mixed by ``hashmix`` and
+# ``mix`` with these constants, then ``generate_state`` hashes the pool out.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+# PCG64 (128-bit LCG) multiplier, and the pool's source word per state word.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_POOL_CYCLE = [0, 1, 2, 3, 0, 1, 2, 3]
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of ``calls`` successive hash calls: each
+    xors the running constant in, advances it by ``mult``, then multiplies."""
+    xors, mults = [], []
+    const = init
+    for _ in range(calls):
+        xors.append(const)
+        const = const * mult & 0xFFFFFFFF
+        mults.append(const)
+    return np.array(xors, dtype=np.uint32), np.array(mults, dtype=np.uint32)
+
+
+# 4 calls fill the pool, 12 mix every word into every other one.
+_POOL_XOR, _POOL_MULT = _hash_constants(_INIT_A, _MULT_A, 16)
+_STATE_XOR, _STATE_MULT = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _idf_of(df: np.ndarray, num_docs: int) -> np.ndarray:
+    """``math.log((1 + num_docs) / (1 + d)) + 1.0`` for every count ``d`` in
+    ``df``: one ``math.log`` per distinct count, read back through a table."""
+    distinct = np.flatnonzero(np.bincount(df)).tolist()
+    table = np.zeros(distinct[-1] + 1, dtype=np.float64)
+    table[distinct] = [math.log((1 + num_docs) / (1 + d)) + 1.0 for d in distinct]
+    return table[df]
+
+
+def _hashmix(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    values = values ^ xors
+    values *= mults
+    values ^= values >> _SHIFT
+    return values
+
+
+def _seed_states(seeds: Sequence[int]) -> List[Tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` that ``default_rng(s)`` starts from, for
+    every ``s`` in ``seeds`` (each in ``[0, 2**64)``).
+
+    Bitwise numpy's seeding: ``SeedSequence(s).generate_state(4, uint64)``
+    computed for all seeds at once in uint32 array arithmetic (a seed is two
+    little-endian words; a seed under 2**32 is one, and numpy pads the pool
+    with the hash of 0, which is what a zero high word hashes to), then
+    PCG64's ``srandom`` on those four words in Python integers.
+    """
+    seeds64 = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((len(seeds64), 4), dtype=np.uint32)
+    pool[:, 0] = seeds64 & np.uint64(0xFFFFFFFF)
+    pool[:, 1] = seeds64 >> np.uint64(32)
+    pool = _hashmix(pool, _POOL_XOR[:4], _POOL_MULT[:4])
+    call = 4
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        hashed = _hashmix(pool[:, src : src + 1], _POOL_XOR[call : call + 3],
+                          _POOL_MULT[call : call + 3])
+        call += 3
+        mixed = _MIX_L * pool[:, dst] - _MIX_R * hashed
+        mixed ^= mixed >> _SHIFT
+        pool[:, dst] = mixed
+    words = _hashmix(pool[:, _POOL_CYCLE], _STATE_XOR, _STATE_MULT).astype(np.uint64)
+    words = words[:, 0::2] | words[:, 1::2] << np.uint64(32)
+    states = []
+    for high, low, inc_high, inc_low in words.tolist():
+        inc = (inc_high << 65 | inc_low << 1 | 1) & _MASK128
+        states.append((((high << 64 | low) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return states
 
 
 @dataclass
@@ -73,7 +182,8 @@ class EmbeddingModel:
     unpinned, ``refresh`` clears it when it re-pins, and pinned
     ``partial_fit_idf`` leaves it alone. It holds at most ``MEMO_ROWS``
     rows (FIFO) and both methods return copies, never memo rows. Each clear
-    bumps ``generation``.
+    bumps ``generation``. Key vectors live in a store of at most
+    ``KEY_ROWS`` rows (see the module docstring).
     """
 
     dim: int = 128
@@ -82,7 +192,12 @@ class EmbeddingModel:
     stem_weight: float = 0.4
     bigram_weight: float = 0.25
     tokenizer: Tokenizer = field(default_factory=default_tokenizer)
-    _token_vectors: Dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    # Key store: key -> row of ``_slab``; ``_owners[row]`` is the key in it.
+    _keys: Dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+    _slab: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _owners: List[str] = field(default_factory=list, repr=False, compare=False)
+    _stored: int = field(default=0, repr=False, compare=False)
+    _rng: Optional[np.random.Generator] = field(default=None, repr=False, compare=False)
     _doc_freq: Dict[str, int] = field(default_factory=dict, repr=False)
     _num_docs: int = field(default=0, repr=False)
     # Streaming IDF state (see partial_fit_idf): once pinned, embeddings are
@@ -152,19 +267,25 @@ class EmbeddingModel:
         """
         if self._pinned_doc_freq is None or not self._stale_docs:
             return 0.0
-        live_n = self._num_docs
+        live = self._doc_freq
+        if not live:
+            return 0.0
+        df = np.fromiter(live.values(), dtype=np.int64, count=len(live))
+        idf_live = _idf_of(df, self._num_docs)
         pin_n = self._pinned_num_docs
-        num = 0.0
-        den = 0.0
-        pinned = self._pinned_doc_freq
-        for token, df in self._doc_freq.items():
-            idf_live = math.log((1 + live_n) / (1 + df)) + 1.0
-            pin_df = pinned.get(token, 0)
-            idf_pin = (
-                math.log((1 + pin_n) / (1 + pin_df)) + 1.0 if pin_n else 1.0
-            )
-            num += df * abs(idf_live - idf_pin)
-            den += df * idf_live
+        if pin_n:
+            # A pin copies the live dict, and live stats only raise counts or
+            # append keys, so the pinned keys are the live dict's first ones.
+            pinned = self._pinned_doc_freq
+            pin_df = np.zeros(len(df), dtype=np.int64)
+            pin_df[: len(pinned)] = np.fromiter(pinned.values(), dtype=np.int64, count=len(pinned))
+            idf_pin = _idf_of(pin_df, pin_n)
+        else:
+            idf_pin = np.ones(len(df), dtype=np.float64)
+        # cumsum adds strictly in order, as a running ``+=`` does (sum would
+        # add pairwise); int64 * float64 converts the count as float() would.
+        num = float(np.cumsum(df * np.abs(idf_live - idf_pin))[-1])
+        den = float(np.cumsum(df * idf_live)[-1])
         return num / den if den else 0.0
 
     def refresh(self, threshold: float = 0.05) -> bool:
@@ -202,18 +323,112 @@ class EmbeddingModel:
         return math.log((1 + self._num_docs) / (1 + df)) + 1.0
 
     # -------------------------------------------------------------- vectors
+    @staticmethod
+    def _generator(seed: int) -> np.random.Generator:
+        # repro-lint: disable=R008 — seeded, content-addressed stream whose
+        # identity is pinned by the frozen prep-parity baseline
+        # (tests/test_prep_batch.py); rederiving via derive_rng would shift
+        # every committed embedding-dependent golden
+        return np.random.default_rng(seed)
+
+    def _key_vectors(self, keys: Sequence[str]) -> np.ndarray:
+        """Fresh ``(len(keys), dim)`` float32 unit vectors of ``keys``."""
+        return self._seed_vectors([stable_hash(f"emb:{self.seed}:{key}") for key in keys])
+
+    def _seed_vectors(self, seeds: Sequence[int]) -> np.ndarray:
+        """Row ``i`` is the first ``standard_normal(dim)`` draw of
+        ``default_rng(seeds[i])``, cast to float32 and divided by its
+        ``np.linalg.norm``.
+
+        From ``SEED_PASS_MIN_KEYS`` seeds on, the generators' starting states
+        come from one :func:`_seed_states` pass and the model's one generator
+        draws every row; below that, each seed builds its own generator.
+        """
+        if len(seeds) < SEED_PASS_MIN_KEYS:
+            vectors = np.empty((len(seeds), self.dim), dtype=np.float32)
+            for row, seed in zip(vectors, seeds):
+                row[:] = self._generator(seed).standard_normal(self.dim)
+                row /= np.linalg.norm(row)
+            return vectors
+        if self._rng is None:
+            self._rng = self._generator(0)
+        rng = self._rng
+        bit_generator = rng.bit_generator
+        state = bit_generator.state
+        state["has_uint32"] = state["uinteger"] = 0  # as seeding leaves them
+        pcg = state["state"]
+        draws = np.empty((len(seeds), self.dim), dtype=np.float64)
+        for row, (start, inc) in zip(draws, _seed_states(seeds)):
+            pcg["state"] = start
+            pcg["inc"] = inc
+            bit_generator.state = state
+            rng.standard_normal(out=row)
+        vectors = draws.astype(np.float32)
+        # np.linalg.norm of a float32 vector is sqrt(v.dot(v)) in float32.
+        norms = np.sqrt(np.array([row.dot(row) for row in vectors], dtype=np.float32))
+        vectors /= norms[:, None]
+        return vectors
+
     def _unit_vector(self, key: str) -> np.ndarray:
-        vec = self._token_vectors.get(key)
-        if vec is None:
-            # repro-lint: disable=R008 — seeded, content-addressed stream whose
-            # identity is pinned by the frozen prep-parity baseline
-            # (tests/test_prep_batch.py); rederiving via derive_rng would shift
-            # every committed embedding-dependent golden
-            rng = np.random.default_rng(stable_hash(f"emb:{self.seed}:{key}"))
-            vec = rng.standard_normal(self.dim).astype(np.float32)
-            vec /= np.linalg.norm(vec)
-            self._token_vectors[key] = vec
+        """``key``'s vector for immediate use: its slab row, or on a miss a
+        fresh vector (then stored), so a later eviction cannot reach it."""
+        slot = self._keys.get(key)
+        if slot is not None:
+            return self._slab[slot]  # type: ignore[index]
+        vec = self._key_vectors([key])[0]
+        self._slab_rows()[self._claim(key)] = vec
         return vec
+
+    def _key_rows(self, keys: List[str]) -> np.ndarray:
+        """Fresh ``(len(keys), dim)`` unit vectors of the distinct ``keys``.
+
+        Stored keys are gathered from the slab; the misses are built
+        ``SEED_CHUNK_KEYS`` at a time (bounding the float64 draws) and each
+        chunk is stored after it is copied out, so storing cannot overwrite
+        a row this call still reads.
+        """
+        stored = self._keys
+        slots = [stored.get(key, -1) for key in keys]
+        missing = [i for i, slot in enumerate(slots) if slot < 0]
+        slab = self._slab
+        if slab is None:
+            rows = np.empty((len(keys), self.dim), dtype=np.float32)
+        else:  # a miss reads row 0 (always written) until it is filled below
+            rows = slab[np.maximum(slots, 0) if missing else slots]
+        for lo in range(0, len(missing), SEED_CHUNK_KEYS):
+            chunk = missing[lo : lo + SEED_CHUNK_KEYS]
+            new_keys = [keys[i] for i in chunk]
+            vectors = self._key_vectors(new_keys)
+            rows[chunk] = vectors
+            slab = self._slab_rows()
+            # Past the slab's rows the chunk's later keys would evict its
+            # earlier ones: store the last rows only, each row written once.
+            keep = min(len(new_keys), len(slab))
+            slab[[self._claim(key) for key in new_keys[-keep:]]] = vectors[-keep:]
+        return rows
+
+    def _slab_rows(self) -> np.ndarray:
+        """The slab, mapped at the first stored key: a private anonymous
+        mapping whose 4 KB pages become resident as rows are written (numpy
+        would advise huge pages at this size)."""
+        if self._slab is None:
+            buffer = mmap.mmap(-1, KEY_ROWS * self.dim * 4, flags=mmap.MAP_PRIVATE)
+            self._slab = np.frombuffer(buffer, dtype=np.float32).reshape(KEY_ROWS, self.dim)
+        return self._slab
+
+    def _claim(self, key: str) -> int:
+        """A slab row for ``key`` (not stored yet): the next free row, or
+        once the slab is full the row of the oldest stored key, evicted."""
+        rows = len(self._slab_rows())
+        slot = self._stored % rows
+        if self._stored < rows:
+            self._owners.append(key)
+        else:
+            del self._keys[self._owners[slot]]
+            self._owners[slot] = key
+        self._keys[key] = slot
+        self._stored += 1
+        return slot
 
     def _remember(self, text: str, row: np.ndarray) -> None:
         """Store ``row`` (owned by the memo from now on) read-only."""
@@ -270,9 +485,9 @@ class EmbeddingModel:
         """The batched kernel over a non-empty ``texts``, bypassing the memo.
 
         One tokenizer pass, one IDF lookup per distinct token, one
-        ``_unit_vector`` lookup per distinct key, and the accumulation runs
-        as column-slab adds over texts sorted by contribution count. Each
-        text's contributions are applied in the same order as
+        :meth:`_key_rows` gather of the distinct keys, and the accumulation
+        runs as column-slab adds over texts sorted by contribution count.
+        Each text's contributions are applied in the same order as
         :meth:`_embed_one` (rows are independent, and float32 elementwise
         ops do not reassociate across rows), so every intermediate rounding
         step matches the sequential path exactly.
@@ -287,7 +502,10 @@ class EmbeddingModel:
         bigram_weight = self.bigram_weight
         contrib_ids: List[List[int]] = []
         contrib_weights: List[List[float]] = []
+        empty_id = -1
         for tokens in token_lists:
+            if not tokens and empty_id < 0:
+                empty_id = key_of("<empty>", len(key_ids))
             ids: List[int] = []
             weights: List[float] = []
             for token in tokens:
@@ -305,9 +523,7 @@ class EmbeddingModel:
                     weights.append(bigram_weight)
             contrib_ids.append(ids)
             contrib_weights.append(weights)
-        table = np.empty((len(key_ids), self.dim), dtype=np.float32)
-        for key, kid in key_ids.items():
-            table[kid] = self._unit_vector(key)
+        table = self._key_rows(list(key_ids))
         counts = np.array([len(ids) for ids in contrib_ids], dtype=np.int64)
         order = np.argsort(-counts, kind="stable")
         sorted_counts = counts[order]
@@ -339,14 +555,8 @@ class EmbeddingModel:
             )
         out = np.empty((n, self.dim), dtype=np.float32)
         out[order] = acc
-        empty_vec: Optional[np.ndarray] = None
         for i, tokens in enumerate(token_lists):
-            if tokens:
-                out[i] = normalize(out[i]).astype(np.float32)
-            else:
-                if empty_vec is None:
-                    empty_vec = self._unit_vector("<empty>")
-                out[i] = empty_vec
+            out[i] = normalize(out[i]).astype(np.float32) if tokens else table[empty_id]
         return out
 
     def similarity(self, a: str, b: str) -> float:

@@ -62,7 +62,7 @@ ReplyKey = Tuple[str, int, int]
 Reply = Tuple[int, str, int, Dict[str, object], str]
 
 #: Replies the per-model reply memo holds before evicting the oldest.
-MEMO_REPLIES = 4096
+MEMO_REPLIES = 1024
 #: Most recent calls :attr:`SimLLM.call_log` keeps.
 CALL_LOG_ROWS = 1024
 

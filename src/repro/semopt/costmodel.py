@@ -158,12 +158,6 @@ class SemCostModel:
             return False
         return all(check(record) is not None for record in records)
 
-    def map_call_usd(self, example: Record, instruction: str) -> float:
-        """Dollar price of one map call on a representative prompt."""
-        prompt = SemanticOperators.map_prompt(example, instruction)
-        input_tokens = self.llm.tokenizer.count(prompt)
-        return self.llm.spec.cost.usage(input_tokens, 1).usd
-
     def describe(self, estimates: Dict[int, FilterEstimate]) -> List[str]:
         """Render per-step estimates as decision-log lines."""
         lines: List[str] = []

@@ -173,8 +173,7 @@ class StreamingCorpus:
     # --------------------------------------------------------------- queries
     def search(self, text: str, k: int = 10) -> List[str]:
         """Top-k live doc_ids for a text query (pinned embedding space)."""
-        vector = self.embedder.embed(text)
-        return [hit.id for hit in self.collection.query(vector=vector, k=k)]
+        return self.collection.query_ids(self.embedder.embed(text), k=k)
 
     def search_vectors(self, queries: np.ndarray, k: int = 10) -> List[List[str]]:
         """Batched top-k doc_ids for pre-embedded queries."""

@@ -146,12 +146,6 @@ class StepTimeBreakdown:
     def total(self) -> float:
         return self.compute + self.dp_communication + self.tp_communication + self.pipeline_bubble
 
-    @property
-    def communication_fraction(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return (self.dp_communication + self.tp_communication) / self.total
-
 
 def step_time(
     spec: TrainModelSpec, config: ParallelConfig, cluster: ClusterSpec

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .hnsw import HNSWIndex
 from .ivf import IVFIndex
 from .lsh import LSHIndex
 from .pq import PQIndex
+
+T = TypeVar("T")
 
 INDEX_TYPES: Dict[str, Callable[..., VectorIndex]] = {
     "flat": FlatIndex,
@@ -180,15 +182,25 @@ class Collection:
             if self.embedder is None:
                 raise CollectionError(f"collection {self.name!r} has no embedder")
             vector = self.embedder.embed(text)
+        return self._fetch(vector, k, lambda hits: self._materialize(hits, where), max_overfetch)
+
+    def query_ids(self, vector: np.ndarray, k: int = 10, max_overfetch: int = 8) -> List[str]:
+        """The ids of ``query(vector=vector, k=k)`` without building results:
+        every live index id has a record, so no hit is dropped."""
+        return [hit.id for hit in self._fetch(vector, k, list, max_overfetch)]
+
+    def _fetch(self, vector: np.ndarray, k: int, keep: Callable[[List[SearchHit]], List[T]],
+               max_overfetch: int) -> List[T]:
+        """Search, doubling the fetch (up to ``max_overfetch`` times) until
+        ``keep`` passes ``k`` hits or the whole index has been considered."""
         fetch = k
-        results: List[QueryResult] = []
+        kept: List[T] = []
         for _ in range(max(1, max_overfetch)):
-            hits = self.index.search(vector, k=fetch)
-            results = self._materialize(hits, where)
-            if len(results) >= k or fetch >= len(self.index):
+            kept = keep(self.index.search(vector, k=fetch))
+            if len(kept) >= k or fetch >= len(self.index):
                 break
             fetch = min(fetch * 2, max(len(self.index), 1))
-        return results[:k]
+        return kept[:k]
 
     def query_many(
         self,
@@ -286,9 +298,6 @@ class VectorDatabase:
 
     def drop_collection(self, name: str) -> bool:
         return self._collections.pop(name, None) is not None
-
-    def list_collections(self) -> List[str]:
-        return sorted(self._collections)
 
     # ---------------------------------------------------------- persistence
     def save(self, directory: str) -> None:

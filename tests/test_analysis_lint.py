@@ -969,6 +969,31 @@ class TestLiveRepository:
         payload = json.loads(proc.stdout)
         assert payload["ok"] is True and payload["new"] == []
 
+    def test_stream_entry_points_taint_dedup_and_the_key_kernel(self):
+        import ast
+
+        from repro.analysis.dataflow import build_program
+        from repro.analysis.driver import ModuleInfo
+
+        stream = (
+            "src/repro/stream/corpus.py::StreamingCorpus.ingest",
+            "src/repro/stream/corpus.py::StreamingCorpus.search",
+        )
+        assert set(stream) <= set(LintConfig().hot_entry_points)
+        modules = {}
+        for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+            relpath = path.relative_to(REPO_ROOT).as_posix()
+            source = path.read_text()
+            modules[relpath] = ModuleInfo(relpath=relpath, source=source, tree=ast.parse(source))
+        program = build_program(modules, entry_specs=stream)
+        for fid in (
+            "src/repro/prep/dedup.py::MinHashDeduper.dedup_incremental",
+            "src/repro/llm/embedding.py::EmbeddingModel._key_vectors",
+            "src/repro/llm/embedding.py::EmbeddingModel.idf_drift",
+            "src/repro/stream/corpus.py::StreamingCorpus._reembed_all",
+        ):
+            assert program.is_entry_reachable(fid), fid
+
     def test_seeded_violation_is_caught(self, tmp_path):
         """A determinism regression in a hot path must fail the gate."""
         result = run_lint(["src"], config=LintConfig(), repo_root=REPO_ROOT)

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core invariants across modules."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -456,6 +457,292 @@ def test_batch_result_does_not_alias_the_memo():
     # Shrunk from the property against an embed_batch that stores views into
     # the matrix it returns: the caller's write must not reach the memo.
     _check_memo_program(None, [("batch", [0]), ("embed", 0)])
+
+
+# --------------------------------------------------- embedding key store
+# Seeds at the SeedSequence word boundaries: one word, two words, all ones.
+_EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+# The empty key, the empty-text key, non-ASCII keys, bigram and stem keys.
+_STORE_KEYS = [
+    "", "<empty>", "alpha", "alpha##beta", "configuration", "confi", "ñandú", "東京",
+    "beta##gamma", "##",
+]
+
+
+def _frozen_unit_vector(model_seed, dim, key):
+    from benchmarks.perf._legacy_prep import LegacyEmbeddingModel
+
+    return LegacyEmbeddingModel(dim=dim, seed=model_seed)._unit_vector(key)
+
+
+def _check_seed_vectors(seeds, dim):
+    from repro.llm import embedding
+
+    states = embedding._seed_states(seeds)
+    got = embedding.EmbeddingModel(dim=dim)._seed_vectors(seeds)
+    assert got.dtype == np.float32 and got.shape == (len(seeds), dim)
+    for row, state, s in zip(got, states, seeds):
+        rng = np.random.default_rng(s)
+        pcg = rng.bit_generator.state["state"]
+        assert state == (pcg["state"], pcg["inc"])
+        vec = rng.standard_normal(dim).astype(np.float32)
+        vec /= np.linalg.norm(vec)
+        assert row.tobytes() == vec.tobytes()
+
+
+@given(
+    st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(_EDGE_SEEDS), min_size=1, max_size=20),
+    st.sampled_from([8, 9, 16, 64]),
+)
+@seed(20231)
+@settings(max_examples=40, deadline=None)
+def test_seed_vectors_match_default_rng(seeds, dim):
+    """The vectorized seeding pass (at ``SEED_PASS_MIN_KEYS`` seeds and up)
+    and the per-seed ``default_rng`` path below it both give, bitwise, the
+    unit vector of each seed's own ``default_rng``."""
+    _check_seed_vectors(seeds, dim)
+
+
+def test_seed_state_keeps_the_high_seed_word():
+    # Shrunk from the property against a pass that drops a seed's high word.
+    _check_seed_vectors([2**32], 8)
+
+
+def test_seed_vectors_normalize_each_row_as_linalg_norm_does():
+    # Shrunk from the property against np.linalg.norm(vectors, axis=1) in
+    # the seeding pass: a block norm sums in another order and moves the
+    # last bit.
+    _check_seed_vectors([0] * 8, 8)
+
+
+def test_seed_pass_sets_each_generator_state_before_drawing():
+    # Shrunk from the property against a pass that set the state after the
+    # draw, so every row came from the previous seed's state.
+    _check_seed_vectors([0, 0, 0, 0, 0, 0, 0, 1], 8)
+
+
+def test_seed_vectors_at_word_boundaries_on_both_sides_of_the_break_even():
+    from repro.llm.embedding import SEED_PASS_MIN_KEYS
+
+    below = _EDGE_SEEDS[: SEED_PASS_MIN_KEYS - 1]
+    above = (_EDGE_SEEDS * SEED_PASS_MIN_KEYS)[:SEED_PASS_MIN_KEYS]
+    _check_seed_vectors(below, 16)
+    _check_seed_vectors(above, 16)
+
+
+@given(
+    st.lists(st.sampled_from(_STORE_KEYS) | st.text(max_size=8), min_size=1, max_size=20,
+             unique=True),
+    st.integers(0, 2**40),
+)
+@seed(20232)
+@settings(max_examples=40, deadline=None)
+def test_key_vectors_match_frozen_unit_vectors(keys, model_seed):
+    from repro.llm.embedding import EmbeddingModel
+
+    got = EmbeddingModel(dim=16, seed=model_seed)._key_vectors(keys)
+    for row, key in zip(got, keys):
+        assert row.tobytes() == _frozen_unit_vector(model_seed, 16, key).tobytes()
+
+
+def _frozen_embed(model, frozen, text):
+    """The per-contribution loop the kernels replaced, over frozen vectors."""
+    tokens = model.tokenizer.content_tokens(text)
+    if not tokens:
+        return frozen._unit_vector("<empty>").copy()
+    acc = np.zeros(model.dim, dtype=np.float32)
+    for token in tokens:
+        weight = model._idf(token)
+        acc += weight * frozen._unit_vector(token)
+        if model.stem_weight > 0 and len(token) > model.stem_len:
+            acc += weight * model.stem_weight * frozen._unit_vector(token[: model.stem_len])
+    if model.bigram_weight > 0:
+        for left, right in zip(tokens, tokens[1:]):
+            acc += model.bigram_weight * frozen._unit_vector(f"{left}##{right}")
+    norm = float(np.linalg.norm(acc))
+    return (acc / norm if norm else acc).astype(np.float32)
+
+
+@st.composite
+def _key_store_programs(draw):
+    """Key gathers (up to every store key at once), kernel calls and IDF
+    updates, under a store of 1-3 rows or the default bound, with misses
+    seeded 2 at a time or in one pass."""
+    keys = st.lists(st.integers(0, len(_STORE_KEYS) - 1), min_size=1,
+                    max_size=len(_STORE_KEYS), unique=True)
+    texts = st.integers(0, len(_MEMO_TEXTS) - 1)
+    ops = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["keys", "keys", "embed", "batch", "fit", "partial", "refresh"]))
+        if kind == "keys":
+            ops.append((kind, draw(keys)))
+        elif kind == "embed":
+            ops.append((kind, draw(texts)))
+        elif kind == "batch":
+            ops.append((kind, draw(st.lists(texts, min_size=1, max_size=6))))
+        elif kind == "refresh":
+            ops.append((kind, draw(st.sampled_from([0.0, 0.05, 10.0]))))
+        else:
+            ops.append((kind, draw(st.lists(st.integers(0, len(_MEMO_DOCS) - 1),
+                                            min_size=1, max_size=3))))
+    return draw(st.sampled_from([None, 1, 2, 3])), ops, draw(st.sampled_from([None, 2]))
+
+
+def _check_key_store_program(bound, ops, chunk=None):
+    from benchmarks.perf._legacy_prep import LegacyEmbeddingModel
+    from repro.llm import embedding
+
+    with pytest.MonkeyPatch.context() as patch:
+        if bound is not None:
+            patch.setattr(embedding, "KEY_ROWS", bound)
+        if chunk is not None:
+            patch.setattr(embedding, "SEED_CHUNK_KEYS", chunk)
+        model = embedding.EmbeddingModel(dim=16)
+        frozen = LegacyEmbeddingModel(dim=16)
+        for op, arg in ops:
+            if op in ("fit", "partial", "refresh"):
+                _replay_idf(model, op, arg)
+            elif op == "keys":
+                keys = [_STORE_KEYS[i] for i in arg]
+                expected = np.stack([frozen._unit_vector(key) for key in keys])
+                assert model._key_rows(keys).tobytes() == expected.tobytes()
+            elif op == "embed":
+                text = _MEMO_TEXTS[arg]
+                assert model._embed_one(text).tobytes() == _frozen_embed(model, frozen, text).tobytes()
+            else:
+                texts = [_MEMO_TEXTS[i] for i in arg]
+                expected = np.stack([_frozen_embed(model, frozen, text) for text in texts])
+                assert model._embed_rows(texts).tobytes() == expected.tobytes()
+            assert len(model._keys) <= embedding.KEY_ROWS
+            for key, slot in model._keys.items():
+                assert model._owners[slot] == key
+                assert model._slab[slot].tobytes() == frozen._unit_vector(key).tobytes()
+
+
+@given(_key_store_programs())
+@seed(20233)
+@settings(max_examples=60, deadline=None)
+def test_key_store_matches_frozen_unit_vectors(program):
+    """Slab store ≡ the frozen per-key dict, bitwise: every gathered row,
+    every kernel result and every stored row is the key's frozen vector,
+    also when one call needs more distinct keys than the store holds."""
+    _check_key_store_program(*program)
+
+
+@pytest.mark.parametrize("ops", [[("keys", [0, 1])], [("batch", [1])]])
+def test_key_rows_are_gathered_before_misses_take_their_slots(ops):
+    # Shrunk from the property against a gather made after the misses were
+    # stored: with one row, the second key evicts the first one's row.
+    _check_key_store_program(1, ops)
+
+
+_DRIFT_WORDS = [f"w{i}" for i in range(40)]
+
+
+def _frozen_idf_drift(model):
+    """``idf_drift`` as the Python loop it replaced."""
+    if model._pinned_doc_freq is None or not model._stale_docs:
+        return 0.0
+    live_n = model._num_docs
+    pin_n = model._pinned_num_docs
+    num = 0.0
+    den = 0.0
+    pinned = model._pinned_doc_freq
+    for token, df in model._doc_freq.items():
+        idf_live = math.log((1 + live_n) / (1 + df)) + 1.0
+        pin_df = pinned.get(token, 0)
+        idf_pin = math.log((1 + pin_n) / (1 + pin_df)) + 1.0 if pin_n else 1.0
+        num += df * abs(idf_live - idf_pin)
+        den += df * idf_live
+    return num / den if den else 0.0
+
+
+@st.composite
+def _drift_programs(draw):
+    docs = st.lists(
+        st.lists(st.sampled_from(_DRIFT_WORDS), min_size=1, max_size=12).map(" ".join),
+        min_size=1, max_size=6,
+    )
+    ops = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["fit", "partial", "partial", "refresh"]))
+        ops.append((kind, draw(st.sampled_from([0.0, 0.05, 10.0])) if kind == "refresh"
+                    else draw(docs)))
+    return ops
+
+
+def _check_drift_program(ops):
+    from repro.llm.embedding import EmbeddingModel
+
+    model = EmbeddingModel(dim=8)
+    for op, arg in ops:
+        if op == "fit":
+            model.fit_idf(arg)
+        elif op == "partial":
+            model.partial_fit_idf(arg)
+        else:
+            model.refresh(arg)
+        assert model.idf_drift() == _frozen_idf_drift(model)
+
+
+@given(_drift_programs())
+@seed(20234)
+@settings(max_examples=60, deadline=None)
+def test_idf_drift_matches_frozen_loop(ops):
+    """Array ``idf_drift`` == the per-token loop, compared with ``==``:
+    pinned or never fitted before the pin, vocabulary grown after it."""
+    _check_drift_program(ops)
+
+
+@pytest.mark.parametrize("ops", [
+    [("fit", ["w0 w7", "w2 w3", "w4 w5 w6"]), ("partial", ["w1"])],
+    [("fit", ["w0", "w7"]), ("partial", ["w6", "w1 w2 w3 w4 w5"])],
+])
+def test_idf_drift_adds_in_vocabulary_order(ops):
+    # Shrunk from the property against np.sum (pairwise) for the running sum.
+    _check_drift_program(ops)
+
+
+def test_idf_drift_pads_tokens_added_after_the_pin():
+    # Shrunk from the property against padding the pinned counts in front.
+    _check_drift_program([("fit", ["w0", "w0"]), ("partial", ["w1"])])
+
+
+# ---------------------------------------------------- collection query ids
+def _check_query_ids(index_type, n, deleted, k, query_seed):
+    from repro.vector.database import Collection
+
+    rng = np.random.default_rng(query_seed)
+    kwargs = {"nlist": 4, "nprobe": 1} if index_type == "ivf" else {}
+    collection = Collection("c", 8, index_type=index_type, **kwargs)
+    if n:
+        collection.upsert([f"v{i}" for i in range(n)],
+                          vectors=rng.standard_normal((n, 8)).astype(np.float32))
+    for i in sorted(deleted):
+        collection.delete(f"v{i}")
+    for vector in rng.standard_normal((3, 8)).astype(np.float32):
+        expected = [result.id for result in collection.query(vector=vector, k=k)]
+        assert collection.query_ids(vector, k=k) == expected
+
+
+@given(
+    st.sampled_from(["flat", "ivf", "hnsw", "lsh", "pq"]),
+    st.integers(0, 40),
+    st.sets(st.integers(0, 39), max_size=20),
+    st.integers(1, 15),
+    st.integers(0, 2**16),
+)
+@seed(20235)
+@settings(max_examples=60, deadline=None)
+def test_query_ids_match_query(index_type, n, deleted, k, query_seed):
+    """``Collection.query_ids`` returns the ids ``query`` returns, over-fetch
+    rounds included, for every index type and after deletions."""
+    _check_query_ids(index_type, n, {i for i in deleted if i < n}, k, query_seed)
+
+
+def test_query_ids_stop_at_k():
+    # Shrunk from the property against a query_ids that fetched k + 1 hits.
+    _check_query_ids("flat", 2, set(), 1, 0)
 
 
 # ------------------------------------------------------ SimLLM reply memo
