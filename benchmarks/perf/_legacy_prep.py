@@ -5,10 +5,13 @@ existed before the offline-path overhaul: per-document MinHash signatures
 (one ``(P, S)`` matrix per document), per-doc-per-band ``stable_hash``
 string banding, per-text ``embed`` calls that re-walk the token stream one
 numpy axpy at a time, and the dict/set-based HNSW/LSH query loops.
-``scripts/bench.py`` runs them against the vectorized implementations so
-``BENCH_prep.json`` records speedups against a stable baseline, and
-``tests/test_prep_batch.py`` proves the optimized paths return *identical*
-outputs (signatures, clusters, embeddings, and ANN result sets).
+``scripts/bench.py`` times them against the current implementations in
+interleaved pairs (``harness.time_pairs``) so ``BENCH_prep.json`` records
+speedups against a stable baseline, and ``tests/test_prep_batch.py``
+proves the optimized paths return *identical* outputs (signatures,
+clusters, embeddings, and ANN result sets).  The current LSH index runs
+the same set-union bucket probe as :func:`legacy_lsh_search`; its row
+measures only the shared ``search_many`` bookkeeping.
 
 Do not "fix" or modernize this module — its value is that it never changes.
 """

@@ -1,16 +1,20 @@
 """Measurement harness shared by the ``perf``-marked tests and scripts/bench.py.
 
-Every case runs the frozen pre-overhaul implementation (:mod:`._legacy`) and
-the current one on *identical* inputs and reports wall-clock plus derived
-rates. The serving engines produce bit-identical trajectories (proven by
-``tests/test_scheduler_golden.py``), so iterations/sec ratios are pure
-speedup, not workload drift.
+Every case runs a frozen pre-overhaul implementation (``_legacy*.py``) and
+the current one on *identical* inputs through :func:`time_pairs`, the one
+timing protocol of every layer benchmark: ``REPEATS`` interleaved pairs,
+each call timed with GC collected and then off, the case's parity check run
+on both outputs of every pair, and each side's runs and the per-pair ratios
+reported as median and IQR.  A case keeps only its workload builder, its
+parity check and the detail it reports from the last pair's outputs.
 """
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -32,6 +36,80 @@ from ._legacy import (
     legacy_ivf_search,
     legacy_pq_search,
 )
+
+#: Interleaved legacy/current pairs behind every reported ratio.
+REPEATS = 5
+
+
+class SelfTimed(NamedTuple):
+    """A side's output that carries its own clock reading.
+
+    :func:`time_pairs` records ``wall_s`` for the call instead of the call's
+    wall time.  Only the stream case uses it: its pair is a full rebuild
+    against the median batch of a stream measured batch by batch.
+    """
+
+    wall_s: float
+    value: object
+
+
+def _timed(fn: Callable[[], object]) -> SelfTimed:
+    """One call under the timeit rule: collect garbage, then GC off for it.
+
+    The resident corpora, fleets and legacy graph snapshots are large tracked
+    object graphs; collector sweeps triggered mid-call would add noise that
+    swamps kernel-level differences.
+    """
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        out = fn()
+        wall = time.perf_counter() - t0
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return out if isinstance(out, SelfTimed) else SelfTimed(wall, out)
+
+
+def spread(values: List[float]) -> Dict[str, object]:
+    """Median, IQR (``statistics.quantiles(values, n=4)``) and every value."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "iqr": q3 - q1, "runs": list(values)}
+
+
+def time_pairs(
+    legacy: Callable[[], object],
+    current: Callable[[], object],
+    check: Callable[[object, object], None],
+) -> Tuple[Dict[str, object], object, object]:
+    """Time ``REPEATS`` legacy/current pairs; parity-check every pair.
+
+    Even pairs run legacy first, odd pairs current first, so drift of the
+    host cancels in the per-pair ratio ``legacy / current``.  ``check``
+    receives both outputs of each pair and raises on drift.  Returns the
+    timing (``legacy`` and ``current`` seconds and the ``speedup`` ratios,
+    each as :func:`spread`) and the last pair's legacy and current outputs.
+    """
+    sides = {"legacy": legacy, "current": current}
+    runs: Dict[str, List[float]] = {"legacy": [], "current": []}
+    for i in range(REPEATS):
+        out: Dict[str, object] = {}
+        for side in ("legacy", "current") if i % 2 == 0 else ("current", "legacy"):
+            wall, out[side] = _timed(sides[side])
+            runs[side].append(wall)
+        check(out["legacy"], out["current"])
+    ratios = [
+        lw / max(cw, 1e-12) for lw, cw in zip(runs["legacy"], runs["current"])
+    ]
+    timing = {
+        "legacy": spread(runs["legacy"]),
+        "current": spread(runs["current"]),
+        "speedup": spread(ratios),
+    }
+    return timing, out["legacy"], out["current"]
+
 
 # --------------------------------------------------------------- serving
 
@@ -58,8 +136,44 @@ def run_serving_case(
     capacity_tokens: int = 1 << 20,
     block_size: int = 16,
 ) -> Dict[str, object]:
-    """Legacy vs current engine on the same queued-admission workload."""
-    case: Dict[str, object] = {
+    """Legacy vs current engine on the same queued-admission workload.
+
+    Engines and request lists are built before timing, one per call, so a
+    call times ``engine.run`` alone; every pair must agree on iterations,
+    completions and the final simulated clock.
+    """
+
+    def engines(build: Callable[[], object]) -> Callable[[], object]:
+        fresh = [(build(), admission_workload(num_requests)) for _ in range(REPEATS)]
+
+        def run() -> Tuple[object, int]:
+            engine, requests = fresh.pop()
+            return engine, len(engine.run(requests))
+
+        return run
+
+    def check(legacy: Tuple, current: Tuple) -> None:
+        (old, old_done), (new, new_done) = legacy, current
+        assert (new.iterations, new_done, new.now) == (old.iterations, old_done, old.now), (
+            "trajectory drift: the refactor must be bit-identical"
+        )
+
+    timing, _, (engine, completed) = time_pairs(
+        engines(
+            lambda: LegacyServingEngine(
+                LegacyContinuousBatchScheduler(max_batch=max_batch),
+                allocator=LegacyPagedAllocator(capacity_tokens, block_size=block_size),
+            )
+        ),
+        engines(
+            lambda: ServingEngine(
+                ContinuousBatchScheduler(max_batch=max_batch),
+                allocator=PagedAllocator(capacity_tokens, block_size=block_size),
+            )
+        ),
+        check,
+    )
+    return {
         "workload": {
             "num_requests": num_requests,
             "prompt_tokens": 128,
@@ -67,41 +181,14 @@ def run_serving_case(
             "max_batch": max_batch,
             "capacity_tokens": capacity_tokens,
             "block_size": block_size,
-        }
-    }
-    variants = (
-        (
-            "legacy",
-            lambda: LegacyServingEngine(
-                LegacyContinuousBatchScheduler(max_batch=max_batch),
-                allocator=LegacyPagedAllocator(capacity_tokens, block_size=block_size),
-            ),
-        ),
-        (
-            "current",
-            lambda: ServingEngine(
-                ContinuousBatchScheduler(max_batch=max_batch),
-                allocator=PagedAllocator(capacity_tokens, block_size=block_size),
-            ),
-        ),
-    )
-    for label, build in variants:
-        engine = build()
-        requests = admission_workload(num_requests)
-        t0 = time.perf_counter()
-        done = engine.run(requests)
-        wall = time.perf_counter() - t0
-        case[label] = {
-            "wall_s": wall,
+        },
+        **timing,
+        "detail": {
             "iterations": engine.iterations,
-            "iterations_per_s": engine.iterations / wall if wall > 0 else float("inf"),
-            "completed": len(done),
+            "completed": completed,
             "sim_now": engine.now,
-        }
-    case["speedup"] = case["current"]["iterations_per_s"] / max(
-        case["legacy"]["iterations_per_s"], 1e-12
-    )
-    return case
+        },
+    }
 
 
 # ---------------------------------------------------------------- vector
@@ -137,32 +224,22 @@ def run_vector_case(
     legacy_fn = LEGACY_SEARCH[kind]
     nq = queries.shape[0]
 
-    # Warm both paths (first-touch paging, lazy cell caches) before timing,
-    # then take the best of three runs — the least-noise estimate on a
-    # shared machine.
-    legacy_fn(index, queries[0], k)
-    index.search_many(queries[: min(32, nq)], k=k)
+    def check(legacy_results: List, batched_results: List) -> None:
+        # Flat search is exact, so the two paths rank the same vectors
+        # (spot-check a few queries); approximate indexes may tie-break
+        # differently.
+        if kind != "flat":
+            return
+        for qi in (0, nq // 2, nq - 1):
+            legacy_ids = {vid for vid, _ in legacy_results[qi]}
+            if legacy_ids != {h.id for h in batched_results[qi]}:
+                raise AssertionError(f"flat result drift on query {qi}")
 
-    legacy_wall = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        legacy_results = [legacy_fn(index, q, k) for q in queries]
-        legacy_wall = min(legacy_wall, time.perf_counter() - t0)
-
-    batched_wall = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        batched_results = index.search_many(queries, k=k)
-        batched_wall = min(batched_wall, time.perf_counter() - t0)
-
-    # Sanity: the two paths rank the same vectors (spot-check a few queries;
-    # approximate indexes may tie-break differently so compare id sets).
-    for qi in (0, nq // 2, nq - 1):
-        legacy_ids = {vid for vid, _ in legacy_results[qi]}
-        batched_ids = {h.id for h in batched_results[qi]}
-        if kind == "flat" and legacy_ids != batched_ids:
-            raise AssertionError(f"flat result drift on query {qi}")
-
+    timing, _, _ = time_pairs(
+        lambda: [legacy_fn(index, q, k) for q in queries],
+        lambda: index.search_many(queries, k=k),
+        check,
+    )
     return {
         "workload": {
             "index": kind,
@@ -171,7 +248,6 @@ def run_vector_case(
             "num_queries": nq,
             "k": k,
         },
-        "legacy": {"wall_s": legacy_wall, "queries_per_s": nq / legacy_wall},
-        "current": {"wall_s": batched_wall, "queries_per_s": nq / batched_wall},
-        "speedup": legacy_wall / max(batched_wall, 1e-12),
+        **timing,
+        "detail": {},
     }

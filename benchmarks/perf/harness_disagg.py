@@ -4,8 +4,9 @@ Every case runs the frozen global-heap pool simulator
 (:mod:`._legacy_disagg`) and the sharded
 :func:`repro.inference.pools.run_pool_fleet` loop (via ``ClusterFleet``)
 on the *identical* workload and asserts **bitwise** result parity
-(:meth:`FleetResult.equals`) before reporting wall-clock, so the speedup
-column is pure event-core efficiency, never trajectory drift.  The naive
+(:meth:`FleetResult.equals`) on every :func:`.harness.time_pairs` pair, so
+the speedup column is pure event-core efficiency, never trajectory drift.
+The naive
 side pays a full load rescan per routing decision, a linear fault-window
 scan per handoff, and one global heap over every arrival, finish,
 handoff, retry and tick; the sharded loop amortizes all three.
@@ -13,8 +14,6 @@ handoff, retry and tick; the sharded loop amortizes all three.
 
 from __future__ import annotations
 
-import gc
-import time
 from typing import Dict, Optional
 
 from repro.faults import (
@@ -28,6 +27,7 @@ from repro.inference.fleet import (
     AutoscalePolicy,
     FleetWorkload,
     ClusterFleet,
+    FleetResult,
     ReplicaModel,
     fleet_poisson_workload,
     summarize_fleet,
@@ -38,6 +38,7 @@ from repro.inference.request import SLO
 from repro.inference.router import LeastLoadedRouter, PrefixAwareRouter, RandomRouter
 
 from ._legacy_disagg import LegacyPoolFleet
+from .harness import time_pairs
 
 #: Arrival rate per replica slot (requests/s).  The decode pool is the
 #: throughput bottleneck (~200 req/s per replica at 16 output tokens on
@@ -88,7 +89,6 @@ def run_disagg_case(
     *,
     prefill: int = 128,
     decode: int = 128,
-    repeats: int = 1,
     faulty: bool = False,
     seed: int = 5,
     router_seed: int = 1,
@@ -171,34 +171,16 @@ def run_disagg_case(
         )
         return legacy.run(workload)
 
-    current_wall = float("inf")
-    result = None
-    for _ in range(repeats):
-        gc.collect()
-        t0 = time.perf_counter()
-        result = run_current()
-        current_wall = min(current_wall, time.perf_counter() - t0)
+    def check(legacy_result: FleetResult, result: FleetResult) -> None:
+        if not result.equals(legacy_result):
+            raise AssertionError(
+                f"disagg parity drift: policy={policy}/{dpolicy} "
+                f"n={num_requests} pools={prefill}p+{decode}d"
+            )
 
-    legacy_wall = float("inf")
-    legacy_result = None
-    for _ in range(repeats):
-        gc.collect()
-        t0 = time.perf_counter()
-        legacy_result = run_legacy()
-        legacy_wall = min(legacy_wall, time.perf_counter() - t0)
-
-    assert result is not None and legacy_result is not None
-    if not result.equals(legacy_result):
-        raise AssertionError(
-            f"disagg parity drift: policy={policy}/{dpolicy} "
-            f"n={num_requests} pools={prefill}p+{decode}d"
-        )
-
+    timing, _, result = time_pairs(run_legacy, run_current, check)
     report = summarize_fleet(workload, result, policy=policy)
     phases = fleet_phase_breakdown(workload, result)
-    # ~4 events per settled request: route, prefill finish, handoff
-    # arrival, decode finish.
-    events = 4 * num_requests
     return {
         "workload": {
             "num_requests": num_requests,
@@ -210,24 +192,18 @@ def run_disagg_case(
             "faulty": faulty,
             "seed": seed,
         },
-        "legacy": {
-            "wall_s": legacy_wall,
-            "events_per_s": events / max(legacy_wall, 1e-12),
+        **timing,
+        "detail": {
+            "pool": {
+                "handoffs": result.handoffs,
+                "migrations": result.migrations,
+                "shipped_migrations": result.shipped_migrations,
+                "reprefills": result.reprefills,
+                "deaths": result.deaths,
+                "spawns": result.spawns,
+                "rejected": result.rejected_total,
+            },
+            "phases": phases.rows(),
+            "report": report.row(),
         },
-        "current": {
-            "wall_s": current_wall,
-            "events_per_s": events / max(current_wall, 1e-12),
-        },
-        "speedup": legacy_wall / max(current_wall, 1e-12),
-        "pool": {
-            "handoffs": result.handoffs,
-            "migrations": result.migrations,
-            "shipped_migrations": result.shipped_migrations,
-            "reprefills": result.reprefills,
-            "deaths": result.deaths,
-            "spawns": result.spawns,
-            "rejected": result.rejected_total,
-        },
-        "phases": phases.rows(),
-        "report": report.row(),
     }

@@ -3,8 +3,9 @@
 Every case runs the frozen global-heap simulator
 (:mod:`._legacy_fleet`) and :class:`repro.inference.fleet.ClusterFleet`
 on the *identical* workload and asserts **bitwise** result parity
-(:meth:`FleetResult.equals`) before reporting wall-clock, so the speedup
-column is pure event-core efficiency, never trajectory drift.  Scale is
+(:meth:`FleetResult.equals`) on every :func:`.harness.time_pairs` pair, so
+the speedup column is pure event-core efficiency, never trajectory drift.
+Scale is
 parameterized by the replica count and a per-replica arrival rate: the
 naive baseline rebuilds its routable list and rescans per-replica load
 on every decision, so its cost honestly grows with the fleet while the
@@ -14,8 +15,6 @@ sharded loop stays flat — benchmark configs state both knobs explicitly.
 from __future__ import annotations
 
 import dataclasses
-import gc
-import time
 from typing import Dict, Optional
 
 from repro.faults import REPLICA_DEATH, FaultPlan, RetryPolicy
@@ -32,6 +31,7 @@ from repro.inference.request import SLO
 from repro.inference.router import make_router
 
 from ._legacy_fleet import LegacyClusterFleet
+from .harness import time_pairs
 
 #: Arrival rate per routable replica (requests/s) keeping the standard
 #: workload just below fleet capacity, so queues stay busy but bounded.
@@ -77,7 +77,6 @@ def run_fleet_case(
     policy: str,
     *,
     replicas: int = 64,
-    repeats: int = 1,
     faulty: bool = False,
     seed: int = 5,
     router_seed: int = 1,
@@ -89,9 +88,7 @@ def run_fleet_case(
     healthy-fleet tail (0.35 s) so only fault-induced queueing sheds, and
     queue-depth autoscaling whose replacement spawns lag a quarter of
     the trace behind — so both simulators exercise every rare-event
-    path and the report carries a non-trivial shed rate.  ``repeats`` takes the best wall
-    time per side (million-request cases run once: the sim itself
-    averages over ~2M events, and parity already pins correctness).
+    path and the report carries a non-trivial shed rate.
     """
     workload = fleet_workload(num_requests, replicas=replicas, seed=seed)
     model = bench_model()
@@ -140,31 +137,14 @@ def run_fleet_case(
         )
         return legacy.run(workload)
 
-    current_wall = float("inf")
-    result = None
-    for _ in range(repeats):
-        gc.collect()
-        t0 = time.perf_counter()
-        result = run_current()
-        current_wall = min(current_wall, time.perf_counter() - t0)
+    def check(legacy_result: FleetResult, result: FleetResult) -> None:
+        if not matches_legacy(result, legacy_result):
+            raise AssertionError(
+                f"fleet parity drift: policy={policy} n={num_requests} replicas={replicas}"
+            )
 
-    legacy_wall = float("inf")
-    legacy_result = None
-    for _ in range(repeats):
-        gc.collect()
-        t0 = time.perf_counter()
-        legacy_result = run_legacy()
-        legacy_wall = min(legacy_wall, time.perf_counter() - t0)
-
-    assert result is not None and legacy_result is not None
-    if not matches_legacy(result, legacy_result):
-        raise AssertionError(
-            f"fleet parity drift: policy={policy} n={num_requests} replicas={replicas}"
-        )
-
+    timing, _, result = time_pairs(run_legacy, run_current, check)
     report = summarize_fleet(workload, result, policy=policy)
-    # ~2 events per settled request: one routing decision, one finish.
-    events = 2 * num_requests
     return {
         "workload": {
             "num_requests": num_requests,
@@ -174,20 +154,14 @@ def run_fleet_case(
             "faulty": faulty,
             "seed": seed,
         },
-        "legacy": {
-            "wall_s": legacy_wall,
-            "events_per_s": events / max(legacy_wall, 1e-12),
+        **timing,
+        "detail": {
+            "faults": {
+                "deaths": result.deaths,
+                "spawns": result.spawns,
+                "retries": int(result.retries.sum()),
+                "rejected": result.rejected_total,
+            },
+            "report": report.row(),
         },
-        "current": {
-            "wall_s": current_wall,
-            "events_per_s": events / max(current_wall, 1e-12),
-        },
-        "speedup": legacy_wall / max(current_wall, 1e-12),
-        "faults": {
-            "deaths": result.deaths,
-            "spawns": result.spawns,
-            "retries": int(result.retries.sum()),
-            "rejected": result.rejected_total,
-        },
-        "report": report.row(),
     }

@@ -1,12 +1,13 @@
 """Measurement harness for the semantic-operator optimizer benchmarks.
 
-Mirrors :mod:`.harness_prep`: every case runs the frozen naive executor
-(:mod:`._legacy_semopt`) and the optimized :class:`~repro.semopt.SemExecutor`
-on *identical* inputs with independent same-seed models, and asserts —
-inside the timed case, before any speedup is reported — that the two paths
-produced **identical** output records (survivor sets, mapped fields, join
-merges, top-k order, group counts).  The simulated model is a deterministic
-function of the prompt, so any divergence is an optimizer bug, not noise.
+Every case times the frozen naive executor (:mod:`._legacy_semopt`) against
+the optimized :class:`~repro.semopt.SemExecutor` through
+:func:`.harness.time_pairs`, on *identical* inputs with a fresh same-seed
+model per call, and asserts on every pair, before any speedup is reported,
+that the two paths produced **identical** output records (survivor sets,
+mapped fields, join merges, top-k order, group counts).  The simulated
+model is a deterministic function of the prompt, so any divergence is an
+optimizer bug, not noise.
 
 The headline workload is a zipf-skewed synthetic lake: rows draw their
 ``text`` from a bounded pool of unique documents (heavy head, long tail)
@@ -19,9 +20,7 @@ call each.
 
 from __future__ import annotations
 
-import gc
-import time
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from repro.semopt import (
 from repro.unstructured import SemanticOperators
 
 from ._legacy_semopt import NaiveSemExecutor, Record
+from .harness import time_pairs
 
 _CATEGORIES = (
     "storage",
@@ -150,20 +150,6 @@ def mixed_pipeline() -> SemPipeline:
     )
 
 
-def _timed(fn) -> tuple:
-    """Single timed run with GC suspended (workloads are single-shot)."""
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        result = fn()
-        wall = time.perf_counter() - t0
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return wall, result
-
-
 def run_semopt_case(
     num_rows: int,
     *,
@@ -176,25 +162,26 @@ def run_semopt_case(
     records = semopt_lake(num_rows, pool_size=pool_size, seed=seed)
     pipeline = cascade_pipeline() if pipeline_kind == "cascade" else mixed_pipeline()
 
-    naive_llm = make_llm(tier, seed=seed)
-    naive = NaiveSemExecutor(naive_llm)
-    naive_wall, naive_out = _timed(lambda: naive.run(records, pipeline))
-    naive_rows, naive_counts = naive_out
+    def naive() -> Tuple[object, int]:
+        llm = make_llm(tier, seed=seed)
+        return NaiveSemExecutor(llm).run(records, pipeline), llm.usage.calls
 
-    opt_llm = make_llm(tier, seed=seed)
-    executor = SemExecutor(SemanticOperators(opt_llm))
-    opt_wall, result = _timed(lambda: executor.run(records, pipeline))
+    def optimized() -> Tuple[object, int]:
+        llm = make_llm(tier, seed=seed)
+        return SemExecutor(SemanticOperators(llm)).run(records, pipeline), llm.usage.calls
 
-    # Bit-level answer parity, asserted before any number is reported:
-    # identical surviving records (fields included), identical aggregates.
-    assert result.records == naive_rows, (
-        f"survivor drift: optimized {len(result.records)} rows vs "
-        f"naive {len(naive_rows)}"
-    )
-    assert result.group_counts == naive_counts, "group-count drift"
+    def check(legacy: Tuple, current: Tuple) -> None:
+        # Bit-level answer parity: identical surviving records (fields
+        # included), identical aggregates.
+        (naive_rows, naive_counts), _ = legacy
+        result, _ = current
+        assert result.records == naive_rows, (
+            f"survivor drift: optimized {len(result.records)} rows vs "
+            f"naive {len(naive_rows)}"
+        )
+        assert result.group_counts == naive_counts, "group-count drift"
 
-    naive_calls = naive_llm.usage.calls
-    opt_calls = opt_llm.usage.calls
+    timing, (_, naive_calls), (result, opt_calls) = time_pairs(naive, optimized, check)
     return {
         "workload": {
             "pipeline": pipeline_kind,
@@ -203,14 +190,13 @@ def run_semopt_case(
             "tier": tier,
             "seed": seed,
         },
-        "rows_out": len(result.records),
-        "legacy": {"wall_s": naive_wall, "llm_calls": naive_calls},
-        "current": {
-            "wall_s": opt_wall,
+        **timing,
+        "detail": {
+            "rows_out": len(result.records),
+            "legacy_llm_calls": naive_calls,
             "llm_calls": opt_calls,
+            "call_reduction": naive_calls / opt_calls if opt_calls else float("inf"),
             "cache_hits": result.cache.hits if result.cache else 0,
             "decisions": result.decisions,
         },
-        "speedup": naive_wall / opt_wall if opt_wall > 0 else float("inf"),
-        "call_reduction": naive_calls / opt_calls if opt_calls else float("inf"),
     }

@@ -14,8 +14,15 @@ every batch with a real clock, then:
   the same documents and asserts convergence: identical dedup survivors,
   recall@10 within tolerance of the rebuild (each path scored against
   exact search in its own embedding space);
-* reports the freshness speedup: the cost of absorbing the final batch
+* reports the freshness speedup: the cost of absorbing a typical batch
   incrementally versus rebuilding the whole corpus from scratch.
+
+Stream and rebuild run as :func:`.harness.time_pairs` pairs, convergence
+checked on every pair: the pair is the rebuild's wall time against the
+stream's median batch (a :class:`.harness.SelfTimed` reading of the
+per-batch service clock, so an occasional refresh re-embed landing in one
+batch does not skew it).  Throughput, staleness and counters come from the
+last pair's stream.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from repro.stream.replay import _recall_at_k
 from repro.utils import derive_rng
 
 from ._baseline_stream import full_rebuild
+from .harness import SelfTimed, time_pairs
 from .harness_prep import prep_corpus
 
 DIM = 64
@@ -74,59 +82,64 @@ def run_stream_case(
     """Stream one corpus end to end; returns throughput, staleness, and
     convergence against the frozen full rebuild."""
     docs = prep_corpus(docs_per_domain, seed=seed)
-    corpus = StreamingCorpus(
-        dim=DIM,
-        index_type=index_type,
-        seed=seed,
-        refresh_threshold=refresh_threshold,
-        **index_kwargs,
-    )
     batches = [docs[i : i + batch_size] for i in range(0, len(docs), batch_size)]
-    services: List[float] = []
-    admitted = evicted = refreshes = rebalances = 0
-    for batch in batches:
-        t0 = time.perf_counter()
-        report = corpus.ingest(batch)
-        services.append(time.perf_counter() - t0)
-        admitted += report.admitted
-        evicted += report.evicted
-        refreshes += int(report.refreshed)
-        rebalances += int(report.rebalanced)
+    rng = derive_rng(seed, "stream-bench-queries")
+    query_texts = [
+        docs[int(i)].text
+        for i in rng.integers(0, len(docs), size=QUERY_COUNT)
+    ]
+
+    def stream() -> SelfTimed:
+        corpus = StreamingCorpus(
+            dim=DIM,
+            index_type=index_type,
+            seed=seed,
+            refresh_threshold=refresh_threshold,
+            **index_kwargs,
+        )
+        services: List[float] = []
+        reports = []
+        for batch in batches:
+            t0 = time.perf_counter()
+            reports.append(corpus.ingest(batch))
+            services.append(time.perf_counter() - t0)
+        return SelfTimed(float(np.median(services)), (corpus, services, reports))
+
+    def rebuild():
+        return full_rebuild(
+            docs, dim=DIM, index_type=index_type, seed=seed, index_kwargs=index_kwargs
+        )
+
+    recalls: Dict[str, float] = {}
+
+    def check(rebuilt, streamed) -> None:
+        rebuild_coll, rebuild_embedder, rebuild_kept = rebuilt
+        corpus = streamed[0]
+        assert corpus.live_doc_ids() == rebuild_kept, (
+            "streaming survivors diverged from full re-dedup "
+            f"({len(corpus)} vs {len(rebuild_kept)})"
+        )
+        recalls["stream"] = _recall_at_k(
+            corpus.collection, corpus.embedder.embed_batch(query_texts), RECALL_K
+        )
+        recalls["rebuild"] = _recall_at_k(
+            rebuild_coll, rebuild_embedder.embed_batch(query_texts), RECALL_K
+        )
+        assert recalls["stream"] >= recalls["rebuild"] - RECALL_TOLERANCE, (
+            f"streaming recall@{RECALL_K} {recalls['stream']:.3f} fell more than "
+            f"{RECALL_TOLERANCE} below the rebuild's {recalls['rebuild']:.3f}"
+        )
+
+    timing, (_, _, rebuild_kept), (corpus, services, reports) = time_pairs(
+        rebuild, stream, check
+    )
     total_service = sum(services)
-    docs_per_sec = len(docs) / total_service
     staleness = _staleness(
         services,
         [len(b) for b in batches],
         rate=utilization * len(batches) / total_service,
         seed=seed,
     )
-
-    t0 = time.perf_counter()
-    rebuild_coll, rebuild_embedder, rebuild_kept = full_rebuild(
-        docs, dim=DIM, index_type=index_type, seed=seed, index_kwargs=index_kwargs
-    )
-    rebuild_wall = time.perf_counter() - t0
-
-    assert corpus.live_doc_ids() == rebuild_kept, (
-        "streaming survivors diverged from full re-dedup "
-        f"({len(corpus)} vs {len(rebuild_kept)})"
-    )
-    rng = derive_rng(seed, "stream-bench-queries")
-    query_texts = [
-        docs[int(i)].text
-        for i in rng.integers(0, len(docs), size=QUERY_COUNT)
-    ]
-    stream_recall = _recall_at_k(
-        corpus.collection, corpus.embedder.embed_batch(query_texts), RECALL_K
-    )
-    rebuild_recall = _recall_at_k(
-        rebuild_coll, rebuild_embedder.embed_batch(query_texts), RECALL_K
-    )
-    assert stream_recall >= rebuild_recall - RECALL_TOLERANCE, (
-        f"streaming recall@{RECALL_K} {stream_recall:.3f} fell more than "
-        f"{RECALL_TOLERANCE} below the rebuild's {rebuild_recall:.3f}"
-    )
-
     return {
         "workload": {
             "num_docs": len(docs),
@@ -137,31 +150,20 @@ def run_stream_case(
             "refresh_threshold": refresh_threshold,
             "seed": seed,
         },
-        "current": {
+        **timing,
+        "detail": {
             "total_service_s": total_service,
-            "docs_per_sec": docs_per_sec,
+            "docs_per_sec": len(docs) / total_service,
             "staleness": staleness,
-            "median_batch_s": float(np.median(np.array(services, dtype=np.float64))),
             "last_batch_s": services[-1],
             "live_docs": len(corpus),
-            "admitted": admitted,
-            "evicted": evicted,
-            "refreshes": refreshes,
-            "rebalances": rebalances,
-        },
-        "baseline": {
-            "full_rebuild_s": rebuild_wall,
             "kept_docs": len(rebuild_kept),
+            "admitted": sum(r.admitted for r in reports),
+            "evicted": sum(r.evicted for r in reports),
+            "refreshes": sum(int(r.refreshed) for r in reports),
+            "rebalances": sum(int(r.rebalanced) for r in reports),
+            "stream_recall_at_10": recalls["stream"],
+            "rebuild_recall_at_10": recalls["rebuild"],
+            "recall_gap": recalls["stream"] - recalls["rebuild"],
         },
-        "convergence": {
-            "survivors_match": True,
-            "stream_recall_at_10": stream_recall,
-            "rebuild_recall_at_10": rebuild_recall,
-            "recall_gap": stream_recall - rebuild_recall,
-        },
-        # Staying fresh: absorbing a typical batch incrementally vs
-        # rebuilding everything from scratch (the median batch, so an
-        # occasional refresh re-embed landing in one batch doesn't skew it).
-        "freshness_speedup": rebuild_wall
-        / float(np.median(np.array(services, dtype=np.float64))),
     }

@@ -35,8 +35,8 @@ def test_disagg_smoke() -> None:
         case = run_disagg_case(
             SMOKE_REQUESTS, policy, prefill=SMOKE_PREFILL, decode=SMOKE_DECODE
         )
-        assert case["report"]["completed"] == SMOKE_REQUESTS, case
-        assert case["pool"]["handoffs"] == SMOKE_REQUESTS, case
+        assert case["detail"]["report"]["completed"] == SMOKE_REQUESTS, case
+        assert case["detail"]["pool"]["handoffs"] == SMOKE_REQUESTS, case
     faulty = run_disagg_case(
         SMOKE_REQUESTS,
         "least-loaded",
@@ -45,9 +45,9 @@ def test_disagg_smoke() -> None:
         faulty=True,
     )
     # The seeded scenario must actually exercise rare-event paths.
-    pool = faulty["pool"]
+    pool = faulty["detail"]["pool"]
     assert pool["migrations"] + pool["reprefills"] + pool["deaths"] > 0, faulty
-    completed = faulty["report"]["completed"]
+    completed = faulty["detail"]["report"]["completed"]
     assert completed + pool["rejected"] == SMOKE_REQUESTS, faulty
 
 
@@ -55,14 +55,14 @@ def test_disagg_speedup_prefix_aware() -> None:
     case = run_disagg_case(
         GATE_REQUESTS, "prefix-aware", prefill=GATE_PREFILL, decode=GATE_DECODE
     )
-    assert case["speedup"] >= 2.5, case
+    assert case["speedup"]["median"] >= 2.5, case
 
 
 def test_disagg_speedup_least_loaded() -> None:
     case = run_disagg_case(
         GATE_REQUESTS, "least-loaded", prefill=GATE_PREFILL, decode=GATE_DECODE
     )
-    assert case["speedup"] >= 2.5, case
+    assert case["speedup"]["median"] >= 2.5, case
 
 
 def test_disagg_speedup_faulty() -> None:
@@ -74,4 +74,4 @@ def test_disagg_speedup_faulty() -> None:
         decode=GATE_DECODE,
         faulty=True,
     )
-    assert case["speedup"] >= 2.0, case
+    assert case["speedup"]["median"] >= 2.0, case

@@ -30,32 +30,32 @@ def test_fleet_smoke() -> None:
     """All three policies + the faulty scenario agree bit-for-bit."""
     for policy in ("random", "least-loaded", "prefix-aware"):
         case = run_fleet_case(SMOKE_REQUESTS, policy, replicas=SMOKE_REPLICAS)
-        report = case["report"]
+        report = case["detail"]["report"]
         assert report["completed"] == SMOKE_REQUESTS, case
         assert report["shed_rate"] == 0.0, case
     faulty = run_fleet_case(
         SMOKE_REQUESTS, "least-loaded", replicas=SMOKE_REPLICAS, faulty=True
     )
     # The seeded scenario must actually exercise the rare-event paths.
-    assert faulty["faults"]["deaths"] > 0, faulty
-    completed = faulty["report"]["completed"]
-    rejected = faulty["faults"]["rejected"]
+    assert faulty["detail"]["faults"]["deaths"] > 0, faulty
+    completed = faulty["detail"]["report"]["completed"]
+    rejected = faulty["detail"]["faults"]["rejected"]
     assert completed + rejected == SMOKE_REQUESTS, faulty
 
 
 def test_fleet_speedup_random() -> None:
     case = run_fleet_case(GATE_REQUESTS, "random", replicas=GATE_REPLICAS)
-    assert case["speedup"] >= 1.8, case
+    assert case["speedup"]["median"] >= 1.8, case
 
 
 def test_fleet_speedup_least_loaded() -> None:
     case = run_fleet_case(GATE_REQUESTS, "least-loaded", replicas=GATE_REPLICAS)
-    assert case["speedup"] >= 2.5, case
+    assert case["speedup"]["median"] >= 2.5, case
 
 
 def test_fleet_speedup_prefix_aware() -> None:
     case = run_fleet_case(GATE_REQUESTS, "prefix-aware", replicas=GATE_REPLICAS)
-    assert case["speedup"] >= 4.0, case
+    assert case["speedup"]["median"] >= 4.0, case
 
 
 def test_fleet_speedup_faulty() -> None:
@@ -63,5 +63,5 @@ def test_fleet_speedup_faulty() -> None:
     case = run_fleet_case(
         GATE_REQUESTS, "least-loaded", replicas=GATE_REPLICAS, faulty=True
     )
-    assert case["faults"]["deaths"] > 0, case
-    assert case["speedup"] >= 2.0, case
+    assert case["detail"]["faults"]["deaths"] > 0, case
+    assert case["speedup"]["median"] >= 2.0, case

@@ -30,12 +30,12 @@ def test_prep_smoke():
 
 def test_dedup_speedup():
     case = run_dedup_case(700)  # ~5k docs
-    assert case["speedup"] >= 2.5, case
+    assert case["speedup"]["median"] >= 2.5, case
 
 
 def test_embed_speedup():
     case = run_embed_case(400)  # ~2.9k texts
-    assert case["speedup"] >= 2.0, case
+    assert case["speedup"]["median"] >= 2.0, case
 
 
 def test_hnsw_batched_speedup():
@@ -45,11 +45,11 @@ def test_hnsw_batched_speedup():
     # to batch).  The overhaul wins on the bookkeeping around it; this
     # guard holds that win and catches regressions back to dict/set land.
     case = run_hnsw_case(15_000)
-    assert case["speedup"] >= 1.1, case
+    assert case["speedup"]["median"] >= 1.1, case
 
 
 def test_lsh_probe_no_regression():
-    # The probe is einsum-bound at this occupancy; the vectorized bucket
-    # union must at least hold the line while HNSW/dedup carry the wins.
+    # The probe is the frozen set-union bucket scan (no optimized twin);
+    # the shared search_many bookkeeping around it must hold the line.
     case = run_lsh_case(15_000)
-    assert case["speedup"] >= 0.8, case
+    assert case["speedup"]["median"] >= 0.8, case

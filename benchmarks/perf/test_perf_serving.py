@@ -16,14 +16,14 @@ pytestmark = pytest.mark.perf
 
 
 def test_engine_trajectory_matches_legacy():
+    # The harness asserts equal iterations, completions and sim clock on
+    # every legacy/current pair.
     case = run_serving_case(500)
-    assert case["current"]["iterations"] == case["legacy"]["iterations"]
-    assert case["current"]["completed"] == case["legacy"]["completed"] == 500
-    assert case["current"]["sim_now"] == case["legacy"]["sim_now"]
+    assert case["detail"]["completed"] == 500
 
 
 def test_admission_path_speedup_at_2k():
     case = run_serving_case(2000)
     # Headline target is >=5x at 10k queued requests (see BENCH_serving.json);
     # at 2k the allocator-recount elimination should already show >=2x.
-    assert case["speedup"] >= 2.0, case
+    assert case["speedup"]["median"] >= 2.0, case

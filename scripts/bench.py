@@ -1,20 +1,23 @@
 #!/usr/bin/env python
-"""Offline perf-regression benchmark: frozen legacy baselines vs current code.
+"""Layer benchmarks: frozen legacy baselines vs current code, one protocol.
 
-Runs the serving-engine admission benchmark (1k / 10k queued requests), the
-batched ANN benchmark (flat / IVF / PQ at 10k / 100k vectors), the offline
-data-prep benchmark (MinHash dedup at ~20k docs, corpus embedding, HNSW/LSH
-search at 50k vectors), and the fleet-serving benchmark (1M simulated
-requests across 512 replicas per router policy), then writes
-``BENCH_serving.json``, ``BENCH_vector.json``, ``BENCH_prep.json``, and
-``BENCH_fleet.json`` at the repo root.  Each JSON records the workload
-parameters, wall-clock seconds, derived rates (iterations/sec, queries/sec,
-docs/sec, events/sec), the frozen-baseline numbers, and the speedup — so
-subsequent PRs have a trajectory to beat.
+Seven suites (serving, vector, prep, fleet, disagg, semopt, stream) each run
+their cases through ``benchmarks.perf.harness.time_pairs``: ``REPEATS``
+interleaved legacy/current pairs with the case's parity check on every pair.
+Each suite writes ``BENCH_<suite>.json`` with one schema: ``env``,
+``repeats``, ``metric``, ``target``, ``target_met``, ``notes`` and a
+``cases`` list whose entries hold ``name``, ``workload``, the ``legacy`` and
+``current`` seconds and the per-pair ``speedup`` ratios (each as median,
+IQR and every run), and a case-specific ``detail``.
 
 Usage (no network, no extra deps)::
 
-    PYTHONPATH=src python scripts/bench.py [--out-dir .] [--only fleet ...]
+    PYTHONPATH=src python scripts/bench.py [--out-dir .] [--only fleet ...] [--quick]
+    PYTHONPATH=src python scripts/bench.py --compare OLD.json NEW.json
+
+``--compare`` prints each case both files share with both speedup medians
+and flags a move larger than the bigger of the two IQRs; it exits non-zero
+only when a file is unreadable or the two do not measure the same cases.
 """
 
 from __future__ import annotations
@@ -23,14 +26,15 @@ import argparse
 import json
 import platform
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Optional, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
-from benchmarks.perf.harness import run_serving_case, run_vector_case  # noqa: E402
+from benchmarks.perf.harness import REPEATS, run_serving_case, run_vector_case  # noqa: E402
 from benchmarks.perf.harness_disagg import run_disagg_case  # noqa: E402
 from benchmarks.perf.harness_fleet import run_fleet_case  # noqa: E402
 from benchmarks.perf.harness_prep import (  # noqa: E402
@@ -42,502 +46,343 @@ from benchmarks.perf.harness_prep import (  # noqa: E402
 from benchmarks.perf.harness_semopt import run_semopt_case  # noqa: E402
 from benchmarks.perf.harness_stream import run_stream_case  # noqa: E402
 
-SERVING_SIZES = (1_000, 10_000)
-VECTOR_SIZES = (10_000, 100_000)
-VECTOR_KINDS = ("flat", "ivf", "pq")
-# CorpusBuilder docs-per-domain units: 6 domains * 1.2 duplicate factor,
-# so 2_800 -> 20_160 documents (the headline dedup workload).
-PREP_DEDUP_DPD = 2_800
-PREP_EMBED_DPD = 1_000
-PREP_ANN_VECTORS = 50_000
-# Fleet headline: a million requests over a 512-replica cluster; the faulty
-# scenario (deaths + shed + autoscale) runs at a smaller scale because it is
-# about rare-event coverage, not the hot-loop headline.
-FLEET_REQUESTS = 1_000_000
-FLEET_REPLICAS = 512
-FLEET_FAULTY_REQUESTS = 200_000
-FLEET_FAULTY_REPLICAS = 128
-
-# Disaggregated-pool headline: a million requests over 256 prefill + 256
-# decode replicas; a mixed mid-scale case and a rare-event (faults +
-# migration + autoscale warm-up) case ride along at smaller scales.
-DISAGG_REQUESTS = 1_000_000
-DISAGG_PREFILL = 256
-DISAGG_DECODE = 256
-DISAGG_MIXED_REQUESTS = 200_000
-DISAGG_MIXED_PREFILL = 64
-DISAGG_MIXED_DECODE = 64
-DISAGG_FAULTY_REQUESTS = 100_000
-DISAGG_FAULTY_PREFILL = 64
-DISAGG_FAULTY_DECODE = 64
-
-# Semantic-operator optimizer headline: a million-row zipf-skewed lake
-# through the suboptimally-written filter/filter/map/map cascade, plus a
-# barrier-heavy (join/topk/group-count) pipeline at a smaller scale.
-SEMOPT_ROWS = 1_000_000
-SEMOPT_POOL = 8_000
-SEMOPT_MIXED_ROWS = 50_000
-SEMOPT_MIXED_POOL = 4_000
-
-# Streaming flywheel headline: 100k+ documents through incremental dedup ->
-# online-IDF embedding -> live IVF index (IVF carries the 100k scale; HNSW
-# streams honestly at a smaller scale because its per-row insert is the
-# bottleneck, ~200 rows/s at dim 64 on one core).
-STREAM_HEADLINE_DPD = 14_000  # 6 domains * 1.2 dup factor -> 100_800 docs
-STREAM_HNSW_DPD = 1_000  # -> 7_200 docs
-
-SUITES = ("serving", "vector", "prep", "fleet", "disagg", "semopt", "stream")
+SUITE_NAMES = ("serving", "vector", "prep", "fleet", "disagg", "semopt", "stream")
+FILE_KEYS = ("env", "repeats", "metric", "target", "target_met", "notes", "cases")
+CASE_KEYS = ("name", "workload", "legacy", "current", "speedup", "detail")
+SPREAD_KEYS = ("median", "iqr", "runs")
 
 
-def bench_serving(env: Dict[str, str], quick: bool) -> Dict[str, object]:
-    sizes = (200, 500) if quick else SERVING_SIZES
-    serving: Dict[str, object] = {
-        "env": env,
-        "metric": "engine iterations per second",
-        "cases": [],
-    }
-    cases = serving["cases"]
-    for n in sizes:
-        print(f"[serving] {n} queued requests ...", flush=True)
-        case = run_serving_case(n)
-        assert case["current"]["iterations"] == case["legacy"]["iterations"], (
-            "trajectory drift: the refactor must be bit-identical"
-        )
-        cases.append(case)
-        print(
-            "  legacy %.1f it/s | current %.1f it/s | speedup %.2fx"
-            % (
-                case["legacy"]["iterations_per_s"],
-                case["current"]["iterations_per_s"],
-                case["speedup"],
-            )
-        )
-    serving["target"] = ">=5x iterations/sec at 10k queued requests"
-    serving["target_met"] = bool(cases and cases[-1]["speedup"] >= 5.0)
-    return serving
+def _speedup(case: Dict[str, object]) -> float:
+    return case["speedup"]["median"]
 
 
-def bench_vector(env: Dict[str, str], quick: bool) -> Dict[str, object]:
-    sizes = (2_000, 5_000) if quick else VECTOR_SIZES
-    vector: Dict[str, object] = {
-        "env": env,
-        "metric": "queries per second (256 queries, k=10, dim=64, cosine)",
-        "cases": [],
-    }
-    cases = vector["cases"]
-    for kind in VECTOR_KINDS:
-        for n in sizes:
-            print(f"[vector] {kind} @ {n} vectors ...", flush=True)
-            case = run_vector_case(kind, n)
-            cases.append(case)
-            print(
-                "  legacy %.1f q/s | batched %.1f q/s | speedup %.2fx"
-                % (
-                    case["legacy"]["queries_per_s"],
-                    case["current"]["queries_per_s"],
-                    case["speedup"],
+def suites(quick: bool) -> Dict[str, Dict[str, object]]:
+    """Every suite: its cases (name -> thunk), metric, target rule and notes."""
+
+    def size(small, full):
+        return small if quick else full
+
+    # CorpusBuilder docs-per-domain units: 6 domains * 1.2 duplicate factor,
+    # so 2_800 -> 20_160 documents (the headline dedup workload).
+    dedup_dpd, embed_dpd, ann = size(120, 2_800), size(60, 1_000), size(2_000, 50_000)
+    # Fleet headline: a million requests over a 512-replica cluster; the
+    # faulty scenario (deaths + shed + autoscale) runs at a smaller scale
+    # because it is about rare-event coverage, not the hot-loop headline.
+    fleet_n, fleet_r = size(20_000, 1_000_000), size(32, 512)
+    # Disaggregated-pool headline: a million requests over 256 prefill + 256
+    # decode replicas; a mixed mid-scale case and a rare-event (faults +
+    # migration + autoscale warm-up) case ride along at smaller scales.
+    disagg_n, disagg_pd = size(20_000, 1_000_000), size(16, 256)
+    # Streaming headline: 14_000 docs/domain -> 100_800 docs through the IVF
+    # index; HNSW streams at 7_200 docs because its per-row graph insert is
+    # the bottleneck (~200 rows/s at dim 64 on one core).
+    ivf_kwargs = size(
+        {"nlist": 16, "nprobe": 8, "train_size": 256},
+        {"nlist": 128, "nprobe": 16, "train_size": 1024},
+    )
+    return {
+        "serving": {
+            "metric": "engine.run wall-clock seconds with every request queued at t=0",
+            "cases": {
+                f"queued_{n}": partial(run_serving_case, n)
+                for n in size((200, 500), (1_000, 10_000))
+            },
+            "target": ">=5x iterations/sec at 10k queued requests",
+            "target_met": lambda c: _speedup(list(c.values())[-1]) >= 5.0,
+            "notes": {},
+        },
+        "vector": {
+            "metric": "wall-clock seconds for 256 queries (k=10, dim=64, cosine)",
+            "cases": {
+                f"{kind}_{n}": partial(run_vector_case, kind, n)
+                for kind in ("flat", "ivf", "pq")
+                for n in size((2_000, 5_000), (10_000, 100_000))
+            },
+            "target": ">=10x batched query throughput for flat/IVF",
+            "target_met": lambda c: {
+                kind: any(
+                    _speedup(case) >= 10.0
+                    for case in c.values()
+                    if case["workload"]["index"] == kind
                 )
-            )
-    vector["target"] = ">=10x batched query throughput for flat/IVF"
-    vector["notes"] = {
-        "ivf": "meets the 10x target at 100k vectors: shared per-cell GEMMs, "
-        "contiguous inverted lists, and per-cell top-k selection replace the "
-        "per-query Python loop.",
-        "flat": "roofline-bound below the 10x target on this machine: the "
-        "legacy per-query path is already a single BLAS gemv, so batching can "
-        "only convert memory-bound gemv into compute-bound gemm (~2*flops/"
-        "bandwidth ~ 3-4x on one core). Recorded honestly rather than inflated "
-        "with a strawman baseline.",
-        "pq": "ADC table lookups are O(n) gather work per query in both paths; "
-        "batching amortizes per-query overhead only (~1.5-4x depending on n).",
+                for kind in ("ivf", "flat")
+            },
+            "notes": {
+                "ivf": "meets the 10x target at 100k vectors: shared per-cell "
+                "GEMMs, contiguous inverted lists, and per-cell top-k selection "
+                "replace the per-query Python loop.",
+                "flat": "roofline-bound below the 10x target on this machine: "
+                "the legacy per-query path is already a single BLAS gemv, so "
+                "batching can only convert memory-bound gemv into compute-bound "
+                "gemm (~2*flops/bandwidth ~ 3-4x on one core). Recorded honestly "
+                "rather than inflated with a strawman baseline.",
+                "pq": "ADC table lookups are O(n) gather work per query in both "
+                "paths; batching amortizes per-query overhead only. Audit: at "
+                "100k the median pair ratio beats 1.0 by more than its IQR, so "
+                "the batched ADC path stays.",
+            },
+        },
+        "prep": {
+            "metric": "wall-clock seconds per call (parity checked on every pair)",
+            "cases": {
+                "minhash_dedup": partial(run_dedup_case, dedup_dpd),
+                "embed_batch": partial(run_embed_case, embed_dpd),
+                "hnsw_search": partial(run_hnsw_case, ann),
+                "lsh_search": partial(run_lsh_case, ann),
+            },
+            "target": ">=5x MinHash dedup at ~20k docs; "
+            ">=3x batched HNSW search at 50k vectors",
+            "target_met": lambda c: {
+                "minhash_dedup": _speedup(c["minhash_dedup"]) >= 5.0,
+                "hnsw_search": _speedup(c["hnsw_search"]) >= 3.0,
+            },
+            "notes": {
+                "minhash_dedup": "one banded Mersenne-permutation kernel over "
+                "the concatenated corpus, np.unique banding on collapsed "
+                "signature rows, and vectorized candidate verification replace "
+                "the per-document matrix + per-band dict probing.",
+                "embed_batch": "one tokenizer pass, one IDF/unit-vector lookup "
+                "per distinct key, column-slab accumulation; bitwise-equal to "
+                "per-text embed. fit_idf is a single Counter merge over the "
+                "same pass (detail.fit_idf_speedup).",
+                "hnsw_search": "array-native adjacency + epoch-stamped visited "
+                "marks + result-floor prefilter; per-expansion sims keep the "
+                "scalar BLAS gather shape, so traversal and scores are "
+                "bitwise-unchanged. Below the 3x target: most of the per-query "
+                "cost is the mandatory per-expansion gather+gemv (the frontier "
+                "is ~m0 rows, too small to batch), and a lockstep cohort kernel "
+                "that batches sims across queries was measured at "
+                "parity-to-slower. Audit: the median pair ratio beats 1.0 by "
+                "more than its IQR, so the search path stays (the array "
+                "adjacency also carries delete/repair).",
+                "lsh_search": "no optimized probe: search_many runs the same "
+                "set-union bucket scan per query as the frozen path (an "
+                "np.unique bucket union measured inside the noise was "
+                "reverted), so this row measures the shared search_many "
+                "bookkeeping only. Audit: that bookkeeping beats 1.0 by more "
+                "than its IQR; there is no optimized LSH path left to revert.",
+            },
+        },
+        "fleet": {
+            "metric": "fleet DES wall-clock seconds (bitwise trajectory parity "
+            "checked on every pair)",
+            "cases": {
+                **{
+                    policy: partial(run_fleet_case, fleet_n, policy, replicas=fleet_r)
+                    for policy in ("random", "least-loaded", "prefix-aware")
+                },
+                "faulty": partial(
+                    run_fleet_case,
+                    size(5_000, 200_000),
+                    "least-loaded",
+                    replicas=size(16, 128),
+                    faulty=True,
+                ),
+            },
+            "target": ">=5x fleet event loop at 1M requests for every policy",
+            "target_met": lambda c: all(
+                _speedup(case) >= 5.0
+                for case in c.values()
+                if not case["workload"]["faulty"]
+            ),
+            "notes": {
+                "core": "a plain ClusterFleet runs on the pool DES "
+                "(run_pool_fleet) as PoolSpec(colocated=N): sharded per-replica "
+                "finish heaps merged by a lazy top-of-heap tournament, "
+                "incrementally maintained packed integer load keys, and "
+                "per-prefix holder lists replace the naive global heap that "
+                "rebuilds its routable list and rescans every replica's load on "
+                "each routing decision.",
+                "faulty": "the faulty case layers seeded replica deaths, "
+                "in-flight re-routing, a TTFT shed SLO, and queue-depth "
+                "autoscaling on both simulators; parity stays bitwise through "
+                "every rare-event path.",
+            },
+        },
+        "disagg": {
+            "metric": "disaggregated pool DES wall-clock seconds (bitwise "
+            "trajectory parity checked on every pair)",
+            "cases": {
+                "prefix-aware": partial(
+                    run_disagg_case,
+                    disagg_n,
+                    "prefix-aware",
+                    prefill=disagg_pd,
+                    decode=disagg_pd,
+                ),
+                "least-loaded/random": partial(
+                    run_disagg_case,
+                    size(8_000, 200_000),
+                    "least-loaded",
+                    "random",
+                    prefill=size(8, 64),
+                    decode=size(8, 64),
+                ),
+                "faulty": partial(
+                    run_disagg_case,
+                    size(5_000, 100_000),
+                    "least-loaded",
+                    prefill=size(8, 64),
+                    decode=size(8, 64),
+                    faulty=True,
+                ),
+            },
+            "target": ">=5x pool event loop at 1M requests over 256 prefill + "
+            "256 decode replicas",
+            "target_met": lambda c: _speedup(c["prefix-aware"]) >= 5.0,
+            "notes": {
+                "core": "per-pool sharded finish heaps merged lazily, "
+                "per-decode incoming-handoff heaps, incrementally maintained "
+                "packed load keys per role, and advancing fault-window cursors "
+                "replace the naive global heap that rescans every replica's "
+                "load per routing decision and every fault window per handoff.",
+                "faulty": "the faulty case layers seeded deaths, KV transfer "
+                "failures, degraded wires, hot-spot migration (ship_wins "
+                "break-even), shedding, and warm-up autoscale on both "
+                "simulators; parity stays bitwise through every rare-event path.",
+            },
+        },
+        "semopt": {
+            "metric": "pipeline wall-clock seconds (identical outputs checked "
+            "on every pair); charged LLM calls in detail",
+            "cases": {
+                # A million-row zipf-skewed lake through the suboptimally
+                # written filter/filter/map/map cascade, plus a barrier-heavy
+                # (join/topk/group-count) pipeline at a smaller scale.
+                "cascade": partial(
+                    run_semopt_case, size(20_000, 1_000_000), pool_size=size(2_000, 8_000)
+                ),
+                "mixed": partial(
+                    run_semopt_case,
+                    size(5_000, 50_000),
+                    pipeline_kind="mixed",
+                    pool_size=size(1_000, 4_000),
+                ),
+            },
+            "target": ">=5x wall-clock and >=3x charged LLM calls on the 1M-row "
+            "cascade",
+            "target_met": lambda c: _speedup(c["cascade"]) >= 5.0
+            and c["cascade"]["detail"]["call_reduction"] >= 3.0,
+            "notes": {
+                "cascade": "the planner runs the compiled price rule before the "
+                "topical filter (selectivity x per-row cost ranking), broadcasts "
+                "embedding-proxy verdicts across duplicate texts via one "
+                "embed_batch, fuses both maps into a single generate_many round, "
+                "and the exact cross-operator cache charges each unique prompt "
+                "once; the naive baseline pays one embed and one model call per "
+                "row-decision in the written order. Both sides run on the "
+                "current SimLLM, whose reply memo computes each distinct prompt "
+                "once, so the wall-clock ratio counts the optimizer's work "
+                "beyond that memo.",
+                "mixed": "joins/top-k/group-count are reorder barriers, so wins "
+                "come from filter reordering ahead of the barrier, batched "
+                "blocking embeddings, and batched judge rounds; call reduction "
+                "is modest because join prompts serialize per-row fields and "
+                "cannot be deduplicated.",
+            },
+        },
+        "stream": {
+            "metric": "legacy: full-rebuild seconds; current: median per-batch "
+            "ingest seconds (convergence checked on every pair); throughput and "
+            "staleness at 80% utilization in detail",
+            "cases": {
+                "ivf": partial(run_stream_case, size(150, 14_000), "ivf", **ivf_kwargs),
+                "hnsw": partial(
+                    run_stream_case, size(60, 1_000), "hnsw", m=12, ef_search=64
+                ),
+            },
+            "target": ">=100x freshness (absorb a batch vs full rebuild) at 100k "
+            "docs; survivors identical and recall@10 within 0.05 of the rebuild",
+            "target_met": lambda c: _speedup(c["ivf"]) >= 100.0,
+            "notes": {
+                "ivf": "the 100k headline: persistent-signature-store dedup, "
+                "pinned online IDF with drift-triggered re-embeds, and "
+                "nearest-centroid incremental inserts with occupancy-triggered "
+                "rebalances keep the index live without ever re-signing or "
+                "re-embedding the corpus wholesale.",
+                "hnsw": "streams at reduced scale: graph insert is per-row "
+                "Python, so the headline index for 100k-doc streaming is IVF. "
+                "Delete+repair keeps recall at parity with a "
+                "rebuilt-from-survivors graph (see tests/test_stream.py).",
+                "staleness": "arrival -> retrievable, computed by replaying the "
+                "last pair's measured per-batch service times through the "
+                "single-server queue recurrence against a seeded Poisson "
+                "arrival process at 80% of measured capacity; reported per "
+                "document.",
+            },
+        },
     }
-    vector["target_met"] = {
-        "ivf": any(
-            c["speedup"] >= 10.0 for c in cases if c["workload"]["index"] == "ivf"
-        ),
-        "flat": any(
-            c["speedup"] >= 10.0 for c in cases if c["workload"]["index"] == "flat"
-        ),
-    }
-    return vector
 
 
-def bench_prep(env: Dict[str, str], quick: bool) -> Dict[str, object]:
-    dedup_dpd = 120 if quick else PREP_DEDUP_DPD
-    embed_dpd = 60 if quick else PREP_EMBED_DPD
-    ann_vectors = 2_000 if quick else PREP_ANN_VECTORS
-
-    prep: Dict[str, object] = {
+def run_suite(suite: str, spec: Dict[str, object], env: Dict[str, str]) -> Dict[str, object]:
+    cases: Dict[str, Dict[str, object]] = {}
+    for name, run in spec["cases"].items():
+        print(f"[{suite}] {name} ...", flush=True)
+        cases[name] = {"name": name, **run()}
+        print("  " + _line(cases[name]), flush=True)
+    return {
         "env": env,
-        "metric": "wall-clock seconds, best of 3 (parity asserted per case)",
-        "cases": {},
+        "repeats": REPEATS,
+        "metric": spec["metric"],
+        "target": spec["target"],
+        "target_met": spec["target_met"](cases),
+        "notes": spec["notes"],
+        "cases": list(cases.values()),
     }
-    cases = prep["cases"]
-    print(f"[prep] minhash dedup @ {dedup_dpd} docs/domain ...", flush=True)
-    case = run_dedup_case(dedup_dpd)
-    cases["minhash_dedup"] = case
-    print(
-        "  %d docs: legacy %.2fs | current %.2fs | speedup %.2fx"
-        % (
-            case["workload"]["num_docs"],
-            case["legacy"]["wall_s"],
-            case["current"]["wall_s"],
-            case["speedup"],
-        )
+
+
+def _line(case: Dict[str, object]) -> str:
+    legacy, current, ratio = case["legacy"], case["current"], case["speedup"]
+    return (
+        f"legacy {legacy['median']:.4g}s (IQR {legacy['iqr']:.2g}) | "
+        f"current {current['median']:.4g}s (IQR {current['iqr']:.2g}) | "
+        f"speedup {ratio['median']:.2f}x (IQR {ratio['iqr']:.2f})"
     )
-    print(f"[prep] corpus embedding @ {embed_dpd} docs/domain ...", flush=True)
-    case = run_embed_case(embed_dpd)
-    cases["embed_batch"] = case
-    print(
-        "  %d texts: legacy %.2fs | current %.2fs | speedup %.2fx (fit_idf %.2fx)"
-        % (
-            case["workload"]["num_texts"],
-            case["legacy"]["wall_s"],
-            case["current"]["wall_s"],
-            case["speedup"],
-            case["fit_idf_speedup"],
-        )
-    )
-    for label, runner in (("hnsw", run_hnsw_case), ("lsh", run_lsh_case)):
-        print(f"[prep] {label} search @ {ann_vectors} vectors ...", flush=True)
-        case = runner(ann_vectors)
-        cases[f"{label}_search"] = case
+
+
+def check_schema(payload: object) -> None:
+    """Raise ``ValueError`` unless ``payload`` is a BENCH file on the schema."""
+    if not isinstance(payload, dict) or any(key not in payload for key in FILE_KEYS):
+        raise ValueError(f"a BENCH file needs the keys {FILE_KEYS}")
+    for case in payload["cases"]:
+        if not isinstance(case, dict) or any(key not in case for key in CASE_KEYS):
+            raise ValueError(f"every case needs the keys {CASE_KEYS}")
+        for side in ("legacy", "current", "speedup"):
+            if any(key not in case[side] for key in SPREAD_KEYS):
+                raise ValueError(f"{case['name']}: {side} needs the keys {SPREAD_KEYS}")
+            if len(case[side]["runs"]) != payload["repeats"]:
+                raise ValueError(f"{case['name']}: {side} lists no run per repeat")
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print the shared cases' speedup medians; flag moves beyond the IQR."""
+    try:
+        old, new = (json.loads(Path(path).read_text()) for path in (old_path, new_path))
+        check_schema(old)
+        check_schema(new)
+    except (OSError, ValueError) as exc:
+        print(f"compare: unreadable input: {exc}", file=sys.stderr)
+        return 2
+    before = {case["name"]: case for case in old["cases"]}
+    shared = [(before[case["name"]], case) for case in new["cases"] if case["name"] in before]
+    mismatched = [a["name"] for a, b in shared if a["workload"] != b["workload"]]
+    if old["metric"] != new["metric"] or not shared or mismatched:
         print(
-            "  legacy %.1f q/s | batched %.1f q/s | speedup %.2fx"
-            % (
-                case["legacy"]["queries_per_s"],
-                case["current"]["queries_per_s"],
-                case["speedup"],
-            )
+            f"compare: mismatched input (metric, shared cases, workloads {mismatched})",
+            file=sys.stderr,
         )
-    prep["target"] = (
-        ">=5x MinHash dedup at ~20k docs; >=3x batched HNSW search at 50k vectors"
-    )
-    prep["target_met"] = {
-        "minhash_dedup": bool(cases["minhash_dedup"]["speedup"] >= 5.0),
-        "hnsw_search": bool(cases["hnsw_search"]["speedup"] >= 3.0),
-    }
-    prep["notes"] = {
-        "minhash_dedup": "one banded Mersenne-permutation kernel over the "
-        "concatenated corpus, np.unique banding on collapsed signature rows, "
-        "and vectorized candidate verification replace the per-document "
-        "matrix + per-band dict probing.",
-        "embed_batch": "one tokenizer pass, one IDF/unit-vector lookup per "
-        "distinct key, column-slab accumulation; bitwise-equal to per-text "
-        "embed. fit_idf is a single Counter merge over the same pass.",
-        "hnsw_search": "array-native adjacency + epoch-stamped visited marks "
-        "+ result-floor prefilter; per-expansion sims keep the scalar BLAS "
-        "gather shape, so traversal and scores are bitwise-unchanged. Below "
-        "the 3x target on this machine: ~60% of the per-query cost is the "
-        "mandatory per-expansion gather+gemv (the frontier is ~m0 rows, too "
-        "small to batch), and a lockstep cohort kernel that batches sims "
-        "across queries was measured at parity-to-slower — round "
-        "synchronization costs what the batching saves. Recorded honestly "
-        "rather than inflated with a strawman baseline.",
-        "lsh_search": "the probe is the same set-union bucket scan as the "
-        "frozen path (an np.unique bucket union was measured at 1.14x / "
-        "1.01x / 0.89x at 5k / 15k / 50k vectors, inside the noise, and "
-        "reverted); what remains of the speedup is the batched "
-        "search_many bookkeeping around the probe.",
-    }
-    return prep
-
-
-def bench_fleet(env: Dict[str, str], quick: bool) -> Dict[str, object]:
-    n = 20_000 if quick else FLEET_REQUESTS
-    replicas = 32 if quick else FLEET_REPLICAS
-    n_faulty = 5_000 if quick else FLEET_FAULTY_REQUESTS
-    replicas_faulty = 16 if quick else FLEET_FAULTY_REPLICAS
-
-    fleet: Dict[str, object] = {
-        "env": env,
-        "metric": (
-            "fleet DES wall-clock seconds, single run "
-            "(bitwise trajectory parity asserted per case)"
-        ),
-        "cases": [],
-    }
-    cases = fleet["cases"]
-    for policy in ("random", "least-loaded", "prefix-aware"):
-        print(f"[fleet] {policy} @ {n} requests x {replicas} replicas ...", flush=True)
-        case = run_fleet_case(n, policy, replicas=replicas)
-        cases.append(case)
+        return 2
+    for a, b in shared:
+        x, y = a["speedup"], b["speedup"]
+        moved = abs(y["median"] - x["median"]) > max(x["iqr"], y["iqr"])
         print(
-            "  legacy %.2fs | current %.2fs | speedup %.2fx | "
-            "ttft p50/p95/p99 %.3f/%.3f/%.3f s | %.0f req/s served"
-            % (
-                case["legacy"]["wall_s"],
-                case["current"]["wall_s"],
-                case["speedup"],
-                case["report"]["ttft_p50_s"],
-                case["report"]["ttft_p95_s"],
-                case["report"]["ttft_p99_s"],
-                case["report"]["throughput_rps"],
-            )
+            f"{b['name']:<24} {x['median']:8.2f}x (IQR {x['iqr']:.2f}) -> "
+            f"{y['median']:8.2f}x (IQR {y['iqr']:.2f})  {'MOVED' if moved else 'within IQR'}"
         )
-    print(
-        f"[fleet] faulty least-loaded @ {n_faulty} requests x "
-        f"{replicas_faulty} replicas ...",
-        flush=True,
-    )
-    case = run_fleet_case(
-        n_faulty, "least-loaded", replicas=replicas_faulty, faulty=True
-    )
-    cases.append(case)
-    print(
-        "  legacy %.2fs | current %.2fs | speedup %.2fx | deaths %d | "
-        "shed_rate %.4f"
-        % (
-            case["legacy"]["wall_s"],
-            case["current"]["wall_s"],
-            case["speedup"],
-            case["faults"]["deaths"],
-            case["report"]["shed_rate"],
-        )
-    )
-    fleet["target"] = ">=5x fleet event loop at 1M requests for every policy"
-    fleet["target_met"] = bool(
-        cases
-        and all(c["speedup"] >= 5.0 for c in cases if not c["workload"]["faulty"])
-    )
-    fleet["notes"] = {
-        "core": "a plain ClusterFleet runs on the pool DES (run_pool_fleet) as "
-        "PoolSpec(colocated=N): sharded per-replica finish heaps merged by a "
-        "lazy top-of-heap tournament, incrementally maintained packed integer "
-        "load keys, and per-prefix holder lists replace the naive global heap "
-        "that rebuilds its routable list and rescans every replica's load on "
-        "each routing decision.",
-        "faulty": "the faulty case layers seeded replica deaths, in-flight "
-        "re-routing, a TTFT shed SLO, and queue-depth autoscaling on both "
-        "simulators; parity stays bitwise through every rare-event path.",
-    }
-    return fleet
+    return 0
 
 
-def bench_disagg(env: Dict[str, str], quick: bool) -> Dict[str, object]:
-    n = 20_000 if quick else DISAGG_REQUESTS
-    prefill = 16 if quick else DISAGG_PREFILL
-    decode = 16 if quick else DISAGG_DECODE
-    n_mixed = 8_000 if quick else DISAGG_MIXED_REQUESTS
-    mixed_p = 8 if quick else DISAGG_MIXED_PREFILL
-    mixed_d = 8 if quick else DISAGG_MIXED_DECODE
-    n_faulty = 5_000 if quick else DISAGG_FAULTY_REQUESTS
-    faulty_p = 8 if quick else DISAGG_FAULTY_PREFILL
-    faulty_d = 8 if quick else DISAGG_FAULTY_DECODE
-
-    disagg: Dict[str, object] = {
-        "env": env,
-        "metric": (
-            "disaggregated pool DES wall-clock seconds, single run "
-            "(bitwise trajectory parity asserted per case)"
-        ),
-        "cases": [],
-    }
-    cases = disagg["cases"]
-
-    def show(case: Dict[str, object]) -> None:
-        print(
-            "  legacy %.2fs | current %.2fs | speedup %.2fx | handoffs %d | "
-            "ttft p95 %.3fs"
-            % (
-                case["legacy"]["wall_s"],
-                case["current"]["wall_s"],
-                case["speedup"],
-                case["pool"]["handoffs"],
-                case["report"]["ttft_p95_s"],
-            )
-        )
-
-    print(
-        f"[disagg] prefix-aware/least-loaded @ {n} requests x "
-        f"{prefill}p+{decode}d replicas ...",
-        flush=True,
-    )
-    case = run_disagg_case(n, "prefix-aware", prefill=prefill, decode=decode)
-    cases.append(case)
-    show(case)
-
-    print(
-        f"[disagg] least-loaded/random @ {n_mixed} requests x "
-        f"{mixed_p}p+{mixed_d}d replicas ...",
-        flush=True,
-    )
-    case = run_disagg_case(
-        n_mixed, "least-loaded", "random", prefill=mixed_p, decode=mixed_d
-    )
-    cases.append(case)
-    show(case)
-
-    print(
-        f"[disagg] faulty least-loaded @ {n_faulty} requests x "
-        f"{faulty_p}p+{faulty_d}d replicas ...",
-        flush=True,
-    )
-    case = run_disagg_case(
-        n_faulty, "least-loaded", prefill=faulty_p, decode=faulty_d, faulty=True
-    )
-    cases.append(case)
-    show(case)
-
-    headline = cases[0]
-    disagg["target"] = (
-        ">=5x pool event loop at 1M requests over 256 prefill + 256 decode "
-        "replicas"
-    )
-    disagg["target_met"] = bool(headline["speedup"] >= 5.0)
-    disagg["notes"] = {
-        "core": "per-pool sharded finish heaps merged lazily, per-decode "
-        "incoming-handoff heaps, incrementally maintained packed load keys "
-        "per role, and advancing fault-window cursors replace the naive "
-        "global heap that rescans every replica's load per routing decision "
-        "and every fault window per handoff.",
-        "faulty": "the faulty case layers seeded deaths, KV transfer "
-        "failures, degraded wires, hot-spot migration (ship_wins break-even), "
-        "shedding, and warm-up autoscale on both simulators; parity stays "
-        "bitwise through every rare-event path.",
-    }
-    return disagg
-
-
-def bench_semopt(env: Dict[str, str], quick: bool) -> Dict[str, object]:
-    rows = 20_000 if quick else SEMOPT_ROWS
-    pool = 2_000 if quick else SEMOPT_POOL
-    mixed_rows = 5_000 if quick else SEMOPT_MIXED_ROWS
-    mixed_pool = 1_000 if quick else SEMOPT_MIXED_POOL
-
-    semopt: Dict[str, object] = {
-        "env": env,
-        "metric": (
-            "pipeline wall-clock seconds and charged LLM calls, single run "
-            "(identical outputs asserted per case)"
-        ),
-        "cases": {},
-    }
-    cases = semopt["cases"]
-    print(f"[semopt] cascade @ {rows} rows (pool {pool}) ...", flush=True)
-    case = run_semopt_case(rows, pool_size=pool)
-    cases["cascade"] = case
-    print(
-        "  naive %.2fs / %d calls | optimized %.2fs / %d calls | "
-        "speedup %.2fx | calls %.2fx"
-        % (
-            case["legacy"]["wall_s"],
-            case["legacy"]["llm_calls"],
-            case["current"]["wall_s"],
-            case["current"]["llm_calls"],
-            case["speedup"],
-            case["call_reduction"],
-        )
-    )
-    print(
-        f"[semopt] mixed @ {mixed_rows} rows (pool {mixed_pool}) ...", flush=True
-    )
-    case = run_semopt_case(
-        mixed_rows, pipeline_kind="mixed", pool_size=mixed_pool
-    )
-    cases["mixed"] = case
-    print(
-        "  naive %.2fs / %d calls | optimized %.2fs / %d calls | "
-        "speedup %.2fx | calls %.2fx"
-        % (
-            case["legacy"]["wall_s"],
-            case["legacy"]["llm_calls"],
-            case["current"]["wall_s"],
-            case["current"]["llm_calls"],
-            case["speedup"],
-            case["call_reduction"],
-        )
-    )
-    semopt["target"] = (
-        ">=5x wall-clock and >=3x charged LLM calls on the 1M-row cascade"
-    )
-    semopt["target_met"] = bool(
-        cases["cascade"]["speedup"] >= 5.0
-        and cases["cascade"]["call_reduction"] >= 3.0
-    )
-    semopt["notes"] = {
-        "cascade": "the planner runs the compiled price rule before the "
-        "topical filter (selectivity x per-row cost ranking), broadcasts "
-        "embedding-proxy verdicts across duplicate texts via one "
-        "embed_batch, fuses both maps into a single generate_many round, "
-        "and the exact cross-operator cache charges each unique prompt "
-        "once; the naive baseline pays one embed and one model call per "
-        "row-decision in the written order.",
-        "mixed": "joins/top-k/group-count are reorder barriers, so wins "
-        "come from filter reordering ahead of the barrier, batched "
-        "blocking embeddings, and batched judge rounds; call reduction is "
-        "modest because join prompts serialize per-row fields and cannot "
-        "be deduplicated.",
-    }
-    return semopt
-
-
-def bench_stream(env: Dict[str, str], quick: bool) -> Dict[str, object]:
-    ivf_dpd = 150 if quick else STREAM_HEADLINE_DPD
-    hnsw_dpd = 60 if quick else STREAM_HNSW_DPD
-
-    stream: Dict[str, object] = {
-        "env": env,
-        "metric": (
-            "steady-state ingest docs/sec and staleness (arrival -> "
-            "retrievable) at 80% utilization, single run (convergence vs "
-            "the frozen full rebuild asserted per case)"
-        ),
-        "cases": {},
-    }
-    cases = stream["cases"]
-    ivf_kwargs = (
-        {"nlist": 16, "nprobe": 8, "train_size": 256}
-        if quick
-        else {"nlist": 128, "nprobe": 16, "train_size": 1024}
-    )
-    for label, dpd, index_type, kwargs in (
-        ("ivf", ivf_dpd, "ivf", ivf_kwargs),
-        ("hnsw", hnsw_dpd, "hnsw", {"m": 12, "ef_search": 64}),
-    ):
-        print(f"[stream] {index_type} @ {dpd} docs/domain ...", flush=True)
-        case = run_stream_case(dpd, index_type, **kwargs)
-        cases[label] = case
-        print(
-            "  %d docs: %.0f docs/s ingest | staleness mean/p95 %.3f/%.3f s | "
-            "rebuild %.1fs | freshness %.0fx | recall %.3f vs %.3f"
-            % (
-                case["workload"]["num_docs"],
-                case["current"]["docs_per_sec"],
-                case["current"]["staleness"]["mean_s"],
-                case["current"]["staleness"]["p95_s"],
-                case["baseline"]["full_rebuild_s"],
-                case["freshness_speedup"],
-                case["convergence"]["stream_recall_at_10"],
-                case["convergence"]["rebuild_recall_at_10"],
-            )
-        )
-    stream["target"] = (
-        ">=100x freshness (absorb a batch vs full rebuild) at 100k docs; "
-        "survivors identical and recall@10 within 0.05 of the rebuild"
-    )
-    stream["target_met"] = bool(
-        cases and cases["ivf"]["freshness_speedup"] >= 100.0
-    )
-    stream["notes"] = {
-        "ivf": "the 100k headline: persistent-signature-store dedup, pinned "
-        "online IDF with drift-triggered re-embeds, and nearest-centroid "
-        "incremental inserts with occupancy-triggered rebalances keep the "
-        "index live without ever re-signing or re-embedding the corpus "
-        "wholesale.",
-        "hnsw": "streams at reduced scale: graph insert is per-row Python "
-        "(~200 rows/s at dim 64), so the honest headline index for 100k-doc "
-        "streaming is IVF. Delete+repair keeps recall at parity with a "
-        "rebuilt-from-survivors graph (see tests/test_stream.py).",
-        "staleness": "arrival -> retrievable, computed by replaying measured "
-        "per-batch service times through the single-server queue recurrence "
-        "against a seeded Poisson arrival process at 80% of measured "
-        "capacity; reported per document.",
-    }
-    return stream
-
-
-def main() -> int:
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--out-dir", default=str(REPO_ROOT), help="where to write BENCH_*.json"
@@ -546,38 +391,30 @@ def main() -> int:
     parser.add_argument(
         "--only",
         action="append",
-        choices=SUITES,
+        choices=SUITE_NAMES,
         help="run only the named suite(s); repeatable (default: all)",
     )
-    args = parser.parse_args()
+    parser.add_argument(
+        "--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two BENCH files"
+    )
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     out_dir = Path(args.out_dir)
-    selected = tuple(args.only) if args.only else SUITES
-
+    out_dir.mkdir(parents=True, exist_ok=True)
     env = {
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "note": (
-            "single-run wall-clock (serving, fleet) / best-of-3 (vector) on one "
-            "core; legacy = frozen pre-overhaul implementation from "
-            "benchmarks/perf/_legacy*.py"
-        ),
+        "note": f"{REPEATS} interleaved legacy/current pairs per case, each call "
+        "timed with GC collected then off; legacy = frozen implementation from "
+        "benchmarks/perf/_legacy*.py (stream: the full rebuild in "
+        "_baseline_stream.py)",
     }
-
-    runners = {
-        "serving": bench_serving,
-        "vector": bench_vector,
-        "prep": bench_prep,
-        "fleet": bench_fleet,
-        "disagg": bench_disagg,
-        "semopt": bench_semopt,
-        "stream": bench_stream,
-    }
-    for suite in SUITES:
-        if suite not in selected:
+    for suite, spec in suites(args.quick).items():
+        if args.only and suite not in args.only:
             continue
-        payload = runners[suite](env, args.quick)
         path = out_dir / f"BENCH_{suite}.json"
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+        path.write_text(json.dumps(run_suite(suite, spec, env), indent=2) + "\n")
         print(f"wrote {path}")
     return 0
 

@@ -54,44 +54,14 @@ python -m pytest -x -q || failures=$((failures + 1))
 step "chaos smoke (benchmarks/test_e24_fault_recovery.py)"
 python -m pytest benchmarks/test_e24_fault_recovery.py -x -q || failures=$((failures + 1))
 
-# Prep perf smoke: tiny-scale run of the offline data-path harness.  The
-# speedup thresholds live in the perf-marked suite; this invocation is about
-# the parity assertions inside each case (identical dedup output, bitwise
-# embeddings, matching ANN results) on every commit.
-step "prep perf smoke (benchmarks/perf/test_perf_prep.py::test_prep_smoke)"
-python -m pytest "benchmarks/perf/test_perf_prep.py::test_prep_smoke" -q -m perf || failures=$((failures + 1))
-
-# Fleet perf smoke: tiny-scale run of all three router policies plus the
-# faulty (deaths + shed + autoscale) scenario.  The speedup thresholds live
-# in the perf-marked suite; this gate is about the bitwise trajectory parity
-# the harness asserts between the sharded fleet DES and its frozen naive
-# baseline on every commit.
-step "fleet perf smoke (benchmarks/perf/test_perf_fleet.py::test_fleet_smoke)"
-python -m pytest "benchmarks/perf/test_perf_fleet.py::test_fleet_smoke" -q -m perf || failures=$((failures + 1))
-
-# Disagg perf smoke: tiny-scale run of the prefill/decode pool DES over
-# all three prefill policies plus the faulty (deaths + transfer faults +
-# migration + warm-up autoscale) scenario.  The speedup thresholds live in
-# the perf-marked suite; this gate is about the bitwise trajectory parity
-# the harness asserts between the sharded pool DES and its frozen naive
-# baseline on every commit.
-step "disagg perf smoke (benchmarks/perf/test_perf_disagg.py::test_disagg_smoke)"
-python -m pytest "benchmarks/perf/test_perf_disagg.py::test_disagg_smoke" -q -m perf || failures=$((failures + 1))
-
-# Semopt perf smoke: tiny-scale run of both semantic-pipeline shapes
-# (cascade and join/topk/group-count) against the frozen naive executor.
-# The speedup thresholds live in the perf-marked suite; this gate is about
-# the identical-output assertions (survivors, mapped fields, aggregates)
-# the harness performs inside every case on every commit.
-step "semopt perf smoke (benchmarks/perf/test_perf_semopt.py::test_semopt_smoke)"
-python -m pytest "benchmarks/perf/test_perf_semopt.py::test_semopt_smoke" -q -m perf || failures=$((failures + 1))
-
-# Streaming smoke: tiny IVF + HNSW streams through the full flywheel
-# (incremental dedup -> pinned online IDF -> live index).  The harness
-# asserts convergence inside every case — identical dedup survivors and
-# recall@10 within tolerance of the frozen full rebuild — on every commit.
-step "stream perf smoke (benchmarks/perf/test_perf_stream.py::test_stream_smoke)"
-python -m pytest "benchmarks/perf/test_perf_stream.py::test_stream_smoke" -q -m perf || failures=$((failures + 1))
+# Perf smoke: the tiny-scale `test_*_smoke` case of the prep, fleet, disagg,
+# semopt and stream suites.  Their speedup thresholds live in the perf-marked
+# suite; this gate is about the parity each harness checks on every timed
+# pair (identical dedup output and bitwise embeddings, bitwise fleet and pool
+# DES trajectories, identical semantic-pipeline outputs, streaming
+# convergence with the frozen full rebuild) on every commit.
+step "perf smoke (benchmarks/perf -m perf -k smoke)"
+python -m pytest benchmarks/perf -m perf -k smoke -q || failures=$((failures + 1))
 
 echo
 if [ "$failures" -ne 0 ]; then

@@ -12,7 +12,6 @@ questions have verifiable answers.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -383,8 +382,3 @@ class QAGenerator:
             )
             del inner_q
         return questions
-
-
-def dataclass_fields(obj) -> Dict[str, object]:
-    """Utility: dataclass instance -> plain dict (used by JSON renderers)."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}

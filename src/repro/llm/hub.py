@@ -124,9 +124,6 @@ class ModelHub:
     def names(self) -> List[str]:
         return sorted(self._specs)
 
-    def by_tier(self, tier: str) -> List[ModelSpec]:
-        return [s for s in self._specs.values() if s.tier == tier]
-
 
 _DEFAULT_HUB = ModelHub()
 

@@ -72,9 +72,6 @@ class KnowledgeBase:
         """Closed-book recall of ``subject.attribute`` (None if unmemorized)."""
         return self.facts.get((subject.lower(), attribute))
 
-    def knows_subject(self, subject: str) -> bool:
-        return subject.lower() in self.subjects
-
     def plausible_wrong_value(
         self, attribute: str, correct: Optional[str], seed_material: str
     ) -> str:

@@ -339,11 +339,6 @@ class DedupResult:
     candidate_pairs: int = 0
     verified_pairs: int = 0
 
-    @property
-    def removed_fraction(self) -> float:
-        total = len(self.kept) + len(self.removed)
-        return len(self.removed) / total if total else 0.0
-
 
 class ExactDeduper:
     """Keep the first document of each exact (normalized) text."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..data.ngram import NGramLM
 from ..data.synth import TrainingDocument
@@ -32,10 +32,6 @@ class StageReport:
     tokens_in: int
     tokens_out: int
     seconds: float
-
-    @property
-    def docs_dropped(self) -> int:
-        return self.docs_in - self.docs_out
 
     @property
     def token_reduction(self) -> float:
@@ -81,9 +77,6 @@ class PrepPipeline:
             raise PipelineError(f"duplicate stage name {name!r}")
         self._stages.append((name, stage))
         return self
-
-    def stage_names(self) -> List[str]:
-        return [name for name, _ in self._stages]
 
     def run(
         self, docs: Sequence[TrainingDocument]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -180,11 +180,6 @@ def records_all_have_text(records: Sequence[Record]) -> bool:
     operators add — the key legality condition for reordering them.
     """
     return all(record.get("text") for record in records)
-
-
-def fallback_serialization(record: Record) -> str:
-    """The ``json.dumps`` form ``_record_text`` falls back to (for tests)."""
-    return json.dumps(record, sort_keys=True)
 
 
 # Re-exported for planner use without importing private operator helpers.

@@ -14,7 +14,7 @@ group-count aggregation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..errors import PlanError
 
@@ -116,12 +116,6 @@ class SemPipeline:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    @property
-    def terminal_group_count(self) -> Optional[SemGroupCount]:
-        if self.steps and isinstance(self.steps[-1], SemGroupCount):
-            return self.steps[-1]
-        return None
 
     def describe(self) -> List[str]:
         """One human-readable line per step, in order."""

@@ -85,10 +85,6 @@ class TrainModelSpec:
         """Training FLOPs per token (the 6N rule)."""
         return 6.0 * self.params
 
-    def step_flops(self, global_batch: int) -> float:
-        """FLOPs for one optimizer step."""
-        return self.flops_per_token() * global_batch * self.seq_len
-
 
 # Reference sizes used across benchmarks and docs.
 MODEL_ZOO: Dict[str, TrainModelSpec] = {

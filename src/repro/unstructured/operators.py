@@ -71,10 +71,6 @@ class OpStats:
     cache_hits: int = 0
     cache_misses: int = 0
 
-    @property
-    def total_decisions(self) -> int:
-        return self.llm_calls + self.proxy_decisions + self.rule_decisions
-
 
 def _record_text(record: Record) -> str:
     return str(record.get("text") or json.dumps(record, sort_keys=True))
