@@ -33,6 +33,7 @@ class LintConfig:
     # global/unseeded random sources are banned under these prefixes.
     hot_path_prefixes: Tuple[str, ...] = (
         "src/repro/data/documents.py",
+        "src/repro/data/table.py",
         "src/repro/datalake/executor.py",
         "src/repro/faults",
         "src/repro/inference",

@@ -1,21 +1,34 @@
-"""Minimal typed relational engine.
+"""Minimal typed relational engine: the one relation type.
 
 The structured leg of the multi-modal data lake (Figure 1 "Structured
-Tables") and the execution substrate for NL2SQL; lake plans read these
-tables through the plan executor's column cache. Supports select / project
-/ join / group-by aggregation / order / limit over typed columns, with
-schema validation on construction.
+Tables"). NL2SQL, NL2Viz, query rewriting, plan selection, document
+analytics and the lake plan executor all run on :class:`Table`.
+
+A table stores typed columns and reads them through row-id selections, so
+every operator returns a view that shares its input's columns instead of
+copying rows. Each stored column builds its indexes (floats, folded text,
+lowered text, value -> row ids) on first use and keeps them for its life;
+columns are never mutated, so an :meth:`Table.insert` builds new ones and a
+view made before it keeps its rows. Supports where / project / join /
+group-by aggregation / order / limit / distinct over typed columns and the
+lake's string-filter verdicts (:meth:`Table.matching`), with schema
+validation on construction.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..errors import SchemaError
+from ..errors import ExecutionError, SchemaError
 
 Row = Dict[str, Any]
-Predicate = Callable[[Row], bool]
+
+#: Stored row ids in table order; ``None`` reads every stored cell in order.
+#: Selections are shared between views and never mutated.
+Selection = Optional[List[int]]
 
 _TYPES: Dict[str, type] = {"str": str, "int": int, "float": float, "bool": bool}
 
@@ -84,65 +97,184 @@ _AGGREGATES: Dict[str, Callable[[List[Any]], Any]] = {
     "max": lambda vs: max(vs) if vs else None,
 }
 
+_COMPARE: Dict[str, Callable[[Any, Any], bool]] = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">": operator.gt,
+    "<": operator.lt,
+    ">=": operator.ge,
+    "<=": operator.le,
+}
+
+
+def _order_op(op: str) -> Callable[[float, float], bool]:
+    """The comparison behind a string-filter order op (the string filter
+    resolves ``contains``, ``==`` and ``!=`` before asking); any other op
+    raises :class:`~repro.errors.ExecutionError` naming the filter ops."""
+    compare = _COMPARE.get(op)
+    if compare is None:
+        raise ExecutionError(
+            f"unknown filter op {op!r}; expected one of == != < > <= >= contains"
+        )
+    return compare
+
+
+def _as_float(cell: object) -> Optional[float]:
+    try:  # a missing cell reads "None", which is not numeric either
+        return float(str(cell))
+    except (TypeError, ValueError):
+        return None
+
+
+def _group(values: List[Any]) -> Dict[Any, List[int]]:
+    """Value -> the ascending positions that hold it."""
+    index: Dict[Any, List[int]] = {}
+    for position, value in enumerate(values):
+        index.setdefault(value, []).append(position)
+    return index
+
+
+def _through(values: List[Any], rows: Selection) -> List[Any]:
+    return values if rows is None else [values[i] for i in rows]
+
+
+class _Column:
+    """One stored column: its cells plus indexes built on first use."""
+
+    def __init__(self, cells: List[Any]) -> None:
+        self.cells = cells
+
+    @cached_property
+    def floats(self) -> List[Optional[float]]:
+        """Each cell as ``float(str(cell))``, None where that fails: the order ops."""
+        return [_as_float(cell) for cell in self.cells]
+
+    @cached_property
+    def folded(self) -> List[Optional[str]]:
+        """Each cell's stripped, lowered text (None stays None): ``==``/``!=``."""
+        return [None if cell is None else str(cell).strip().lower() for cell in self.cells]
+
+    @cached_property
+    def equal(self) -> Dict[Any, List[int]]:
+        """Folded text -> ascending row ids."""
+        return _group(self.folded)
+
+    @cached_property
+    def lowered(self) -> List[Optional[str]]:
+        """Each cell's lowered text: ``contains``."""
+        return [None if cell is None else str(cell).lower() for cell in self.cells]
+
+    @cached_property
+    def keys(self) -> Dict[Any, List[int]]:
+        """Cell value -> ascending row ids: the join index."""
+        return _group(self.cells)
+
 
 class Table:
-    """An immutable-by-convention relation: every operator returns a new Table."""
+    """A relation over typed columns; every operator returns a new view.
+
+    ``_columns`` maps a column name to the index of its selection and its
+    stored column. Columns stored together share one selection, so a join
+    output holds its left input's selections, then its right input's.
+    """
 
     def __init__(self, name: str, schema: Schema, rows: Iterable[Row] = ()) -> None:
+        clean = [self._validate(schema, row) for row in rows]
+        cells = zip(*clean) if clean else [()] * len(schema.columns)
         self.name = name
         self.schema = schema
-        self.rows: List[Row] = []
-        for row in rows:
-            self.rows.append(self._validate(row))
+        self._columns = {
+            col.name: (0, _Column(list(column))) for col, column in zip(schema.columns, cells)
+        }
+        self._selections: Tuple[Selection, ...] = (None,)
+        self._length = len(clean)
 
-    def _validate(self, row: Row) -> Row:
-        clean: Row = {}
-        for col in self.schema.columns:
-            clean[col.name] = col.coerce(row.get(col.name))
-        return clean
+    @classmethod
+    def _view(
+        cls,
+        name: str,
+        schema: Schema,
+        columns: Dict[str, Tuple[int, _Column]],
+        selections: Tuple[Selection, ...],
+        length: int,
+    ) -> "Table":
+        view = cls.__new__(cls)
+        view.name, view.schema = name, schema
+        view._columns, view._selections, view._length = columns, selections, length
+        return view
+
+    @staticmethod
+    def _validate(schema: Schema, row: Row) -> List[Any]:
+        return [col.coerce(row.get(col.name)) for col in schema.columns]
 
     # ----------------------------------------------------------- mutation
     def insert(self, row: Row) -> None:
-        self.rows.append(self._validate(row))
+        """Append one validated row. Copy-on-write: the table gets new
+        columns, so views made before the insert never see the row."""
+        clean = self._validate(self.schema, row)
+        self._columns = {
+            col.name: (0, _Column(self.cells(col.name) + [value]))
+            for col, value in zip(self.schema.columns, clean)
+        }
+        self._selections = (None,)
+        self._length += 1
 
     # ---------------------------------------------------------- operators
-    def select(self, predicate: Predicate) -> "Table":
-        out = Table(f"{self.name}_sel", self.schema)
-        out.rows = [dict(r) for r in self.rows if predicate(r)]
-        return out
-
     def where(self, column: str, op: str, value: Any) -> "Table":
-        """Convenience select on one column (ops: == != > < >= <= contains)."""
+        """Select on one column (ops: == != > < >= <= contains); a missing
+        cell never matches. An unknown op raises, even on an empty table."""
         col = self.schema.column(column)
-        value = col.coerce(value) if op not in {"contains"} else value
-
-        def predicate(row: Row) -> bool:
-            actual = row.get(column)
-            if actual is None:
-                return False
-            if op == "==":
-                return actual == value
-            if op == "!=":
-                return actual != value
-            if op == ">":
-                return actual > value
-            if op == "<":
-                return actual < value
-            if op == ">=":
-                return actual >= value
-            if op == "<=":
-                return actual <= value
-            if op == "contains":
-                return str(value).lower() in str(actual).lower()
+        compare = _COMPARE.get(op)
+        if op == "contains":
+            needle = str(value).lower()
+            stored, rows = self._read(column)
+            texts = _through(stored.lowered, rows)
+            kept = [p for p, text in enumerate(texts) if text is not None and needle in text]
+        elif compare is None:
             raise SchemaError(f"unknown operator {op!r}")
+        else:
+            value = col.coerce(value)
+            cells = self.cells(column)
+            kept = [p for p, cell in enumerate(cells) if cell is not None and compare(cell, value)]
+        return self.take(kept, f"{self.name}_sel")
 
-        return self.select(predicate)
+    def matching(self, name: str, op: str, literal: str) -> List[int]:
+        """Row numbers whose ``name`` cell passes the lake's string filter,
+        in order.
+
+        A missing cell never matches; ``==``/``!=`` compare stripped,
+        lowered text with the lowered literal; ``contains`` is a lowered
+        substring test; the order ops compare floats and fail on a
+        non-numeric side. Any other op raises
+        :class:`~repro.errors.ExecutionError`.
+        """
+        column, rows = self._read(name)
+        needle = literal.lower()
+        if op == "contains":
+            texts = _through(column.lowered, rows)
+            return [p for p, text in enumerate(texts) if text is not None and needle in text]
+        if op == "==" and rows is None:
+            return column.equal.get(needle, [])
+        if op in ("==", "!="):
+            want = op == "=="
+            texts = _through(column.folded, rows)
+            return [p for p, text in enumerate(texts) if text is not None and (text == needle) == want]
+        compare = _order_op(op)
+        try:
+            bound = float(literal)
+        except ValueError:
+            return []
+        numbers = _through(column.floats, rows)
+        return [p for p, x in enumerate(numbers) if x is not None and compare(x, bound)]
+
+    def take(self, positions: List[int], name: str) -> "Table":
+        """The rows at ``positions`` (row numbers of this table), in order."""
+        return self._view(name, self.schema, self._columns, self._narrow(positions), len(positions))
 
     def project(self, columns: Sequence[str]) -> "Table":
-        cols = tuple(self.schema.column(c) for c in columns)
-        out = Table(f"{self.name}_proj", Schema(cols))
-        out.rows = [{c: row[c] for c in columns} for row in self.rows]
-        return out
+        schema = Schema(tuple(self.schema.column(c) for c in columns))
+        picked = {c: self._columns[c] for c in columns}
+        return self._view(f"{self.name}_proj", schema, picked, self._selections, self._length)
 
     def join(
         self,
@@ -152,7 +284,10 @@ class Table:
         right_on: str,
         how: str = "inner",
     ) -> "Table":
-        """Hash join; right columns are prefixed on name collisions."""
+        """Hash equi-join: left rows in order, each one's matches in right
+        order; ``left`` also keeps unmatched left rows with missing right
+        cells. A right column whose name is taken on the left is prefixed
+        with the right table's name; a prefixed name still taken raises."""
         self.schema.column(left_on)
         other.schema.column(right_on)
         if how not in {"inner", "left"}:
@@ -162,27 +297,42 @@ class Table:
             c.name: (f"{other.name}.{c.name}" if c.name in left_names else c.name)
             for c in other.schema.columns
         }
-        out_cols = tuple(self.schema.columns) + tuple(
-            Column(renamed[c.name], c.dtype) for c in other.schema.columns
+        names = self.schema.names() + list(renamed.values())
+        if len(set(names)) != len(names):
+            raise SchemaError(
+                f"join of {self.name!r} and {other.name!r} repeats a column in {names}"
+            )
+        schema = Schema(
+            tuple(self.schema.columns)
+            + tuple(Column(renamed[c.name], c.dtype) for c in other.schema.columns)
         )
-        out = Table(f"{self.name}_{other.name}", Schema(out_cols))
-        build: Dict[Any, List[Row]] = {}
-        for row in other.rows:
-            build.setdefault(row.get(right_on), []).append(row)
-        for row in self.rows:
-            matches = build.get(row.get(left_on), [])
-            if matches:
-                for match in matches:
-                    merged = dict(row)
-                    for key, value in match.items():
-                        merged[renamed[key]] = value
-                    out.rows.append(merged)
-            elif how == "left":
-                merged = dict(row)
-                for key in renamed.values():
-                    merged[key] = None
-                out.rows.append(merged)
-        return out
+        # An inner join walks the side with fewer rows and probes the other
+        # side's key index.
+        if how == "inner" and len(other) <= len(self):
+            index = self._key_index(left_on)
+            pairs = sorted(
+                (left, right)
+                for right, key in enumerate(other.cells(right_on))
+                for left in index.get(key, ())
+            )
+        else:
+            index = other._key_index(right_on)
+            unmatched: Tuple[int, ...] = ()
+            if how == "left":  # an unmatched left row reads an appended all-missing row
+                unmatched = (len(other),)
+                other = other.take(list(range(len(other))), other.name)
+                other.insert({})
+            pairs = [
+                (left, right)
+                for left, key in enumerate(self.cells(left_on))
+                for right in index.get(key, unmatched)
+            ]
+        columns = dict(self._columns)
+        selections = self._narrow([left for left, _ in pairs])
+        for c, (part, column) in other._columns.items():
+            columns[renamed[c]] = (len(selections) + part, column)
+        selections += other._narrow([right for _, right in pairs])
+        return self._view(f"{self.name}_{other.name}", schema, columns, selections, len(pairs))
 
     def group_by(
         self,
@@ -197,70 +347,102 @@ class Table:
         """
         for key in keys:
             self.schema.column(key)
-        for out_name, (fn, col) in aggregates.items():
+        for fn, col in aggregates.values():
             if fn not in _AGGREGATES:
                 raise SchemaError(f"unknown aggregate {fn!r}")
             if fn != "count":
                 self.schema.column(col)
-        groups: Dict[Tuple, List[Row]] = {}
-        for row in self.rows:
-            groups.setdefault(tuple(row.get(k) for k in keys), []).append(row)
         out_cols = [self.schema.column(k) for k in keys]
         for out_name, (fn, _col) in aggregates.items():
-            dtype = "int" if fn == "count" else "float"
-            out_cols.append(Column(out_name, dtype))
-        out = Table(f"{self.name}_agg", Schema(tuple(out_cols)))
-        for key_values, rows in sorted(groups.items(), key=lambda kv: str(kv[0])):
+            out_cols.append(Column(out_name, "int" if fn == "count" else "float"))
+        schema = Schema(tuple(out_cols))
+        key_cells = [self.cells(k) for k in keys]
+        groups: Dict[Tuple, List[int]] = {}
+        for p in range(self._length):
+            groups.setdefault(tuple(cells[p] for cells in key_cells), []).append(p)
+        inputs = {col: self.cells(col) for fn, col in aggregates.values() if fn != "count"}
+        out_rows = []
+        for key_values, members in sorted(groups.items(), key=lambda kv: str(kv[0])):
             agg_row: Row = dict(zip(keys, key_values))
             for out_name, (fn, col) in aggregates.items():
                 if fn == "count":
-                    agg_row[out_name] = len(rows)
-                else:
-                    values = [r[col] for r in rows if r.get(col) is not None]
-                    try:
-                        result = _AGGREGATES[fn](values)
-                        agg_row[out_name] = (
-                            float(result) if result is not None else None
-                        )
-                    except (TypeError, ValueError) as exc:
-                        raise SchemaError(
-                            f"aggregate {fn!r} needs numeric column {col!r}"
-                        ) from exc
-            out.rows.append(out._validate(agg_row))
-        return out
+                    agg_row[out_name] = len(members)
+                    continue
+                cells = inputs[col]
+                values = [cells[p] for p in members if cells[p] is not None]
+                try:
+                    result = _AGGREGATES[fn](values)
+                    agg_row[out_name] = float(result) if result is not None else None
+                except (TypeError, ValueError) as exc:
+                    raise SchemaError(
+                        f"aggregate {fn!r} needs numeric column {col!r}"
+                    ) from exc
+            out_rows.append(agg_row)
+        return Table(f"{self.name}_agg", schema, out_rows)
 
     def order_by(self, column: str, *, desc: bool = False) -> "Table":
+        """Stable sort on one column; missing cells sort after every value
+        (before them with ``desc``)."""
         self.schema.column(column)
-        out = Table(self.name, self.schema)
-        out.rows = sorted(
-            (dict(r) for r in self.rows),
-            key=lambda r: (r.get(column) is None, r.get(column)),
-            reverse=desc,
+        cells = self.cells(column)
+        order = sorted(
+            range(self._length), key=lambda p: (cells[p] is None, cells[p]), reverse=desc
         )
-        return out
+        return self.take(order, self.name)
 
     def limit(self, n: int) -> "Table":
-        out = Table(self.name, self.schema)
-        out.rows = [dict(r) for r in self.rows[: max(n, 0)]]
-        return out
+        return self.take(list(range(min(max(n, 0), self._length))), self.name)
 
     def distinct(self) -> "Table":
-        out = Table(self.name, self.schema)
+        columns = [self.cells(c) for c in self.schema.names()]
         seen = set()
-        for row in self.rows:
-            key = tuple(sorted(row.items()))
+        kept = []
+        for p in range(self._length):
+            key = tuple(cells[p] for cells in columns)
             if key not in seen:
                 seen.add(key)
-                out.rows.append(dict(row))
-        return out
+                kept.append(p)
+        return self.take(kept, self.name)
 
     # -------------------------------------------------------------- access
+    @property
+    def rows(self) -> List[Row]:
+        """Each row as a fresh dict in schema order (edits are not stored)."""
+        columns = [(c, self.cells(c)) for c in self.schema.names()]
+        return [{c: cells[p] for c, cells in columns} for p in range(self._length)]
+
+    def records(self) -> List[Dict[str, str]]:
+        """Each row as a string record without its missing cells."""
+        return [{k: str(v) for k, v in row.items() if v is not None} for row in self.rows]
+
+    def cells(self, name: str) -> List[Any]:
+        """One column's cells in row order (read-only: may be the stored list)."""
+        column, rows = self._read(name)
+        return _through(column.cells, rows)
+
     def column_values(self, column: str) -> List[Any]:
         self.schema.column(column)
-        return [row.get(column) for row in self.rows]
+        return list(self.cells(column))
+
+    def _read(self, name: str) -> Tuple[_Column, Selection]:
+        part, column = self._columns[name]
+        return column, self._selections[part]
+
+    def _key_index(self, name: str) -> Dict[Any, List[int]]:
+        """Cell value -> ascending row numbers: the stored column's cached
+        index when the column is read whole."""
+        column, rows = self._read(name)
+        return column.keys if rows is None else _group(_through(column.cells, rows))
+
+    def _narrow(self, positions: List[int]) -> Tuple[Selection, ...]:
+        """The selections of the rows at ``positions``."""
+        return tuple(
+            positions if rows is None else [rows[p] for p in positions]
+            for rows in self._selections
+        )
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._length
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, cols={self.schema.names()}, rows={len(self)})"

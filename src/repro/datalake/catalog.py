@@ -60,12 +60,8 @@ def _entities_to_table(name: str, entities: Sequence[Entity]) -> Table:
         sample = entities[0].attributes[attr]
         dtype = "int" if sample.lstrip("-").isdigit() else "str"
         columns.append(Column(attr, dtype))
-    table = Table(name, Schema(tuple(columns)))
-    for entity in entities:
-        row: Dict[str, object] = {"name": entity.name}
-        row.update(entity.attributes)
-        table.insert(row)
-    return table
+    rows = [{"name": entity.name, **entity.attributes} for entity in entities]
+    return Table(name, Schema(tuple(columns)), rows)
 
 
 def _entities_to_json(entities: Sequence[Entity]) -> List[Dict[str, object]]:

@@ -118,13 +118,17 @@ def execute_sql(sql: str, tables: Dict[str, Table]) -> Table:
         col = _strip_qualifier(col)
         if col.lstrip("-").isdigit():
             # Constant predicate (e.g. ORM-generated "1 = 1"): fold it.
+            try:
+                left, right = float(col), float(val)
+            except ValueError as exc:
+                raise ExecutionError(f"non-numeric constant predicate {col} {op} {val}") from exc
             truth = {
-                "=": float(col) == float(val),
-                "!=": float(col) != float(val),
-                ">": float(col) > float(val),
-                "<": float(col) < float(val),
-                ">=": float(col) >= float(val),
-                "<=": float(col) <= float(val),
+                "=": left == right,
+                "!=": left != right,
+                ">": left > right,
+                "<": left < right,
+                ">=": left >= right,
+                "<=": left <= right,
             }.get(op)
             if truth is None:
                 raise ExecutionError(f"unsupported constant predicate {col} {op} {val}")

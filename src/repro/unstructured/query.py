@@ -13,13 +13,12 @@ RAG is cheap for point look-ups, extraction amortizes for aggregates.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..data.documents import Document
-from ..data.table import Predicate, Row, Table
+from ..data.table import Table
 from ..errors import ExecutionError
 from ..llm.model import SimLLM
 from ..rag.pipeline import RAGPipeline
@@ -200,7 +199,7 @@ class DocumentAnalytics:
             if f not in table.schema:
                 raise ExecutionError(f"filter field {f!r} not in extracted view")
             # Extracted cells are strings; numeric comparisons coerce lazily.
-            table = table.select(_string_predicate(f, op, v))
+            table = table.take(table.matching(f, op, v), f"{table.name}_sel")
         rows = len(table)
         if query.agg == "count":
             return str(rows), rows
@@ -208,7 +207,7 @@ class DocumentAnalytics:
             raise ExecutionError(
                 f"aggregate {query.agg!r} needs a numeric attribute column"
             )
-        return aggregate_cells(table.column_values(query.attribute), query.agg), rows
+        return aggregate_cells(table.cells(query.attribute), query.agg), rows
 
 
 _AGGREGATE_FNS: Dict[str, Callable[[List[float]], float]] = {
@@ -239,68 +238,3 @@ def aggregate_cells(cells: Iterable[object], fn: str) -> str:
     if not numeric:
         return "unknown"
     return f"{_AGGREGATE_FNS[fn](numeric):.1f}"
-
-
-_ORDER_OPS: Dict[str, Callable[[float, float], bool]] = {
-    "<": operator.lt,
-    ">": operator.gt,
-    "<=": operator.le,
-    ">=": operator.ge,
-}
-
-
-def _order_op(op: str) -> Callable[[float, float], bool]:
-    """The comparison behind an order op; any other op raises
-    :class:`~repro.errors.ExecutionError` naming the filter ops."""
-    compare = _ORDER_OPS.get(op)
-    if compare is None:
-        raise ExecutionError(
-            f"unknown filter op {op!r}; expected one of == != < > <= >= contains"
-        )
-    return compare
-
-
-def _never(row: Row) -> bool:
-    return False
-
-
-def _string_predicate(field_name: str, op: str, literal: str) -> Predicate:
-    """Predicate over string-typed extracted cells with numeric fallback.
-
-    The literal is lowered and parsed, and the op resolved, once per filter
-    rather than once per row. A missing cell never matches; ``==``/``!=``
-    compare stripped, case-folded text; ``contains`` is a case-folded
-    substring test; the order ops compare both sides as floats and fail
-    when either is not numeric. Any other op raises
-    :class:`~repro.errors.ExecutionError` here, before a row is seen.
-    """
-    needle = literal.lower()
-    if op == "contains":
-
-        def contains(row: Row) -> bool:
-            actual = row.get(field_name)
-            return actual is not None and needle in str(actual).lower()
-
-        return contains
-    if op in ("==", "!="):
-        want = op == "=="
-
-        def equals(row: Row) -> bool:
-            actual = row.get(field_name)
-            return actual is not None and (str(actual).strip().lower() == needle) == want
-
-        return equals
-    compare = _order_op(op)
-    try:
-        bound = float(literal)
-    except ValueError:
-        return _never
-
-    def ordered(row: Row) -> bool:
-        try:  # a missing cell reads "None", which is not numeric either
-            actual = float(str(row.get(field_name)))
-        except (TypeError, ValueError):
-            return False
-        return compare(actual, bound)
-
-    return ordered

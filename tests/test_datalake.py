@@ -426,6 +426,25 @@ class TestRepeatedColumnsAreExecutionErrors:
         assert "repeats a column" in trace.failure
 
 
+def test_scan_reads_rows_inserted_after_an_earlier_plan():
+    # A scan cache keyed on the table object kept answering 1.0 here.
+    from repro.data.table import Schema
+    from repro.datalake.executor import PlanExecutor
+
+    table = Table("sales", Schema.of(name="str", amount="int"), [{"name": "a", "amount": 1}])
+    lake = DataLake(None)
+    lake.add_table(table)
+    executor = PlanExecutor(lake, make_llm(seed=5))
+    plan = Plan()
+    scan = plan.add("scan", asset_id="table:sales")
+    plan.add("aggregate", inputs=[scan], fn="sum", column="amount")
+    assert executor.execute(plan) == "1.0"
+    before = table.where("amount", ">", 0)
+    table.insert({"name": "b", "amount": 41})
+    assert executor.execute(plan) == "42.0"
+    assert len(before) == 1 and len(table) == 2
+
+
 class TestAnswerMatches:
     def test_exact(self):
         assert answer_matches("8", "8")
@@ -545,3 +564,16 @@ class TestSQL:
         engine = NL2SQLEngine(llm, tables)
         result = engine.ask("count companies", verify=False)
         assert result.attempts == 1
+
+    def test_non_numeric_constant_predicate_is_an_execution_error(self, tables):
+        # float("abc") in the constant fold used to escape as a ValueError.
+        with pytest.raises(ExecutionError, match="non-numeric constant predicate 1 = abc"):
+            execute_sql("SELECT * FROM companies WHERE 1 = abc", tables)
+
+    def test_engine_retries_a_non_numeric_constant_predicate(self, tables, world):
+        llm = make_llm("sim-base", world=world, seed=18)
+        engine = NL2SQLEngine(llm, tables)
+        llm.register_skill("sql", lambda ctx: ("SELECT * FROM companies WHERE 1 = abc", {}))
+        result = engine.ask("count companies")
+        assert result.table is None and result.attempts == engine.max_retries + 1
+        assert result.error.startswith("non-numeric constant predicate")

@@ -16,14 +16,13 @@ from repro.data.documents import (
     extract_stated_facts,
 )
 from repro.data.synth import TrainingDocument
-from repro.data.table import Schema, Table
+from repro.data.table import Schema, Table, _order_op
 from repro.data.world import Fact
 from repro.errors import CacheError, ExecutionError
 from repro.inference.kvcache import PagedAllocator
 from repro.llm.protocol import Prompt, parse_prompt
 from repro.llm.tokenizer import Tokenizer
 from repro.prep.dedup import MinHashDeduper, jaccard, shingles
-from repro.unstructured.query import _string_predicate
 
 # --------------------------------------------------------------- protocol
 # The wire format is newline-delimited: exclude the exotic characters that
@@ -1098,6 +1097,53 @@ def test_resharding_arbitrary_shapes(tensors, rows, world_size):
 
 
 # ------------------------------------------------------- filter predicate
+def _never(row):
+    return False
+
+
+def _string_predicate(field_name, op, literal):
+    """Frozen reference for :meth:`Table.matching`: the row predicate the
+    lake's string filter and document analytics compiled before relations.
+
+    The literal is lowered and parsed, and the op resolved, once per filter
+    rather than once per row. A missing cell never matches; ``==``/``!=``
+    compare stripped, case-folded text; ``contains`` is a case-folded
+    substring test; the order ops compare both sides as floats and fail
+    when either is not numeric. Any other op raises
+    :class:`~repro.errors.ExecutionError` here, before a row is seen.
+    """
+    needle = literal.lower()
+    if op == "contains":
+
+        def contains(row):
+            actual = row.get(field_name)
+            return actual is not None and needle in str(actual).lower()
+
+        return contains
+    if op in ("==", "!="):
+        want = op == "=="
+
+        def equals(row):
+            actual = row.get(field_name)
+            return actual is not None and (str(actual).strip().lower() == needle) == want
+
+        return equals
+    compare = _order_op(op)
+    try:
+        bound = float(literal)
+    except ValueError:
+        return _never
+
+    def ordered(row):
+        try:  # a missing cell reads "None", which is not numeric either
+            actual = float(str(row.get(field_name)))
+        except (TypeError, ValueError):
+            return False
+        return compare(actual, bound)
+
+    return ordered
+
+
 def _reference_string_predicate(field_name, op, literal):
     """The per-row predicate as first written: literal re-parsed on every row."""
 
@@ -1155,6 +1201,9 @@ def test_compiled_filter_predicate_matches_per_row_reference(op, literal, cells)
     echoes = [literal, f" {literal.upper()} ", literal.swapcase()]
     rows = [{"f": cell} for cell in cells + echoes] + [{}, {"g": literal}]
     assert [compiled(row) for row in rows] == [reference(row) for row in rows]
+    # Table.matching reads the same verdicts off a str column's indexes.
+    table = Table("t", Schema.of(f="str"), rows)
+    assert table.matching("f", op, literal) == [p for p, row in enumerate(rows) if compiled(row)]
 
 
 @seed(20252)
@@ -1874,16 +1923,12 @@ def test_batched_duplicates_hit_after_the_first_miss():
 
 # ------------------------------------------------------- lake plan executor
 def _oracle_select(table, predicate):
-    out = Table(f"{table.name}_sel", table.schema)
-    out.rows = [dict(r) for r in table.rows if predicate(r)]
-    return out
+    return Table(f"{table.name}_sel", table.schema, [dict(r) for r in table.rows if predicate(r)])
 
 
 def _oracle_project(table, columns):
     cols = tuple(table.schema.column(c) for c in columns)
-    out = Table(f"{table.name}_proj", Schema(cols))
-    out.rows = [{c: row[c] for c in columns} for row in table.rows]
-    return out
+    return Table(f"{table.name}_proj", Schema(cols), [{c: row[c] for c in columns} for row in table.rows])
 
 
 def _oracle_join(left, right, left_on, right_on):
@@ -1900,7 +1945,7 @@ def _oracle_join(left, right, left_on, right_on):
     out_cols = tuple(left.schema.columns) + tuple(
         Column(renamed[c.name], c.dtype) for c in right.schema.columns
     )
-    out = Table(f"{left.name}_{right.name}", Schema(out_cols))
+    out_rows = []
     build = {}
     for row in right.rows:
         build.setdefault(row.get(right_on), []).append(row)
@@ -1909,8 +1954,8 @@ def _oracle_join(left, right, left_on, right_on):
             merged = dict(row)
             for key, value in match.items():
                 merged[renamed[key]] = value
-            out.rows.append(merged)
-    return out
+            out_rows.append(merged)
+    return Table(f"{left.name}_{right.name}", Schema(out_cols), out_rows)
 
 
 class _RowDictExecutor:
@@ -2180,14 +2225,9 @@ def _lake_plans(draw):
 
 def _lake_value(value):
     """A step output as (name, schema, row tuples), or the scalar itself."""
-    from repro.datalake.executor import _Relation
-
     if isinstance(value, Table):
         names = value.schema.names()
         return value.name, value.schema, [tuple(row[n] for n in names) for row in value.rows]
-    if isinstance(value, _Relation):
-        columns = [value.cells(n) for n in value.schema.names()]
-        return value.name, value.schema, [tuple(c[p] for c in columns) for p in range(len(value))]
     return value
 
 
@@ -2284,3 +2324,301 @@ def test_rebuilt_view_reads_its_own_index():
     plan = _lake_plan(("extract", [], {"asset_id": "doc:docs", "etype": "thing", "attributes": ["k"]}),
                       ("filter", ["s0"], {"field": "name", "op": "==", "value": "a"}))
     _check_lake_plans(_lake_fixture(views=views), [plan, plan], [False, True])
+
+
+# ---------------------------------------------------------- columnar Table
+class _RowDictTable:
+    """Frozen oracle: ``Table`` as it was before typed columns, every
+    operator copying each row into a fresh dict. Only ``where`` differs: it
+    rejects an unknown op before reading a row, so an empty table raises
+    too (it used to return an empty table)."""
+
+    def __init__(self, name, schema, rows=()):
+        self.name = name
+        self.schema = schema
+        self.rows = []
+        for row in rows:
+            self.rows.append(self._validate(row))
+
+    def _validate(self, row):
+        clean = {}
+        for col in self.schema.columns:
+            clean[col.name] = col.coerce(row.get(col.name))
+        return clean
+
+    def insert(self, row):
+        self.rows.append(self._validate(row))
+
+    def select(self, predicate):
+        out = _RowDictTable(f"{self.name}_sel", self.schema)
+        out.rows = [dict(r) for r in self.rows if predicate(r)]
+        return out
+
+    def where(self, column, op, value):
+        from repro.errors import SchemaError
+
+        col = self.schema.column(column)
+        if op not in {"==", "!=", ">", "<", ">=", "<=", "contains"}:
+            raise SchemaError(f"unknown operator {op!r}")
+        value = col.coerce(value) if op not in {"contains"} else value
+
+        def predicate(row):
+            actual = row.get(column)
+            if actual is None:
+                return False
+            if op == "==":
+                return actual == value
+            if op == "!=":
+                return actual != value
+            if op == ">":
+                return actual > value
+            if op == "<":
+                return actual < value
+            if op == ">=":
+                return actual >= value
+            if op == "<=":
+                return actual <= value
+            if op == "contains":
+                return str(value).lower() in str(actual).lower()
+            raise SchemaError(f"unknown operator {op!r}")
+
+        return self.select(predicate)
+
+    def project(self, columns):
+        cols = tuple(self.schema.column(c) for c in columns)
+        out = _RowDictTable(f"{self.name}_proj", Schema(cols))
+        out.rows = [{c: row[c] for c in columns} for row in self.rows]
+        return out
+
+    def join(self, other, *, left_on, right_on, how="inner"):
+        from repro.data.table import Column
+        from repro.errors import SchemaError
+
+        self.schema.column(left_on)
+        other.schema.column(right_on)
+        if how not in {"inner", "left"}:
+            raise SchemaError(f"unsupported join type {how!r}")
+        left_names = set(self.schema.names())
+        renamed = {
+            c.name: (f"{other.name}.{c.name}" if c.name in left_names else c.name)
+            for c in other.schema.columns
+        }
+        out_cols = tuple(self.schema.columns) + tuple(
+            Column(renamed[c.name], c.dtype) for c in other.schema.columns
+        )
+        out = _RowDictTable(f"{self.name}_{other.name}", Schema(out_cols))
+        build = {}
+        for row in other.rows:
+            build.setdefault(row.get(right_on), []).append(row)
+        for row in self.rows:
+            matches = build.get(row.get(left_on), [])
+            if matches:
+                for match in matches:
+                    merged = dict(row)
+                    for key, value in match.items():
+                        merged[renamed[key]] = value
+                    out.rows.append(merged)
+            elif how == "left":
+                merged = dict(row)
+                for key in renamed.values():
+                    merged[key] = None
+                out.rows.append(merged)
+        return out
+
+    def group_by(self, keys, aggregates):
+        from repro.data.table import _AGGREGATES, Column
+        from repro.errors import SchemaError
+
+        for key in keys:
+            self.schema.column(key)
+        for out_name, (fn, col) in aggregates.items():
+            if fn not in _AGGREGATES:
+                raise SchemaError(f"unknown aggregate {fn!r}")
+            if fn != "count":
+                self.schema.column(col)
+        groups = {}
+        for row in self.rows:
+            groups.setdefault(tuple(row.get(k) for k in keys), []).append(row)
+        out_cols = [self.schema.column(k) for k in keys]
+        for out_name, (fn, _col) in aggregates.items():
+            dtype = "int" if fn == "count" else "float"
+            out_cols.append(Column(out_name, dtype))
+        out = _RowDictTable(f"{self.name}_agg", Schema(tuple(out_cols)))
+        for key_values, rows in sorted(groups.items(), key=lambda kv: str(kv[0])):
+            agg_row = dict(zip(keys, key_values))
+            for out_name, (fn, col) in aggregates.items():
+                if fn == "count":
+                    agg_row[out_name] = len(rows)
+                else:
+                    values = [r[col] for r in rows if r.get(col) is not None]
+                    try:
+                        result = _AGGREGATES[fn](values)
+                        agg_row[out_name] = float(result) if result is not None else None
+                    except (TypeError, ValueError) as exc:
+                        raise SchemaError(f"aggregate {fn!r} needs numeric column {col!r}") from exc
+            out.rows.append(out._validate(agg_row))
+        return out
+
+    def order_by(self, column, *, desc=False):
+        self.schema.column(column)
+        out = _RowDictTable(self.name, self.schema)
+        out.rows = sorted(
+            (dict(r) for r in self.rows),
+            key=lambda r: (r.get(column) is None, r.get(column)),
+            reverse=desc,
+        )
+        return out
+
+    def limit(self, n):
+        out = _RowDictTable(self.name, self.schema)
+        out.rows = [dict(r) for r in self.rows[: max(n, 0)]]
+        return out
+
+    def distinct(self):
+        out = _RowDictTable(self.name, self.schema)
+        seen = set()
+        for row in self.rows:
+            key = tuple(sorted(row.items()))
+            if key not in seen:
+                seen.add(key)
+                out.rows.append(dict(row))
+        return out
+
+    def __len__(self):
+        return len(self.rows)
+
+
+_TABLE_DTYPES = ("int", "float", "str", "bool")
+# "r.a" on the left collides with the prefixed name of a right column "a".
+_TABLE_COLUMNS = st.sampled_from(["a", "b", "k", "k", "r.a"])
+_TABLE_CELLS = {
+    "int": st.one_of(st.none(), st.integers(-3, 3)),
+    "float": st.one_of(st.none(), st.sampled_from([-1.5, 0.0, 1.0, 2.5, float("nan")])),
+    "str": st.one_of(st.none(), st.sampled_from(["", "a", "A ", "b", "1", "2.5"])),
+    "bool": st.one_of(st.none(), st.booleans()),
+}
+# Literals for where and insert: each coerces to some dtypes and not others.
+_TABLE_VALUES = st.one_of(
+    st.none(), st.integers(-3, 3), st.booleans(), st.sampled_from([1.0, 2.5, "1", "a", "yes", "x"])
+)
+_TABLE_FIELDS = st.sampled_from(["a", "b", "k", "k", "r.a", "nope"])
+
+
+@st.composite
+def _typed_table(draw):
+    from repro.data.table import Column
+
+    names = draw(st.lists(_TABLE_COLUMNS, min_size=1, max_size=4, unique=True))
+    dtypes = [draw(st.sampled_from(_TABLE_DTYPES)) for _ in names]
+    rows = [
+        {n: draw(_TABLE_CELLS[d]) for n, d in zip(names, dtypes)}
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    return Schema(tuple(Column(n, d) for n, d in zip(names, dtypes))), rows
+
+
+@st.composite
+def _table_ops(draw):
+    """One call as (method, input view, args, kwargs). The input is any
+    earlier view, so an insert often lands on a table a view was taken
+    from; a join's right side is the "r" table (None) or an earlier view."""
+    kind = draw(st.sampled_from(
+        ["where"] * 3 + ["project", "join", "join", "group_by", "order_by", "limit", "distinct",
+                         "insert", "insert"]
+    ))
+    at, args, kwargs = draw(st.integers(0, 9)), (), {}
+    if kind == "where":
+        op = draw(st.sampled_from(["==", "!=", ">", "<", ">=", "<=", "contains", "~~"]))
+        args = (draw(_TABLE_FIELDS), op, draw(_TABLE_VALUES))
+    elif kind == "project":
+        args = (draw(st.lists(_TABLE_FIELDS, max_size=3)),)
+    elif kind == "join":
+        args = (draw(st.one_of(st.none(), st.integers(0, 9))),)
+        kwargs = {"left_on": draw(_TABLE_FIELDS), "right_on": draw(_TABLE_FIELDS),
+                  "how": draw(st.sampled_from(["inner", "inner", "left", "outer"]))}
+    elif kind == "group_by":
+        functions = st.sampled_from(["count", "sum", "avg", "min", "max", "median"])
+        aggregates = {f"g{i}": (draw(functions), draw(_TABLE_FIELDS))
+                      for i in range(draw(st.integers(0, 2)))}
+        args = (draw(st.lists(_TABLE_FIELDS, max_size=2)), aggregates)
+    elif kind == "order_by":
+        args, kwargs = (draw(_TABLE_FIELDS),), {"desc": draw(st.booleans())}
+    elif kind == "limit":
+        args = (draw(st.integers(-1, 5)),)
+    elif kind == "insert":
+        args = ({n: draw(_TABLE_VALUES) for n in draw(st.lists(_TABLE_FIELDS, max_size=4))},)
+    return kind, at, args, kwargs
+
+
+def _table_state(table):
+    """Name, schema and rows; ``repr`` tells 1, 1.0 and True apart."""
+    return table.name, table.schema, repr(table.rows)
+
+
+def _check_table_ops(left, right, ops):
+    """Each op on both engines: the same table or the same error type, and
+    after every op each earlier view still equal to the oracle's copy."""
+    (left_schema, left_rows), (right_schema, right_rows) = left, right
+    views = [(Table("l", left_schema, left_rows), _RowDictTable("l", left_schema, left_rows))]
+    others = (Table("r", right_schema, right_rows), _RowDictTable("r", right_schema, right_rows))
+    for kind, at, args, kwargs in ops:
+        outcomes = []
+        for side, table in enumerate(views[at % len(views)]):
+            call = args
+            if kind == "join":
+                right = others if args[0] is None else views[args[0] % len(views)]
+                call = (right[side],)
+            try:
+                outcomes.append(getattr(table, kind)(*call, **kwargs))
+            except Exception as exc:  # compared by type with the oracle's
+                outcomes.append(type(exc).__name__)
+        got, want = outcomes
+        if isinstance(got, str) or isinstance(want, str):
+            assert got == want
+        elif kind != "insert":
+            views.append((got, want))
+        for got, want in views:
+            assert _table_state(got) == _table_state(want)
+
+
+@given(_typed_table(), _typed_table(), st.lists(_table_ops(), min_size=1, max_size=8))
+@seed(20253)
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_columnar_table_matches_row_dict_oracle(left, right, ops):
+    """Views over typed columns == the frozen row-dict ``Table``: names,
+    schemas and rows after every op, the same error type, and no view
+    taken before an insert sees its row."""
+    _check_table_ops(left, right, ops)
+
+
+# Each fixed case below is a shrunk counterexample of the property against
+# a mutated Table.
+def test_self_join_on_missing_keys_keeps_left_major_order():
+    # A join walking the right side that kept its pairs in right-major order.
+    table = (Schema.of(a="int", b="int"), [{"a": None, "b": None}, {"a": None, "b": 0}])
+    _check_table_ops(table, table, [("join", 0, (0,), {"left_on": "a", "right_on": "a", "how": "inner"})])
+
+
+def test_order_by_puts_missing_cells_last():
+    # An order_by that sorted missing cells first.
+    table = (Schema.of(a="int"), [{"a": None}, {"a": 0}])
+    _check_table_ops(table, table, [("order_by", 0, ("a",), {"desc": False})])
+
+
+def test_insert_into_a_view_leaves_its_input_alone():
+    # An insert that appended to the column it shares with its input.
+    table = (Schema.of(a="int"), [{"a": 0}])
+    _check_table_ops(table, table, [("where", 0, ("a", "==", None), {}), ("insert", 1, ({},), {})])
+
+
+def test_left_join_keeps_an_unmatched_row():
+    # A left join that dropped left rows without a match.
+    left = (Schema.of(a="int", k="int"), [{"a": None, "k": None}])
+    right = (Schema.of(k="int"), [])
+    _check_table_ops(left, right, [("join", 0, (None,), {"left_on": "a", "right_on": "k", "how": "left"})])
+
+
+def test_unknown_where_op_raises_on_an_empty_table():
+    # A where that checked its op per row.
+    table = (Schema.of(a="int"), [])
+    _check_table_ops(table, table, [("where", 0, ("a", "~~", None), {})])

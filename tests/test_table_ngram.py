@@ -76,6 +76,12 @@ class TestTableOps:
         with pytest.raises(SchemaError):
             people.where("age", "~=", 1)
 
+    def test_where_unknown_op_raises_on_empty_and_non_empty_tables(self):
+        # The op used to be checked per row, so an empty table returned empty.
+        for rows in ([], [{"n": 1}]):
+            with pytest.raises(SchemaError, match="unknown operator '~~'"):
+                Table("t", Schema.of(n="int"), rows).where("n", "~~", 1)
+
     def test_project(self, people):
         proj = people.project(["name"])
         assert proj.schema.names() == ["name"]
