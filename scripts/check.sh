@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Pre-commit gate: ruff -> mypy (analysis/faults/semopt, strict) -> repro-lint -> tier-1.
+# Pre-commit gate: ruff -> mypy (analysis/faults/semopt, strict) -> repro-lint -> tier-1
+# -> chaos smoke -> perf smoke -> perfbench smoke.
 #
 # Usage (from the repo root):
 #     bash scripts/check.sh
@@ -62,6 +63,15 @@ python -m pytest benchmarks/test_e24_fault_recovery.py -x -q || failures=$((fail
 # convergence with the frozen full rebuild) on every commit.
 step "perf smoke (benchmarks/perf -m perf -k smoke)"
 python -m pytest benchmarks/perf -m perf -k smoke -q || failures=$((failures + 1))
+
+# perfbench smoke: one untraced second of every workload at seed 1.  run.py
+# checks each run's outputs (answer accuracy, pipeline repeatability, recall,
+# question-pool headroom) and exits nonzero when a check fails.
+step "perfbench smoke (perfbench/run.py, every workload, 1 s)"
+for workload in rag_qa lake_analytics stream_ingest_query fleet_sim; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+        || { echo "perfbench smoke failed: $workload"; failures=$((failures + 1)); }
+done
 
 echo
 if [ "$failures" -ne 0 ]; then

@@ -106,9 +106,10 @@ class LintConfig:
     rng_scope_prefixes: Tuple[str, ...] = ("src/repro",)
 
     # R009: ledger-tag conservation.  Dotted string-literal tags charged via
-    # ``.charge(..., tag=...)`` must match ``<prefix>.sN.<kind>`` with a
-    # registered stage kind, and must be read somewhere in the repo.  Flat
-    # (dot-free) tags are the legacy namespace and stay exempt.
+    # ``.charge(..., tag=...)`` or ``.charge_many(..., tag=...)`` must match
+    # ``<prefix>.sN.<kind>`` with a registered stage kind, and must be read
+    # somewhere in the repo.  Flat (dot-free) tags are the legacy namespace
+    # and stay exempt.
     ledger_scope_prefixes: Tuple[str, ...] = ("src/repro",)
     ledger_stage_kinds: Tuple[str, ...] = (
         "filter", "map", "join", "topk", "group_count",

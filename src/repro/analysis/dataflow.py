@@ -408,6 +408,8 @@ def _cross_stream_hazard(
 
 
 _READ_METHODS = frozenset({"get", "pop", "startswith"})
+#: The ledger's charge entry points (``UsageLedger.charge``/``charge_many``).
+_CHARGE_METHODS = frozenset({"charge", "charge_many"})
 
 
 def collect_module_facts(module: "ModuleInfo") -> ModuleFacts:
@@ -419,7 +421,7 @@ def collect_module_facts(module: "ModuleInfo") -> ModuleFacts:
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "charge"
+            and node.func.attr in _CHARGE_METHODS
         ):
             for kw in node.keywords:
                 if kw.arg != "tag":

@@ -6,13 +6,14 @@ analytics and the lake plan executor all run on :class:`Table`.
 
 A table stores typed columns and reads them through row-id selections, so
 every operator returns a view that shares its input's columns instead of
-copying rows. Each stored column builds its indexes (floats, folded text,
-lowered text, value -> row ids) on first use and keeps them for its life;
-columns are never mutated, so an :meth:`Table.insert` builds new ones and a
-view made before it keeps its rows. Supports where / project / join /
-group-by aggregation / order / limit / distinct over typed columns and the
-lake's string-filter verdicts (:meth:`Table.matching`), with schema
-validation on construction.
+copying rows. Each stored column builds its indexes (floats, a float64
+array with NaN for the cells that are not numeric, folded text, lowered
+text, value -> row ids) on first use and keeps them for its life; columns
+are never mutated, so an :meth:`Table.insert` builds new ones and a view
+made before it keeps its rows. Supports where / project / join / group-by
+aggregation / order / limit / distinct over typed columns and the lake's
+string-filter verdicts (:meth:`Table.matching`), with schema validation on
+construction.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ExecutionError, SchemaError
 
@@ -126,6 +129,23 @@ def _as_float(cell: object) -> Optional[float]:
         return None
 
 
+def _bound(col: Column, value: Any) -> Any:
+    """The literal ``where`` compares ``col``'s cells with: coerced to the
+    column's dtype, except that an int column compares a float, or a
+    numeric text that is not an int, as a float (``2.5``, ``"2.5"``,
+    ``"2.0"``), as SQL compares numbers; anything else that does not
+    coerce raises :class:`~repro.errors.SchemaError`."""
+    if col.dtype == "int" and isinstance(value, float):
+        return value
+    try:
+        return col.coerce(value)
+    except SchemaError:
+        number = _as_float(value) if col.dtype == "int" else None
+        if number is None:
+            raise
+        return number
+
+
 def _group(values: List[Any]) -> Dict[Any, List[int]]:
     """Value -> the ascending positions that hold it."""
     index: Dict[Any, List[int]] = {}
@@ -146,8 +166,14 @@ class _Column:
 
     @cached_property
     def floats(self) -> List[Optional[float]]:
-        """Each cell as ``float(str(cell))``, None where that fails: the order ops."""
+        """Each cell as ``float(str(cell))``, None where that fails: the aggregates."""
         return [_as_float(cell) for cell in self.cells]
+
+    @cached_property
+    def numbers(self) -> np.ndarray:
+        """:attr:`floats` as float64, NaN for None: the order ops, under
+        which a NaN never compares true, as a missing cell never matches."""
+        return np.array([np.nan if x is None else x for x in self.floats], dtype=np.float64)
 
     @cached_property
     def folded(self) -> List[Optional[str]]:
@@ -176,6 +202,11 @@ class Table:
     ``_columns`` maps a column name to the index of its selection and its
     stored column. Columns stored together share one selection, so a join
     output holds its left input's selections, then its right input's.
+
+    Numeric reads go through each stored column's cached floats: the
+    aggregates read them as a list (None where a cell is not numeric), and
+    :meth:`matching`'s order ops are one numpy mask over them as a float64
+    array, NaN where a cell is not numeric, indexed by the view's selection.
     """
 
     def __init__(self, name: str, schema: Schema, rows: Iterable[Row] = ()) -> None:
@@ -233,7 +264,7 @@ class Table:
         elif compare is None:
             raise SchemaError(f"unknown operator {op!r}")
         else:
-            value = col.coerce(value)
+            value = _bound(col, value)
             cells = self.cells(column)
             kept = [p for p, cell in enumerate(cells) if cell is not None and compare(cell, value)]
         return self.take(kept, f"{self.name}_sel")
@@ -246,7 +277,8 @@ class Table:
         lowered text with the lowered literal; ``contains`` is a lowered
         substring test; the order ops compare floats and fail on a
         non-numeric side. Any other op raises
-        :class:`~repro.errors.ExecutionError`.
+        :class:`~repro.errors.ExecutionError`, and an unknown column
+        :class:`~repro.errors.SchemaError`.
         """
         column, rows = self._read(name)
         needle = literal.lower()
@@ -264,8 +296,8 @@ class Table:
             bound = float(literal)
         except ValueError:
             return []
-        numbers = _through(column.floats, rows)
-        return [p for p, x in enumerate(numbers) if x is not None and compare(x, bound)]
+        numbers = column.numbers if rows is None else column.numbers[rows]
+        return np.flatnonzero(compare(numbers, bound)).tolist()
 
     def take(self, positions: List[int], name: str) -> "Table":
         """The rows at ``positions`` (row numbers of this table), in order."""
@@ -307,14 +339,16 @@ class Table:
             + tuple(Column(renamed[c.name], c.dtype) for c in other.schema.columns)
         )
         # An inner join walks the side with fewer rows and probes the other
-        # side's key index.
+        # side's key index. The probe yields pairs in ascending right order,
+        # so a stable sort on the left row alone gives left-major order.
         if how == "inner" and len(other) <= len(self):
             index = self._key_index(left_on)
-            pairs = sorted(
+            pairs = [
                 (left, right)
                 for right, key in enumerate(other.cells(right_on))
                 for left in index.get(key, ())
-            )
+            ]
+            pairs.sort(key=operator.itemgetter(0))
         else:
             index = other._key_index(right_on)
             unmatched: Tuple[int, ...] = ()
@@ -343,7 +377,9 @@ class Table:
 
         ``aggregates`` maps output column -> (function, input column); the
         input column is ignored for ``count``. Functions: count, sum, avg,
-        min, max.
+        min, max. With no keys the output is one row, also over zero rows
+        (``count`` 0, ``sum`` 0.0, the others None), as SQL answers an
+        aggregate without GROUP BY.
         """
         for key in keys:
             self.schema.column(key)
@@ -360,6 +396,8 @@ class Table:
         groups: Dict[Tuple, List[int]] = {}
         for p in range(self._length):
             groups.setdefault(tuple(cells[p] for cells in key_cells), []).append(p)
+        if not keys and not groups:
+            groups[()] = []
         inputs = {col: self.cells(col) for fn, col in aggregates.values() if fn != "count"}
         out_rows = []
         for key_values, members in sorted(groups.items(), key=lambda kv: str(kv[0])):
@@ -420,12 +458,21 @@ class Table:
         column, rows = self._read(name)
         return _through(column.cells, rows)
 
+    def floats(self, name: str) -> List[Optional[float]]:
+        """One column's cells as ``float(str(cell))`` in row order, None
+        where that fails (read-only: may be the stored column's cache)."""
+        column, rows = self._read(name)
+        return _through(column.floats, rows)
+
     def column_values(self, column: str) -> List[Any]:
         self.schema.column(column)
         return list(self.cells(column))
 
     def _read(self, name: str) -> Tuple[_Column, Selection]:
-        part, column = self._columns[name]
+        try:
+            part, column = self._columns[name]
+        except KeyError:
+            raise SchemaError(f"no column {name!r}; have {self.schema.names()}") from None
         return column, self._selections[part]
 
     def _key_index(self, name: str) -> Dict[Any, List[int]]:

@@ -38,7 +38,7 @@ from ..llm.model import SimLLM
 from ..rag.pipeline import RAGPipeline
 from ..semopt import SemExecutor, SemFilter, SemPipeline
 from ..unstructured.operators import SemanticOperators
-from ..unstructured.query import aggregate_cells
+from ..unstructured.query import aggregate_floats
 from ..unstructured.schema_extract import EvaporateExtractor
 from .catalog import DataLake, LakeAsset
 from .linking import EmbeddingLinker
@@ -230,7 +230,7 @@ class PlanExecutor:
             raise ExecutionError(
                 f"aggregate column {column!r} not in {table.schema.names()}"
             )
-        return aggregate_cells(table.cells(column), fn)
+        return aggregate_floats(table.floats(column), fn)
 
     def _op_lookup(self, step: PlanStep, values: Dict[str, Value]) -> str:
         asset = self.lake.get(str(step.params["asset_id"]))
@@ -314,10 +314,17 @@ class LakeAnalytics:
         )
 
     def _tag_deltas(self, tags_before: Dict[str, Usage]) -> Dict[str, Usage]:
-        """Non-zero per-tag usage charged since the ``tags_before`` snapshot."""
+        """Non-zero per-tag usage charged since the ``tags_before`` snapshot.
+
+        The ledger replaces a tag's :class:`Usage` on every charge, so a tag
+        whose entry is still the snapshotted object charged nothing.
+        """
         deltas: Dict[str, Usage] = {}
         for tag, after in self.llm.ledger.by_tag.items():
-            delta = after - tags_before.get(tag, Usage())
+            before = tags_before.get(tag)
+            if after is before:
+                continue
+            delta = after - (Usage() if before is None else before)
             if delta.calls or delta.usd:
                 deltas[tag] = delta
         return deltas

@@ -4,10 +4,10 @@
 reducing unnecessary model invocations." Two cache layers wrap a
 :class:`~repro.llm.model.SimLLM` behind the same ``generate`` interface:
 
-* **exact** — hash of ``(prompt, max_tokens, temperature)``, the full
-  functional input of the deterministic model, so a hit is bit-identical
-  to the response a fresh call would produce.  Every temperature-0 call
-  is stored, whatever its task;
+* **exact** — keyed by the ``(prompt, max_tokens, temperature)`` value,
+  the full functional input of the deterministic model, so a hit is
+  bit-identical to the response a fresh call would produce.  Every
+  temperature-0 call is stored, whatever its task;
 * **semantic** — embedding lookup of the prompt's *input* section against
   previously answered prompts of the same task; a hit above the
   similarity threshold reuses the stored answer. Semantic hits trade a
@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigError
-from ..utils import stable_hash
 from .cost import Usage, UsageLedger
 from .embedding import EmbeddingModel
 from .hub import ModelSpec
@@ -64,9 +63,13 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
+#: The exact layer's key: the full functional input of one call.
+ExactKey = Tuple[str, int, float]
+
+
 @dataclass
 class _Entry:
-    key: int  # the exact-layer key stored with it, for FIFO eviction
+    key: ExactKey  # the exact-layer key stored with it, for FIFO eviction
     input_vector: np.ndarray
     response: LLMResponse
     # A semantic hit is only valid when the caller asked for the same cap
@@ -74,8 +77,8 @@ class _Entry:
     max_tokens: int
 
 
-def _key(prompt: str, max_tokens: int, temperature: float) -> int:
-    return stable_hash(f"{prompt}|{max_tokens}|{temperature}")
+def _key(prompt: str, max_tokens: int, temperature: float) -> ExactKey:
+    return (prompt, max_tokens, temperature)
 
 
 class CachedLLM:
@@ -114,7 +117,7 @@ class CachedLLM:
         self.max_entries = max_entries
         self.cacheable_tasks = set(cacheable_tasks)
         self.stats = CacheStats()
-        self._exact: Dict[int, LLMResponse] = {}  # insertion order is the FIFO
+        self._exact: Dict[ExactKey, LLMResponse] = {}  # insertion order is the FIFO
         self._by_task: Dict[str, List[_Entry]] = {}
 
     # ---------------------------------------------------------- delegation
@@ -215,7 +218,7 @@ class CachedLLM:
         prompt_list = list(prompts)
         if self.semantic_threshold is None and temperature == 0.0:
             keys = [_key(prompt, max_tokens, temperature) for prompt in prompt_list]
-            missing: Dict[int, str] = {}
+            missing: Dict[ExactKey, str] = {}
             for prompt, key in zip(prompt_list, keys):
                 if key not in self._exact:
                     missing.setdefault(key, prompt)

@@ -11,7 +11,7 @@ token scales with input length and total time adds per-output-token cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import BudgetExceededError, ConfigError
 
@@ -89,6 +89,13 @@ class CostModel:
         )
 
 
+_NO_USAGE = Usage()
+
+
+def _fields(usage: Usage) -> Tuple[int, int, float, float, int]:
+    return usage.input_tokens, usage.output_tokens, usage.latency_s, usage.usd, usage.calls
+
+
 @dataclass
 class UsageLedger:
     """Aggregates call usage, optionally enforcing a budget.
@@ -96,6 +103,14 @@ class UsageLedger:
     Set ``max_usd`` or ``max_calls`` to make over-budget calls raise
     :class:`~repro.errors.BudgetExceededError` — used by cost-bounded
     pipelines (Evaporate-style extraction, cascades).
+
+    Charging is in call order: :meth:`charge_many` adds each call's tokens,
+    latency and dollars to the running sums one call at a time, checking
+    the budget before each, so its sums are bitwise those of one
+    :meth:`charge` per call, and a budget trips at the same call. Every
+    charge of at least one call replaces ``total`` and the tag's
+    ``by_tag`` entry with new :class:`Usage` objects (never mutated), so an
+    entry that is still the object a caller snapshotted has not moved.
     """
 
     max_usd: Optional[float] = None
@@ -105,15 +120,45 @@ class UsageLedger:
 
     def charge(self, usage: Usage, *, tag: str = "default") -> None:
         """Record ``usage``; raises if a budget would be exceeded."""
-        if self.max_usd is not None and self.total.usd + usage.usd > self.max_usd:
-            raise BudgetExceededError(
-                f"budget {self.max_usd:.4f} USD exceeded "
-                f"(spent {self.total.usd:.4f}, next call {usage.usd:.4f})"
-            )
-        if self.max_calls is not None and self.total.calls + usage.calls > self.max_calls:
-            raise BudgetExceededError(f"call budget {self.max_calls} exceeded")
-        self.total = self.total + usage
-        self.by_tag[tag] = self.by_tag.get(tag, Usage()) + usage
+        self.charge_many((usage,), tag=tag)
+
+    def charge_many(self, usages: Sequence[Usage], *, tag: str) -> None:
+        """Record ``usages`` in order under one tag, each checked against
+        the budget first; a call over budget raises with every call before
+        it recorded."""
+        if not usages:
+            return
+        t_in, t_out, t_lat, t_usd, t_calls = _fields(self.total)
+        g_in, g_out, g_lat, g_usd, g_calls = _fields(self.by_tag.get(tag, _NO_USAGE))
+        max_usd, max_calls = self.max_usd, self.max_calls
+        charged = 0
+        error: Optional[BudgetExceededError] = None
+        for usage in usages:
+            if max_usd is not None and t_usd + usage.usd > max_usd:
+                error = BudgetExceededError(
+                    f"budget {max_usd:.4f} USD exceeded "
+                    f"(spent {t_usd:.4f}, next call {usage.usd:.4f})"
+                )
+                break
+            if max_calls is not None and t_calls + usage.calls > max_calls:
+                error = BudgetExceededError(f"call budget {max_calls} exceeded")
+                break
+            t_in += usage.input_tokens
+            t_out += usage.output_tokens
+            t_lat += usage.latency_s
+            t_usd += usage.usd
+            t_calls += usage.calls
+            g_in += usage.input_tokens
+            g_out += usage.output_tokens
+            g_lat += usage.latency_s
+            g_usd += usage.usd
+            g_calls += usage.calls
+            charged += 1
+        if charged:
+            self.total = Usage(t_in, t_out, t_lat, t_usd, t_calls)
+            self.by_tag[tag] = Usage(g_in, g_out, g_lat, g_usd, g_calls)
+        if error is not None:
+            raise error
 
     def remaining_usd(self) -> Optional[float]:
         if self.max_usd is None:

@@ -67,7 +67,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, TokenizerError
 from ..utils import normalize, stable_hash
 from .tokenizer import Tokenizer, default_tokenizer
 
@@ -439,7 +439,13 @@ class EmbeddingModel:
         memo[text] = row
 
     def embed(self, text: str) -> np.ndarray:
-        """Embed ``text`` into a unit-norm float32 vector (a fresh copy)."""
+        """Embed ``text`` into a unit-norm float32 vector (a fresh copy).
+
+        A ``text`` that is not a ``str`` raises
+        :class:`~repro.errors.TokenizerError` and changes nothing.
+        """
+        if not isinstance(text, str):
+            raise TokenizerError(f"embed needs a str text, got {type(text).__name__}")
         row = self._memo.get(text)
         if row is None:
             row = self._embed_one(text)
@@ -468,10 +474,20 @@ class EmbeddingModel:
         Bit-identical to stacking per-text :meth:`embed` calls, so rows
         either path put in the memo serve both. Memo hits are copied out;
         the distinct misses, in first-occurrence order, go through one
-        batched kernel pass (:meth:`_embed_rows`).
+        batched kernel pass (:meth:`_embed_rows`). An item that is not a
+        ``str`` raises :class:`~repro.errors.TokenizerError` before anything
+        is embedded or stored.
         """
         memo = self._memo
-        missing = list(dict.fromkeys(text for text in texts if text not in memo))
+        try:  # the memo holds str keys only, so every non-str item misses it
+            missing = list(dict.fromkeys(text for text in texts if text not in memo))
+        except TypeError:  # an unhashable item
+            missing = [text for text in texts if not isinstance(text, str)]
+        for text in missing:
+            if not isinstance(text, str):
+                raise TokenizerError(
+                    f"embed_batch needs str texts, got {type(text).__name__}"
+                )
         fresh = dict(zip(missing, self._embed_rows(missing))) if missing else {}
         out = np.empty((len(texts), self.dim), dtype=np.float32)
         for i, text in enumerate(texts):

@@ -189,7 +189,9 @@ class SimLLM:
         tokens (as a real decode loop stops emitting), so the returned text
         always agrees with the charged token count.  Distinct prompts the
         reply memo lacks are computed in first-occurrence order (see the
-        module docstring); every prompt is then charged and logged.
+        module docstring), and each distinct reply's :class:`Usage` is
+        built once; every prompt is then charged, in order, through one
+        :meth:`UsageLedger.charge_many` and logged.
         """
         if max_tokens <= 0:
             raise ModelError(f"max_tokens must be positive, got {max_tokens}")
@@ -207,16 +209,23 @@ class SimLLM:
                 replies[prompt] = reply
         if missing:
             replies.update(self._compute(missing, milli, temperature, max_tokens))
-        responses: List[LLMResponse] = []
-        for prompt in prompts:
-            input_tokens, text, output_tokens, meta, task = replies[prompt]
-            usage = self.spec.cost.usage(input_tokens, output_tokens)
-            self.ledger.charge(usage, tag=tag)
-            self._call_log.append(
-                {"task": task, "tag": tag, "tokens": usage.total_tokens}
+        cost = self.spec.cost
+        usages = {prompt: cost.usage(reply[0], reply[2]) for prompt, reply in replies.items()}
+        batch = [replies[prompt] for prompt in prompts]
+        charges = [usages[prompt] for prompt in prompts]
+        calls_before = self.ledger.total.calls
+        try:
+            self.ledger.charge_many(charges, tag=tag)
+        finally:  # log the calls charged, also those before a budget trips
+            charged = self.ledger.total.calls - calls_before
+            kept = range(max(charged - CALL_LOG_ROWS, 0), charged)  # the log keeps no more
+            self._call_log.extend(
+                {"task": batch[i][4], "tag": tag, "tokens": charges[i].total_tokens} for i in kept
             )
-            responses.append(LLMResponse(text=text, usage=usage, meta=dict(meta)))
-        return responses
+        return [
+            LLMResponse(text=text, usage=usage, meta=dict(meta))
+            for (_, text, _, meta, _), usage in zip(batch, charges)
+        ]
 
     def _compute(
         self, prompts: List[str], milli: int, temperature: float, max_tokens: int

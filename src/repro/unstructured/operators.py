@@ -72,6 +72,31 @@ class OpStats:
     cache_misses: int = 0
 
 
+#: float32 unit roundoff.
+_UNIT_ROUNDOFF = 2.0**-24
+
+
+def _proxy_guard(dim: int) -> float:
+    """Half-width of the band around ``proxy_low``/``proxy_high`` inside
+    which the topical proxy recomputes a row's similarity per row.
+
+    For float32 vectors ``x``, ``y`` of length ``n``, a computed dot product
+    in any summation order is within ``gamma_n * sum|x_i * y_i|`` of the
+    exact one, ``gamma_n = n*u / (1 - n*u)``, ``u = 2**-24`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, section 3.1); one more
+    rounding to float32 at the end, or a wider accumulator, stays inside
+    it. The embedder's vectors are unit norm up to one rounding per
+    component, so ``sum|x_i * y_i| <= |x| |y| <= (1 + u)**2``. The matvec
+    entry and the per-row ``np.dot`` are both that close to the exact
+    value, so they differ by at most twice the bound: outside the band
+    both sit on the same side of each threshold. The bound grows with the
+    dimension, so the band is derived from the vectors' length (0.0000153
+    at the embedder's default 128), not set.
+    """
+    u = _UNIT_ROUNDOFF
+    return 2.0 * (dim * u / (1.0 - dim * u)) * (1.0 + u) ** 2
+
+
 def _record_text(record: Record) -> str:
     return str(record.get("text") or json.dumps(record, sort_keys=True))
 
@@ -178,9 +203,12 @@ class SemanticOperators:
 
         Without ``cascade`` every entry is ``None``.  Topical predicates use
         one ``embed_batch`` over the row texts (the embedder's memo embeds
-        each distinct text once); rule predicates run a closure compiled
-        once.  The verdicts equal the historical per-row evaluation
-        bit-for-bit.
+        each distinct text once) and one float32 matvec against the topic
+        vector; a row whose matvec similarity lies within the guard band
+        (:func:`_proxy_guard`) of ``proxy_low`` or ``proxy_high`` is
+        recomputed with the per-row ``float(np.dot(topic, row))`` the
+        verdicts were defined on, so every verdict equals that per-row
+        evaluation.  Rule predicates run a closure compiled once.
         """
         decisions: List[Optional[bool]] = [None] * len(rows)
         if not cascade or not rows:
@@ -189,15 +217,19 @@ class SemanticOperators:
         if _is_topical(predicate):
             topic_vec = self.embedder.embed(_topic_of(predicate))
             vectors = self.embedder.embed_batch([_record_text(row) for row in rows])
-            for idx, vector in enumerate(vectors):
-                sim = float(np.dot(topic_vec, vector))
-                if sim >= self.proxy_high:
-                    decisions[idx] = True
-                elif sim <= self.proxy_low:
-                    decisions[idx] = False
-                else:
-                    continue  # uncertain band -> LLM
-                stats.proxy_decisions += 1
+            low, high = self.proxy_low, self.proxy_high
+            sims = (vectors @ topic_vec).astype(np.float64)
+            guard = _proxy_guard(len(topic_vec))
+            near = (np.abs(sims - low) <= guard) | (np.abs(sims - high) <= guard)
+            for idx in np.flatnonzero(near).tolist():
+                sims[idx] = float(np.dot(topic_vec, vectors[idx]))
+            keep = sims >= high
+            drop = ~keep & (sims <= low)  # the rest is the uncertain band -> LLM
+            for idx in np.flatnonzero(keep).tolist():
+                decisions[idx] = True
+            for idx in np.flatnonzero(drop).tolist():
+                decisions[idx] = False
+            stats.proxy_decisions += int(keep.sum()) + int(drop.sum())
         else:
             check = compile_predicate(predicate)
             if check is None:

@@ -95,7 +95,14 @@ def parse_aggregate(question: str) -> Optional[AggregateQuery]:
 
 
 class DocumentAnalytics:
-    """Routes NL queries over a document corpus to RAG or extract+aggregate."""
+    """Routes NL queries over a document corpus to RAG or extract+aggregate.
+
+    The corpus is fixed at construction: the extracted views and the corpus
+    records that pipelines run over are each built once and kept, so a
+    caller must not change ``docs`` afterwards. Pipelines read the kept
+    records and hand back copies, so nothing a caller does to a result
+    reaches them.
+    """
 
     def __init__(
         self,
@@ -113,6 +120,7 @@ class DocumentAnalytics:
         self.extractor = extractor or EvaporateExtractor(llm)
         self.rag = rag or RAGPipeline.from_documents(llm, self.docs)
         self._views: Dict[str, ExtractionResult] = {}
+        self._records: Optional[List[Record]] = None
 
     # ------------------------------------------------------------ extraction
     def _resolve_etype(self, raw: str) -> str:
@@ -163,17 +171,20 @@ class DocumentAnalytics:
         )
 
     # ------------------------------------------------------------- pipelines
-    def doc_records(self) -> List[Record]:
-        """The corpus as semantic-operator records (text + string metadata)."""
-        return [
-            {
-                "name": doc.doc_id,
-                "title": doc.title,
-                "text": doc.text,
-                **{key: str(value) for key, value in doc.meta.items()},
-            }
-            for doc in self.docs
-        ]
+    def _corpus_records(self) -> List[Record]:
+        """The corpus as semantic-operator records (text + string metadata),
+        built on first use and kept; never handed out."""
+        if self._records is None:
+            self._records = [
+                {
+                    "name": doc.doc_id,
+                    "title": doc.title,
+                    "text": doc.text,
+                    **{key: str(value) for key, value in doc.meta.items()},
+                }
+                for doc in self.docs
+            ]
+        return self._records
 
     def run_pipeline(self, pipeline: "SemPipeline") -> "PipelineResult":
         """Run a semantic-operator pipeline over the corpus, optimized.
@@ -183,13 +194,17 @@ class DocumentAnalytics:
         fusion) and executed on the batched kernels behind one exact-only
         :class:`~repro.llm.cache.CachedLLM` shared by every operator —
         answers are identical to naive in-order execution, the cost is not.
+        The pipeline reads the kept corpus records (operators never change
+        their input records), and the result's records are copies.
         """
         from ..semopt.executor import SemExecutor
 
         executor = SemExecutor(
             SemanticOperators(self.llm), tag_prefix="docs.semopt"
         )
-        return executor.run(self.doc_records(), pipeline)
+        result = executor.run(self._corpus_records(), pipeline)
+        result.records = [dict(record) for record in result.records]
+        return result
 
     def _aggregate(self, query: AggregateQuery) -> Tuple[str, int]:
         view = self.materialize_view(query.etype)
@@ -207,7 +222,7 @@ class DocumentAnalytics:
             raise ExecutionError(
                 f"aggregate {query.agg!r} needs a numeric attribute column"
             )
-        return aggregate_cells(table.cells(query.attribute), query.agg), rows
+        return aggregate_floats(table.floats(query.attribute), query.agg), rows
 
 
 _AGGREGATE_FNS: Dict[str, Callable[[List[float]], float]] = {
@@ -218,23 +233,18 @@ _AGGREGATE_FNS: Dict[str, Callable[[List[float]], float]] = {
 }
 
 
-def aggregate_cells(cells: Iterable[object], fn: str) -> str:
-    """``avg``/``sum``/``max``/``min`` over the numeric cells, as ``%.1f``.
+def aggregate_floats(values: Iterable[Optional[float]], fn: str) -> str:
+    """``avg``/``sum``/``max``/``min`` over a column's cached floats
+    (:meth:`Table.floats <repro.data.table.Table.floats>`), as ``%.1f``.
 
-    Cells that are ``None`` or do not parse as a float are skipped; with no
-    numeric cell left the answer is ``"unknown"``. An unknown ``fn`` raises
-    :class:`ExecutionError` before any cell is read.
+    ``None`` (a missing or non-numeric cell) is skipped; with nothing left
+    the answer is ``"unknown"``. The rest are summed left to right in row
+    order. An unknown ``fn`` raises :class:`ExecutionError` before any value
+    is read.
     """
     if fn not in _AGGREGATE_FNS:
         raise ExecutionError(f"unknown aggregate {fn!r}")
-    numeric: List[float] = []
-    for raw in cells:
-        if raw is None:
-            continue
-        try:
-            numeric.append(float(str(raw)))
-        except ValueError:
-            continue
+    numeric = [x for x in values if x is not None]
     if not numeric:
         return "unknown"
     return f"{_AGGREGATE_FNS[fn](numeric):.1f}"

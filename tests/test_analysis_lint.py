@@ -519,6 +519,16 @@ class TestLedgerTagRule:
         assert len(found) == 1
         assert "does not match the registered" in found[0].message
 
+    def test_batched_charge_tags_are_checked_too(self, fixture_repo):
+        root, write = fixture_repo
+        write("src/repro/semopt/exec.py", (
+            "def run(ledger, usages):\n"
+            "    ledger.charge_many(usages, tag='semopt.s0.reduce')\n"
+        ))
+        found = codes_at(lint(root, "src", select={"R009"}), "R009")
+        assert len(found) == 1
+        assert "does not match the registered" in found[0].message
+
     def test_charged_but_never_read_flagged(self, fixture_repo):
         root, write = fixture_repo
         write("src/repro/semopt/exec.py", (

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.data.table import Table
+from repro.data.table import Schema, Table
 from repro.datalake import (
     DataLake,
     EmbeddingLinker,
@@ -13,6 +13,7 @@ from repro.datalake import (
     LakeWorkload,
     LexicalLinker,
     NL2SQLEngine,
+    NL2SQLResult,
     Plan,
     answer_matches,
     combine_linkers,
@@ -564,6 +565,26 @@ class TestSQL:
         engine = NL2SQLEngine(llm, tables)
         result = engine.ask("count companies", verify=False)
         assert result.attempts == 1
+
+    @pytest.fixture()
+    def people(self):
+        schema = Schema.of(name="str", age="int")
+        return {"people": Table("people", schema, [{"name": n, "age": a}
+                                                  for n, a in (("a", 1), ("b", 2), ("c", 3), ("d", 4))])}
+
+    def test_count_over_no_matching_row_is_zero(self, people):
+        # The keyless group_by returned no row, so the scalar was None.
+        sql = "SELECT COUNT(*) FROM people WHERE age > 99"
+        result = NL2SQLResult("q", sql, execute_sql(sql, people), 1)
+        assert result.scalar == "0"
+
+    def test_fractional_where_on_an_int_column_is_numeric(self, people):
+        # Coercing '2.5' to int raised, so the engine retried a valid query.
+        table = execute_sql("SELECT name FROM people WHERE age > 2.5", people)
+        assert table.cells("name") == ["c", "d"]
+        assert execute_sql("SELECT COUNT(*) FROM people WHERE age = 2.5", people).rows == [{"count_all": 0}]
+        with pytest.raises(ExecutionError, match="cannot coerce 'x' to int"):
+            execute_sql("SELECT name FROM people WHERE age > 'x'", people)
 
     def test_non_numeric_constant_predicate_is_an_execution_error(self, tables):
         # float("abc") in the constant fold used to escape as a ValueError.

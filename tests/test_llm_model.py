@@ -244,6 +244,23 @@ class TestCostAndLedger:
         with pytest.raises(BudgetExceededError):
             llm.generate("third call")
 
+    def test_budget_tripping_mid_batch_keeps_the_calls_before_it(self, world):
+        # A batch charges and logs in call order, like a loop of generate.
+        prompts = ["first call", "second call", "first call", "fourth call"]
+        ledgers = []
+        for batched in (True, False):
+            ledger = UsageLedger(max_calls=3)
+            llm = make_llm("sim-base", world=world, ledger=ledger)
+            with pytest.raises(BudgetExceededError, match="call budget 3 exceeded"):
+                if batched:
+                    llm.generate_many(prompts, tag="t")
+                else:
+                    for prompt in prompts:
+                        llm.generate(prompt, tag="t")
+            assert ledger.total.calls == 3 and len(llm.call_log) == 3
+            ledgers.append((ledger.total, ledger.by_tag, llm.call_log))
+        assert ledgers[0] == ledgers[1]
+
     def test_ledger_usd_budget(self):
         ledger = UsageLedger(max_usd=0.001)
         with pytest.raises(BudgetExceededError):

@@ -1958,6 +1958,26 @@ def _oracle_join(left, right, left_on, right_on):
     return Table(f"{left.name}_{right.name}", Schema(out_cols), out_rows)
 
 
+def _aggregate_cells(cells, fn):
+    """Frozen copy of the lake's aggregate as it parsed every raw cell:
+    ``float(str(cell))``, skipping None and text that does not parse."""
+    from repro.unstructured.query import _AGGREGATE_FNS
+
+    if fn not in _AGGREGATE_FNS:
+        raise ExecutionError(f"unknown aggregate {fn!r}")
+    numeric = []
+    for raw in cells:
+        if raw is None:
+            continue
+        try:
+            numeric.append(float(str(raw)))
+        except ValueError:
+            continue
+    if not numeric:
+        return "unknown"
+    return f"{_AGGREGATE_FNS[fn](numeric):.1f}"
+
+
 class _RowDictExecutor:
     """Frozen oracle: the lake plan executor as it was before relations,
     every step copying each row into a fresh dict. Only ``project`` and
@@ -2077,8 +2097,6 @@ class _RowDictExecutor:
         return _oracle_project(table, columns)
 
     def _op_aggregate(self, step, values):
-        from repro.unstructured.query import aggregate_cells
-
         table = self._input_table(step, values, 0)
         fn = str(step.params["fn"])
         column = str(step.params["column"])
@@ -2086,7 +2104,7 @@ class _RowDictExecutor:
             return str(len(table))
         if column not in table.schema:
             raise ExecutionError(f"aggregate column {column!r} not in {table.schema.names()}")
-        return aggregate_cells([row.get(column) for row in table.rows], fn)
+        return _aggregate_cells([row.get(column) for row in table.rows], fn)
 
     def _op_lookup(self, step, values):
         from repro.rag.pipeline import RAGPipeline
@@ -2329,9 +2347,14 @@ def test_rebuilt_view_reads_its_own_index():
 # ---------------------------------------------------------- columnar Table
 class _RowDictTable:
     """Frozen oracle: ``Table`` as it was before typed columns, every
-    operator copying each row into a fresh dict. Only ``where`` differs: it
-    rejects an unknown op before reading a row, so an empty table raises
-    too (it used to return an empty table)."""
+    operator copying each row into a fresh dict. It differs from that
+    ``Table`` where ``Table`` was since fixed: ``where`` rejects an unknown
+    op before reading a row, so an empty table raises too (it used to
+    return an empty table), and compares a fractional literal on an int
+    column as a float (it used to truncate a float and reject a text);
+    ``group_by`` with no keys returns one row over zero rows (it returned
+    none). ``matching`` is the lake's string filter, ``_string_predicate``,
+    on every row."""
 
     def __init__(self, name, schema, rows=()):
         self.name = name
@@ -2360,7 +2383,16 @@ class _RowDictTable:
         col = self.schema.column(column)
         if op not in {"==", "!=", ">", "<", ">=", "<=", "contains"}:
             raise SchemaError(f"unknown operator {op!r}")
-        value = col.coerce(value) if op not in {"contains"} else value
+        if op != "contains" and not (col.dtype == "int" and isinstance(value, float)):
+            try:
+                value = col.coerce(value)
+            except SchemaError:
+                if col.dtype != "int":
+                    raise
+                try:  # a numeric text that is not an int compares as a float
+                    value = float(str(value))
+                except ValueError:
+                    raise SchemaError(f"cannot coerce {value!r}") from None
 
         def predicate(row):
             actual = row.get(column)
@@ -2439,6 +2471,8 @@ class _RowDictTable:
         groups = {}
         for row in self.rows:
             groups.setdefault(tuple(row.get(k) for k in keys), []).append(row)
+        if not keys and not self.rows:
+            groups[()] = []
         out_cols = [self.schema.column(k) for k in keys]
         for out_name, (fn, _col) in aggregates.items():
             dtype = "int" if fn == "count" else "float"
@@ -2458,6 +2492,11 @@ class _RowDictTable:
                         raise SchemaError(f"aggregate {fn!r} needs numeric column {col!r}") from exc
             out.rows.append(out._validate(agg_row))
         return out
+
+    def matching(self, name, op, literal):
+        self.schema.column(name)
+        predicate = _string_predicate(name, op, literal)
+        return [p for p, row in enumerate(self.rows) if predicate(row)]
 
     def order_by(self, column, *, desc=False):
         self.schema.column(column)
@@ -2499,8 +2538,11 @@ _TABLE_CELLS = {
 }
 # Literals for where and insert: each coerces to some dtypes and not others.
 _TABLE_VALUES = st.one_of(
-    st.none(), st.integers(-3, 3), st.booleans(), st.sampled_from([1.0, 2.5, "1", "a", "yes", "x"])
+    st.none(), st.integers(-3, 3), st.booleans(),
+    st.sampled_from([1.0, 2.5, "1", "2.5", "a", "yes", "x"]),
 )
+# Literals of the lake's string filter (``matching``): text, numeric text, NaN.
+_TABLE_LITERALS = st.sampled_from(["", "a", "A ", "b", "1", "2.5", "-1.5", "0", "nan", "true"])
 _TABLE_FIELDS = st.sampled_from(["a", "b", "k", "k", "r.a", "nope"])
 
 
@@ -2523,13 +2565,16 @@ def _table_ops(draw):
     earlier view, so an insert often lands on a table a view was taken
     from; a join's right side is the "r" table (None) or an earlier view."""
     kind = draw(st.sampled_from(
-        ["where"] * 3 + ["project", "join", "join", "group_by", "order_by", "limit", "distinct",
-                         "insert", "insert"]
+        ["where"] * 3 + ["matching"] * 3 + ["project", "join", "join", "group_by", "order_by",
+                                            "limit", "distinct", "insert", "insert"]
     ))
     at, args, kwargs = draw(st.integers(0, 9)), (), {}
-    if kind == "where":
+    if kind in ("where", "matching"):
         op = draw(st.sampled_from(["==", "!=", ">", "<", ">=", "<=", "contains", "~~"]))
-        args = (draw(_TABLE_FIELDS), op, draw(_TABLE_VALUES))
+        literal = _TABLE_VALUES if kind == "where" else _TABLE_LITERALS
+        args = (draw(_TABLE_FIELDS), op, draw(literal))
+        if kind == "matching":  # mostly the newest view, which is most often a narrowed one
+            at = draw(st.sampled_from([-1, -1, at]))
     elif kind == "project":
         args = (draw(st.lists(_TABLE_FIELDS, max_size=3)),)
     elif kind == "join":
@@ -2573,8 +2618,8 @@ def _check_table_ops(left, right, ops):
             except Exception as exc:  # compared by type with the oracle's
                 outcomes.append(type(exc).__name__)
         got, want = outcomes
-        if isinstance(got, str) or isinstance(want, str):
-            assert got == want
+        if isinstance(got, (str, list)) or isinstance(want, (str, list)):
+            assert got == want  # an error type, or matching's row numbers
         elif kind != "insert":
             views.append((got, want))
         for got, want in views:
@@ -2622,3 +2667,18 @@ def test_unknown_where_op_raises_on_an_empty_table():
     # A where that checked its op per row.
     table = (Schema.of(a="int"), [])
     _check_table_ops(table, table, [("where", 0, ("a", "~~", None), {})])
+
+
+def test_matching_never_matches_a_missing_cell():
+    # An order filter whose float array read a missing cell as 0.0.
+    table = (Schema.of(k="int"), [{"k": None}])
+    _check_table_ops(table, table, [("matching", 0, ("k", ">", "-1.5"), {})])
+
+
+def test_matching_reads_a_join_view_through_its_selection():
+    # An order filter that read the stored column instead of the view's rows.
+    left = (Schema.of(b="int"), [])
+    right = (Schema.of(a="int"), [{"a": 0}])
+    ops = [("join", 0, (None,), {"left_on": "b", "right_on": "a", "how": "inner"}),
+           ("matching", -1, ("a", "<", "1"), {})]
+    _check_table_ops(left, right, ops)

@@ -72,6 +72,18 @@ class TestTableOps:
         assert len(people.where("city", "contains", "ult")) == 2
         assert len(people.where("name", "!=", "Ada")) == 2
 
+    def test_where_compares_a_fractional_literal_on_an_int_column_numerically(self):
+        # Coercing 2.5 to int raised (a text) or truncated it to 2 (a float).
+        table = Table("t", Schema.of(n="int"), [{"n": n} for n in (1, 2, 3, 4)])
+        for literal in (2.5, "2.5"):
+            assert table.where("n", ">", literal).cells("n") == [3, 4]
+            assert table.where("n", "<=", literal).cells("n") == [1, 2]
+            assert table.where("n", "==", literal).cells("n") == []
+            assert table.where("n", "!=", literal).cells("n") == [1, 2, 3, 4]
+        assert table.where("n", "==", "2.0").cells("n") == [2]
+        with pytest.raises(SchemaError, match="cannot coerce 'abc' to int"):
+            table.where("n", ">", "abc")
+
     def test_where_unknown_op(self, people):
         with pytest.raises(SchemaError):
             people.where("age", "~=", 1)
@@ -120,6 +132,18 @@ class TestTableOps:
     def test_group_by_global(self, people):
         agg = people.group_by([], {"total": ("sum", "age")})
         assert agg.rows[0]["total"] == pytest.approx(105.0)
+
+    def test_group_by_without_keys_over_zero_rows_returns_one_row(self, people):
+        # It returned no row, so COUNT(*) over an empty filter had no answer.
+        empty = people.where("age", ">", 99)
+        aggregates = {"n": ("count", ""), "s": ("sum", "age"), "a": ("avg", "age"),
+                      "lo": ("min", "age"), "hi": ("max", "age")}
+        agg = empty.group_by([], aggregates)
+        assert agg.rows == [{"n": 0, "s": 0.0, "a": None, "lo": None, "hi": None}]
+
+    def test_group_by_with_keys_over_zero_rows_returns_no_row(self, people):
+        empty = people.where("age", ">", 99)
+        assert empty.group_by(["city"], {"n": ("count", "")}).rows == []
 
     def test_group_by_rejects_string_aggregation(self, people):
         with pytest.raises(SchemaError):

@@ -171,6 +171,34 @@ class TestEmbeddingMemo:
         assert np.array_equal(model.embed_batch(texts), stacked)
         assert len(model._memo) == 2
 
+    @staticmethod
+    def _state(model):
+        slab = b"" if model._slab is None else model._slab.tobytes()
+        memo = [(text, row.tobytes()) for text, row in model._memo.items()]
+        return (memo, dict(model._keys), list(model._owners), model._stored, slab,
+                model.generation)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: m.embed(None),
+            lambda m: m.embed(123),
+            lambda m: m.embed(["a"]),
+            lambda m: m.embed_batch(["fresh text", None]),
+            lambda m: m.embed_batch(["the red fox", 123]),
+            lambda m: m.embed_batch(["fresh text", ["a"]]),
+        ],
+        ids=["embed-none", "embed-int", "embed-list", "batch-none", "batch-int", "batch-list"],
+    )
+    def test_a_non_string_text_raises_a_typed_error_and_changes_nothing(self, call):
+        # The tokenizer's regex used to raise a bare TypeError.
+        model = EmbeddingModel(dim=16)
+        model.embed_batch(["the red fox", "quarterly revenue"])
+        before = self._state(model)
+        with pytest.raises(TokenizerError, match="needs a str text|needs str texts"):
+            call(model)
+        assert self._state(model) == before
+
     def test_models_compare_and_repr_without_the_memo(self):
         warm, cold = EmbeddingModel(dim=16), EmbeddingModel(dim=16)
         warm._memo["text"] = np.zeros(16, dtype=np.float32)

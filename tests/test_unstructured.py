@@ -16,7 +16,14 @@ from repro.unstructured import (
     majority_vote,
     parse_aggregate,
 )
-from repro.unstructured.query import aggregate_cells
+from repro.data.table import Schema, Table
+from repro.unstructured.query import aggregate_floats
+
+
+def aggregate_cells(cells, fn):
+    """``aggregate_floats`` over ``cells`` read as a text column's floats."""
+    table = Table("t", Schema.of(c="str"), [{"c": cell} for cell in cells])
+    return aggregate_floats(table.floats("c"), fn)
 
 ATTRS = ["headquarters", "industry", "founded", "ceo"]
 
