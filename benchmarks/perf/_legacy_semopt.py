@@ -17,13 +17,13 @@ the last ulp.
 from __future__ import annotations
 
 import json
+import re
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.llm.model import SimLLM
 from repro.llm.protocol import Prompt
-from repro.llm.skills import evaluate_predicate
 from repro.semopt.plan import (
     Record,
     SemFilter,
@@ -33,6 +33,47 @@ from repro.semopt.plan import (
     SemPipeline,
     SemTopK,
 )
+
+
+# Frozen copy of the rule-predicate evaluator the naive side decides with;
+# tests/test_semopt.py also holds ``compile_predicate`` equal to it.
+_NUMERIC_RE = re.compile(r"^-?\d+(\.\d+)?$")
+
+_PREDICATE_RE = re.compile(
+    r"^(?P<field>[\w.]+)\s*(?P<op>==|!=|>=|<=|>|<|contains|in)\s*(?P<value>.+)$"
+)
+
+
+def evaluate_predicate(predicate: str, record: Dict[str, str]) -> Optional[bool]:
+    """Ground-truth evaluation of ``field op literal`` over a record.
+
+    Returns None when the predicate is unparseable or references a missing
+    field — callers treat that as "model must guess".
+    """
+    match = _PREDICATE_RE.match(predicate.strip())
+    if match is None:
+        return None
+    field = match.group("field")
+    op = match.group("op")
+    literal = match.group("value").strip().strip("'\"")
+    actual = record.get(field)
+    if actual is None:
+        return None
+    if op in {">", "<", ">=", "<="}:
+        if not (_NUMERIC_RE.match(actual) and _NUMERIC_RE.match(literal)):
+            return None
+        a, b = float(actual), float(literal)
+        return {"<": a < b, ">": a > b, "<=": a <= b, ">=": a >= b}[op]
+    if op == "==":
+        return actual.strip().lower() == literal.lower()
+    if op == "!=":
+        return actual.strip().lower() != literal.lower()
+    if op == "contains":
+        return literal.lower() in actual.lower()
+    if op == "in":
+        options = [part.strip().strip("'\"").lower() for part in literal.split(",")]
+        return actual.strip().lower() in options
+    return None
 
 
 def _record_text(record: Record) -> str:

@@ -3,18 +3,13 @@
 
 Usage (from the repo root)::
 
-    PYTHONPATH=src python scripts/lint.py                 # gate against baseline
-    PYTHONPATH=src python scripts/lint.py --no-baseline   # show every finding
-    PYTHONPATH=src python scripts/lint.py --update-baseline
+    PYTHONPATH=src python scripts/lint.py                 # gate on every finding
     PYTHONPATH=src python scripts/lint.py --list-rules
     PYTHONPATH=src python scripts/lint.py --select R001,R003 src/repro/vector
     PYTHONPATH=src python scripts/lint.py --format json      # machine-readable
     PYTHONPATH=src python scripts/lint.py --format github    # PR annotations
 
-Exit status: 0 when no *new* violations exist relative to the checked-in
-baseline (scripts/lint_baseline.json); 1 otherwise.  Stale baseline entries
-(fixed debt) are reported so the baseline can be re-tightened with
-``--update-baseline``.
+Exit status: 0 when the run has no findings; 1 otherwise.
 """
 
 from __future__ import annotations
@@ -30,10 +25,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.analysis import (  # noqa: E402
     ALL_RULES,
     LintConfig,
-    diff_against_baseline,
-    load_baseline,
     run_lint,
-    write_baseline,
 )
 from repro.analysis.report import (  # noqa: E402
     format_github,
@@ -43,19 +35,12 @@ from repro.analysis.report import (  # noqa: E402
 )
 
 DEFAULT_PATHS = ("src", "benchmarks", "tests", "scripts")
-DEFAULT_BASELINE = REPO_ROOT / "scripts" / "lint_baseline.json"
 
 
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro-lint", description=__doc__)
     parser.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS),
                         help="files or directories to lint (default: %(default)s)")
-    parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE,
-                        help="baseline JSON path (default: %(default)s)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline; report and gate on every finding")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="accept all current findings as the new baseline")
     parser.add_argument("--select", default="",
                         help="comma-separated rule codes to run (default: all)")
     parser.add_argument("--ignore", default="",
@@ -92,44 +77,22 @@ def main(argv: List[str] | None = None) -> int:
         print(f"repro-lint: error — no .py files found under {args.paths}", file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        write_baseline(args.baseline, result.violations)
-        print(f"baseline updated: {len(result.violations)} accepted finding(s) "
-              f"-> {args.baseline.relative_to(REPO_ROOT)}")
-        return 0
-
-    baseline = {} if args.no_baseline else load_baseline(args.baseline)
-    diff = diff_against_baseline(result.violations, baseline)
-
+    violations = result.violations
     if args.format == "json":
-        print(format_json(
-            new=diff.new,
-            baselined=diff.baselined,
-            stale=diff.stale,
-            files_checked=result.files_checked,
-        ))
-        return 1 if diff.new else 0
-    if args.format == "github":
-        if diff.new:
-            print(format_github(diff.new))
+        print(format_json(violations, files_checked=result.files_checked))
+        return 1 if violations else 0
+    if args.format == "github" and violations:
+        print(format_github(violations))
+    if args.format == "text" and violations and not args.quiet:
+        print(format_report(violations))
 
-    if args.format == "text" and diff.new and not args.quiet:
-        print(format_report(diff.new))
-    if diff.stale and not args.quiet:
-        print(f"note: {sum(diff.stale.values())} stale baseline entr"
-              f"{'y' if sum(diff.stale.values()) == 1 else 'ies'} (fixed debt); "
-              "run --update-baseline to tighten:", file=sys.stderr)
-        for fingerprint in sorted(diff.stale):
-            print(f"  stale: {fingerprint}", file=sys.stderr)
-
-    status = "FAIL" if diff.new else "ok"
+    status = "FAIL" if violations else "ok"
     print(
         f"repro-lint: {status} — {result.files_checked} files, "
-        f"{len(diff.new)} new, {len(diff.baselined)} baselined, "
-        f"{sum(diff.stale.values())} stale"
-        + (f" | new: {summarize(diff.new)}" if diff.new else "")
+        f"{len(violations)} finding(s)"
+        + (f" | {summarize(violations)}" if violations else "")
     )
-    return 1 if diff.new else 0
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ interprocedural analyzer: :mod:`~repro.analysis.callgraph` builds a
 module-qualified call graph (attribute/self-method resolution, ``__init__``
 re-export chasing, subclass-override dispatch), and
 :mod:`~repro.analysis.dataflow` extracts per-function summaries and closes
-reachability / may-raise / may-release fixpoints over it — so an unseeded
+reachability and may-raise fixpoints over it — so an unseeded
 draw three calls below ``ServingEngine.step`` is now a finding with a
 witness call chain, not a blind spot.
 
@@ -46,11 +46,10 @@ Usage::
         print(violation.format())
 
 The command-line entry point is ``scripts/lint.py`` (``--format
-{text,json,github}``); see README "Static analysis" for the suppression
-syntax and baseline workflow.
+{text,json,github}``); it passes only with zero findings. See README
+"Static analysis" for the suppression syntax.
 """
 
-from .baseline import BaselineDiff, diff_against_baseline, load_baseline, write_baseline
 from .callgraph import CallEdge, CallGraph, ClassNode, FunctionNode, build_callgraph
 from .config import LintConfig
 from .dataflow import FunctionSummary, ModuleFacts, Program, build_program
@@ -61,7 +60,6 @@ from .suppress import SuppressionIndex, scan_suppressions
 
 __all__ = [
     "ALL_RULES",
-    "BaselineDiff",
     "CallEdge",
     "CallGraph",
     "ClassNode",
@@ -79,12 +77,9 @@ __all__ = [
     "build_callgraph",
     "build_program",
     "collect_files",
-    "diff_against_baseline",
     "format_github",
     "format_json",
     "format_report",
-    "load_baseline",
     "run_lint",
     "scan_suppressions",
-    "write_baseline",
 ]

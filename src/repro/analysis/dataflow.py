@@ -10,9 +10,7 @@ interprocedural facts over the :class:`~repro.analysis.callgraph.CallGraph`:
 
 * **reachability** from configured hot entry points, with parent edges so
   a finding can print its witness call chain;
-* **may_raise** — a function raises directly or calls something that may;
-* **may_release** — per resource protocol, a function releases directly
-  or transitively (feeds R011's ownership-transfer exemption).
+* **may_raise** — a function raises directly or calls something that may.
 
 Unresolved calls (third-party, dynamic dispatch we can't type) contribute
 nothing to any fixpoint — the analysis under-approximates edges, so every
@@ -27,19 +25,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .callgraph import CallGraph, FunctionNode, build_callgraph
-from .rules import iter_own_nodes, resolve_call_name
+from .rules import DeterminismRule, iter_own_nodes, resolve_call_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .driver import ModuleInfo
-
-# numpy legacy API backed by the hidden global RandomState (mirrors R001).
-_NUMPY_GLOBAL: FrozenSet[str] = frozenset(
-    {
-        "seed", "rand", "randn", "randint", "random", "random_sample",
-        "choice", "shuffle", "permutation", "normal", "uniform", "standard_normal",
-        "binomial", "poisson", "beta", "gamma", "exponential", "bytes",
-    }
-)
 
 _ALLOC_NUMPY: FrozenSet[str] = frozenset(
     {
@@ -295,7 +284,7 @@ def summarize_function(
                 summary.unseeded.append(UnseededSource(node.lineno, dotted))
             elif dotted.startswith("numpy.random."):
                 tail = dotted[len("numpy.random."):]
-                if tail in _NUMPY_GLOBAL:
+                if tail in DeterminismRule._NUMPY_GLOBAL:  # R001's legacy global-RNG API
                     summary.unseeded.append(
                         UnseededSource(node.lineno, f"numpy.random.{tail}")
                     )
@@ -485,7 +474,6 @@ class Program:
         #: fid -> parent edge on the BFS tree from the entries (None = entry).
         self.reachable: Dict[str, Optional[object]] = {}
         self.may_raise: Set[str] = set()
-        self.may_release: Dict[str, Set[str]] = {}
         self._compute_reachability()
         self._compute_may_raise()
 
@@ -517,27 +505,6 @@ class Program:
                     raising.add(fid)
                     changed = True
         self.may_raise = raising
-
-    def compute_may_release(self, protocol: str) -> Set[str]:
-        """Functions that release ``protocol`` directly or transitively."""
-        if protocol in self.may_release:
-            return self.may_release[protocol]
-        releasing = {
-            fid
-            for fid, summary in self.summaries.items()
-            if any(op.protocol == protocol for op in summary.releases)
-        }
-        changed = True
-        while changed:
-            changed = False
-            for fid in self.graph.functions:
-                if fid in releasing:
-                    continue
-                if any(edge.callee in releasing for edge in self.graph.callees(fid)):
-                    releasing.add(fid)
-                    changed = True
-        self.may_release[protocol] = releasing
-        return releasing
 
     # ---------------------------------------------------------------- query
     def is_entry_reachable(self, fid: str) -> bool:

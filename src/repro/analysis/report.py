@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 class Severity(enum.Enum):
@@ -25,23 +25,13 @@ class Severity(enum.Enum):
 
 @dataclass(frozen=True, order=True)
 class Violation:
-    """A single finding, addressable by file/line and stable fingerprint."""
+    """A single finding, addressable by file and line."""
 
     path: str  # repo-relative posix path
     line: int
     code: str
     message: str
     severity: Severity = field(default=Severity.ERROR, compare=False)
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-free identity used for baseline matching.
-
-        Line numbers drift under unrelated edits, so the baseline keys on
-        ``path::code::message`` (with a per-fingerprint count handling
-        repeated identical findings in one file).
-        """
-        return f"{self.path}::{self.code}::{self.message}"
 
     def format(self) -> str:
         """Render as ``file:line: CODE [severity] message``."""
@@ -73,24 +63,15 @@ def _violation_payload(violation: Violation) -> Dict[str, object]:
         "code": violation.code,
         "severity": str(violation.severity),
         "message": violation.message,
-        "fingerprint": violation.fingerprint,
     }
 
 
-def format_json(
-    *,
-    new: Sequence[Violation],
-    baselined: Sequence[Violation],
-    stale: Mapping[str, int],
-    files_checked: int,
-) -> str:
+def format_json(violations: Sequence[Violation], *, files_checked: int) -> str:
     """Stable machine-readable report: sorted keys, sorted violations."""
     payload = {
         "files_checked": files_checked,
-        "ok": not new,
-        "new": [_violation_payload(v) for v in sorted(new)],
-        "baselined": [_violation_payload(v) for v in sorted(baselined)],
-        "stale": {key: stale[key] for key in sorted(stale)},
+        "ok": not violations,
+        "violations": [_violation_payload(v) for v in sorted(violations)],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 

@@ -1,6 +1,6 @@
 """Synthetic data substrates: the entity world, documents, corpora, tables."""
 
-from .documents import Document, DocumentRenderer, corpus_stats, extract_stated_facts
+from .documents import Document, DocumentRenderer, extract_stated_facts
 from .multimodal import ImageRenderer, SimImage, VisualQAModel, classification_accuracy
 from .ngram import NGramLM
 from .world import Entity, Fact, QAGenerator, Question, World, WorldConfig
@@ -8,7 +8,6 @@ from .world import Entity, Fact, QAGenerator, Question, World, WorldConfig
 __all__ = [
     "Document",
     "DocumentRenderer",
-    "corpus_stats",
     "extract_stated_facts",
     "ImageRenderer",
     "SimImage",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from ..utils import derive_rng
@@ -264,16 +264,3 @@ class DocumentRenderer:
                 )
             )
         return docs
-
-
-def corpus_stats(docs: Iterable[Document]) -> Dict[str, float]:
-    """Simple corpus descriptive statistics used in reports."""
-    docs = list(docs)
-    if not docs:
-        return {"documents": 0, "total_chars": 0, "mean_chars": 0.0}
-    total = sum(len(d) for d in docs)
-    return {
-        "documents": len(docs),
-        "total_chars": total,
-        "mean_chars": total / len(docs),
-    }

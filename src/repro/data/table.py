@@ -48,12 +48,17 @@ class Column:
             raise SchemaError(f"unknown dtype {self.dtype!r}; choose from {sorted(_TYPES)}")
 
     def coerce(self, value: Any) -> Any:
-        """Coerce ``value`` to this column's type (None passes through)."""
+        """Coerce ``value`` to this column's type (None passes through). An
+        int column takes an integral float (``3.0``) but refuses a
+        fractional, infinite or NaN one rather than truncate it."""
         if value is None:
             return None
         target = _TYPES[self.dtype]
         if isinstance(value, target) and not (target is int and isinstance(value, bool)):
             return value
+        if target is int and isinstance(value, (float, np.floating)):
+            if not float(value).is_integer():
+                raise SchemaError(f"cannot coerce {value!r} to int for column {self.name!r}")
         try:
             if target is bool:
                 return str(value).strip().lower() in {"1", "true", "yes"}
@@ -286,7 +291,7 @@ class Table:
             texts = _through(column.lowered, rows)
             return [p for p, text in enumerate(texts) if text is not None and needle in text]
         if op == "==" and rows is None:
-            return column.equal.get(needle, [])
+            return list(column.equal.get(needle, ()))
         if op in ("==", "!="):
             want = op == "=="
             texts = _through(column.folded, rows)

@@ -203,10 +203,6 @@ class FaultPlan:
                 )
         return cls(events)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.events
-
     def __len__(self) -> int:
         return len(self.events)
 
@@ -260,9 +256,3 @@ class FaultInjector:
     def pending(self) -> int:
         """How many events have not been delivered yet."""
         return len(self._events) - self._cursor
-
-    def next_at(self) -> Optional[float]:
-        """Timestamp of the next undelivered event, or ``None``."""
-        if self._cursor >= len(self._events):
-            return None
-        return self._events[self._cursor].at_s

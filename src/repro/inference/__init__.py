@@ -45,7 +45,7 @@ from .pools import (
     make_pool_routers,
     sweep_splits,
 )
-from .prefix import PrefixCacheSimulator, PrefixReport, compare_policies
+from .prefix import PrefixCacheSimulator, PrefixReport
 from .request import SLO, Request
 from .router import (
     ROUTER_NAMES,
@@ -82,7 +82,7 @@ __all__ = [
     "KVStats", "PagedAllocator", "ReservedAllocator",
     "PhaseStats", "PoolBreakdown", "ServingReport",
     "fleet_phase_breakdown", "phase_breakdown", "summarize",
-    "PrefixCacheSimulator", "PrefixReport", "compare_policies",
+    "PrefixCacheSimulator", "PrefixReport",
     "ROLE_NAMES", "DisaggEngineFleet", "MigrationPolicy", "PoolSpec", "make_pool_routers",
     "sweep_splits",
     "SLO", "Request",

@@ -19,7 +19,7 @@ strategy and reports per-turn TTFT and recompute volumes.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
@@ -131,9 +131,6 @@ class AttentionStore:
         tier = self.tiers[session.tier_index]
         transfer_s = session.tokens / tier.read_bw_tokens_s
         return session.tokens, transfer_s
-
-    def tier_occupancy(self) -> Dict[str, int]:
-        return {t.name: used for t, used in zip(self.tiers, self._tier_used)}
 
 
 def simulate_multiturn(

@@ -37,13 +37,6 @@ class KVStats:
     sum_used: float = 0.0
     samples: int = 0
 
-    @property
-    def waste_fraction(self) -> float:
-        """Claimed-but-unused fraction of claimed slots (current instant)."""
-        if self.reserved_tokens == 0:
-            return 0.0
-        return 1.0 - self.used_tokens / self.reserved_tokens
-
     def observe(self) -> None:
         """Record one time sample for mean-occupancy accounting."""
         self.sum_reserved += self.reserved_tokens
@@ -136,10 +129,6 @@ class ReservedAllocator:
             return
         self.stats.reserved_tokens -= self.max_seq_len
         self.stats.used_tokens -= used
-
-    @property
-    def active_requests(self) -> int:
-        return len(self._used)
 
 
 @dataclass
@@ -392,7 +381,3 @@ class PagedAllocator:
                 used += min(max(remaining, 0), self.block_size)
         self.stats.used_tokens = used
         self.stats.peak_reserved = max(self.stats.peak_reserved, self.stats.reserved_tokens)
-
-    @property
-    def active_requests(self) -> int:
-        return len(self._sequences)

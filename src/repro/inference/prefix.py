@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..errors import ConfigError
 from .eviction import EvictionPolicy, KVEntryCache, LRUPolicy
@@ -113,21 +113,3 @@ class PrefixCacheSimulator:
             ),
             evictions=self.cache.metrics.evictions,
         )
-
-
-def compare_policies(
-    requests: Sequence[Request],
-    policies: Dict[str, EvictionPolicy],
-    *,
-    capacity_tokens: int,
-    block_tokens: int = 64,
-) -> Dict[str, PrefixReport]:
-    """Replay the same workload under each eviction policy."""
-    return {
-        name: PrefixCacheSimulator(
-            capacity_tokens=capacity_tokens,
-            policy=policy,
-            block_tokens=block_tokens,
-        ).replay(requests)
-        for name, policy in policies.items()
-    }

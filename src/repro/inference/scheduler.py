@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import CacheError, SchedulerError
 from ..faults import GPU_CRASH, FaultEvent, FaultInjector, FaultPlan, RetryPolicy
-from .kvcache import PagedAllocator, ReservedAllocator
+from .kvcache import PagedAllocator
 from .request import SLO, Request
 
 #: :meth:`ServingEngine.step` outcomes (see its docstring).
@@ -599,65 +599,49 @@ class ServingEngine:
         self.iterations += 1
         if self.allocator is not None:
             self.allocator.stats.observe()
-        # Predict this iteration's KV appends (first tokens of completing
-        # prefills, then one per decoding sequence — the order the
-        # sequential path issues them in). If the allocator can take them
-        # all, skip per-sequence calls and pressure handling entirely.
+        # This iteration's KV appends: the first token of each completing
+        # prefill, then one per decoding sequence. If the allocator can take
+        # them all, they land in one call after the loop and no sequence can
+        # be preempted mid-iteration. Otherwise each is appended in turn,
+        # preempting under pressure, and the membership checks skip victims.
         append_pairs: List[Tuple[str, int]] = [
             (seq.request.request_id, 1)
             for seq, tokens in prefill_work
             if tokens == seq.prefill_remaining and seq.decoded == 0
         ]
         append_pairs.extend((seq.request.request_id, 1) for seq in decoding)
-        batch_append = None
-        if self.allocator is not None:
-            can_all = getattr(self.allocator, "can_append_all", None)
-            if can_all is not None and can_all(append_pairs):
-                batch_append = self.allocator.append_many
-        if self.allocator is None or batch_append is not None:
-            # Fast path: no memory pressure possible, so no sequence can
-            # be preempted mid-iteration and the membership rechecks the
-            # sequential path needs are vacuous.
-            for seq, tokens in prefill_work:
-                seq.prefill_remaining -= tokens
-                if not seq.prefilling:
-                    if seq.decoded == 0:
-                        seq.request.first_token_s = self.now
-                        seq.request.token_times.append(self.now)
-                        seq.decoded = 1
-                    self._finish_prefill(seq)
-            for seq in decoding:
-                seq.decoded += 1
-                seq.request.token_times.append(self.now)
-                if not seq.finished:
-                    self.scheduler.on_decode_ready(seq)
-            if batch_append is not None:
-                batch_append(append_pairs)
-        else:
-            # Pressure path: identical to the original per-sequence loop,
-            # including preemption interleaved between appends.
-            for seq, tokens in prefill_work:
-                request_id = seq.request.request_id
-                if request_id not in self.running:
-                    continue  # preempted earlier in this iteration
-                seq.prefill_remaining -= tokens
-                if not seq.prefilling:
-                    if seq.decoded == 0:
-                        seq.request.first_token_s = self.now
-                        seq.request.token_times.append(self.now)
-                        seq.decoded = 1
+        allocator = self.allocator
+        one_by_one = False
+        if allocator is not None:
+            can_all = getattr(allocator, "can_append_all", None)
+            one_by_one = can_all is None or not can_all(append_pairs)
+        running = self.running
+        for seq, tokens in prefill_work:
+            request_id = seq.request.request_id
+            if request_id not in running:
+                continue  # preempted earlier in this iteration
+            seq.prefill_remaining -= tokens
+            if not seq.prefilling:
+                if seq.decoded == 0:
+                    seq.request.first_token_s = self.now
+                    seq.request.token_times.append(self.now)
+                    seq.decoded = 1
+                    if one_by_one:
                         self._safe_append(request_id, 1)
-                    if request_id in self.running:
-                        self._finish_prefill(seq)
-            for seq in decoding:
-                request_id = seq.request.request_id
-                if request_id not in self.running:
-                    continue  # preempted earlier in this iteration
-                seq.decoded += 1
-                seq.request.token_times.append(self.now)
+                if request_id in running:
+                    self._finish_prefill(seq)
+        for seq in decoding:
+            request_id = seq.request.request_id
+            if request_id not in running:
+                continue  # preempted earlier in this iteration
+            seq.decoded += 1
+            seq.request.token_times.append(self.now)
+            if one_by_one:
                 self._safe_append(request_id, 1)
-                if request_id in self.running and not seq.finished:
-                    self.scheduler.on_decode_ready(seq)
+            if request_id in running and not seq.finished:
+                self.scheduler.on_decode_ready(seq)
+        if allocator is not None and not one_by_one:
+            allocator.append_many(append_pairs)
         # Release handed-off sequences' local KV (deferred past the
         # batched appends above; the shipped copy is the decode side's).
         if self._handoff_release:

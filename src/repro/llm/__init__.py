@@ -6,7 +6,7 @@ substitute for a hosted LLM in every LLM4Data experiment.
 
 from .cache import CachedLLM, CacheStats
 from .cost import CostModel, Usage, UsageLedger
-from .embedding import EmbeddingModel, cosine_similarity, top_k_cosine
+from .embedding import EmbeddingModel
 from .hub import ModelHub, ModelSpec, default_hub
 from .knowledge import KnowledgeBase
 from .model import LLMResponse, SimLLM, make_llm
@@ -26,8 +26,6 @@ __all__ = [
     "Usage",
     "UsageLedger",
     "EmbeddingModel",
-    "cosine_similarity",
-    "top_k_cosine",
     "ModelHub",
     "ModelSpec",
     "default_hub",

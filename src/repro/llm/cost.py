@@ -160,11 +160,6 @@ class UsageLedger:
         if error is not None:
             raise error
 
-    def remaining_usd(self) -> Optional[float]:
-        if self.max_usd is None:
-            return None
-        return max(self.max_usd - self.total.usd, 0.0)
-
     def reset(self) -> None:
         self.total = Usage()
         self.by_tag.clear()

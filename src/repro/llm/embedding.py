@@ -578,32 +578,3 @@ class EmbeddingModel:
     def similarity(self, a: str, b: str) -> float:
         """Cosine similarity of two texts under this model."""
         return float(np.dot(self.embed(a), self.embed(b)))
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two (not necessarily normalized) vectors."""
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
-def top_k_cosine(
-    query: np.ndarray, matrix: np.ndarray, k: int, *, exclude: Optional[set] = None
-) -> List[tuple]:
-    """Exact top-k rows of ``matrix`` by cosine similarity to ``query``.
-
-    Returns ``(row_index, score)`` pairs sorted by descending score. Assumes
-    rows and query are already unit-normalized (dot == cosine).
-    """
-    if matrix.shape[0] == 0 or k <= 0:
-        return []
-    scores = matrix @ query
-    if exclude:
-        scores = scores.copy()
-        for idx in exclude:
-            scores[idx] = -np.inf
-    k = min(k, matrix.shape[0])
-    top = np.argpartition(-scores, k - 1)[:k]
-    top = top[np.argsort(-scores[top])]
-    return [(int(i), float(scores[i])) for i in top if np.isfinite(scores[i])]

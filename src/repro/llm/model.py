@@ -330,10 +330,6 @@ class SimLLM:
         """
         return self._ensure_scorer().perplexity(text)
 
-    def set_scorer(self, lm: "NGramLM") -> None:
-        """Replace the scoring head (e.g. with an LM fit on a reference set)."""
-        self._scorer = lm
-
     # ------------------------------------------------------------- metrics
     @property
     def usage(self) -> Usage:

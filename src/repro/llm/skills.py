@@ -27,7 +27,6 @@ import numpy as np
 
 from ..data.documents import SENTENCE_SPLIT, extract_stated_facts
 from ..data.world import ATTRIBUTE_QUESTIONS
-from ..utils import derive_rng, stable_hash
 from .embedding import EmbeddingModel
 from .knowledge import KnowledgeBase
 from .protocol import ParsedPrompt
@@ -98,38 +97,6 @@ _PREDICATE_RE = re.compile(
 )
 
 
-def evaluate_predicate(predicate: str, record: Dict[str, str]) -> Optional[bool]:
-    """Ground-truth evaluation of ``field op literal`` over a record.
-
-    Returns None when the predicate is unparseable or references a missing
-    field — callers treat that as "model must guess".
-    """
-    match = _PREDICATE_RE.match(predicate.strip())
-    if match is None:
-        return None
-    field = match.group("field")
-    op = match.group("op")
-    literal = match.group("value").strip().strip("'\"")
-    actual = record.get(field)
-    if actual is None:
-        return None
-    if op in {">", "<", ">=", "<="}:
-        if not (_NUMERIC_RE.match(actual) and _NUMERIC_RE.match(literal)):
-            return None
-        a, b = float(actual), float(literal)
-        return {"<": a < b, ">": a > b, "<=": a <= b, ">=": a >= b}[op]
-    if op == "==":
-        return actual.strip().lower() == literal.lower()
-    if op == "!=":
-        return actual.strip().lower() != literal.lower()
-    if op == "contains":
-        return literal.lower() in actual.lower()
-    if op == "in":
-        options = [part.strip().strip("'\"").lower() for part in literal.split(",")]
-        return actual.strip().lower() in options
-    return None
-
-
 def predicate_field(predicate: str) -> Optional[str]:
     """The record field a ``field op literal`` predicate reads, if it parses.
 
@@ -146,11 +113,12 @@ def compile_predicate(
     """Pre-parse ``field op literal`` into a per-record evaluator.
 
     Returns ``None`` when the predicate itself does not parse (every record
-    is then undecidable, exactly as :func:`evaluate_predicate` reports).
-    The returned closure is equivalent to
-    ``evaluate_predicate(predicate, record)`` for every record — it just
-    hoists the regex parse and literal normalization out of per-row loops,
-    which matters when a predicate cascade runs over millions of rows.
+    is then undecidable). Otherwise the closure returns the ground truth of
+    ``field op literal`` over a record: None when the field is missing or a
+    comparison operand is not numeric (the model must guess), else the
+    verdict. The regex parse and literal normalization are hoisted out of
+    the closure, which matters when a predicate cascade runs over millions
+    of rows.
     """
     match = _PREDICATE_RE.match(predicate.strip())
     if match is None:
@@ -336,8 +304,8 @@ def skill_judge(ctx: SkillContext) -> Tuple[str, Dict[str, object]]:
         truth = sim > 0.18
         grounded = True
     else:
-        record = parse_record(ctx.prompt.input)
-        verdict = evaluate_predicate(predicate, record)
+        check = compile_predicate(predicate)
+        verdict = None if check is None else check(parse_record(ctx.prompt.input))
         if verdict is None:
             guess = "yes" if ctx.rng.random() < 0.5 else "no"
             return guess, {"reason": "unresolvable-predicate"}

@@ -86,22 +86,14 @@ class Tokenizer:
         """Encode ``text`` into token ids."""
         return [self.token_id(piece) for piece in self.pieces(text)]
 
-    def encode_with_pieces(self, text: str) -> List[tuple]:
-        """Encode, returning ``(id, piece)`` pairs for lossless decoding."""
-        return [(self.token_id(piece), piece) for piece in self.pieces(text)]
-
-    def decode_pieces(self, pieces: Sequence[str]) -> str:
-        """Reassemble piece strings into text."""
-        return "".join(pieces)
-
     def count(self, text: str) -> int:
-        """Number of tokens in ``text`` (whitespace pieces excluded).
+        """Number of tokens in ``text``: its non-whitespace :meth:`pieces`.
 
         This is the count used for cost/latency models: whitespace between
         words is fused into neighbouring tokens by real BPE vocabularies, so
         counting it separately would roughly double apparent token counts.
         """
-        return sum(1 for piece in self.pieces(text) if not piece.isspace())
+        return self.count_many([text])[0]
 
     def count_many(self, texts: Sequence[str]) -> List[int]:
         """:meth:`count` for a whole corpus in two C-level counts per text.
@@ -112,7 +104,8 @@ class Tokenizer:
         The greedy ``\\w{1,max_word_len}`` pattern splits each ``\\w+``
         run into exactly those ``ceil(len / max_word_len)`` matches, so the
         count is the length of two ``findall`` results with no per-piece
-        Python loop.  Exactly equal to :meth:`count` for every input.
+        Python loop.  Exactly the number of non-whitespace :meth:`pieces`
+        for every input.
         """
         pattern = self._word_chunk
         if pattern is None:

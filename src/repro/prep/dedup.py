@@ -464,10 +464,6 @@ class MinHashDeduper:
             self._store = SignatureStore(self.bands)
         return self._store
 
-    def reset_store(self) -> None:
-        """Discard all incremental state."""
-        self._store = None
-
     def signature(self, shingle_set: Set[int]) -> np.ndarray:
         """MinHash signature of one shingle set."""
         values = np.fromiter(shingle_set, dtype=np.int64, count=len(shingle_set))

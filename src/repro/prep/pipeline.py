@@ -58,12 +58,6 @@ class PipelineReport:
             )
         return "\n".join(lines)
 
-    @property
-    def total_token_reduction(self) -> float:
-        if not self.stages or self.stages[0].tokens_in == 0:
-            return 0.0
-        return 1.0 - self.stages[-1].tokens_out / self.stages[0].tokens_in
-
 
 class PrepPipeline:
     """An ordered chain of named preparation stages."""

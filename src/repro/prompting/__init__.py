@@ -19,7 +19,6 @@ from .templates import (
     Demonstration,
     PromptTemplate,
     TemplateLibrary,
-    token_count,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "Demonstration",
     "PromptTemplate",
     "TemplateLibrary",
-    "token_count",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..data.documents import SENTENCE_SPLIT
 from ..errors import ConfigError
@@ -78,9 +78,6 @@ class TemplateLibrary:
             raise ConfigError(
                 f"unknown template {name!r}; available: {sorted(self._templates)}"
             ) from None
-
-    def for_task(self, task: str) -> List[PromptTemplate]:
-        return [t for t in self._templates.values() if t.task == task]
 
     def names(self) -> List[str]:
         return sorted(self._templates)
@@ -184,9 +181,3 @@ class AutoPrompter:
         return Prompt(
             prompt.task, prompt.instruction, "", examples, prompt.input, prompt.fields
         )
-
-
-def token_count(prompt: Prompt, tokenizer: Optional[Tokenizer] = None) -> int:
-    """Tokens in a rendered prompt (cost unit for §2.2.1 optimizations)."""
-    tok = tokenizer or default_tokenizer()
-    return tok.count(prompt.render())

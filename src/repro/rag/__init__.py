@@ -1,7 +1,7 @@
 """Retrieval-augmented generation: chunking, retrieval, reranking, pipelines."""
 
 from .chunking import Chunk, chunk_corpus, fixed_chunks, semantic_chunks, sentence_chunks, split_sentences
-from .pipeline import RAGAnswer, RAGPipeline, retrieval_recall
+from .pipeline import RAGAnswer, RAGPipeline
 from .reranker import EmbeddingReranker, LLMReranker
 from .retriever import BM25Retriever, DenseRetriever, HybridRetriever, RetrievedChunk, Retriever
 
@@ -14,7 +14,6 @@ __all__ = [
     "split_sentences",
     "RAGAnswer",
     "RAGPipeline",
-    "retrieval_recall",
     "EmbeddingReranker",
     "LLMReranker",
     "BM25Retriever",

@@ -21,7 +21,7 @@ from ..llm.embedding import EmbeddingModel
 from ..llm.model import SimLLM
 from ..llm.protocol import Prompt
 from ..vector.base import VectorIndex
-from .chunking import Chunk, chunk_corpus
+from .chunking import chunk_corpus
 from .reranker import EmbeddingReranker, LLMReranker
 from .retriever import DenseRetriever, RetrievedChunk, Retriever
 
@@ -199,13 +199,3 @@ class RAGPipeline:
         if not needle:
             return False
         return any(needle in rc.chunk.text.lower() for rc in answer.retrieved)
-
-
-def retrieval_recall(
-    retrieved: List[RetrievedChunk], gold_doc_ids: Sequence[str]
-) -> float:
-    """Fraction of gold documents present among retrieved chunks."""
-    if not gold_doc_ids:
-        return 0.0
-    got = {rc.chunk.doc_id for rc in retrieved}
-    return sum(1 for d in gold_doc_ids if d in got) / len(gold_doc_ids)

@@ -65,22 +65,6 @@ class DenseRetriever(Retriever):
             if h.id in self._chunks
         ]
 
-    def retrieve_many(self, queries: Sequence[str], k: int = 5) -> List[List[RetrievedChunk]]:
-        """Batched :meth:`retrieve`: embeds all queries at once and answers
-        them with a single :meth:`VectorIndex.search_many` call."""
-        if not queries:
-            return []
-        vectors = self.embedder.embed_batch(list(queries))
-        per_query = self.index.search_many(vectors, k=k)
-        return [
-            [
-                RetrievedChunk(chunk=self._chunks[h.id], score=h.score)
-                for h in hits
-                if h.id in self._chunks
-            ]
-            for hits in per_query
-        ]
-
     def __len__(self) -> int:
         return len(self._chunks)
 

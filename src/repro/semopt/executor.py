@@ -206,7 +206,7 @@ class SemExecutor:
         responses match running the maps one after another.
         """
         maps = [step for step in steps if isinstance(step, SemMap)]
-        usage_before = ops.llm.ledger.by_tag.get(tag, Usage())
+        usage_before = ops._ledger_usage(tag)
         cache_before = ops._cache_counters()
         prompts: List[str] = []
         for mstep in maps:
@@ -218,12 +218,6 @@ class SemExecutor:
             for row in out:
                 row[mstep.output_field] = responses[cursor].text
                 cursor += 1
-        stats = OpStats()
-        delta = ops.llm.ledger.by_tag.get(tag, Usage()) - usage_before
-        stats.llm_calls = delta.calls
-        stats.usd = delta.usd
-        hits_after, misses_after = ops._cache_counters()
-        stats.cache_hits = hits_after - cache_before[0]
-        stats.cache_misses = misses_after - cache_before[1]
+        stats = ops._finish(OpStats(), tag, usage_before, cache_before)
         detail = " + ".join(mstep.instruction for mstep in maps)
         return out, None, detail, stats

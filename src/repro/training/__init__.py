@@ -14,7 +14,6 @@ from .checkpoint import (
     reshard,
     shard_state,
     states_equal,
-    verify_roundtrip,
     young_daly_interval,
 )
 from .cluster import ClusterSpec, FailureModel, GPUSpec
@@ -36,7 +35,7 @@ __all__ = [
     "ArrayFormat", "CheckpointEngine", "CheckpointRecord", "DisaggregatedFormat",
     "FileFormat", "FrequencyPlan", "consolidate", "expected_overhead_fraction",
     "make_state", "plan_frequency", "reshard", "shard_state", "states_equal",
-    "verify_roundtrip", "young_daly_interval",
+    "young_daly_interval",
     "ClusterSpec", "FailureModel", "GPUSpec",
     "MODEL_ZOO", "TrainModelSpec", "get_model_spec",
     "ParallelConfig", "StepTimeBreakdown", "activation_bytes_per_gpu", "fits",

@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ...errors import CheckpointError
-from .formats import State, states_equal
+from .formats import State
 
 
 @dataclass
@@ -93,14 +93,6 @@ def consolidate(sharded: ShardedState) -> State:
 def reshard(sharded: ShardedState, new_world_size: int) -> ShardedState:
     """Re-slice a sharded checkpoint for a different world size."""
     return shard_state(consolidate(sharded), new_world_size)
-
-
-def verify_roundtrip(state: State, world_sizes: List[int]) -> bool:
-    """Shard -> reshard across every world size -> consolidate == original."""
-    current = shard_state(state, world_sizes[0] if world_sizes else 1)
-    for ws in world_sizes[1:]:
-        current = reshard(current, ws)
-    return states_equal(consolidate(current), state)
 
 
 def shard_bytes(sharded: ShardedState) -> List[int]:

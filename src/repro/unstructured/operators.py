@@ -173,7 +173,7 @@ class SemanticOperators:
         """Keep records satisfying ``predicate``.
 
         Predicate forms: ``field op literal`` (see
-        :func:`repro.llm.skills.evaluate_predicate`) or ``is_about <topic>``.
+        :func:`repro.llm.skills.compile_predicate`) or ``is_about <topic>``.
         With ``cascade=True``, confident cases are decided without the LLM.
         """
         rows = list(records)
@@ -233,8 +233,7 @@ class SemanticOperators:
         else:
             check = compile_predicate(predicate)
             if check is None:
-                # Not rule-decidable for any record (evaluate_predicate
-                # would return None everywhere): leave all pending.
+                # Not rule-decidable for any record: leave all pending.
                 return decisions
             for idx, row in enumerate(rows):
                 verdict = check(row)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import struct
 from typing import Iterable, Iterator, List, Sequence, TypeVar
 
 import numpy as np
@@ -29,11 +28,6 @@ def stable_hash(text: str, *, bits: int = 64) -> int:
         raise ConfigError(f"bits must be a multiple of 8 in [8, 512], got {bits}")
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=bits // 8).digest()
     return int.from_bytes(digest, "big")
-
-
-def stable_float(text: str) -> float:
-    """Map ``text`` deterministically to a float in [0, 1)."""
-    return stable_hash(text, bits=64) / 2**64
 
 
 def derive_rng(seed: int, *names: object) -> np.random.Generator:
@@ -74,27 +68,6 @@ def normalize(vector: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         return vector.copy()
     return vector / norm
-
-
-def pack_floats(values: Sequence[float]) -> bytes:
-    """Pack floats into little-endian float32 bytes (for checkpoint formats)."""
-    return struct.pack(f"<{len(values)}f", *values)
-
-
-def unpack_floats(data: bytes) -> List[float]:
-    """Inverse of :func:`pack_floats`."""
-    count = len(data) // 4
-    return list(struct.unpack(f"<{count}f", data))
-
-
-def human_bytes(num_bytes: float) -> str:
-    """Render a byte count as a human-readable string ('1.5 GiB')."""
-    size = float(num_bytes)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(size) < 1024.0:
-            return f"{size:.1f} {unit}"
-        size /= 1024.0
-    return f"{size:.1f} PiB"
 
 
 def geometric_mean(values: Sequence[float]) -> float:

@@ -296,9 +296,6 @@ class VectorDatabase:
         except KeyError:
             raise CollectionError(f"no collection named {name!r}") from None
 
-    def drop_collection(self, name: str) -> bool:
-        return self._collections.pop(name, None) is not None
-
     # ---------------------------------------------------------- persistence
     def save(self, directory: str) -> None:
         """Persist all collections (vectors as npz, records as JSON).

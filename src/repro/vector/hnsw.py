@@ -427,14 +427,3 @@ class HNSWIndex(VectorIndex):
         return out
 
     # ----------------------------------------------------------- statistics
-    def graph_stats(self) -> Dict[str, float]:
-        """Degree statistics (useful in tests and docs)."""
-        if not self._adj:
-            return {"layers": 0, "mean_degree_l0": 0.0}
-        deg0 = self._deg[0]
-        degrees = deg0[deg0 >= 0]
-        return {
-            "layers": len(self._adj),
-            "mean_degree_l0": float(degrees.mean()) if degrees.shape[0] else 0.0,
-            "nodes_l0": int(degrees.shape[0]),
-        }

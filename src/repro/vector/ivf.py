@@ -209,9 +209,6 @@ class IVFIndex(VectorIndex):
         return results
 
     # --------------------------------------------------------- maintenance
-    def cell_occupancy(self) -> Dict[int, int]:
-        """Live row count per cell (tombstones excluded)."""
-        return {cell: n for cell, n in sorted(self._cell_live.items()) if n > 0}
 
     def occupancy_skew(self) -> float:
         """Max live cell occupancy over the ideal (uniform) occupancy."""

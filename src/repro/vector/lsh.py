@@ -88,14 +88,3 @@ class LSHIndex(VectorIndex):
                 if mapped:
                     rebuilt[key] = mapped
             self._tables[t] = rebuilt
-
-    def bucket_stats(self) -> Dict[str, float]:
-        """Mean bucket occupancy across tables (for tuning docs/tests)."""
-        sizes = [len(rows) for table in self._tables for rows in table.values()]
-        if not sizes:
-            return {"buckets": 0, "mean_size": 0.0, "max_size": 0}
-        return {
-            "buckets": len(sizes),
-            "mean_size": float(np.mean(sizes)),
-            "max_size": int(np.max(sizes)),
-        }

@@ -127,6 +127,3 @@ class PQIndex(VectorIndex):
             self._codes = self._codes[live]
 
     # ----------------------------------------------------------- reporting
-    def compression_ratio(self) -> float:
-        """float32 bytes per vector divided by PQ code bytes per vector."""
-        return (self.dim * 4.0) / float(self.num_subspaces)

@@ -1,10 +1,10 @@
-"""Tests for repro.analysis (repro-lint): rules, suppressions, baseline, CLI.
+"""Tests for repro.analysis (repro-lint): rules, suppressions, CLI.
 
 Each rule gets good/bad fixture snippets written into a synthetic repo tree
 under tmp_path that mirrors the real scoping (src/repro/inference is a hot
 path, src/repro/vector is dtype-scoped, benchmarks/perf is perf-scoped).
 The meta-test at the bottom runs the real CLI over the live repository and
-asserts it passes against the committed baseline.
+asserts it reports no finding.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ import pytest
 
 from repro.analysis import (
     LintConfig,
-    diff_against_baseline,
     format_github,
     format_json,
-    load_baseline,
     run_lint,
     scan_suppressions,
-    write_baseline,
 )
 from repro.analysis.driver import collect_exports, collect_taxonomy
 from repro.analysis.report import _github_escape
@@ -810,101 +807,6 @@ class TestSuppressions:
         assert "malformed" in index.problems[0].message
 
 
-# ------------------------------------------------------------------ baseline
-
-
-class TestBaseline:
-    def test_roundtrip_and_diff(self, fixture_repo, tmp_path):
-        root, write = fixture_repo
-        write("src/repro/mod.py", "def f():\n    raise ValueError('x')\n")
-        result = lint(root, "src")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, result.violations)
-        baseline = load_baseline(baseline_path)
-        diff = diff_against_baseline(lint(root, "src").violations, baseline)
-        assert diff.ok and not diff.stale and len(diff.baselined) == len(result.violations)
-
-    def test_new_identical_violation_beyond_count_fails(self, fixture_repo, tmp_path):
-        root, write = fixture_repo
-        write("src/repro/mod.py", "def f():\n    raise ValueError('x')\n")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, lint(root, "src").violations)
-        # Same fingerprint, second occurrence: only one is baselined.
-        write("src/repro/mod.py", (
-            "def f():\n    raise ValueError('x')\n"
-            "def g():\n    raise ValueError('x')\n"
-        ))
-        diff = diff_against_baseline(
-            lint(root, "src").violations, load_baseline(baseline_path)
-        )
-        assert len(diff.new) == 1 and len(diff.baselined) == 1
-
-    def test_fixed_debt_reported_stale(self, fixture_repo, tmp_path):
-        root, write = fixture_repo
-        write("src/repro/mod.py", "def f():\n    raise ValueError('x')\n")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, lint(root, "src").violations)
-        write("src/repro/mod.py", "def f():\n    return 0\n")
-        diff = diff_against_baseline(
-            lint(root, "src").violations, load_baseline(baseline_path)
-        )
-        assert diff.ok and sum(diff.stale.values()) == 1
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == {}
-
-    def test_baseline_survives_line_drift(self, fixture_repo, tmp_path):
-        """Fingerprints are line-free: shifting the finding keeps it baselined."""
-        root, write = fixture_repo
-        write("src/repro/mod.py", "def f():\n    raise ValueError('x')\n")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, lint(root, "src").violations)
-        write("src/repro/mod.py", (
-            "import os\n"
-            "\n"
-            "\n"
-            "def helper():\n"
-            "    return os.sep\n"
-            "\n"
-            "\n"
-            "def f():\n"
-            "    raise ValueError('x')\n"
-        ))
-        diff = diff_against_baseline(
-            lint(root, "src").violations, load_baseline(baseline_path)
-        )
-        assert diff.ok and not diff.stale and len(diff.baselined) == 1
-
-    def test_baseline_survives_file_rename(self, fixture_repo, tmp_path):
-        """Moving a file re-anchors its baselined findings by code+message."""
-        root, write = fixture_repo
-        write("src/repro/mod.py", "def f():\n    raise ValueError('x')\n")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, lint(root, "src").violations)
-        (root / "src" / "repro" / "mod.py").rename(
-            root / "src" / "repro" / "renamed.py"
-        )
-        diff = diff_against_baseline(
-            lint(root, "src").violations, load_baseline(baseline_path)
-        )
-        assert diff.ok and not diff.stale and len(diff.baselined) == 1
-
-    def test_rename_tolerance_does_not_absorb_extra_findings(self, fixture_repo, tmp_path):
-        root, write = fixture_repo
-        write("src/repro/mod.py", "def f():\n    raise ValueError('x')\n")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, lint(root, "src").violations)
-        # Renamed AND duplicated: one occurrence re-anchors, the second is new.
-        (root / "src" / "repro" / "mod.py").rename(
-            root / "src" / "repro" / "renamed.py"
-        )
-        write("src/repro/other.py", "def g():\n    raise ValueError('x')\n")
-        diff = diff_against_baseline(
-            lint(root, "src").violations, load_baseline(baseline_path)
-        )
-        assert len(diff.new) == 1 and len(diff.baselined) == 1
-
-
 # ------------------------------------------------------------ output formats
 
 
@@ -913,22 +815,17 @@ class TestOutputFormats:
         root, write = fixture_repo
         write("src/repro/mod.py", "def f():\n    raise ValueError('x')\n")
         result = lint(root, "src")
-        diff = diff_against_baseline(result.violations, {})
-        payload = json.loads(format_json(
-            new=diff.new, baselined=diff.baselined, stale=diff.stale,
-            files_checked=result.files_checked,
-        ))
+        payload = json.loads(format_json(result.violations, files_checked=result.files_checked))
         assert payload["ok"] is False
         assert payload["files_checked"] == result.files_checked
-        (finding,) = [v for v in payload["new"] if v["code"] == "R002"]
+        (finding,) = [v for v in payload["violations"] if v["code"] == "R002"]
         assert finding["path"].endswith("mod.py")
         assert isinstance(finding["line"], int) and finding["line"] > 0
 
     def test_github_annotations_format_and_escaping(self, fixture_repo):
         root, write = fixture_repo
         write("src/repro/mod.py", "def f():\n    raise ValueError('x')\n")
-        diff = diff_against_baseline(lint(root, "src").violations, {})
-        lines = format_github(diff.new).splitlines()
+        lines = format_github(lint(root, "src").violations).splitlines()
         assert any(
             line.startswith("::error file=src/repro/mod.py,line=2,title=R002::")
             for line in lines
@@ -956,7 +853,7 @@ class TestTaxonomyCollection:
 
 
 class TestLiveRepository:
-    def test_lint_cli_passes_against_committed_baseline(self):
+    def test_lint_cli_passes_with_zero_findings(self):
         proc = subprocess.run(
             [sys.executable, str(REPO_ROOT / "scripts" / "lint.py"), "--quiet"],
             capture_output=True,
@@ -977,7 +874,7 @@ class TestLiveRepository:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         payload = json.loads(proc.stdout)
-        assert payload["ok"] is True and payload["new"] == []
+        assert payload["ok"] is True and payload["violations"] == []
 
     def test_stream_entry_points_taint_dedup_and_the_key_kernel(self):
         import ast
@@ -1007,8 +904,7 @@ class TestLiveRepository:
     def test_seeded_violation_is_caught(self, tmp_path):
         """A determinism regression in a hot path must fail the gate."""
         result = run_lint(["src"], config=LintConfig(), repo_root=REPO_ROOT)
-        baseline = load_baseline(REPO_ROOT / "scripts" / "lint_baseline.json")
-        assert diff_against_baseline(result.violations, baseline).ok
+        assert result.violations == []
         # Simulate the regression in a scratch copy of the hot-path scope.
         scratch = tmp_path / "src" / "repro" / "inference"
         scratch.mkdir(parents=True)
@@ -1019,6 +915,4 @@ class TestLiveRepository:
             "    return time.time()\n"
         )
         seeded = run_lint(["src"], config=LintConfig(), repo_root=tmp_path)
-        diff = diff_against_baseline(seeded.violations, baseline)
-        assert not diff.ok
-        assert any(v.code == "R001" for v in diff.new)
+        assert any(v.code == "R001" for v in seeded.violations)

@@ -479,12 +479,6 @@ class TestProgram:
         assert "src/repro/deep.py::calls_boom" in program.may_raise
         assert "src/repro/deep.py::quiet" not in program.may_raise
 
-    def test_may_release_fixpoint(self, program):
-        releasing = program.compute_may_release("kv")
-        assert "src/repro/deep.py::releaser" in releasing
-        assert "src/repro/deep.py::delegates" in releasing
-        assert "src/repro/deep.py::quiet" not in releasing
-
     def test_missing_entry_specs_are_skipped(self):
         modules = modules_from({"src/repro/solo.py": "def f():\n    return 1\n"})
         program = build_program(

@@ -67,7 +67,6 @@ class TestDataAIEngine:
         coll = db.create_collection("scratch", engine.embedder.dim)
         coll.upsert(["x"], texts=["hello world"])
         assert coll.query(text="hello world", k=1)[0].id == "x"
-        db.drop_collection("scratch")
 
 
 class TestFlywheel:

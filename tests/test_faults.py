@@ -67,10 +67,10 @@ class TestFaultPlan:
             ]
         )
         assert [e.at_s for e in plan.events] == [1.0, 3.0, 5.0]
-        assert len(plan) == 3 and not plan.is_empty
+        assert len(plan) == 3
 
     def test_empty_plan(self):
-        assert FaultPlan.empty().is_empty
+        assert len(FaultPlan.empty()) == 0
         assert FaultPlan.empty().of_kind(*FAULT_KINDS) == []
 
     def test_of_kind_filters_and_validates(self):
@@ -98,7 +98,7 @@ class TestFaultPlan:
         )
         a, b = FaultPlan.seeded(**kwargs), FaultPlan.seeded(**kwargs)
         assert a.events == b.events
-        assert not a.is_empty
+        assert len(a) > 0
         assert all(0.0 <= e.at_s < 100.0 for e in a.events)
 
     def test_seeded_kinds_are_independent_streams(self):
@@ -124,12 +124,11 @@ class TestFaultInjector:
         )
         injector = FaultInjector(plan)
         assert injector.due(0.5) == []
-        assert injector.next_at() == 1.0
         assert [e.at_s for e in injector.due(1.0)] == [1.0]
         assert injector.due(1.0) == []
         assert injector.pending == 1
         assert [e.at_s for e in injector.due(10.0)] == [3.0]
-        assert injector.next_at() is None
+        assert injector.pending == 0
 
     def test_kind_filter(self):
         plan = FaultPlan(

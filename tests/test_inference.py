@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.errors import CacheError, ConfigError, SchedulerError, WorkloadError
 from repro.inference import (
     SLO,
-    AllOrNothingPolicy,
     ContinuousBatchScheduler,
     DependencyTreePolicy,
     DisaggEngineFleet,
@@ -26,7 +25,6 @@ from repro.inference import (
     ServingEngine,
     StaticBatchScheduler,
     TransferModel,
-    compare_policies,
     multi_turn_workload,
     poisson_workload,
     shared_prefix_workload,
@@ -112,7 +110,6 @@ class TestAllocators:
         alloc.admit("a", 100)
         assert alloc.stats.reserved_tokens == 1000
         assert alloc.stats.used_tokens == 100
-        assert alloc.stats.waste_fraction == pytest.approx(0.9)
 
     def test_reserved_capacity_limits_admissions(self):
         alloc = ReservedAllocator(2000, max_seq_len=1000)
@@ -521,17 +518,6 @@ class TestPrefixCache:
         big = PrefixCacheSimulator(capacity_tokens=65536).replay(workload)
         assert big.hit_rate > report.hit_rate
 
-    def test_compare_policies_runs_all(self):
-        workload = shared_prefix_workload(
-            rate_rps=4, duration_s=20, num_prefixes=4, prefix_tokens=300, seed=10
-        )
-        results = compare_policies(
-            workload,
-            {"lru": LRUPolicy(), "lfu": LFUPolicy(), "aon": AllOrNothingPolicy()},
-            capacity_tokens=2048,
-        )
-        assert set(results) == {"lru", "lfu", "aon"}
-
 
 class TestAttentionStore:
     def test_save_fetch_roundtrip(self):
@@ -548,9 +534,9 @@ class TestAttentionStore:
         store = AttentionStore(tiers)
         store.save("a", 800, now=1.0)
         store.save("b", 800, now=2.0)  # displaces a to dram
-        occupancy = store.tier_occupancy()
-        assert occupancy["hbm"] <= 1000
-        assert occupancy["dram"] >= 800
+        hbm_used, dram_used = store._tier_used
+        assert hbm_used <= 1000
+        assert dram_used >= 800
         _, transfer_a = store.fetch("a")
         _, transfer_b = store.fetch("b")
         assert transfer_a > transfer_b  # a reads from the slower tier

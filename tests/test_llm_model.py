@@ -15,7 +15,7 @@ from repro.llm import (
     make_llm,
     parse_prompt,
 )
-from repro.llm.skills import evaluate_predicate, parse_hop_subject, parse_question
+from repro.llm.skills import compile_predicate, parse_hop_subject, parse_question
 
 
 class TestProtocol:
@@ -79,16 +79,16 @@ class TestPredicates:
         ],
     )
     def test_evaluate(self, predicate, record, expected):
-        assert evaluate_predicate(predicate, record) is expected
+        assert compile_predicate(predicate)(record) is expected
 
     def test_missing_field_is_unresolvable(self):
-        assert evaluate_predicate("price > 1", {"other": "2"}) is None
+        assert compile_predicate("price > 1")({"other": "2"}) is None
 
     def test_non_numeric_comparison_unresolvable(self):
-        assert evaluate_predicate("price > 1", {"price": "cheap"}) is None
+        assert compile_predicate("price > 1")({"price": "cheap"}) is None
 
     def test_garbage_predicate(self):
-        assert evaluate_predicate("what even is this", {"a": "b"}) is None
+        assert compile_predicate("what even is this") is None
 
 
 class TestSimLLMQA:
@@ -265,7 +265,7 @@ class TestCostAndLedger:
         ledger = UsageLedger(max_usd=0.001)
         with pytest.raises(BudgetExceededError):
             ledger.charge(Usage(usd=0.5, calls=1))
-        assert ledger.remaining_usd() == pytest.approx(0.001)
+        assert ledger.total.usd == 0.0
 
     def test_ledger_tags(self, llm):
         llm.generate("hello", tag="alpha")
@@ -332,11 +332,3 @@ class TestScoring:
         fluent = f"{company.name} industry {company.attributes['industry']}"
         garbage = "zxqv jkpw qqng vvbx mmzk"
         assert llm.perplexity(fluent) < llm.perplexity(garbage)
-
-    def test_set_scorer(self, world):
-        from repro.data.ngram import NGramLM
-
-        llm = make_llm("sim-base", world=world)
-        lm = NGramLM(order=1, interpolation=(1.0,)).fit(["alpha beta gamma"])
-        llm.set_scorer(lm)
-        assert llm.perplexity("alpha beta") < llm.perplexity("delta epsilon")

@@ -68,7 +68,8 @@ class TestTokenizerBatch:
 
     def test_count_many_matches_scalar(self):
         tok = Tokenizer()
-        assert tok.count_many(self.TEXTS) == [tok.count(t) for t in self.TEXTS]
+        by_piece = [sum(not p.isspace() for p in tok.pieces(t)) for t in self.TEXTS]
+        assert tok.count_many(self.TEXTS) == [tok.count(t) for t in self.TEXTS] == by_piece
 
     def test_count_many_long_word_split(self):
         tok = Tokenizer(max_word_len=4)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.llm import Prompt
 from repro.llm.embedding import EmbeddingModel
+from repro.llm.tokenizer import count_tokens
 from repro.prompting import (
     AutoPrompter,
     Demonstration,
@@ -18,7 +19,6 @@ from repro.prompting import (
     budget_truncate,
     dedup_sentences,
     relevance_filter,
-    token_count,
 )
 from repro.agents import Agent, Tool, ToolRegistry
 
@@ -47,10 +47,6 @@ class TestTemplates:
             lib.register(t)
         lib.register(t, overwrite=True)
 
-    def test_for_task(self):
-        lib = TemplateLibrary()
-        assert all(t.task == "qa" for t in lib.for_task("qa"))
-
 
 class TestAutoPrompter:
     def test_builds_full_prompt(self):
@@ -71,7 +67,7 @@ class TestAutoPrompter:
         prompt = prompter.build(
             "qa-grounded", input_text="the question?", context="ctx.", demonstrations=demos
         )
-        assert token_count(prompt) <= 40
+        assert count_tokens(prompt.render()) <= 40
         assert len(prompt.examples) < 10
         assert prompt.input == "the question?"
 
@@ -79,7 +75,7 @@ class TestAutoPrompter:
         prompter = AutoPrompter(max_tokens=30)
         context = " ".join(f"Sentence number {i} is here." for i in range(30))
         prompt = prompter.build("qa-grounded", input_text="q?", context=context)
-        assert token_count(prompt) <= 30
+        assert count_tokens(prompt.render()) <= 30
 
 
 class TestFewShot:

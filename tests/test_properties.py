@@ -1051,7 +1051,8 @@ _count_chars = st.one_of(st.sampled_from("ab_9 \t\n.,-é\u0301日"), st.characte
 @settings(max_examples=60, deadline=None)
 def test_count_many_matches_count(texts, max_word_len):
     tok = Tokenizer(max_word_len=max_word_len)
-    assert tok.count_many(texts) == [tok.count(text) for text in texts]
+    by_piece = [sum(not p.isspace() for p in tok.pieces(text)) for text in texts]
+    assert tok.count_many(texts) == [tok.count(text) for text in texts] == by_piece
 
 
 # ------------------------------------------------------------- serving DES

@@ -14,7 +14,6 @@ from repro.rag import (
     RAGPipeline,
     chunk_corpus,
     fixed_chunks,
-    retrieval_recall,
     semantic_chunks,
     sentence_chunks,
     split_sentences,
@@ -202,10 +201,3 @@ class TestRAGPipeline:
     def test_rerank_options(self, llm, docs):
         assert RAGPipeline.from_documents(llm, docs, rerank="embedding").reranker
         assert RAGPipeline.from_documents(llm, docs, rerank="llm").reranker
-
-    def test_retrieval_recall_metric(self, pipeline, qa):
-        q = qa.single_hop(1)[0]
-        answer = pipeline.answer(q.text)
-        recall = retrieval_recall(answer.retrieved, [answer.retrieved[0].chunk.doc_id])
-        assert recall == 1.0
-        assert retrieval_recall(answer.retrieved, []) == 0.0

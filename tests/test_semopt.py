@@ -15,7 +15,7 @@ Three layers of guarantees, matching the module's design contract:
 
 import pytest
 
-from benchmarks.perf._legacy_semopt import NaiveSemExecutor
+from benchmarks.perf._legacy_semopt import NaiveSemExecutor, evaluate_predicate
 from benchmarks.perf.harness_semopt import (
     cascade_pipeline,
     mixed_pipeline,
@@ -23,7 +23,7 @@ from benchmarks.perf.harness_semopt import (
 )
 from repro.errors import ModelError, PlanError
 from repro.llm import CachedLLM, Prompt, make_llm
-from repro.llm.skills import compile_predicate, evaluate_predicate, predicate_field
+from repro.llm.skills import compile_predicate, predicate_field
 from repro.semopt import (
     SemCostModel,
     SemExecutor,

@@ -106,13 +106,6 @@ class TestIncrementalDedup:
             d.doc_id for d in full.kept
         )
 
-    def test_reset_store(self):
-        deduper = MinHashDeduper()
-        deduper.dedup_incremental([_doc(0, "hello world example text")])
-        assert len(deduper.store) == 1
-        deduper.reset_store()
-        assert len(deduper.store) == 0
-
 
 # ------------------------------------------------------------- online IDF
 class TestOnlineIDF:
@@ -222,8 +215,7 @@ class TestIVFMaintenance:
         index = IVFIndex(32, nlist=16, nprobe=16, train_size=256, seed=0)
         index.add([f"v{i}" for i in range(400)], data[:400])
         index.add([f"w{i}" for i in range(200)], data[400:])
-        occ = index.cell_occupancy()
-        assert sum(occ.values()) == 600
+        assert sum(index._cell_live.values()) == 600
         assert len(index.search(data[0], 10)) == 10
 
     def test_remove_updates_occupancy(self):
@@ -232,7 +224,7 @@ class TestIVFMaintenance:
         index.add([f"v{i}" for i in range(400)], data)
         for i in range(0, 100):
             index.remove(f"v{i}")
-        assert sum(index.cell_occupancy().values()) == 300
+        assert sum(index._cell_live.values()) == 300
 
     def test_rebalance_restores_skew(self):
         rng = np.random.default_rng(0)

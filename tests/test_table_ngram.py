@@ -51,6 +51,17 @@ class TestSchema:
         with pytest.raises(SchemaError):
             col.coerce("not-a-number")
 
+    def test_int_column_refuses_fractional_float(self):
+        col = Column("n", "int")
+        assert col.coerce(3.0) == 3 and isinstance(col.coerce(3.0), int)
+        for value in (2.5, -0.5, float("inf"), float("nan")):
+            with pytest.raises(SchemaError):
+                col.coerce(value)
+        table = Table("t", Schema.of(n="int"), [{"n": 1}])
+        with pytest.raises(SchemaError):
+            table.insert({"n": 2.5})
+        assert table.rows == [{"n": 1}]
+
     def test_bool_coercion(self):
         col = Column("f", "bool")
         assert col.coerce("yes") is True
@@ -171,6 +182,12 @@ class TestTableOps:
         people.where("age", ">", 100)
         people.project(["name"])
         assert len(people) == before
+
+    def test_matching_result_is_the_callers_own(self):
+        table = Table("t", Schema.of(a="str"), [{"a": "x"}, {"a": "y"}])
+        got = table.matching("a", "==", "x")
+        got.append(1)
+        assert table.matching("a", "==", "x") == [0]
 
     def test_column_values(self, people):
         assert sorted(people.column_values("age")) == [30, 30, 45]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, TokenizerError
 from repro.llm import embedding
-from repro.llm.embedding import EmbeddingModel, cosine_similarity, top_k_cosine
+from repro.llm.embedding import EmbeddingModel
 from repro.llm.tokenizer import Tokenizer, count_tokens, default_tokenizer
 
 
@@ -38,12 +38,6 @@ class TestTokenizer:
         tok = Tokenizer(vocab_size=1000)
         assert tok.token_id("hello") == tok.token_id("hello")
         assert 0 <= tok.token_id("hello") < 1000
-
-    def test_encode_with_pieces_roundtrip(self):
-        tok = Tokenizer()
-        text = "A small test."
-        pairs = tok.encode_with_pieces(text)
-        assert tok.decode_pieces([p for _, p in pairs]) == text
 
     def test_content_tokens_lowercased_alnum(self):
         tok = Tokenizer()
@@ -205,28 +199,3 @@ class TestEmbeddingMemo:
         assert warm == cold
         assert repr(warm) == repr(cold)
         assert "_memo" not in repr(warm)
-
-
-class TestCosineHelpers:
-    def test_cosine_similarity_bounds(self):
-        a, b = np.array([1.0, 0.0]), np.array([0.0, 2.0])
-        assert cosine_similarity(a, a) == pytest.approx(1.0)
-        assert cosine_similarity(a, b) == pytest.approx(0.0)
-
-    def test_cosine_zero_vector(self):
-        assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
-
-    def test_top_k_order_and_exclude(self):
-        rng = np.random.default_rng(0)
-        matrix = rng.standard_normal((20, 8)).astype(np.float32)
-        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-        query = matrix[3]
-        hits = top_k_cosine(query, matrix, 5)
-        assert hits[0][0] == 3
-        scores = [s for _, s in hits]
-        assert scores == sorted(scores, reverse=True)
-        hits_excl = top_k_cosine(query, matrix, 5, exclude={3})
-        assert all(i != 3 for i, _ in hits_excl)
-
-    def test_top_k_empty(self):
-        assert top_k_cosine(np.ones(4), np.zeros((0, 4)), 3) == []

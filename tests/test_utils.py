@@ -11,14 +11,10 @@ from repro.utils import (
     derive_rng,
     derive_seed,
     geometric_mean,
-    human_bytes,
     normalize,
-    pack_floats,
     pairwise,
     percentile,
-    stable_float,
     stable_hash,
-    unpack_floats,
 )
 
 
@@ -37,10 +33,6 @@ class TestStableHash:
             stable_hash("x", bits=12)
         with pytest.raises(ConfigError):
             stable_hash("x", bits=1024)
-
-    @given(st.text())
-    def test_stable_float_in_unit_interval(self, text):
-        assert 0.0 <= stable_float(text) < 1.0
 
 
 class TestDeriveRng:
@@ -95,22 +87,6 @@ class TestNormalize:
     def test_zero_vector_unchanged(self):
         v = normalize(np.zeros(4))
         assert np.allclose(v, 0.0)
-
-
-class TestPackFloats:
-    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=50))
-    def test_roundtrip(self, values):
-        out = unpack_floats(pack_floats(values))
-        assert len(out) == len(values)
-        assert np.allclose(out, np.asarray(values, dtype=np.float32))
-
-
-class TestHumanBytes:
-    def test_bytes(self):
-        assert human_bytes(512) == "512.0 B"
-
-    def test_gib(self):
-        assert human_bytes(3 * 1024**3) == "3.0 GiB"
 
 
 class TestGeometricMean:

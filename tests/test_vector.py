@@ -146,13 +146,6 @@ class TestIndexSpecifics:
         index.add([f"v{i}" for i in range(50)], data[:50])
         assert index.search(data[3], 1)[0].id == "v3"
 
-    def test_hnsw_graph_stats(self, data):
-        index = HNSWIndex(data.shape[1], m=8)
-        index.add([f"v{i}" for i in range(100)], data[:100])
-        stats = index.graph_stats()
-        assert stats["nodes_l0"] == 100
-        assert 1 <= stats["mean_degree_l0"] <= 16
-
     def test_hnsw_rejects_small_m(self):
         with pytest.raises(VectorIndexError):
             HNSWIndex(8, m=1)
@@ -160,16 +153,6 @@ class TestIndexSpecifics:
     def test_lsh_requires_cosine(self):
         with pytest.raises(VectorIndexError):
             LSHIndex(8, metric="l2")
-
-    def test_lsh_bucket_stats(self, data):
-        index = LSHIndex(data.shape[1], num_tables=4, num_bits=6)
-        index.add([f"v{i}" for i in range(100)], data[:100])
-        stats = index.bucket_stats()
-        assert stats["buckets"] > 0
-
-    def test_pq_compression_ratio(self):
-        index = PQIndex(64, num_subspaces=8)
-        assert index.compression_ratio() == pytest.approx(32.0)
 
     def test_pq_rejects_indivisible_dim(self):
         with pytest.raises(VectorIndexError):

@@ -11,9 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.llm.embedding import EmbeddingModel
-from repro.rag.chunking import Chunk
-from repro.rag.retriever import DenseRetriever
 from repro.vector.database import Collection
 from repro.vector.flat import FlatIndex
 from repro.vector.hnsw import HNSWIndex
@@ -140,20 +137,3 @@ class TestBatchedRouting:
                 (r.id, r.score) for r in single
             ]
             assert len(batched[qi]) == 5
-
-    def test_dense_retriever_retrieve_many(self):
-        retriever = DenseRetriever(EmbeddingModel(dim=32))
-        chunks = [
-            Chunk(chunk_id=f"c{i}", doc_id="d", text=f"topic {i} text body", position=i)
-            for i in range(30)
-        ]
-        retriever.add(chunks)
-        queries = ["topic 3 text", "topic 17 text", "unrelated words"]
-        batched = retriever.retrieve_many(queries, k=3)
-        assert len(batched) == 3
-        for query, got in zip(queries, batched):
-            single = retriever.retrieve(query, k=3)
-            assert [(r.chunk.chunk_id, r.score) for r in got] == [
-                (r.chunk.chunk_id, r.score) for r in single
-            ]
-        assert retriever.retrieve_many([], k=3) == []

@@ -4,7 +4,6 @@ import pytest
 
 from repro.data.documents import (
     DocumentRenderer,
-    corpus_stats,
     extract_stated_facts,
 )
 from repro.data.world import (
@@ -138,12 +137,6 @@ class TestDocumentRenderer:
         renderer = DocumentRenderer(world, seed=5)
         only = renderer.render_corpus(entity_types=["city"])
         assert len(only) == len(world.cities)
-
-    def test_corpus_stats(self, docs):
-        stats = corpus_stats(docs)
-        assert stats["documents"] == len(docs)
-        assert stats["mean_chars"] > 0
-        assert corpus_stats([])["documents"] == 0
 
 
 class TestExtractStatedFacts:
