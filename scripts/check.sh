@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Pre-commit gate: ruff -> mypy (analysis/faults/semopt, strict) -> repro-lint -> tier-1
-# -> chaos smoke -> perf smoke -> perfbench smoke.
+# -> chaos smoke -> perf smoke -> perfbench smoke -> traced lake smoke.
 #
 # Usage (from the repo root):
 #     bash scripts/check.sh
@@ -72,6 +72,13 @@ for workload in rag_qa lake_analytics stream_ingest_query fleet_sim; do
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 \
         || { echo "perfbench smoke failed: $workload"; failures=$((failures + 1)); }
 done
+
+# Traced lake smoke: --trace 1 runs the same operations plain, traced and
+# plain again and fails unless all three give identical outputs, so a
+# per-call shortcut that changes an answer between passes fails here.
+step "traced lake smoke (perfbench/run.py --workload lake_analytics --trace 1)"
+python3 perfbench/run.py --workload lake_analytics --seed 1 --seconds 1 --trace 1 \
+    || { echo "traced lake smoke failed"; failures=$((failures + 1)); }
 
 echo
 if [ "$failures" -ne 0 ]; then

@@ -19,8 +19,9 @@ construction.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,30 +72,33 @@ class Column:
 
 @dataclass(frozen=True)
 class Schema:
-    """Ordered column list with name uniqueness."""
+    """Ordered column list with name uniqueness; columns are found by name
+    through a dict built once."""
 
     columns: Tuple[Column, ...]
+    _by_name: Dict[str, Column] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [c.name for c in self.columns]
-        if len(set(names)) != len(names):
-            raise SchemaError(f"duplicate column names in {names}")
+        by_name = {c.name: c for c in self.columns}
+        if len(by_name) != len(self.columns):
+            raise SchemaError(f"duplicate column names in {[c.name for c in self.columns]}")
+        object.__setattr__(self, "_by_name", by_name)
 
     @classmethod
     def of(cls, **dtypes: str) -> "Schema":
         return cls(tuple(Column(name, dtype) for name, dtype in dtypes.items()))
 
     def names(self) -> List[str]:
-        return [c.name for c in self.columns]
+        return list(self._by_name)
 
     def column(self, name: str) -> Column:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise SchemaError(f"no column {name!r}; have {self.names()}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SchemaError(f"no column {name!r}; have {self.names()}") from None
 
     def __contains__(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
+        return name in self._by_name
 
 
 _AGGREGATES: Dict[str, Callable[[List[Any]], Any]] = {
@@ -199,6 +203,16 @@ class _Column:
     def keys(self) -> Dict[Any, List[int]]:
         """Cell value -> ascending row ids: the join index."""
         return _group(self.cells)
+
+    @cached_property
+    def code_of(self) -> Dict[Any, int]:
+        """Cell value -> its code: the value's position among :attr:`keys`."""
+        return {value: code for code, value in enumerate(self.keys)}
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Each cell's code as an intp array: the inner join's probe side."""
+        return np.fromiter(map(self.code_of.__getitem__, self.cells), np.intp, len(self.cells))
 
 
 class Table:
@@ -329,49 +343,69 @@ class Table:
         other.schema.column(right_on)
         if how not in {"inner", "left"}:
             raise SchemaError(f"unsupported join type {how!r}")
-        left_names = set(self.schema.names())
-        renamed = {
-            c.name: (f"{other.name}.{c.name}" if c.name in left_names else c.name)
+        right_columns = tuple(
+            Column(f"{other.name}.{c.name}", c.dtype) if c.name in self.schema else c
             for c in other.schema.columns
-        }
-        names = self.schema.names() + list(renamed.values())
-        if len(set(names)) != len(names):
+        )
+        try:
+            schema = Schema(self.schema.columns + right_columns)
+        except SchemaError:
+            names = self.schema.names() + [c.name for c in right_columns]
             raise SchemaError(
                 f"join of {self.name!r} and {other.name!r} repeats a column in {names}"
-            )
-        schema = Schema(
-            tuple(self.schema.columns)
-            + tuple(Column(renamed[c.name], c.dtype) for c in other.schema.columns)
-        )
-        # An inner join walks the side with fewer rows and probes the other
-        # side's key index. The probe yields pairs in ascending right order,
-        # so a stable sort on the left row alone gives left-major order.
+            ) from None
+        # An inner join probes the side with more rows through its cached
+        # codes (see _inner_pairs); otherwise each left row probes the right
+        # side's key index.
         if how == "inner" and len(other) <= len(self):
-            index = self._key_index(left_on)
-            pairs = [
-                (left, right)
-                for right, key in enumerate(other.cells(right_on))
-                for left in index.get(key, ())
-            ]
-            pairs.sort(key=operator.itemgetter(0))
+            lefts, rights = self._inner_pairs(left_on, other, right_on)
         else:
             index = other._key_index(right_on)
-            unmatched: Tuple[int, ...] = ()
+            unmatched: Sequence[int] = ()
             if how == "left":  # an unmatched left row reads an appended all-missing row
                 unmatched = (len(other),)
                 other = other.take(list(range(len(other))), other.name)
                 other.insert({})
-            pairs = [
-                (left, right)
-                for left, key in enumerate(self.cells(left_on))
-                for right in index.get(key, unmatched)
-            ]
+            lefts, rights = [], []
+            for left, key in enumerate(self.cells(left_on)):
+                matches = index.get(key, unmatched)
+                lefts += [left] * len(matches)
+                rights += matches
         columns = dict(self._columns)
-        selections = self._narrow([left for left, _ in pairs])
-        for c, (part, column) in other._columns.items():
-            columns[renamed[c]] = (len(selections) + part, column)
-        selections += other._narrow([right for _, right in pairs])
-        return self._view(f"{self.name}_{other.name}", schema, columns, selections, len(pairs))
+        selections = self._narrow(lefts)
+        for c, out in zip(other.schema.columns, right_columns):
+            part, column = other._columns[c.name]
+            columns[out.name] = (len(selections) + part, column)
+        selections += other._narrow(rights)
+        return self._view(f"{self.name}_{other.name}", schema, columns, selections, len(lefts))
+
+    def _inner_pairs(
+        self, left_on: str, other: "Table", right_on: str
+    ) -> Tuple[List[int], List[int]]:
+        """Row numbers of every (left, right) pair with equal keys, left-major
+        and each left row's matches in right order.
+
+        When no two right rows share a key, the left column's value codes
+        pair them without a Python object per pair: each right row's key is
+        coded by the left column, and one gather through the left rows'
+        codes finds each one's match. Otherwise the pairs come from the left
+        column's key index, sorted stably on the left row.
+        """
+        keys = other.cells(right_on)
+        if len(set(keys)) < len(keys):
+            index = self._key_index(left_on)
+            pairs = [(left, right) for right, key in enumerate(keys) for left in index.get(key, ())]
+            pairs.sort(key=operator.itemgetter(0))
+            return [left for left, _ in pairs], [right for _, right in pairs]
+        column, rows = self._read(left_on)
+        right_of = np.full(len(column.code_of) + 1, -1, dtype=np.intp)
+        # A key the left lacks is coded -1 and writes the spare last slot,
+        # which no left code reads.
+        codes = np.fromiter(map(column.code_of.get, keys, repeat(-1)), np.intp, len(keys))
+        right_of[codes] = np.arange(len(keys))
+        hits = right_of[column.codes if rows is None else column.codes[rows]]
+        lefts = np.flatnonzero(hits >= 0)
+        return lefts.tolist(), hits[lefts].tolist()
 
     def group_by(
         self,
@@ -489,7 +523,7 @@ class Table:
     def _narrow(self, positions: List[int]) -> Tuple[Selection, ...]:
         """The selections of the rows at ``positions``."""
         return tuple(
-            positions if rows is None else [rows[p] for p in positions]
+            positions if rows is None else list(map(rows.__getitem__, positions))
             for rows in self._selections
         )
 

@@ -268,22 +268,23 @@ class LakeAnalytics:
 
     def ask(self, question: str, *, reflect: bool = True) -> ExecutionTrace:
         """Answer one analytics question with reflection-on-failure."""
-        total_before = self.llm.ledger.total
-        tags_before = dict(self.llm.ledger.by_tag)
+        ledger = self.llm.ledger
+        total_before = ledger.total
+        tags_before = dict(ledger.by_tag)
         plan, groundings = self.planner.plan(question)
         attempts = 1
         last_error = ""
         for _ in range(self.max_reflections + 1):
             try:
                 answer = self.executor.execute(plan)
-                usage = self.llm.ledger.total - total_before
+                total = ledger.total
                 return ExecutionTrace(
-                    question=question,
-                    answer=answer,
-                    plan=plan,
-                    attempts=attempts,
-                    llm_calls=usage.calls,
-                    usd=usage.usd,
+                    question,
+                    answer,
+                    plan,
+                    attempts,
+                    total.calls - total_before.calls,
+                    total.usd - total_before.usd,
                     usage_by_tag=self._tag_deltas(tags_before),
                 )
             except ExecutionError as exc:

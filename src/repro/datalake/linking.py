@@ -18,8 +18,7 @@ recall (benchmark E19).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,8 +27,7 @@ from ..llm.tokenizer import default_tokenizer
 from .catalog import DataLake, LakeAsset
 
 
-@dataclass(frozen=True)
-class LinkedAsset:
+class LinkedAsset(NamedTuple):
     """One linking candidate with its score."""
 
     asset: LakeAsset
@@ -44,8 +42,9 @@ _IRREGULAR_SINGULAR = {"people": "person", "persons": "person"}
 def singularize(word: str) -> str:
     """Best-effort singular form of a type/collection word."""
     lowered = word.lower()
-    if lowered in _IRREGULAR_SINGULAR:
-        return _IRREGULAR_SINGULAR[lowered]
+    irregular = _IRREGULAR_SINGULAR.get(lowered)
+    if irregular is not None:
+        return irregular
     if lowered.endswith("ies"):
         return lowered[:-3] + "y"
     if lowered.endswith("s") and not lowered.endswith("ss"):
@@ -81,13 +80,16 @@ class EmbeddingLinker:
         )
 
     def link(self, query: str, k: int = 3) -> List[LinkedAsset]:
-        qvec = self.embedder.embed(expand_query(query))
-        scores = self._matrix @ qvec
-        order = np.argsort(-scores)[: max(k, 1)]
-        return [
-            LinkedAsset(asset=self._assets[int(i)], score=float(scores[int(i)]))
-            for i in order
-        ]
+        """The ``k`` best assets, best first, in ``np.argsort(-scores)``
+        order. Distinct scores have one descending order, which a Python
+        sort finds; tied scores keep numpy's order."""
+        scores = self._matrix @ self.embedder.embed(expand_query(query))
+        values = scores.tolist()
+        if len(set(values)) == len(values):
+            order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+        else:
+            order = np.argsort(-scores).tolist()
+        return [LinkedAsset(self._assets[i], values[i]) for i in order[: max(k, 1)]]
 
     def scores(self, query: str) -> Dict[str, float]:
         qvec = self.embedder.embed(expand_query(query))

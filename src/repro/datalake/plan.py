@@ -55,11 +55,7 @@ class Plan:
     def add(self, op_name: str, *, inputs: Optional[List[str]] = None, **params: object) -> str:
         """Append a step; named ``op_name`` so operator params may use ``op``."""
         step_id = f"s{len(self.steps)}"
-        self.steps.append(
-            PlanStep(
-                step_id=step_id, op=op_name, params=params, inputs=list(inputs or [])
-            )
-        )
+        self.steps.append(PlanStep(step_id, op_name, params, list(inputs) if inputs else []))
         return step_id
 
     def validate(self) -> None:

@@ -73,32 +73,20 @@ class LakeQuery:
 
 def parse_lake_query(question: str) -> Optional[LakeQuery]:
     """Parse the lake-analytics grammar; None if not an analytics query."""
-    text = question.strip().rstrip("?").strip()
-    match = _LAKE_QUERY_RE.match(text)
+    match = _LAKE_QUERY_RE.match(question.strip().rstrip("?").strip())
     if match is None:
         return None
-    filter_b = None
-    if match.group("bfield"):
-        filter_b = (
-            match.group("bfield"),
-            match.group("bop"),
-            match.group("bvalue").strip().strip("'\""),
-        )
-    filter_a = None
-    if match.group("afield"):
-        filter_a = (
-            match.group("afield"),
-            match.group("aop"),
-            match.group("avalue").strip().strip("'\""),
-        )
+    agg, attribute, etype_a, relation, etype_b, bfield, bop, bvalue, afield, aop, avalue = (
+        match.groups()
+    )
     return LakeQuery(
-        agg=_AGG_CANON[match.group("agg").lower()],
-        attribute=match.group("attribute"),
-        etype_a=singularize(match.group("etype_a")),
-        filter_a=filter_a,
-        relation=match.group("relation").lower() if match.group("relation") else None,
-        etype_b=singularize(match.group("etype_b")) if match.group("etype_b") else None,
-        filter_b=filter_b,
+        _AGG_CANON[agg.lower()],
+        attribute,
+        singularize(etype_a),
+        (afield, aop, avalue.strip().strip("'\"")) if afield else None,
+        relation.lower() if relation else None,
+        singularize(etype_b) if etype_b else None,
+        (bfield, bop, bvalue.strip().strip("'\"")) if bfield else None,
     )
 
 
@@ -150,43 +138,37 @@ class LakePlanner:
             raise PlanError(f"cannot parse lake query: {question!r}")
         overrides = grounding_overrides or {}
         groundings: Dict[str, GroundingDecision] = {}
-
-        def grounded_asset(etype: str) -> LakeAsset:
-            if etype in overrides:
-                asset = self.lake.get(overrides[etype])
-                groundings[etype] = GroundingDecision(etype, asset)
-                return asset
-            decision = self.ground(etype)
-            groundings[etype] = decision
-            return decision.chosen
-
         plan = Plan(description=question)
-        asset_a = grounded_asset(query.etype_a)
+        asset_a = self._grounded(query.etype_a, overrides, groundings)
         a_step = self._emit_source(plan, asset_a, query.etype_a, query)
         if query.filter_a is not None:
             f, op, v = query.filter_a
             a_step = plan.add("filter", inputs=[a_step], field=f, op=op, value=v)
-        if query.is_join:
-            assert query.etype_b is not None and query.relation is not None
-            asset_b = grounded_asset(query.etype_b)
+        if query.etype_b is not None:
+            asset_b = self._grounded(query.etype_b, overrides, groundings)
             b_step = self._emit_source(plan, asset_b, query.etype_b, query)
             if query.filter_b is not None:
                 f, op, v = query.filter_b
                 b_step = plan.add("filter", inputs=[b_step], field=f, op=op, value=v)
             a_step = plan.add(
-                "join",
-                inputs=[a_step, b_step],
-                left_on=query.relation,
-                right_on="name",
+                "join", inputs=[a_step, b_step], left_on=query.relation, right_on="name"
             )
-        plan.add(
-            "aggregate",
-            inputs=[a_step],
-            fn=query.agg,
-            column=query.attribute or "name",
-        )
-        plan.validate()
+        plan.add("aggregate", inputs=[a_step], fn=query.agg, column=query.attribute or "name")
+        # No validate() here: every input is an id ``add`` returned, and the
+        # executor validates each plan it runs.
         return plan, groundings
+
+    def _grounded(
+        self, etype: str, overrides: Dict[str, str], groundings: Dict[str, GroundingDecision]
+    ) -> LakeAsset:
+        """The asset ``etype`` reads: an override, else the linker's best."""
+        if etype in overrides:
+            asset = self.lake.get(overrides[etype])
+            groundings[etype] = GroundingDecision(etype, asset)
+            return asset
+        decision = self.ground(etype)
+        groundings[etype] = decision
+        return decision.chosen
 
     def _emit_source(
         self, plan: Plan, asset: LakeAsset, etype: str, query: LakeQuery

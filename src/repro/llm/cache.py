@@ -217,12 +217,13 @@ class CachedLLM:
         """
         prompt_list = list(prompts)
         if self.semantic_threshold is None and temperature == 0.0:
-            keys = [_key(prompt, max_tokens, temperature) for prompt in prompt_list]
+            exact = self._exact
+            keys = [(prompt, max_tokens, temperature) for prompt in prompt_list]
             missing: Dict[ExactKey, str] = {}
-            for prompt, key in zip(prompt_list, keys):
-                if key not in self._exact:
-                    missing.setdefault(key, prompt)
-            if self.max_entries is None or len(self._exact) + len(missing) <= self.max_entries:
+            for key in keys:
+                if key not in exact:
+                    missing.setdefault(key, key[0])
+            if self.max_entries is None or len(exact) + len(missing) <= self.max_entries:
                 if missing:
                     fetched = self.llm.generate_many(
                         list(missing.values()),
@@ -230,16 +231,16 @@ class CachedLLM:
                         temperature=temperature,
                         tag=tag,
                     )
-                    self._exact.update(zip(missing, fetched))
-                responses: List[LLMResponse] = []
-                for key in keys:
-                    response = self._exact[key]
-                    if missing.pop(key, None) is not None:
-                        self.stats.misses += 1
-                    else:
-                        self.stats.exact_hits += 1
-                        self.stats.saved_usd += response.usage.usd
-                    responses.append(response)
+                    exact.update(zip(missing, fetched))
+                responses = [exact[key] for key in keys]
+                stats = self.stats
+                stats.misses += len(missing)
+                stats.exact_hits += len(keys) - len(missing)
+                saved = stats.saved_usd  # hits add their dollars in call order
+                for key, response in zip(keys, responses):
+                    if missing.pop(key, None) is None:
+                        saved += response.usage.usd
+                stats.saved_usd = saved
                 return responses
         return [
             self.generate(prompt, max_tokens=max_tokens, temperature=temperature, tag=tag)

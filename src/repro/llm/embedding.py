@@ -26,7 +26,10 @@ compared against every row) is embedded once per IDF snapshot:
   Once pinned, :meth:`EmbeddingModel.partial_fit_idf` moves only live stats
   (and its first call pins the stats as they stand), so the memo stays;
 * **bound** — at most ``MEMO_ROWS`` rows, evicted first in, first out;
-* **copies** — memo rows are read-only and never handed out: ``embed`` and
+* **layout** — ``_memo`` maps a text to its row of one float32 array that
+  doubles as the memo fills, up to ``MEMO_ROWS`` rows; an evicted text's
+  row is reused, so ``embed_batch`` reads all its hits in one gather;
+* **copies** — memo rows are never handed out: ``embed`` and
   ``embed_batch`` return fresh arrays, so a caller that writes into its
   result cannot change what the next call returns;
 * **generation** — every clear bumps ``generation``, so a reader that kept
@@ -177,8 +180,8 @@ class EmbeddingModel:
     bigram_weight:
         Adjacent-bigram contribution (0 disables).
 
-    ``embed`` and ``embed_batch`` share one memo from text to a read-only
-    row, valid for the current IDF snapshot: ``fit_idf`` clears it while
+    ``embed`` and ``embed_batch`` share one memo from text to a row of
+    ``_memo_rows``, valid for the current IDF snapshot: ``fit_idf`` clears it while
     unpinned, ``refresh`` clears it when it re-pins, and pinned
     ``partial_fit_idf`` leaves it alone. It holds at most ``MEMO_ROWS``
     rows (FIFO) and both methods return copies, never memo rows. Each clear
@@ -205,7 +208,9 @@ class EmbeddingModel:
     _pinned_doc_freq: Optional[Dict[str, int]] = field(default=None, repr=False)
     _pinned_num_docs: int = field(default=0, repr=False)
     _stale_docs: int = field(default=0, repr=False)
-    _memo: Dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    # Memo: text -> row of ``_memo_rows``, which doubles up to ``MEMO_ROWS``.
+    _memo: Dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+    _memo_rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     generation: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -431,12 +436,20 @@ class EmbeddingModel:
         return slot
 
     def _remember(self, text: str, row: np.ndarray) -> None:
-        """Store ``row`` (owned by the memo from now on) read-only."""
+        """Copy ``row`` into the memo under ``text``: into the next free memo
+        row, or, when the memo is full, into the oldest text's row."""
         memo = self._memo
-        if len(memo) >= MEMO_ROWS:
-            del memo[next(iter(memo))]
-        row.flags.writeable = False
-        memo[text] = row
+        slot = len(memo)
+        if slot >= MEMO_ROWS:
+            slot = memo.pop(next(iter(memo)))
+        rows = self._memo_rows
+        if rows is None or slot >= len(rows):
+            grown = np.empty((min(max(2 * slot, 64), MEMO_ROWS), self.dim), dtype=np.float32)
+            if rows is not None:
+                grown[: len(rows)] = rows
+            self._memo_rows = rows = grown
+        rows[slot] = row
+        memo[text] = slot
 
     def embed(self, text: str) -> np.ndarray:
         """Embed ``text`` into a unit-norm float32 vector (a fresh copy).
@@ -446,11 +459,12 @@ class EmbeddingModel:
         """
         if not isinstance(text, str):
             raise TokenizerError(f"embed needs a str text, got {type(text).__name__}")
-        row = self._memo.get(text)
-        if row is None:
-            row = self._embed_one(text)
-            self._remember(text, row)
-        return row.copy()
+        slot = self._memo.get(text)
+        if slot is not None:
+            return self._memo_rows[slot].copy()  # type: ignore[index]
+        row = self._embed_one(text)
+        self._remember(text, row)
+        return row
 
     def _embed_one(self, text: str) -> np.ndarray:
         """The per-text kernel, bypassing the memo."""
@@ -472,13 +486,22 @@ class EmbeddingModel:
         """Embed many texts; returns a fresh ``(n, dim)`` float32 matrix.
 
         Bit-identical to stacking per-text :meth:`embed` calls, so rows
-        either path put in the memo serve both. Memo hits are copied out;
-        the distinct misses, in first-occurrence order, go through one
-        batched kernel pass (:meth:`_embed_rows`). An item that is not a
-        ``str`` raises :class:`~repro.errors.TokenizerError` before anything
-        is embedded or stored.
+        either path put in the memo serve both. Memo hits are read in one
+        gather of their memo rows; the distinct misses, in first-occurrence
+        order, go through one batched kernel pass (:meth:`_embed_rows`). An
+        item that is not a ``str`` raises
+        :class:`~repro.errors.TokenizerError` before anything is embedded or
+        stored.
         """
         memo = self._memo
+        try:  # every text a hit: one gather
+            slots = np.fromiter(map(memo.__getitem__, texts), np.intp, len(texts))
+        except (KeyError, TypeError):  # a miss, or an unhashable item
+            pass
+        else:
+            if self._memo_rows is None:
+                return np.empty((0, self.dim), dtype=np.float32)
+            return self._memo_rows[slots]
         try:  # the memo holds str keys only, so every non-str item misses it
             missing = list(dict.fromkeys(text for text in texts if text not in memo))
         except TypeError:  # an unhashable item
@@ -488,13 +511,16 @@ class EmbeddingModel:
                 raise TokenizerError(
                     f"embed_batch needs str texts, got {type(text).__name__}"
                 )
-        fresh = dict(zip(missing, self._embed_rows(missing))) if missing else {}
+        fresh = self._embed_rows(missing)
+        position = {text: i for i, text in enumerate(missing)}
         out = np.empty((len(texts), self.dim), dtype=np.float32)
-        for i, text in enumerate(texts):
-            row = fresh.get(text)
-            out[i] = memo[text] if row is None else row
-        for text, row in fresh.items():
-            self._remember(text, row.copy())
+        miss = [i for i, text in enumerate(texts) if text in position]
+        out[miss] = fresh[[position[texts[i]] for i in miss]]
+        hit = [i for i, text in enumerate(texts) if text not in position]
+        if hit:  # read before the misses are stored, which may evict them
+            out[hit] = self._memo_rows[[memo[texts[i]] for i in hit]]  # type: ignore[index]
+        for text, row in zip(missing, fresh):
+            self._remember(text, row)
         return out
 
     def _embed_rows(self, texts: List[str]) -> np.ndarray:

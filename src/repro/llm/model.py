@@ -124,7 +124,7 @@ class SimLLM:
         self.ledger = ledger or UsageLedger()
         self._extra_skills: Dict[str, SkillFn] = {}
         self._scorer = None
-        self._call_log: Deque[Dict[str, object]] = deque(maxlen=CALL_LOG_ROWS)
+        self._call_log: Deque[Tuple[str, str, int]] = deque(maxlen=CALL_LOG_ROWS)
         self._memo: Dict[ReplyKey, Reply] = {}
         self._memo_owners: Tuple[object, ...] = ()
         self._memo_counters: Tuple[int, ...] = ()
@@ -189,9 +189,11 @@ class SimLLM:
         tokens (as a real decode loop stops emitting), so the returned text
         always agrees with the charged token count.  Distinct prompts the
         reply memo lacks are computed in first-occurrence order (see the
-        module docstring), and each distinct reply's :class:`Usage` is
-        built once; every prompt is then charged, in order, through one
-        :meth:`UsageLedger.charge_many` and logged.
+        module docstring), and one frozen :class:`Usage` is built per
+        distinct (input, output) token count of the batch's replies; every
+        prompt is then charged, in order, through one
+        :meth:`UsageLedger.charge_many` and logged as a (task, tag, tokens)
+        row that :attr:`call_log` renders.
         """
         if max_tokens <= 0:
             raise ModelError(f"max_tokens must be positive, got {max_tokens}")
@@ -210,20 +212,21 @@ class SimLLM:
         if missing:
             replies.update(self._compute(missing, milli, temperature, max_tokens))
         cost = self.spec.cost
-        usages = {prompt: cost.usage(reply[0], reply[2]) for prompt, reply in replies.items()}
+        usages: Dict[Tuple[int, int], Usage] = {}  # replies with equal token counts share one
+        for input_tokens, _, output_tokens, _, _ in replies.values():
+            if (input_tokens, output_tokens) not in usages:
+                usages[input_tokens, output_tokens] = cost.usage(input_tokens, output_tokens)
         batch = [replies[prompt] for prompt in prompts]
-        charges = [usages[prompt] for prompt in prompts]
+        charges = [usages[reply[0], reply[2]] for reply in batch]
         calls_before = self.ledger.total.calls
         try:
             self.ledger.charge_many(charges, tag=tag)
         finally:  # log the calls charged, also those before a budget trips
             charged = self.ledger.total.calls - calls_before
             kept = range(max(charged - CALL_LOG_ROWS, 0), charged)  # the log keeps no more
-            self._call_log.extend(
-                {"task": batch[i][4], "tag": tag, "tokens": charges[i].total_tokens} for i in kept
-            )
+            self._call_log.extend((batch[i][4], tag, batch[i][0] + batch[i][2]) for i in kept)
         return [
-            LLMResponse(text=text, usage=usage, meta=dict(meta))
+            LLMResponse(text, usage, dict(meta))
             for (_, text, _, meta, _), usage in zip(batch, charges)
         ]
 
@@ -342,7 +345,9 @@ class SimLLM:
     @property
     def call_log(self) -> List[Dict[str, object]]:
         """The most recent ``CALL_LOG_ROWS`` calls, oldest first."""
-        return list(self._call_log)
+        return [
+            {"task": task, "tag": tag, "tokens": tokens} for task, tag, tokens in self._call_log
+        ]
 
 
 def make_llm(

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..llm.model import SimLLM
 from ..llm.skills import compile_predicate
-from ..unstructured.operators import SemanticOperators, _judge_prompt, _record_text
+from ..unstructured.operators import SemanticOperators, _judge_prompt
 from .plan import Record, SemFilter
 
 #: Relative per-row cost units, expressed in *simulated dollars* so rule /
@@ -171,16 +171,28 @@ class SemCostModel:
         return lines
 
 
+class Corpus(Tuple[Record, ...]):
+    """Records that stay as they are, with :func:`records_all_have_text`
+    checked once when built instead of on every pipeline run. The tuple
+    cannot grow or shrink; its owner must not edit the records."""
+
+    all_have_text: bool
+
+    def __new__(cls, records: Iterable[Record]) -> "Corpus":
+        corpus = super().__new__(cls, records)
+        corpus.all_have_text = all(record.get("text") for record in corpus)
+        return corpus
+
+
 def records_all_have_text(records: Sequence[Record]) -> bool:
-    """True iff every record carries a non-empty ``text`` field.
+    """True iff every record carries a non-empty ``text`` field (a
+    :class:`Corpus` answers from its check at construction).
 
     When this holds, ``_record_text`` never falls back to the
     ``json.dumps`` serialization, so text-reading operators (topical
     filters, text-input maps) are provably independent of fields other
     operators add — the key legality condition for reordering them.
     """
+    if isinstance(records, Corpus):
+        return records.all_have_text
     return all(record.get("text") for record in records)
-
-
-# Re-exported for planner use without importing private operator helpers.
-record_text = _record_text

@@ -210,7 +210,7 @@ class SemExecutor:
         cache_before = ops._cache_counters()
         prompts: List[str] = []
         for mstep in maps:
-            prompts.extend(ops.map_prompt(row, mstep.instruction) for row in rows)
+            prompts.extend(ops.map_prompts(rows, mstep.instruction))
         responses = ops.llm.generate_many(prompts, tag=tag)
         out = [dict(row) for row in rows]
         cursor = 0

@@ -101,6 +101,12 @@ def _record_text(record: Record) -> str:
     return str(record.get("text") or json.dumps(record, sort_keys=True))
 
 
+def _prompt_head(task: str, instruction: str, fields: Dict[str, str]) -> str:
+    """The rendered prompt up to its input: a :class:`Prompt` with no
+    context or examples renders as this head followed by its input."""
+    return Prompt(task=task, instruction=instruction, fields=fields).render()
+
+
 def _is_topical(predicate: str) -> bool:
     return predicate.strip().lower().startswith("is_about")
 
@@ -109,13 +115,16 @@ def _topic_of(predicate: str) -> str:
     return predicate.strip()[len("is_about") :].strip().strip("'\"")
 
 
+def _judge_head(predicate: str) -> str:
+    return _prompt_head(
+        "judge", "Decide whether the item satisfies the predicate.", {"predicate": predicate}
+    )
+
+
 def _judge_prompt(record: Record, predicate: str, topical: bool) -> str:
-    return Prompt(
-        task="judge",
-        instruction="Decide whether the item satisfies the predicate.",
-        input=_record_text(record) if topical else json.dumps(record, sort_keys=True),
-        fields={"predicate": predicate},
-    ).render()
+    return _judge_head(predicate) + (
+        _record_text(record) if topical else json.dumps(record, sort_keys=True)
+    )
 
 
 class SemanticOperators:
@@ -183,8 +192,11 @@ class SemanticOperators:
         decisions = self.filter_decisions(rows, predicate, cascade=cascade, stats=stats)
         pending = [i for i, decision in enumerate(decisions) if decision is None]
         if pending:
-            topical = _is_topical(predicate)
-            prompts = [_judge_prompt(rows[i], predicate, topical) for i in pending]
+            head = _judge_head(predicate)
+            if _is_topical(predicate):
+                prompts = [head + _record_text(rows[i]) for i in pending]
+            else:
+                prompts = [head + json.dumps(rows[i], sort_keys=True) for i in pending]
             responses = self.llm.generate_many(prompts, tag=tag)
             for i, response in zip(pending, responses):
                 decisions[i] = response.text.strip().lower().startswith("y")
@@ -235,11 +247,8 @@ class SemanticOperators:
             if check is None:
                 # Not rule-decidable for any record: leave all pending.
                 return decisions
-            for idx, row in enumerate(rows):
-                verdict = check(row)
-                decisions[idx] = verdict
-                if verdict is not None:
-                    stats.rule_decisions += 1
+            decisions = list(map(check, rows))
+            stats.rule_decisions += len(decisions) - decisions.count(None)
         return decisions
 
     # ------------------------------------------------------------ sem_map
@@ -256,9 +265,7 @@ class SemanticOperators:
         stats = OpStats()
         usage_before = self._ledger_usage(tag)
         cache_before = self._cache_counters()
-        responses = self.llm.generate_many(
-            [self.map_prompt(row, instruction) for row in rows], tag=tag
-        )
+        responses = self.llm.generate_many(self.map_prompts(rows, instruction), tag=tag)
         out: List[Record] = []
         for row, response in zip(rows, responses):
             merged = dict(row)
@@ -267,15 +274,13 @@ class SemanticOperators:
         return out, self._finish(stats, tag, usage_before, cache_before)
 
     @staticmethod
-    def map_prompt(record: Record, instruction: str) -> str:
-        """Rendered prompt text of one map call (shared with the planner)."""
-        return Prompt(
-            task="map",
-            instruction=instruction,
-            input=json.dumps(record, sort_keys=True)
-            if "field" in instruction
-            else _record_text(record),
-        ).render()
+    def map_prompts(records: Sequence[Record], instruction: str) -> List[str]:
+        """Rendered prompt text of each record's map call (shared with the
+        fused-map stage)."""
+        head = _prompt_head("map", instruction, {})
+        if "field" in instruction:
+            return [head + json.dumps(record, sort_keys=True) for record in records]
+        return [head + _record_text(record) for record in records]
 
     # ----------------------------------------------------------- sem_join
     def sem_join(

@@ -120,7 +120,7 @@ class DocumentAnalytics:
         self.extractor = extractor or EvaporateExtractor(llm)
         self.rag = rag or RAGPipeline.from_documents(llm, self.docs)
         self._views: Dict[str, ExtractionResult] = {}
-        self._records: Optional[List[Record]] = None
+        self._records: Optional[Sequence[Record]] = None
 
     # ------------------------------------------------------------ extraction
     def _resolve_etype(self, raw: str) -> str:
@@ -171,11 +171,13 @@ class DocumentAnalytics:
         )
 
     # ------------------------------------------------------------- pipelines
-    def _corpus_records(self) -> List[Record]:
+    def _corpus_records(self) -> Sequence[Record]:
         """The corpus as semantic-operator records (text + string metadata),
         built on first use and kept; never handed out."""
+        from ..semopt.costmodel import Corpus
+
         if self._records is None:
-            self._records = [
+            self._records = Corpus(
                 {
                     "name": doc.doc_id,
                     "title": doc.title,
@@ -183,7 +185,7 @@ class DocumentAnalytics:
                     **{key: str(value) for key, value in doc.meta.items()},
                 }
                 for doc in self.docs
-            ]
+            )
         return self._records
 
     def run_pipeline(self, pipeline: "SemPipeline") -> "PipelineResult":

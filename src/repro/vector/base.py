@@ -15,6 +15,13 @@ from .metrics import normalize_rows, resolve_metric
 QUERY_CHUNK = 32
 
 
+def check_finite(vectors: np.ndarray, what: str) -> None:
+    """Raise :class:`~repro.errors.VectorIndexError` if any component of
+    ``vectors`` is NaN or infinite."""
+    if not np.isfinite(vectors).all():
+        raise VectorIndexError(f"{what} must be finite; got a NaN or infinite component")
+
+
 class SearchHit(NamedTuple):
     """One nearest-neighbour result."""
 
@@ -94,6 +101,7 @@ class VectorIndex(abc.ABC):
             raise DimensionMismatchError(
                 f"expected dim {self.dim}, got {vectors.shape[1]}"
             )
+        check_finite(vectors, "vectors")
         if self.metric == "cosine":
             vectors = normalize_rows(vectors)
         return vectors
@@ -132,15 +140,17 @@ class VectorIndex(abc.ABC):
     def search(self, query: np.ndarray, k: int = 10) -> List[SearchHit]:
         """Top-``k`` most similar live vectors to ``query``."""
         query = np.asarray(query, dtype=np.float32).reshape(-1)
-        if query.shape[0] != self.dim:
-            raise DimensionMismatchError(f"query dim {query.shape[0]} != {self.dim}")
         return self.search_many(query[None, :], k)[0]
 
     def search_many(self, queries: np.ndarray, k: int = 10) -> List[List[SearchHit]]:
         """Top-``k`` search for a batch of queries; one hit list per query.
 
         Flat/IVF/PQ answer the whole batch with matrix-matrix products;
-        graph/hash indexes fall back to a per-query loop.
+        graph/hash indexes fall back to a per-query loop. A query of the
+        wrong dimension, one with a NaN or infinite component, and a ``k``
+        below 1 raise :class:`~repro.errors.VectorIndexError` (the first a
+        :class:`~repro.errors.DimensionMismatchError`), also on an empty
+        index.
         """
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
@@ -149,8 +159,11 @@ class VectorIndex(abc.ABC):
             raise DimensionMismatchError(
                 f"query dim {queries.shape[-1] if queries.ndim else 0} != {self.dim}"
             )
+        if k <= 0:
+            raise VectorIndexError(f"k must be positive, got {k}")
+        check_finite(queries, "query")
         nq = queries.shape[0]
-        if k <= 0 or len(self) == 0 or nq == 0:
+        if len(self) == 0 or nq == 0:
             return [[] for _ in range(nq)]
         if self.metric == "cosine":
             queries = normalize_rows(queries)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import CollectionError
 from ..llm.embedding import EmbeddingModel
-from .base import SearchHit, VectorIndex
+from .base import SearchHit, VectorIndex, check_finite
 from .flat import FlatIndex
 from .hnsw import HNSWIndex
 from .ivf import IVFIndex
@@ -100,8 +100,8 @@ class Collection:
         embedder). Existing ids are replaced.
 
         Every input is validated *before* any existing record is touched: a
-        bad batch (length mismatch, repeated id, wrong dimensionality)
-        raises with the collection exactly as it was.
+        bad batch (length mismatch, repeated id, wrong dimensionality, a NaN
+        or infinite component) raises with the collection exactly as it was.
         """
         ids = list(ids)
         if len(set(ids)) != len(ids):
@@ -127,6 +127,7 @@ class Collection:
             raise CollectionError(
                 f"{len(ids)} ids for {vectors.shape[0]} vectors"
             )
+        check_finite(vectors, "vectors")
         # All checks passed: mutation starts here and cannot fail partway.
         for vid in ids:
             if vid in self._records:

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.data.table import Schema, Table
@@ -200,6 +201,20 @@ class TestLinking:
 
     def test_linking_recall_empty_gold(self, linker):
         assert linking_recall(linker.link("x"), []) == 0.0
+
+    @pytest.mark.parametrize("tied", [(0, 1), (1, 2), (0, 3), (0, 1, 2), (0, 1, 2, 3)])
+    def test_link_order_is_argsort_order_with_tied_scores(self, lake, lake_llm, tied):
+        linker = EmbeddingLinker(lake, lake_llm.embedder)
+        linker._matrix = linker._matrix.copy()
+        linker._matrix[list(tied)] = linker._matrix[tied[0]]  # equal rows score equal
+        for query in ("company companys", "person persons", "product products", "city"):
+            scores = linker._matrix @ lake_llm.embedder.embed(expand_query(query))
+            want = [linker._assets[i].asset_id for i in np.argsort(-scores)]
+            got = [la.asset.asset_id for la in linker.link(query, k=len(want))]
+            assert got == want
+            assert [la.score for la in linker.link(query, k=2)] == sorted(
+                scores.tolist(), reverse=True
+            )[:2]
 
 
 class TestLakeQueryParsing:

@@ -168,7 +168,7 @@ class TestEmbeddingMemo:
     @staticmethod
     def _state(model):
         slab = b"" if model._slab is None else model._slab.tobytes()
-        memo = [(text, row.tobytes()) for text, row in model._memo.items()]
+        memo = [(text, model._memo_rows[slot].tobytes()) for text, slot in model._memo.items()]
         return (memo, dict(model._keys), list(model._owners), model._stored, slab,
                 model.generation)
 
@@ -195,7 +195,7 @@ class TestEmbeddingMemo:
 
     def test_models_compare_and_repr_without_the_memo(self):
         warm, cold = EmbeddingModel(dim=16), EmbeddingModel(dim=16)
-        warm._memo["text"] = np.zeros(16, dtype=np.float32)
+        warm.embed("text")
         assert warm == cold
         assert repr(warm) == repr(cold)
         assert "_memo" not in repr(warm)

@@ -63,7 +63,8 @@ class TestFlatIndex:
     def test_k_zero(self, data):
         index = FlatIndex(data.shape[1])
         index.add(["a"], data[:1])
-        assert index.search(data[0], 0) == []
+        with pytest.raises(VectorIndexError, match="k must be positive"):
+            index.search(data[0], 0)
 
     def test_remove_tombstones(self, data):
         index = FlatIndex(data.shape[1])
@@ -302,3 +303,69 @@ class TestDeprecatedIndexErrorAlias:
         with pytest.raises(AttributeError):
             errors.NoSuchError_
         assert not hasattr(errors, "IndexError_")  # the expired alias is gone
+
+
+class TestBoundaryInputs:
+    """A non-finite vector and a non-positive ``k`` raise VectorIndexError
+    from every index type and leave the collection as it was. Each used to
+    leak: NaN rows were stored, an all-NaN query returned hits scored
+    ``nan``, and ``k`` of 0 or -1 returned ``[]``."""
+
+    INDEX_TYPES = ("flat", "ivf", "hnsw", "lsh", "pq")
+
+    @staticmethod
+    def _collection(index_type):
+        rng = np.random.default_rng(7)
+        coll = Collection("c", 16, index_type=index_type)
+        coll.upsert([f"v{i}" for i in range(64)], vectors=rng.standard_normal((64, 16)))
+        return coll
+
+    @staticmethod
+    def _state(coll):
+        probe = np.ones(16, dtype=np.float32)
+        hits = [(hit.id, hit.score) for hit in coll.query(vector=probe, k=5)]
+        return len(coll), len(coll.index), sorted(coll._records), hits
+
+    @pytest.mark.parametrize("index_type", INDEX_TYPES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_upsert_of_a_non_finite_vector_raises_and_changes_nothing(self, index_type, bad):
+        coll = self._collection(index_type)
+        before = self._state(coll)
+        vectors = np.ones((2, 16), dtype=np.float32)
+        vectors[1, 3] = bad
+        with pytest.raises(VectorIndexError, match="finite"):
+            coll.upsert(["v0", "new"], vectors=vectors)  # v0 would be replaced
+        assert self._state(coll) == before
+        with pytest.raises(VectorIndexError, match="finite"):
+            coll.index.add(["raw"], vectors[1])
+        assert self._state(coll) == before
+
+    @pytest.mark.parametrize("index_type", INDEX_TYPES)
+    def test_a_non_finite_query_raises(self, index_type):
+        coll = self._collection(index_type)
+        before = self._state(coll)
+        nan = np.full(16, np.nan, dtype=np.float32)
+        one_inf = np.ones(16, dtype=np.float32)
+        one_inf[0] = np.inf
+        for query in (nan, one_inf):
+            with pytest.raises(VectorIndexError, match="finite"):
+                coll.query(vector=query, k=3)
+            with pytest.raises(VectorIndexError, match="finite"):
+                coll.query_ids(query, k=3)
+            with pytest.raises(VectorIndexError, match="finite"):
+                coll.query_many(vectors=np.stack([np.ones(16), query]), k=3)
+        assert self._state(coll) == before
+
+    @pytest.mark.parametrize("index_type", INDEX_TYPES)
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_a_non_positive_k_raises(self, index_type, k):
+        coll = self._collection(index_type)
+        empty = Collection("empty", 16, index_type=index_type)
+        probe = np.ones(16, dtype=np.float32)
+        for target in (coll, empty):
+            with pytest.raises(VectorIndexError, match="k must be positive"):
+                target.query(vector=probe, k=k)
+            with pytest.raises(VectorIndexError, match="k must be positive"):
+                target.query_ids(probe, k=k)
+            with pytest.raises(VectorIndexError, match="k must be positive"):
+                target.query_many(vectors=probe[None, :], k=k)
