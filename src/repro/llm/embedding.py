@@ -208,9 +208,12 @@ class EmbeddingModel:
     _pinned_doc_freq: Optional[Dict[str, int]] = field(default=None, repr=False)
     _pinned_num_docs: int = field(default=0, repr=False)
     _stale_docs: int = field(default=0, repr=False)
-    # Memo: text -> row of ``_memo_rows``, which doubles up to ``MEMO_ROWS``.
+    # Memo: text -> row of ``_memo_rows``, which doubles up to ``MEMO_ROWS``;
+    # ``_memo_views[row]`` is that row's view, so a hit in ``embed`` copies
+    # it without indexing the array.
     _memo: Dict[str, int] = field(default_factory=dict, repr=False, compare=False)
     _memo_rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _memo_views: List[np.ndarray] = field(default_factory=list, repr=False, compare=False)
     generation: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -448,6 +451,7 @@ class EmbeddingModel:
             if rows is not None:
                 grown[: len(rows)] = rows
             self._memo_rows = rows = grown
+            self._memo_views = list(grown)
         rows[slot] = row
         memo[text] = slot
 
@@ -461,7 +465,7 @@ class EmbeddingModel:
             raise TokenizerError(f"embed needs a str text, got {type(text).__name__}")
         slot = self._memo.get(text)
         if slot is not None:
-            return self._memo_rows[slot].copy()  # type: ignore[index]
+            return self._memo_views[slot].copy()
         row = self._embed_one(text)
         self._remember(text, row)
         return row
