@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import PlanError
 from .catalog import DataLake, LakeAsset
-from .linking import EmbeddingLinker, LinkedAsset, singularize
+from .linking import EmbeddingLinker, singularize
 from .plan import Plan
 
 _LAKE_QUERY_RE = re.compile(

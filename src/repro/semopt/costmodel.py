@@ -17,7 +17,6 @@ depends on them (every applied transformation is exact).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -26,7 +25,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..llm.model import SimLLM
 from ..llm.skills import compile_predicate
-from ..unstructured.operators import SemanticOperators, _judge_prompt
+from ..unstructured.operators import SemanticOperators, _judge_prompts
 from .plan import Record, SemFilter
 
 #: Relative per-row cost units, expressed in *simulated dollars* so rule /
@@ -84,9 +83,7 @@ class SemCostModel:
 
     def judge_call_usd(self, example: Record, predicate: str) -> float:
         """Dollar price of one judge call on a representative prompt."""
-        prompt = _judge_prompt(
-            example, predicate, predicate.strip().lower().startswith("is_about")
-        )
+        prompt = _judge_prompts([example], predicate)[0]
         input_tokens = self.llm.tokenizer.count(prompt)
         return self.llm.spec.cost.usage(input_tokens, 1).usd
 

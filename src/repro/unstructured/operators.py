@@ -115,16 +115,14 @@ def _topic_of(predicate: str) -> str:
     return predicate.strip()[len("is_about") :].strip().strip("'\"")
 
 
-def _judge_head(predicate: str) -> str:
-    return _prompt_head(
+def _judge_prompts(rows: Sequence[Record], predicate: str) -> List[str]:
+    """Each row's judge prompt: one rendered head plus the row's input."""
+    head = _prompt_head(
         "judge", "Decide whether the item satisfies the predicate.", {"predicate": predicate}
     )
-
-
-def _judge_prompt(record: Record, predicate: str, topical: bool) -> str:
-    return _judge_head(predicate) + (
-        _record_text(record) if topical else json.dumps(record, sort_keys=True)
-    )
+    if _is_topical(predicate):
+        return [head + _record_text(row) for row in rows]
+    return [head + json.dumps(row, sort_keys=True) for row in rows]
 
 
 class SemanticOperators:
@@ -192,11 +190,7 @@ class SemanticOperators:
         decisions = self.filter_decisions(rows, predicate, cascade=cascade, stats=stats)
         pending = [i for i, decision in enumerate(decisions) if decision is None]
         if pending:
-            head = _judge_head(predicate)
-            if _is_topical(predicate):
-                prompts = [head + _record_text(rows[i]) for i in pending]
-            else:
-                prompts = [head + json.dumps(rows[i], sort_keys=True) for i in pending]
+            prompts = _judge_prompts([rows[i] for i in pending], predicate)
             responses = self.llm.generate_many(prompts, tag=tag)
             for i, response in zip(pending, responses):
                 decisions[i] = response.text.strip().lower().startswith("y")
