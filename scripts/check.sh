@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Pre-commit gate: ruff -> mypy (analysis/faults/semopt, strict) -> repro-lint -> tier-1
-# -> chaos smoke -> perf smoke -> perfbench smoke -> traced lake smoke.
+# -> chaos smoke -> perf smoke -> perfbench smoke -> traced lake and stream smokes.
 #
 # Usage (from the repo root):
 #     bash scripts/check.sh
@@ -79,6 +79,12 @@ done
 step "traced lake smoke (perfbench/run.py --workload lake_analytics --trace 1)"
 python3 perfbench/run.py --workload lake_analytics --seed 1 --seconds 1 --trace 1 \
     || { echo "traced lake smoke failed"; failures=$((failures + 1)); }
+
+# Traced stream smoke: the same three-pass check over the ingest path
+# (dedup, embedding, index writes) and the searches beside it.
+step "traced stream smoke (perfbench/run.py --workload stream_ingest_query --trace 1)"
+python3 perfbench/run.py --workload stream_ingest_query --seed 1 --seconds 1 --trace 1 \
+    || { echo "traced stream smoke failed"; failures=$((failures + 1)); }
 
 echo
 if [ "$failures" -ne 0 ]; then

@@ -414,10 +414,12 @@ class Table:
     ) -> "Table":
         """Group and aggregate.
 
-        ``aggregates`` maps output column -> (function, input column); the
-        input column is ignored for ``count``. Functions: count, sum, avg,
-        min, max. With no keys the output is one row, also over zero rows
-        (``count`` 0, ``sum`` 0.0, the others None), as SQL answers an
+        ``aggregates`` maps output column -> (function, input column).
+        Functions: count, sum, avg, min, max; all but ``count`` skip missing
+        cells. ``count`` with an empty input column counts rows (SQL's
+        ``COUNT(*)``), and with a named one its non-missing cells
+        (``COUNT(col)``). With no keys the output is one row, also over zero
+        rows (``count`` 0, ``sum`` 0.0, the others None), as SQL answers an
         aggregate without GROUP BY.
         """
         for key in keys:
@@ -425,7 +427,7 @@ class Table:
         for fn, col in aggregates.values():
             if fn not in _AGGREGATES:
                 raise SchemaError(f"unknown aggregate {fn!r}")
-            if fn != "count":
+            if fn != "count" or col:
                 self.schema.column(col)
         out_cols = [self.schema.column(k) for k in keys]
         for out_name, (fn, _col) in aggregates.items():
@@ -437,16 +439,19 @@ class Table:
             groups.setdefault(tuple(cells[p] for cells in key_cells), []).append(p)
         if not keys and not groups:
             groups[()] = []
-        inputs = {col: self.cells(col) for fn, col in aggregates.values() if fn != "count"}
+        inputs = {col: self.cells(col) for _fn, col in aggregates.values() if col}
         out_rows = []
         for key_values, members in sorted(groups.items(), key=lambda kv: str(kv[0])):
             agg_row: Row = dict(zip(keys, key_values))
             for out_name, (fn, col) in aggregates.items():
-                if fn == "count":
+                if fn == "count" and not col:
                     agg_row[out_name] = len(members)
                     continue
                 cells = inputs[col]
                 values = [cells[p] for p in members if cells[p] is not None]
+                if fn == "count":
+                    agg_row[out_name] = len(values)
+                    continue
                 try:
                     result = _AGGREGATES[fn](values)
                     agg_row[out_name] = float(result) if result is not None else None

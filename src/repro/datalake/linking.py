@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..llm.embedding import EmbeddingModel
 from ..llm.tokenizer import default_tokenizer
 from .catalog import DataLake, LakeAsset
@@ -80,15 +78,10 @@ class EmbeddingLinker:
         )
 
     def link(self, query: str, k: int = 3) -> List[LinkedAsset]:
-        """The ``k`` best assets, best first, in ``np.argsort(-scores)``
-        order. Distinct scores have one descending order, which a Python
-        sort finds; tied scores keep numpy's order."""
-        scores = self._matrix @ self.embedder.embed(expand_query(query))
-        values = scores.tolist()
-        if len(set(values)) == len(values):
-            order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-        else:
-            order = np.argsort(-scores).tolist()
+        """The ``k`` best assets, best first; tied scores keep catalog order
+        (a stable sort, so the order does not depend on the CPU's sort)."""
+        values = (self._matrix @ self.embedder.embed(expand_query(query))).tolist()
+        order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
         return [LinkedAsset(self._assets[i], values[i]) for i in order[: max(k, 1)]]
 
     def scores(self, query: str) -> Dict[str, float]:

@@ -151,7 +151,7 @@ def execute_sql(sql: str, tables: Dict[str, Table]) -> Table:
             fn = amatch.group("fn").lower()
             col = _strip_qualifier(amatch.group("col"))
             out_name = f"{fn}_{col}".replace("*", "all")
-            aggregates[out_name] = (fn if fn != "count" or col == "*" else fn, col if col != "*" else "")
+            aggregates[out_name] = (fn, col if col != "*" else "")
         elif item == "*":
             plain_cols = current.schema.names()
         else:
@@ -159,12 +159,8 @@ def execute_sql(sql: str, tables: Dict[str, Table]) -> Table:
 
     if aggregates:
         keys = [query.group_by] if query.group_by else []
-        fixed = {
-            name: (("count", keys[0] if keys else current.schema.names()[0]) if fn == "count" else (fn, col))
-            for name, (fn, col) in aggregates.items()
-        }
         try:
-            current = current.group_by(keys, fixed)
+            current = current.group_by(keys, aggregates)
         except SchemaError as exc:
             raise ExecutionError(str(exc)) from exc
     elif plain_cols:

@@ -133,7 +133,7 @@ def execute_spec(spec: VizSpec, tables: Dict[str, Table]) -> List[Tuple[str, flo
     if spec.agg:
         grouped = table.group_by(
             [spec.x],
-            {"value": ("count", spec.x) if spec.agg == "count" else (spec.agg, spec.y)},
+            {"value": ("count", "") if spec.agg == "count" else (spec.agg, spec.y)},
         )
         points = [(str(r[spec.x]), float(r["value"])) for r in grouped.rows]
     else:

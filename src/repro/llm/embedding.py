@@ -66,12 +66,13 @@ import math
 import mmap
 from collections import Counter
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError, TokenizerError
-from ..utils import normalize, stable_hash
+from ..utils import normalize
 from .tokenizer import Tokenizer, default_tokenizer
 
 #: Rows the per-model embedding memo holds before evicting the oldest.
@@ -341,7 +342,14 @@ class EmbeddingModel:
 
     def _key_vectors(self, keys: Sequence[str]) -> np.ndarray:
         """Fresh ``(len(keys), dim)`` float32 unit vectors of ``keys``."""
-        return self._seed_vectors([stable_hash(f"emb:{self.seed}:{key}") for key in keys])
+        # stable_hash(f"emb:{seed}:{key}"), its prefix hashed once per call.
+        prefix = blake2b(f"emb:{self.seed}:".encode("utf-8"), digest_size=8)
+        seeds = []
+        for key in keys:
+            digest = prefix.copy()
+            digest.update(key.encode("utf-8"))
+            seeds.append(int.from_bytes(digest.digest(), "big"))
+        return self._seed_vectors(seeds)
 
     def _seed_vectors(self, seeds: Sequence[int]) -> np.ndarray:
         """Row ``i`` is the first ``standard_normal(dim)`` draw of
@@ -384,7 +392,7 @@ class EmbeddingModel:
         if slot is not None:
             return self._slab[slot]  # type: ignore[index]
         vec = self._key_vectors([key])[0]
-        self._slab_rows()[self._claim(key)] = vec
+        self._slab_rows()[self._claim([key])] = vec
         return vec
 
     def _key_rows(self, keys: List[str]) -> np.ndarray:
@@ -412,7 +420,7 @@ class EmbeddingModel:
             # Past the slab's rows the chunk's later keys would evict its
             # earlier ones: store the last rows only, each row written once.
             keep = min(len(new_keys), len(slab))
-            slab[[self._claim(key) for key in new_keys[-keep:]]] = vectors[-keep:]
+            slab[self._claim(new_keys[-keep:])] = vectors[-keep:]
         return rows
 
     def _slab_rows(self) -> np.ndarray:
@@ -424,19 +432,22 @@ class EmbeddingModel:
             self._slab = np.frombuffer(buffer, dtype=np.float32).reshape(KEY_ROWS, self.dim)
         return self._slab
 
-    def _claim(self, key: str) -> int:
-        """A slab row for ``key`` (not stored yet): the next free row, or
-        once the slab is full the row of the oldest stored key, evicted."""
+    def _claim(self, keys: List[str]) -> List[int]:
+        """Slab rows for ``keys`` (distinct, not stored yet, no more than the
+        slab's rows), in order: the next free rows, then, once the slab is
+        full, the rows of the oldest stored keys, evicted."""
         rows = len(self._slab_rows())
-        slot = self._stored % rows
-        if self._stored < rows:
-            self._owners.append(key)
-        else:
-            del self._keys[self._owners[slot]]
-            self._owners[slot] = key
-        self._keys[key] = slot
-        self._stored += 1
-        return slot
+        start = self._stored
+        slots = [slot % rows for slot in range(start, start + len(keys))]
+        free = min(max(rows - start, 0), len(keys))
+        owners, stored = self._owners, self._keys
+        owners.extend(keys[:free])
+        for slot, key in zip(slots[free:], keys[free:]):
+            del stored[owners[slot]]
+            owners[slot] = key
+        stored.update(zip(keys, slots))
+        self._stored += len(keys)
+        return slots
 
     def _remember(self, text: str, row: np.ndarray) -> None:
         """Copy ``row`` into the memo under ``text``: into the next free memo
@@ -538,50 +549,11 @@ class EmbeddingModel:
         ops do not reassociate across rows), so every intermediate rounding
         step matches the sequential path exactly.
         """
-        token_lists = self.tokenizer.content_tokens_many(texts)
-        n = len(token_lists)
-        key_ids: Dict[str, int] = {}
-        key_of = key_ids.setdefault
-        idf_cache: Dict[str, float] = {}
-        stem_weight = self.stem_weight
-        stem_len = self.stem_len
-        bigram_weight = self.bigram_weight
-        contrib_ids: List[List[int]] = []
-        contrib_weights: List[List[float]] = []
-        empty_id = -1
-        for tokens in token_lists:
-            if not tokens and empty_id < 0:
-                empty_id = key_of("<empty>", len(key_ids))
-            ids: List[int] = []
-            weights: List[float] = []
-            for token in tokens:
-                weight = idf_cache.get(token)
-                if weight is None:
-                    weight = idf_cache[token] = self._idf(token)
-                ids.append(key_of(token, len(key_ids)))
-                weights.append(weight)
-                if stem_weight > 0 and len(token) > stem_len:
-                    ids.append(key_of(token[:stem_len], len(key_ids)))
-                    weights.append(weight * stem_weight)
-            if bigram_weight > 0:
-                for left, right in zip(tokens, tokens[1:]):
-                    ids.append(key_of(f"{left}##{right}", len(key_ids)))
-                    weights.append(bigram_weight)
-            contrib_ids.append(ids)
-            contrib_weights.append(weights)
+        key_ids, ids, weights, counts = self._contributions(texts)
         table = self._key_rows(list(key_ids))
-        counts = np.array([len(ids) for ids in contrib_ids], dtype=np.int64)
+        n = len(texts)
         order = np.argsort(-counts, kind="stable")
         sorted_counts = counts[order]
-        flat_ids = np.array(
-            [i for ids in contrib_ids for i in ids], dtype=np.int64
-        )
-        # Weights are float64 in the scalar path until they hit the float32
-        # accumulator; NEP 50 converts them to float32 at that point, so
-        # pre-casting the weight array reproduces the same rounding.
-        flat_weights = np.array(
-            [w for weights in contrib_weights for w in weights], dtype=np.float32
-        )
         offsets = np.zeros(n, dtype=np.int64)
         np.cumsum(counts[:-1], out=offsets[1:])
         sorted_offsets = offsets[order]
@@ -596,14 +568,65 @@ class EmbeddingModel:
             if active == 0:
                 break
             src = sorted_offsets[:active] + step
-            acc[:active] += (
-                flat_weights[src][:, None] * table[flat_ids[src]]
-            )
+            acc[:active] += weights[src][:, None] * table[ids[src]]
         out = np.empty((n, self.dim), dtype=np.float32)
         out[order] = acc
-        for i, tokens in enumerate(token_lists):
-            out[i] = normalize(out[i]).astype(np.float32) if tokens else table[empty_id]
+        for i, count in enumerate(counts.tolist()):
+            out[i] = normalize(out[i]).astype(np.float32) if count else table[key_ids["<empty>"]]
         return out
+
+    def _contributions(
+        self, texts: List[str]
+    ) -> Tuple[Dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+        """Every text's key contributions, flat, in :meth:`_embed_one`'s order.
+
+        Returns ``(key_ids, ids, weights, counts)``: key ids in first-use
+        order, each contribution's key id and weight, and each text's count
+        (0 for a text without tokens, whose row is the ``"<empty>"`` key's).
+        A call of its own, so its token lists are freed before the key rows
+        are gathered (a refresh re-embed's peak memory).
+        """
+        key_ids: Dict[str, int] = {}
+        key_of = key_ids.setdefault
+        # A token's key ids and weights (its own, then its stem's), built at
+        # its first occurrence, so ids are numbered in first-use order.
+        token_terms: Dict[str, Tuple[List[int], List[float]]] = {}
+        stem_weight = self.stem_weight
+        stem_len = self.stem_len
+        bigram_weight = self.bigram_weight
+        flat_ids: List[int] = []
+        flat_weights: List[float] = []
+        add_ids = flat_ids.extend
+        add_weights = flat_weights.extend
+        counts = np.empty(len(texts), dtype=np.int64)
+        for t, tokens in enumerate(self.tokenizer.content_tokens_many(texts)):
+            if not tokens:
+                key_of("<empty>", len(key_ids))
+            start = len(flat_ids)
+            for token in tokens:
+                terms = token_terms.get(token)
+                if terms is None:
+                    weight = self._idf(token)
+                    terms = token_terms[token] = ([key_of(token, len(key_ids))], [weight])
+                    if stem_weight > 0 and len(token) > stem_len:
+                        terms[0].append(key_of(token[:stem_len], len(key_ids)))
+                        terms[1].append(weight * stem_weight)
+                add_ids(terms[0])
+                add_weights(terms[1])
+            if bigram_weight > 0 and len(tokens) > 1:
+                add_ids([key_of(f"{left}##{right}", len(key_ids))
+                         for left, right in zip(tokens, tokens[1:])])
+                add_weights([bigram_weight] * (len(tokens) - 1))
+            counts[t] = len(flat_ids) - start
+        # Weights are float64 in the scalar path until they hit the float32
+        # accumulator; NEP 50 converts them to float32 at that point, so
+        # pre-casting the weight array reproduces the same rounding.
+        return (
+            key_ids,
+            np.array(flat_ids, dtype=np.int64),
+            np.array(flat_weights, dtype=np.float32),
+            counts,
+        )
 
     def similarity(self, a: str, b: str) -> float:
         """Cosine similarity of two texts under this model."""

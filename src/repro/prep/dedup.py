@@ -54,8 +54,9 @@ from ..utils import derive_rng, stable_hash
 
 _MERSENNE = (1 << 61) - 1
 
-# Shingle-value block size per signature kernel call: bounds the (P, block)
-# int64 buffers to a few MB (measured fastest width on the perf harness).
+# Shingle-value block size per signature kernel call: caps the (P, block)
+# int64 buffers at 16 MiB each for P = 64 (measured fastest width on the
+# perf harness); a call with fewer values sizes them to its values.
 _SIGNATURE_BLOCK = 1 << 15
 
 
@@ -497,7 +498,10 @@ class MinHashDeduper:
         np.cumsum(sizes[:-1], out=offsets[1:])
         a = self._a[:, None]
         b = self._b[:, None]
-        width = max(_SIGNATURE_BLOCK, int(sizes.max()))
+        # Buffers sized to the call: a stream batch's few thousand values fill
+        # one small block, where full-width rows (256 KiB apart) would touch
+        # every huge page numpy advises for 32 MiB of buffers.
+        width = max(min(_SIGNATURE_BLOCK, values.shape[0]), int(sizes.max()))
         kernel_buf = np.empty((self.num_permutations, width), dtype=np.int64)
         shift_buf = np.empty_like(kernel_buf)
         start = 0
@@ -684,7 +688,9 @@ class MinHashDeduper:
             [d.text for d in new_docs], self.shingle_size
         )
         signatures = self.signature_many(shingle_values)
-        banded = signatures.reshape(len(new_docs), self.bands, self.rows_per_band)
+        # A band's key is its rows' bytes, sliced from one copy of the matrix.
+        raw = signatures.tobytes()
+        band_bytes = self.rows_per_band * signatures.itemsize
         lo: List[int] = []
         hi: List[int] = []
         for i, doc in enumerate(new_docs):
@@ -694,11 +700,13 @@ class MinHashDeduper:
             store.parent.append(s)
             store.kept.append(False)
             partners: Set[int] = set()
-            for band in range(self.bands):
-                key = banded[i, band].tobytes()
-                bucket = store.buckets[band].get(key)
+            at = i * self.bands * band_bytes
+            for buckets in store.buckets:
+                key = raw[at : at + band_bytes]
+                at += band_bytes
+                bucket = buckets.get(key)
                 if bucket is None:
-                    store.buckets[band][key] = [s]
+                    buckets[key] = [s]
                 else:
                     partners.update(bucket)
                     bucket.append(s)

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..data.synth import TrainingDocument
-from ..errors import ConfigError
+from ..errors import ConfigError, PipelineError
 from ..llm.embedding import EmbeddingModel
 from ..prep.dedup import MinHashDeduper
 from ..vector.database import Collection
@@ -115,7 +115,25 @@ class StreamingCorpus:
         bridge document may both evict an old representative and itself be
         rejected), inserts are embedded under the current IDF pin, and the
         drift check runs last so a refresh re-embeds the batch too.
+
+        A batch holding an item that is not a :class:`TrainingDocument`, a
+        document whose ``text`` is not a ``str``, or two documents with one
+        ``doc_id`` raises :class:`~repro.errors.PipelineError` before the
+        deduper, the embedder or the index sees any of it.
         """
+        doc_ids = set()
+        for doc in docs:
+            if not isinstance(doc, TrainingDocument):
+                raise PipelineError(
+                    f"ingest needs TrainingDocument items, got {type(doc).__name__}"
+                )
+            if not isinstance(doc.text, str):
+                raise PipelineError(
+                    f"document {doc.doc_id!r} has a {type(doc.text).__name__} text, not a str"
+                )
+            if doc.doc_id in doc_ids:
+                raise PipelineError(f"doc_id {doc.doc_id!r} occurs twice in one batch")
+            doc_ids.add(doc.doc_id)
         result = self.deduper.dedup_incremental(docs)
         for doc_id in result.evicted:
             self.collection.delete(doc_id)

@@ -57,6 +57,7 @@ class IVFIndex(VectorIndex):
         self.rebalance_skew = rebalance_skew
         self.seed = seed
         self._centroids: np.ndarray = np.zeros((0, dim), dtype=np.float32)
+        self._centroid_sq: np.ndarray = np.zeros(0, dtype=np.float32)  # ‖c‖² per cell
         self._cells: Dict[int, List[int]] = {}
         # Per-cell contiguous storage (rows, vectors, squared norms), built
         # lazily per cell and dropped when the cell changes — the inverted
@@ -81,34 +82,43 @@ class IVFIndex(VectorIndex):
             min(self.nlist, len(live_rows)),
             seed=self.seed,
         )
-        self._centroids = result.centroids
+        self._retrain(live_rows, result.centroids, result.assignments)
+        self._trained = True
+
+    def _retrain(self, rows: np.ndarray, centroids: np.ndarray, cells: np.ndarray) -> None:
+        """Adopt new centroids, with ``rows`` (every live row) in ``cells``."""
+        self._centroids = centroids
+        self._centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
         self._cells = {}
         self._cell_arrays = {}
         self._row_cell = {}
         self._cell_live = {}
-        for local, row in enumerate(live_rows):
-            cell = int(result.assignments[local])
-            self._cells.setdefault(cell, []).append(int(row))
-            self._row_cell[int(row)] = cell
-            self._cell_live[cell] = self._cell_live.get(cell, 0) + 1
-        self._trained = True
+        self._place(rows, cells)
 
-    def _assign_cell(self, vector: np.ndarray) -> int:
-        diff = self._centroids - vector
-        return int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+    def _place(self, rows: np.ndarray, cells: np.ndarray) -> None:
+        """Append each row to its cell and count it live there."""
+        cell_rows, row_cell, cell_live = self._cells, self._row_cell, self._cell_live
+        for row, cell in zip(rows.tolist(), cells.tolist()):
+            cell_rows.setdefault(cell, []).append(row)
+            row_cell[row] = cell
+            cell_live[cell] = cell_live.get(cell, 0) + 1
 
     def _on_add(self, rows: np.ndarray, vectors: np.ndarray) -> None:
-        if self._trained:
-            # Incremental insert: nearest-centroid assignment per new row,
-            # occupancy tracked so maybe_rebalance can detect drift.
-            for row, vec in zip(rows, vectors):
-                cell = self._assign_cell(vec)
-                self._cells.setdefault(cell, []).append(int(row))
-                self._row_cell[int(row)] = cell
-                self._cell_live[cell] = self._cell_live.get(cell, 0) + 1
-                self._cell_arrays.pop(cell, None)
-        else:
+        if not self._trained:
             self._maybe_train()
+            return
+        # Incremental insert: each new row joins its nearest centroid's cell
+        # (the first on a tie), and occupancy is tracked so maybe_rebalance
+        # can detect drift. One pass per centroid computes every new row's
+        # squared distance to it exactly as a pass per row would.
+        dist = np.empty((len(rows), len(self._centroids)), dtype=np.float64)
+        for j, centroid in enumerate(self._centroids):
+            diff = centroid - vectors
+            dist[:, j] = np.einsum("ij,ij->i", diff, diff)
+        cells = np.argmin(dist, axis=1)
+        self._place(rows, cells)
+        for cell in np.unique(cells).tolist():
+            self._cell_arrays.pop(cell, None)
 
     def _on_remove(self, row: int) -> None:
         if not self._trained:
@@ -135,9 +145,7 @@ class IVFIndex(VectorIndex):
         # Rank cells for all queries at once. ‖c‖² − 2·q·c orders cells
         # identically to ‖c − q‖² (the ‖q‖² term is constant per query).
         cross = queries @ self._centroids.T
-        cell_rank = np.einsum("ij,ij->i", self._centroids, self._centroids)[
-            None, :
-        ] - 2.0 * cross
+        cell_rank = self._centroid_sq[None, :] - 2.0 * cross
         nprobe = min(self.nprobe, ncells)
         if nprobe < ncells:
             probe = np.argpartition(cell_rank, nprobe - 1, axis=1)[:, :nprobe]
@@ -146,9 +154,9 @@ class IVFIndex(VectorIndex):
         # Invert to cell -> querying-query indices, then score each probed
         # cell once with a single GEMM shared by every query probing it.
         cell_to_queries: Dict[int, List[int]] = {}
-        for qi in range(nq):
-            for cell in probe[qi]:
-                cell_to_queries.setdefault(int(cell), []).append(qi)
+        for qi, cells in enumerate(probe.tolist()):
+            for cell in cells:
+                cell_to_queries.setdefault(cell, []).append(qi)
         is_l2 = self.metric == "l2"
         kk = max(k, 1)
         any_deleted = self._num_deleted > 0
@@ -174,7 +182,7 @@ class IVFIndex(VectorIndex):
             m = rows.size
             if kk < m:
                 part = np.argpartition(scores, m - kk, axis=1)[:, m - kk :]
-                sel_scores = np.take_along_axis(scores, part, axis=1)
+                sel_scores = scores[np.arange(len(query_idx))[:, None], part]
                 sel_rows = rows[part]
             else:
                 sel_scores = scores
@@ -238,16 +246,7 @@ class IVFIndex(VectorIndex):
             min(self.nlist, len(live_rows)),
             seed=derive_seed(self.seed, "ivf-rebalance", self._rebalances) % (2**31),
         )
-        self._centroids = result.centroids
-        self._cells = {}
-        self._cell_arrays = {}
-        self._row_cell = {}
-        self._cell_live = {}
-        for local, row in enumerate(live_rows):
-            cell = int(result.assignments[local])
-            self._cells.setdefault(cell, []).append(int(row))
-            self._row_cell[int(row)] = cell
-            self._cell_live[cell] = self._cell_live.get(cell, 0) + 1
+        self._retrain(live_rows, result.centroids, result.assignments)
 
     def maybe_rebalance(self) -> bool:
         """Rebalance iff live occupancy skew exceeds ``rebalance_skew``."""

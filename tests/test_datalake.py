@@ -203,18 +203,33 @@ class TestLinking:
         assert linking_recall(linker.link("x"), []) == 0.0
 
     @pytest.mark.parametrize("tied", [(0, 1), (1, 2), (0, 3), (0, 1, 2), (0, 1, 2, 3)])
-    def test_link_order_is_argsort_order_with_tied_scores(self, lake, lake_llm, tied):
+    def test_link_order_keeps_catalog_order_with_tied_scores(self, lake, lake_llm, tied):
         linker = EmbeddingLinker(lake, lake_llm.embedder)
         linker._matrix = linker._matrix.copy()
         linker._matrix[list(tied)] = linker._matrix[tied[0]]  # equal rows score equal
         for query in ("company companys", "person persons", "product products", "city"):
-            scores = linker._matrix @ lake_llm.embedder.embed(expand_query(query))
-            want = [linker._assets[i].asset_id for i in np.argsort(-scores)]
+            scores = (linker._matrix @ lake_llm.embedder.embed(expand_query(query))).tolist()
+            # Best first; among equal scores, the asset listed first first.
+            want = [
+                linker._assets[i].asset_id
+                for i in sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+            ]
             got = [la.asset.asset_id for la in linker.link(query, k=len(want))]
             assert got == want
             assert [la.score for la in linker.link(query, k=2)] == sorted(
-                scores.tolist(), reverse=True
+                scores, reverse=True
             )[:2]
+
+    def test_two_tied_assets_link_in_catalog_order(self, lake, lake_llm):
+        linker = EmbeddingLinker(lake, lake_llm.embedder)
+        linker._matrix = linker._matrix.copy()
+        first, second = 0, 1
+        linker._matrix[first] = linker._matrix[second]  # the two assets tie
+        top = linker.link(linker._assets[3].name, k=len(linker._assets))
+        ids = [la.asset.asset_id for la in top]
+        at = ids.index(linker._assets[first].asset_id)
+        assert ids[at + 1] == linker._assets[second].asset_id
+        assert top[at].score == top[at + 1].score
 
 
 class TestLakeQueryParsing:
@@ -592,6 +607,21 @@ class TestSQL:
         sql = "SELECT COUNT(*) FROM people WHERE age > 99"
         result = NL2SQLResult("q", sql, execute_sql(sql, people), 1)
         assert result.scalar == "0"
+
+    def test_count_of_a_column_skips_nulls(self):
+        # COUNT(age) counted rows, so one NULL age still gave 4, not SQL's 3.
+        schema = Schema.of(name="str", age="int", city="str")
+        rows = [("a", 1, "x"), ("b", None, "x"), ("c", 3, "y"), ("d", 4, "y")]
+        tables = {"p": Table("p", schema, [dict(zip(("name", "age", "city"), r)) for r in rows])}
+        assert execute_sql("SELECT COUNT(age) FROM p", tables).rows == [{"count_age": 3}]
+        assert execute_sql("SELECT COUNT(*) FROM p", tables).rows == [{"count_all": 4}]
+        grouped = execute_sql("SELECT city, COUNT(age), COUNT(*) FROM p GROUP BY city", tables)
+        assert grouped.rows == [
+            {"city": "x", "count_age": 1, "count_all": 2},
+            {"city": "y", "count_age": 2, "count_all": 2},
+        ]
+        with pytest.raises(ExecutionError):
+            execute_sql("SELECT COUNT(height) FROM p", tables)
 
     def test_fractional_where_on_an_int_column_is_numeric(self, people):
         # Coercing '2.5' to int raised, so the engine retried a valid query.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.data.synth import CorpusBuilder, CorpusConfig, TrainingDocument
-from repro.errors import ConfigError
+from repro.errors import ConfigError, PipelineError
 from repro.llm.embedding import EmbeddingModel
 from repro.prep.dedup import MinHashDeduper
 from repro.stream import (
@@ -310,3 +310,58 @@ class TestStreamingCorpus:
         assert coll.index.m == 6
         assert embedder.dim == 32 and embedder.seed == 2
         assert kept == corpus.live_doc_ids()
+
+
+class TestIngestBoundary:
+    """A bad batch raises a typed error and leaves every stage untouched."""
+
+    @staticmethod
+    def _state(corpus):
+        store = corpus.deduper.store
+        embedder = corpus.embedder
+        return (
+            len(store),
+            list(store.kept),
+            embedder._num_docs,
+            dict(embedder._doc_freq),
+            corpus.collection.index.total_rows,
+            corpus.live_doc_ids(),
+        )
+
+    @pytest.fixture()
+    def corpus(self):
+        corpus = StreamingCorpus(dim=32, index_type="ivf", seed=4)
+        corpus.ingest(_corpus(docs_per_domain=10, seed=4)[:40])
+        return corpus
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            _doc(900, None),
+            _doc(901, b"bytes are not text"),
+            None,
+            "a bare string is not a document",
+        ],
+    )
+    def test_non_document_or_non_str_text_raises_and_changes_nothing(self, corpus, bad):
+        before = self._state(corpus)
+        with pytest.raises(PipelineError):
+            corpus.ingest([_doc(902, "alpha beta gamma delta"), bad])
+        assert self._state(corpus) == before
+
+    def test_duplicate_doc_id_in_one_batch_raises_and_changes_nothing(self, corpus):
+        before = self._state(corpus)
+        twins = [_doc(903, "alpha beta gamma delta"), _doc(903, "epsilon zeta eta theta")]
+        with pytest.raises(PipelineError):
+            corpus.ingest(twins)
+        assert self._state(corpus) == before
+        store = corpus.deduper.store
+        survivors = sorted(d.doc_id for d, kept in zip(store.docs, store.kept) if kept)
+        assert survivors == corpus.live_doc_ids()
+
+    def test_a_good_batch_after_a_bad_one_is_admitted(self, corpus):
+        with pytest.raises(PipelineError):
+            corpus.ingest([_doc(904, "alpha beta gamma delta"), None])
+        report = corpus.ingest([_doc(904, "alpha beta gamma delta")])
+        assert report.admitted == 1
+        assert "d904" in corpus.live_doc_ids()

@@ -58,7 +58,12 @@ def _stream_run() -> dict:
     index = corpus.collection.index
     compactions = []
     compact = index.compact
-    index.compact = lambda: compactions.append(compact()) or compactions[-1]
+
+    def counted_compact():
+        compactions.append(compact())
+        return compactions[-1]
+
+    index.compact = counted_compact
     deduper = corpus.deduper
     reports, signatures = [], []
     for lo in range(0, len(docs), BATCH_DOCS):
