@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Pre-commit gate: ruff -> mypy (analysis/faults/semopt, strict) -> repro-lint -> tier-1
-# -> chaos smoke -> perf smoke -> perfbench smoke -> traced lake and stream smokes.
+# -> chaos smoke -> perf smoke -> perfbench smoke -> traced lake, stream and fleet smokes.
 #
 # Usage (from the repo root):
 #     bash scripts/check.sh
@@ -85,6 +85,12 @@ python3 perfbench/run.py --workload lake_analytics --seed 1 --seconds 1 --trace 
 step "traced stream smoke (perfbench/run.py --workload stream_ingest_query --trace 1)"
 python3 perfbench/run.py --workload stream_ingest_query --seed 1 --seconds 1 --trace 1 \
     || { echo "traced stream smoke failed"; failures=$((failures + 1)); }
+
+# Traced fleet smoke: the same three-pass check over every serving
+# simulator (flat and pool ClusterFleet, EngineFleet, DisaggEngineFleet).
+step "traced fleet smoke (perfbench/run.py --workload fleet_sim --trace 1)"
+python3 perfbench/run.py --workload fleet_sim --seed 1 --seconds 1 --trace 1 \
+    || { echo "traced fleet smoke failed"; failures=$((failures + 1)); }
 
 echo
 if [ "$failures" -ne 0 ]; then

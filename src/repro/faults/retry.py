@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigError
+from ..utils import check_finite_fields
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,7 @@ class RetryPolicy:
     max_delay_s: float = 2.0
 
     def __post_init__(self) -> None:
+        check_finite_fields(self, "base_delay_s", "multiplier", "max_delay_s")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be non-negative")
         if self.base_delay_s < 0.0:

@@ -8,9 +8,9 @@ single-engine simulator to that level, twice over:
 
 * :class:`EngineFleet` — N real :class:`~repro.inference.scheduler.
   ServingEngine` replicas driven through :meth:`ServingEngine.step` behind
-  a pluggable :class:`~repro.inference.router.Router`.  Token-level
-  fidelity: a fleet of one replica follows a **bit-identical** trajectory
-  to a bare engine (the metamorphic anchor in ``tests/test_fleet.py``).
+  a :class:`~repro.inference.router.Router`.  Token-level fidelity: a
+  fleet of one replica follows a **bit-identical** trajectory to a bare
+  engine (the metamorphic anchor in ``tests/test_fleet.py``).
   :func:`serve_engines` is the one token-level event loop; it also runs
   :class:`~repro.inference.pools.DisaggEngineFleet`, an ``EngineFleet``
   whose replicas are a prefill pool shipping KV to a decode pool.
@@ -20,8 +20,10 @@ single-engine simulator to that level, twice over:
   request and makes million-request router studies tractable.
 
 Both understand :data:`~repro.faults.REPLICA_DEATH` faults (whole-replica
-loss: queue re-routed, in-flight work retried with backoff on survivors)
-and queue-depth-driven autoscaling (:class:`AutoscalePolicy`).
+loss: queue re-routed, in-flight work retried with backoff on survivors);
+``ClusterFleet`` also scales its replica count with queue depth
+(:class:`AutoscalePolicy`) and takes exactly the three router policies
+of :mod:`repro.inference.router`.
 
 ``ClusterFleet.run`` delegates to the one request-level fleet event loop,
 :func:`repro.inference.pools.run_pool_fleet`: a plain fleet is the
@@ -29,11 +31,10 @@ all-colocated pool layout ``PoolSpec(colocated=n_replicas)``.  That loop
 shards the event heap (per-replica finish heaps merged by a top-of-heap
 tournament, arrivals read straight off the sorted workload columns),
 keeps packed integer load keys incrementally, and scans per-prefix
-holder lists for prefix-aware routing; custom routers still see the
-NumPy-column :class:`~repro.inference.router.RouterState` contract.
-The frozen naive fleet DES (``benchmarks/perf/_legacy_fleet.py``: one
-global event heap, epoch tombstones, per-decision rescans) pins plain
-fleets bitwise (``FleetResult.equals``).
+holder lists for prefix-aware routing.  The frozen naive fleet DES
+(``benchmarks/perf/_legacy_fleet.py``: one global event heap, epoch
+tombstones, per-decision rescans) pins plain fleets bitwise
+(``FleetResult.equals``).
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ import numpy as np
 
 from ..errors import ConfigError, SchedulerError
 from ..faults import REPLICA_DEATH, FaultEvent, FaultPlan, RetryPolicy, pool_target, slot_target
-from ..utils import derive_rng, percentile
+from ..utils import check_finite_fields, derive_rng, percentile
 from .request import SLO, Request
-from .router import Router, RouterState
+from .router import LeastLoadedRouter, PrefixAwareRouter, RandomRouter, Router, RouterState
 from .scheduler import STEP_HANDOFF, STEP_IDLE, ServingEngine
 from .transfer import TransferModel
 
@@ -58,6 +59,10 @@ if TYPE_CHECKING:  # pools imports fleet; the reverse edge is lazy
     from .pools import PoolSpec
 
 _INF = float("inf")
+
+#: The router types the pool DES realizes on its own load keys, in the
+#: order of its routing modes; a decode router is one of the first two.
+_ROUTER_TYPES = (RandomRouter, LeastLoadedRouter, PrefixAwareRouter)
 
 
 # ============================================================== workloads
@@ -80,8 +85,15 @@ class FleetWorkload:
 
     def __post_init__(self) -> None:
         n = self.arrival_s.shape[0]
+        if self.arrival_s.ndim != 1 or self.arrival_s.dtype.kind not in "iuf":
+            raise ConfigError("arrival_s must be a 1-D real column")
+        if not bool(np.isfinite(self.arrival_s).all()):
+            raise ConfigError("arrival_s must be finite")
         for name in ("prompt_tokens", "output_tokens", "prefix_code", "prefix_tokens"):
-            if getattr(self, name).shape[0] != n:
+            column = getattr(self, name)
+            if column.ndim != 1 or column.dtype.kind not in "iu":
+                raise ConfigError(f"workload column {name!r} must be a 1-D integer column")
+            if column.shape[0] != n:
                 raise ConfigError(f"workload column {name!r} length mismatch")
         if n and bool(np.any(self.arrival_s[1:] < self.arrival_s[:-1])):
             raise ConfigError("arrival_s must be sorted non-decreasing")
@@ -204,6 +216,7 @@ class ReplicaModel:
     block_tokens: int = 64
 
     def __post_init__(self) -> None:
+        check_finite_fields(self, "base_s", "per_prefill_token_s", "per_output_token_s")
         if self.slots <= 0:
             raise ConfigError("slots must be positive")
         if self.kv_capacity_tokens <= 0:
@@ -236,6 +249,12 @@ class AutoscalePolicy:
     spawn_delay_s: float = 10.0
 
     def __post_init__(self) -> None:
+        check_finite_fields(
+            self,
+            "interval_s",
+            "spawn_delay_s",
+            allow_inf=("high_queue_per_replica", "low_queue_per_replica"),
+        )
         if self.min_replicas <= 0 or self.max_replicas < self.min_replicas:
             raise ConfigError("need 0 < min_replicas <= max_replicas")
         if self.low_queue_per_replica < 0.0 or (
@@ -439,13 +458,13 @@ class ClusterFleet:
     identical order through one global priority heap, which the parity
     suite exploits.
 
-    The three built-in router policies are specialized against
-    incrementally maintained packed integer load keys (the seeded-uniform stream of a
-    :class:`~repro.inference.router.RandomRouter` is drawn in blocks from
-    its ``stream``).  A custom :class:`~repro.inference.router.Router`
-    subclass still works: the fleet syncs the
-    :class:`~repro.inference.router.RouterState` columns and calls
-    ``route`` per request (correct, but off the fast path).
+    ``router`` is a :class:`~repro.inference.router.RandomRouter`,
+    :class:`~repro.inference.router.LeastLoadedRouter` or
+    :class:`~repro.inference.router.PrefixAwareRouter`, and
+    ``decode_router`` one of the first two; the loop specializes each
+    against incrementally maintained packed integer load keys (a
+    ``RandomRouter``'s seeded-uniform stream is drawn in blocks from its
+    ``stream``).  Any other router raises ``ConfigError`` here.
     """
 
     def __init__(
@@ -469,6 +488,16 @@ class ClusterFleet:
             )
         if pools is None and decode_router is not None:
             raise ConfigError("decode_router needs a pool spec to route over")
+        if type(router) not in _ROUTER_TYPES:
+            raise ConfigError(
+                f"router must be a RandomRouter, LeastLoadedRouter or PrefixAwareRouter, "
+                f"not {type(router).__name__}"
+            )
+        if decode_router is not None and type(decode_router) not in _ROUTER_TYPES[:2]:
+            raise ConfigError(
+                "decode_router must be a RandomRouter or LeastLoadedRouter, "
+                f"not {type(decode_router).__name__}"
+            )
         self.router = router
         self.model = model or ReplicaModel()
         self.retry = retry or RetryPolicy()
@@ -505,16 +534,6 @@ class _EngineReplica:
         self.engine = engine
         self.pending: Deque[Request] = deque()
         self.active = False
-        self.draining = False
-
-    def idle(self) -> bool:
-        engine = self.engine
-        return (
-            not self.pending
-            and not engine.running
-            and not engine._preempted
-            and not engine._retry_queue
-        )
 
 
 class EngineFleet:
@@ -522,8 +541,9 @@ class EngineFleet:
 
     Replicas advance through :meth:`ServingEngine.step`, each on its own
     clock; :func:`serve_engines` interleaves replica steps with routed
-    arrivals, replica-death faults, fleet-level retries, and autoscale
-    ticks in deterministic (time, priority) order.  With one replica and no
+    arrivals, replica-death faults and fleet-level retries in
+    deterministic (time, priority) order.  The replica count is fixed:
+    a dead replica's slot stays empty.  With one replica and no
     fleet faults, the driven engine's trajectory — every timestamp,
     iteration count, and KV decision — is bit-identical to ``engine.run()``
     on the same requests, whatever the router policy (the metamorphic
@@ -553,28 +573,21 @@ class EngineFleet:
         *,
         faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
-        autoscale: Optional[AutoscalePolicy] = None,
     ) -> None:
         if n_replicas <= 0:
             raise ConfigError("n_replicas must be positive")
         self._deaths = _death_events(faults)
-        self.engine_factory = engine_factory
         self.router = router
         self.retry = retry or RetryPolicy()
-        self.autoscale = autoscale
-        self.max_replicas = (
-            max(n_replicas, autoscale.max_replicas) if autoscale else n_replicas
-        )
         self.replicas: List[Optional[_EngineReplica]] = [
             _EngineReplica(engine_factory()) for _ in range(n_replicas)
-        ] + [None] * (self.max_replicas - n_replicas)
+        ]
         sample = self.replicas[0].engine  # type: ignore[union-attr]
         capacity = getattr(sample.allocator, "capacity_tokens", None)
         self._kv_proxy = capacity is None
         self._kv_span = int(capacity) if capacity is not None else max(sample.max_running, 1)
-        self.state = RouterState(self.max_replicas, self._kv_span)
-        for r in range(n_replicas):
-            self.state.routable[r] = True
+        self.state = RouterState(n_replicas, self._kv_span)
+        self.state.routable[:] = True
         self.state.rebuild_routable()
         self.router.bind(self.state)
         self.decode: List[_EngineReplica] = []
@@ -584,8 +597,6 @@ class EngineFleet:
         self.retries = 0
         self.rejected = 0
         self.deaths = 0
-        self.spawns = 0
-        self.drains = 0
         self.reroutes = 0
         self.handoffs = 0
         self.reprefills = 0
@@ -703,10 +714,6 @@ class EngineFleet:
         self.state.clear_replica(r)
         self.router.on_membership_change()
 
-    def _retire(self, r: int) -> None:
-        self._remove(r)
-        self.drains += 1
-
     def _absorb_death(
         self,
         event: FaultEvent,
@@ -714,8 +721,7 @@ class EngineFleet:
         seq: List[int],
     ) -> None:
         alive = [w is not None for w in self.replicas]
-        draining = [w is not None and w.draining for w in self.replicas]
-        victim = _death_victim(event, alive, draining, self.deaths)
+        victim = _death_victim(event, alive, [False] * len(alive), self.deaths)
         if victim < 0:
             return
         self.fault_log.append(event)
@@ -748,11 +754,11 @@ def serve_engines(fleet: EngineFleet, requests: Sequence[Request]) -> List[Reque
     """The one token-level serving loop, for every :class:`EngineFleet`.
 
     Picks the earliest event each turn, at equal times in the order death
-    < spawn < retry < KV delivery < arrival < engine step < autoscale
-    tick; engine steps tie-break on replica index, then decode index.  A
-    prefill engine reporting :data:`STEP_HANDOFF` has its finished
-    prefills shipped (:meth:`EngineFleet._ship`); each lands as a delivery
-    on the decode pool.  Returns ``requests`` as given, served in place.
+    < retry < KV delivery < arrival < engine step; engine steps tie-break
+    on replica index, then decode index.  A prefill engine reporting
+    :data:`STEP_HANDOFF` has its finished prefills shipped
+    (:meth:`EngineFleet._ship`); each lands as a delivery on the decode
+    pool.  Returns ``requests`` as given, served in place.
     """
     order = sorted(requests, key=lambda r: r.arrival_s)
     n = len(order)
@@ -763,13 +769,9 @@ def serve_engines(fleet: EngineFleet, requests: Sequence[Request]) -> List[Reque
     retry_heap: List[Tuple[float, int, Request]] = []
     handoff_heap: List[Tuple[float, int, Request]] = []
     seq = [0]
-    spawn_heap: List[float] = []
     di = 0
-    scale = fleet.autoscale
-    tick = scale.interval_s if scale is not None else _INF
     while True:
         t_death = death_list[di].at_s if di < len(death_list) else _INF
-        t_spawn = spawn_heap[0] if spawn_heap else _INF
         t_retry = retry_heap[0][0] if retry_heap else _INF
         t_deliver = handoff_heap[0][0] if handoff_heap else _INF
         t_arr = order[ptr].arrival_s if ptr < n else _INF
@@ -783,21 +785,15 @@ def serve_engines(fleet: EngineFleet, requests: Sequence[Request]) -> List[Reque
             if w.active and w.engine.now < t_step:
                 t_step = w.engine.now
                 w_step = w
-        work_left = ptr < n or retry_heap or handoff_heap or w_step is not None
-        t_tick = tick if (scale is not None and work_left) else _INF
         best_t, best_kind = t_death, 0
-        if t_spawn < best_t:
-            best_t, best_kind = t_spawn, 1
         if t_retry < best_t:
-            best_t, best_kind = t_retry, 2
+            best_t, best_kind = t_retry, 1
         if t_deliver < best_t:
-            best_t, best_kind = t_deliver, 3
+            best_t, best_kind = t_deliver, 2
         if t_arr < best_t:
-            best_t, best_kind = t_arr, 4
+            best_t, best_kind = t_arr, 3
         if t_step < best_t:
-            best_t, best_kind = t_step, 5
-        if t_tick < best_t:
-            best_t, best_kind = t_tick, 6
+            best_t, best_kind = t_step, 4
         if best_t == _INF:
             if di < len(death_list):
                 di += 1  # faults scheduled after the fleet drained: no-op
@@ -807,57 +803,21 @@ def serve_engines(fleet: EngineFleet, requests: Sequence[Request]) -> List[Reque
             di += 1
             fleet._absorb_death(death_list[di - 1], retry_heap, seq)
         elif best_kind == 1:
-            heapq.heappop(spawn_heap)
-            slot = next((r for r, w in enumerate(replicas) if w is None), -1)
-            if slot >= 0:
-                replicas[slot] = _EngineReplica(fleet.engine_factory())
-                fleet.spawns += 1
-                fleet.state.routable[slot] = True
-                fleet.state.rebuild_routable()
-                fleet.router.on_membership_change()
-        elif best_kind == 2:
             _, _, request = heapq.heappop(retry_heap)
             fleet._route(request, count_reroute=True)
-        elif best_kind == 3:
+        elif best_kind == 2:
             _, _, request = heapq.heappop(handoff_heap)
             fleet._deliver(request)
-        elif best_kind == 4:
+        elif best_kind == 3:
             fleet._route(order[ptr])
             ptr += 1
-        elif best_kind == 5:
+        else:
             assert w_step is not None
             status = w_step.engine.step(w_step.pending)
             if status == STEP_IDLE:
                 w_step.active = False
-                if w_step.draining and w_step.idle():
-                    fleet._retire(replicas.index(w_step))
             elif status == STEP_HANDOFF:
                 t = w_step.engine.now
                 for request in w_step.engine.drain_finished():
                     fleet._ship(request, t, handoff_heap, seq)
-        else:
-            tick = tick + scale.interval_s  # type: ignore[union-attr]
-            routable = fleet.state.routable_indices.tolist()
-            nr = len(routable)
-            if nr > 0 and scale is not None:
-                waiting = sum(
-                    len(replicas[r].pending) for r in routable  # type: ignore[union-attr]
-                )
-                per = waiting / nr
-                live = sum(1 for w in replicas if w is not None)
-                if (
-                    per > scale.high_queue_per_replica
-                    and live + len(spawn_heap) < scale.max_replicas
-                ):
-                    heapq.heappush(spawn_heap, best_t + scale.spawn_delay_s)
-                elif per < scale.low_queue_per_replica and nr > scale.min_replicas:
-                    r = routable[nr - 1]
-                    w = replicas[r]
-                    assert w is not None
-                    w.draining = True
-                    fleet.state.routable[r] = False
-                    fleet.state.rebuild_routable()
-                    fleet.router.on_membership_change()
-                    if w.idle():
-                        fleet._retire(r)
     return list(requests)

@@ -42,9 +42,8 @@ The loop has one rule per mechanism, shared by every role: one admission
 closure for prefill and colocated replicas (they differ only in the KV
 they reserve and the heap key: first token vs finish), one decode
 admission, one KV ship (the payload size follows the request's decode-entry
-kind), one decode enqueue, and one retire-if-idle test.  The per-role tables
-``role_keys`` and ``role_states`` pick a replica's load-key array and
-router state.
+kind), one decode enqueue, and one retire-if-idle test.  The per-role table
+``role_keys`` picks a replica's load-key array.
 
 perf_opt contract: ``benchmarks/perf/_legacy_disagg.py`` freezes the
 naive pool DES — one global event heap over every arrival, finish,
@@ -83,13 +82,14 @@ from ..faults import (
     RetryPolicy,
     pool_target,
 )
-from ..utils import derive_rng
+from ..utils import check_finite_fields, derive_rng
 from .fleet import (
     ClusterFleet,
     EngineFleet,
     FleetResult,
     FleetWorkload,
     _EngineReplica,
+    _ROUTER_TYPES,
     _death_victim,
     serve_engines,
 )
@@ -128,6 +128,7 @@ class MigrationPolicy:
     min_queue: int = 4
 
     def __post_init__(self) -> None:
+        check_finite_fields(self, allow_inf=("hot_queue_ratio",))
         if self.hot_queue_ratio <= 1.0:
             raise ConfigError("hot_queue_ratio must exceed 1")
         if self.min_queue < 1:
@@ -152,6 +153,7 @@ class PoolSpec:
     migration: Optional[MigrationPolicy] = None
 
     def __post_init__(self) -> None:
+        check_finite_fields(self, "warmup_s")
         for name in ("prefill", "decode", "colocated"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"pool size {name!r} must be non-negative")
@@ -259,41 +261,21 @@ def run_pool_fleet(
     mig = pools.migration
     split = pools.split
 
-    router = fleet.router
-    decode_router = fleet.decode_router or LeastLoadedRouter()
-    state_p = RouterState(max_replicas, model.kv_capacity_tokens)
-    state_d = RouterState(max_replicas, model.kv_capacity_tokens)
-    role_states = (state_p, state_d, state_p)  # indexed by role
     role_l = [pools.role_of(r) for r in range(pools.total)] + [-1] * (
         max_replicas - pools.total
     )
-    for r in range(pools.total):
-        role_states[role_l[r]].routable[r] = True
-    state_p.rebuild_routable()
-    state_d.rebuild_routable()
-    router.bind(state_p)
-    decode_router.bind(state_d)
 
-    if type(router) is RandomRouter:
-        mode = 0
+    # Mode 0 random, 1 least-loaded, 2 prefix-aware: ClusterFleet admits
+    # no other router type.  Random routers draw their streams here.
+    router = fleet.router
+    decode_router = fleet.decode_router
+    mode = _ROUTER_TYPES.index(type(router))
+    if mode == 0:
         route_u = _uniforms(derive_rng(router.seed, "fleet", router.stream))
-    elif type(router) is LeastLoadedRouter:
-        mode = 1
-    elif type(router) is PrefixAwareRouter:
-        mode = 2
-    else:
-        mode = 3
-    if type(decode_router) is RandomRouter:
-        mode_d = 0
+    block_route = router.block_tokens if mode == 2 else model.block_tokens
+    random_d = type(decode_router) is RandomRouter
+    if random_d:
         droute_u = _uniforms(derive_rng(decode_router.seed, "fleet", decode_router.stream))
-    elif type(decode_router) is LeastLoadedRouter:
-        mode_d = 1
-    else:
-        mode_d = 3
-    generic = mode == 3
-    block_route = (
-        router.block_tokens if isinstance(router, PrefixAwareRouter) else model.block_tokens
-    )
 
     huge = 1 << 62
     span = model.kv_capacity_tokens + 1
@@ -434,21 +416,9 @@ def run_pool_fleet(
         cands = routable_d if excl < 0 else [r2 for r2 in routable_d if r2 != excl]
         if not cands:
             raise SchedulerError("no routable decode replicas")
-        if mode_d == 0:
+        if random_d:
             return _pick(cands, next(droute_u))
-        if mode_d == 1:
-            return dkey_l.index(min(dkey_l)) if excl < 0 else min(cands, key=dkey_l.__getitem__)
-        if excl >= 0:
-            state_d.routable[excl] = False
-            state_d.rebuild_routable()
-        state_d.queue_depth[:] = depth_l
-        state_d.running[:] = running_l
-        state_d.kv_used[:] = kv_l
-        r2 = decode_router.route(code_l[i], ptok_l[i])
-        if excl >= 0:
-            state_d.routable[excl] = True
-            state_d.rebuild_routable()
-        return r2
+        return dkey_l.index(min(dkey_l)) if excl < 0 else min(cands, key=dkey_l.__getitem__)
 
     def ship(i: int, t: float, excl: int = -1) -> None:
         """Price and schedule request ``i``'s KV ship to the decode pool.
@@ -525,8 +495,6 @@ def run_pool_fleet(
                     prefix_tab[code] = col
                     if pt > 0:
                         holders[code] = [r]
-                    if generic:
-                        state_p.record_prefix(code, r, pt)
                 else:
                     cached = col[r]
                     m = cached if cached < pt else pt
@@ -535,8 +503,6 @@ def run_pool_fleet(
                         col[r] = pt
                         if cached == 0:
                             holders.setdefault(code, []).append(r)
-                        if generic:
-                            state_p.record_prefix(code, r, pt)
             eff = prompt_l[i] - hit
             if eff < 1:
                 eff = 1
@@ -625,7 +591,7 @@ def run_pool_fleet(
             r = _pick(routable_p, next(route_u))
         elif mode == 1:
             r = pkey_l.index(min(pkey_l))
-        elif mode == 2:
+        else:
             r = -1
             code = code_l[i]
             pt = ptok_l[i]
@@ -654,11 +620,6 @@ def run_pool_fleet(
                                 r = r2
             if r < 0:
                 r = pkey_l.index(min(pkey_l))
-        else:
-            state_p.queue_depth[:] = depth_l
-            state_p.running[:] = running_l
-            state_p.kv_used[:] = kv_l
-            r = router.route(code_l[i], ptok_l[i])
         queues[r].append(i)
         depth_l[r] += 1
         if routable_f[r]:
@@ -692,16 +653,11 @@ def run_pool_fleet(
         nonlocal routable_p, routable_d
         routable_p = [r for r in range(max_replicas) if routable_f[r] and role_l[r] != ROLE_DECODE]
         routable_d = [r for r in range(max_replicas) if routable_f[r] and role_l[r] == ROLE_DECODE]
-        state_p.rebuild_routable()
-        state_d.rebuild_routable()
-        router.on_membership_change()
-        decode_router.on_membership_change()
 
     def unroute(r: int) -> None:
         """Take replica ``r`` out of routing (a death or a drain)."""
         routable_f[r] = False
         role_keys[role_l[r]][r] = huge
-        role_states[role_l[r]].routable[r] = False
         membership_changed()
 
     def clear_slot(r: int) -> None:
@@ -718,10 +674,6 @@ def run_pool_fleet(
                 if col[r]:
                     col[r] = 0
                     holders[code].remove(r)
-        state_p.reset_counters(r)
-        state_p.clear_replica(r)
-        state_d.reset_counters(r)
-        state_d.clear_replica(r)
 
     def retry_or_reject(i: int, event: FaultEvent) -> None:
         nonlocal rejected, retry_seq
@@ -916,7 +868,6 @@ def run_pool_fleet(
                 role_l[slot] = srole
                 pkey_l[slot] = dkey_l[slot] = huge
                 role_keys[srole][slot] = 0
-                role_states[srole].routable[slot] = True
                 alive_count += 1
                 spawns += 1
                 membership_changed()

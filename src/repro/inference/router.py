@@ -18,7 +18,12 @@ This module provides the placement policies the fleet simulators
   has seen the prefix.
 
 Routers read a :class:`RouterState`: cross-replica bookkeeping kept as
-NumPy *columns* (one slot per replica) owned and updated by the fleet.
+NumPy *columns* (one slot per replica) owned and updated by the
+token-level :class:`~repro.inference.fleet.EngineFleet`.  The
+request-level pool DES (:func:`~repro.inference.pools.run_pool_fleet`)
+does not call ``route``: it realizes these three policies on its own
+packed integer load keys, which is why ``ClusterFleet`` takes no other
+router type.
 Decisions are batched at the C level — uniform draws come from a buffered
 seeded stream and the load/hit reductions are single vectorized argmins —
 so a routing decision costs O(1) Python operations regardless of fleet
@@ -46,10 +51,9 @@ ROUTER_NAMES: Tuple[str, ...] = ("random", "least-loaded", "prefix-aware")
 class RouterState:
     """Live cross-replica columns a router reads (owned by the fleet).
 
-    One slot per *potential* replica (autoscaling may populate slots over
-    time); ``routable`` masks the slots a router may currently pick.  The
-    fleet mutates these arrays in place as requests queue, start, finish,
-    and as replicas die, drain, or spawn — routers never copy them.
+    One slot per replica; ``routable`` masks the slots a router may
+    currently pick.  The fleet mutates these arrays in place as requests
+    queue, start, finish, and as replicas die — routers never copy them.
     """
 
     def __init__(self, max_replicas: int, kv_capacity_tokens: int) -> None:
@@ -119,7 +123,7 @@ class Router:
         raise NotImplementedError
 
     def on_membership_change(self) -> None:
-        """Hook: the routable set changed (death, drain, spawn)."""
+        """Hook: the routable set changed (a replica died)."""
 
 
 class RandomRouter(Router):

@@ -30,11 +30,11 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CacheError, SchedulerError
 from ..faults import GPU_CRASH, FaultEvent, FaultInjector, FaultPlan, RetryPolicy
-from .kvcache import PagedAllocator
+from .kvcache import PagedAllocator, ReservedAllocator
 from .request import SLO, Request
 
 #: :meth:`ServingEngine.step` outcomes (see its docstring).
@@ -261,7 +261,7 @@ class ServingEngine:
         self,
         scheduler: SchedulerPolicy,
         *,
-        allocator: Optional[object] = None,
+        allocator: Optional[Union[ReservedAllocator, PagedAllocator]] = None,
         cost: Optional[IterationCost] = None,
         max_running: int = 256,
         keep_prefix_on_release: bool = False,
@@ -611,10 +611,7 @@ class ServingEngine:
         ]
         append_pairs.extend((seq.request.request_id, 1) for seq in decoding)
         allocator = self.allocator
-        one_by_one = False
-        if allocator is not None:
-            can_all = getattr(allocator, "can_append_all", None)
-            one_by_one = can_all is None or not can_all(append_pairs)
+        one_by_one = allocator is not None and not allocator.can_append_all(append_pairs)
         running = self.running
         for seq, tokens in prefill_work:
             request_id = seq.request.request_id

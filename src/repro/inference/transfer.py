@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigError
+from ..utils import check_finite_fields
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,7 @@ class TransferModel:
         # overlap > 1 yields *negative* visible delay and non-positive
         # bandwidth/bytes_per_token yields infinite or negative wire time —
         # all of which silently corrupt goodput numbers downstream.
+        check_finite_fields(self, "bytes_per_token", "bandwidth")
         if not 0.0 <= self.overlap <= 1.0:
             raise ConfigError("overlap must be in [0, 1]")
         if self.bandwidth <= 0.0:

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from hashlib import blake2b
@@ -218,6 +219,8 @@ class EmbeddingModel:
     generation: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.dim, numbers.Integral):
+            raise ConfigError(f"embedding dim must be an integer, got {self.dim!r}")
         if self.dim < 8:
             raise ConfigError(f"embedding dim too small: {self.dim}")
 
@@ -305,7 +308,7 @@ class EmbeddingModel:
         embedding space changed). Returns False (and changes nothing) while
         drift stays within tolerance.
         """
-        if threshold < 0:
+        if not threshold >= 0:  # also refuses NaN, which compares False
             raise ConfigError(f"refresh threshold must be >= 0, got {threshold}")
         if self._pinned_doc_freq is None or self.idf_drift() <= threshold:
             return False

@@ -81,7 +81,7 @@ class StreamingCorpus:
         seed: int = 0,
         **index_kwargs: object,
     ) -> None:
-        if refresh_threshold < 0:
+        if not refresh_threshold >= 0:  # also refuses NaN, which compares False
             raise ConfigError(
                 f"refresh_threshold must be >= 0, got {refresh_threshold}"
             )
@@ -104,6 +104,9 @@ class StreamingCorpus:
         self.auto_rebalance = auto_rebalance
         self.compact_fraction = compact_fraction
         self._live: Dict[str, TrainingDocument] = {}
+        # Every doc_id the deduper has stored, kept or not: one id names
+        # one document for the corpus' lifetime.
+        self._seen_ids = {d.doc_id for d in self.deduper.store.docs}
         self.refreshes = 0
         self.rebalances = 0
 
@@ -117,9 +120,10 @@ class StreamingCorpus:
         drift check runs last so a refresh re-embeds the batch too.
 
         A batch holding an item that is not a :class:`TrainingDocument`, a
-        document whose ``text`` is not a ``str``, or two documents with one
-        ``doc_id`` raises :class:`~repro.errors.PipelineError` before the
-        deduper, the embedder or the index sees any of it.
+        document whose ``text`` is not a ``str``, two documents with one
+        ``doc_id``, or a ``doc_id`` an earlier batch already brought raises
+        :class:`~repro.errors.PipelineError` before the deduper, the
+        embedder or the index sees any of it.
         """
         doc_ids = set()
         for doc in docs:
@@ -133,8 +137,11 @@ class StreamingCorpus:
                 )
             if doc.doc_id in doc_ids:
                 raise PipelineError(f"doc_id {doc.doc_id!r} occurs twice in one batch")
+            if doc.doc_id in self._seen_ids:
+                raise PipelineError(f"doc_id {doc.doc_id!r} was ingested in an earlier batch")
             doc_ids.add(doc.doc_id)
         result = self.deduper.dedup_incremental(docs)
+        self._seen_ids |= doc_ids
         for doc_id in result.evicted:
             self.collection.delete(doc_id)
             self._live.pop(doc_id, None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from typing import Iterable, Iterator, List, Sequence, TypeVar
 
 import numpy as np
@@ -60,6 +61,23 @@ def pairwise(iterable: Iterable[T]) -> Iterator[tuple]:
     first, second = itertools.tee(iterable)
     next(second, None)
     return zip(first, second)
+
+
+def check_finite_fields(obj: object, *names: str, allow_inf: Sequence[str] = ()) -> None:
+    """Raise ``ConfigError`` when a named field of ``obj`` is NaN or infinite.
+
+    Fields in ``allow_inf`` may be infinite (a watermark or ratio that is
+    never crossed) but never NaN.  Range checks such as ``x <= 0`` are
+    False for NaN, so without this a NaN setting passes construction and
+    corrupts the run that uses it.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+    for name in allow_inf:
+        if math.isnan(getattr(obj, name)):
+            raise ConfigError(f"{name} must not be NaN")
 
 
 def normalize(vector: np.ndarray) -> np.ndarray:

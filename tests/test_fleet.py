@@ -33,13 +33,16 @@ from repro.inference import (
     FleetWorkload,
     LeastLoadedRouter,
     LengthDistribution,
+    MigrationPolicy,
     PagedAllocator,
     PoolSpec,
     PrefixAwareRouter,
     RandomRouter,
     ReplicaModel,
+    Router,
     RouterState,
     ServingEngine,
+    TransferModel,
     fleet_poisson_workload,
     make_router,
     shared_prefix_workload,
@@ -619,3 +622,112 @@ class TestDeathTargetValidation:
         )
         ClusterFleet(4, make_router("least-loaded"), model=SMALL_MODEL, faults=plan)
         EngineFleet(engine_factory, 2, make_router("least-loaded"), faults=plan)
+
+
+# ============================================================ boundaries
+NAN = float("nan")
+INF = float("inf")
+
+
+def _workload_columns(**override):
+    columns = dict(
+        arrival_s=np.arange(3, dtype=np.float64),
+        prompt_tokens=np.full(3, 64, dtype=np.int64),
+        output_tokens=np.full(3, 8, dtype=np.int64),
+        prefix_code=np.full(3, -1, dtype=np.int64),
+        prefix_tokens=np.zeros(3, dtype=np.int64),
+    )
+    columns.update(override)
+    return columns
+
+
+BAD_CONFIGS = {
+    "replica-base-nan": lambda: ReplicaModel(base_s=NAN),
+    "replica-prefill-nan": lambda: ReplicaModel(per_prefill_token_s=NAN),
+    "replica-output-inf": lambda: ReplicaModel(per_output_token_s=INF),
+    "retry-base-nan": lambda: RetryPolicy(base_delay_s=NAN),
+    "retry-multiplier-nan": lambda: RetryPolicy(multiplier=NAN),
+    "retry-max-inf": lambda: RetryPolicy(max_delay_s=INF),
+    "workload-arrival-nan": lambda: FleetWorkload(
+        **_workload_columns(arrival_s=np.array([0.0, NAN, 2.0]))
+    ),
+    "workload-arrival-inf": lambda: FleetWorkload(
+        **_workload_columns(arrival_s=np.array([0.0, 1.0, INF]))
+    ),
+    "workload-2d-column": lambda: FleetWorkload(
+        **_workload_columns(prompt_tokens=np.full((3, 2), 64, dtype=np.int64))
+    ),
+    "workload-float-tokens": lambda: FleetWorkload(
+        **_workload_columns(output_tokens=np.full(3, 8.5))
+    ),
+    "transfer-bandwidth-nan": lambda: TransferModel(bandwidth=NAN),
+    "transfer-bytes-inf": lambda: TransferModel(bytes_per_token=INF),
+    "pool-warmup-nan": lambda: PoolSpec(prefill=1, decode=1, warmup_s=NAN),
+    "pool-warmup-inf": lambda: PoolSpec(colocated=2, warmup_s=INF),
+    "migration-ratio-nan": lambda: MigrationPolicy(hot_queue_ratio=NAN),
+    "autoscale-interval-nan": lambda: AutoscalePolicy(interval_s=NAN),
+    "autoscale-spawn-inf": lambda: AutoscalePolicy(spawn_delay_s=INF),
+    "autoscale-low-nan": lambda: AutoscalePolicy(low_queue_per_replica=NAN),
+}
+
+
+class TestConfigBoundary:
+    """Fleet configs refuse NaN and infinite times at construction.
+
+    ``x <= 0`` is False for NaN, so a NaN used to pass every range check
+    and stall the run much later ("pool fleet stalled").
+    """
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_non_finite_setting_rejected(self, case):
+        with pytest.raises(ConfigError):
+            BAD_CONFIGS[case]()
+
+    def test_infinite_watermarks_mean_never(self):
+        AutoscalePolicy(high_queue_per_replica=INF)
+        MigrationPolicy(hot_queue_ratio=INF)
+
+
+class _RoundRobin(Router):
+    """A custom policy: the pool DES has no branch for it."""
+
+    def route(self, prefix_code, prefix_tokens):
+        return 0
+
+
+class _TweakedLeastLoaded(LeastLoadedRouter):
+    """A subclass may change ``route``; only the exact built-in types pass."""
+
+
+class TestRouterBoundary:
+    @pytest.mark.parametrize("router", (_RoundRobin(), _TweakedLeastLoaded()))
+    @pytest.mark.parametrize("pools", (None, PoolSpec(prefill=1, decode=1)))
+    def test_cluster_fleet_refuses_other_router_types(self, router, pools):
+        with pytest.raises(ConfigError, match="router"):
+            ClusterFleet(2, router, model=SMALL_MODEL, pools=pools)
+
+    @pytest.mark.parametrize(
+        "decode_router", (PrefixAwareRouter(), _RoundRobin(), _TweakedLeastLoaded())
+    )
+    def test_cluster_fleet_refuses_other_decode_routers(self, decode_router):
+        with pytest.raises(ConfigError, match="decode_router"):
+            ClusterFleet(
+                2,
+                LeastLoadedRouter(),
+                model=SMALL_MODEL,
+                pools=PoolSpec(prefill=1, decode=1),
+                decode_router=decode_router,
+            )
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("decode_router", (None, RandomRouter(seed=2), LeastLoadedRouter()))
+    def test_built_in_routers_accepted(self, policy, decode_router):
+        fleet = ClusterFleet(
+            2,
+            make_router(policy, seed=1),
+            model=SMALL_MODEL,
+            pools=PoolSpec(prefill=1, decode=1),
+            decode_router=decode_router,
+        )
+        res = fleet.run(small_workload(50))
+        assert res.completed == 50

@@ -1,6 +1,8 @@
 """Tests for the streaming data flywheel: incremental dedup equivalence,
 online IDF pinning, live HNSW/IVF maintenance, and the replay driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,28 @@ class TestOnlineIDF:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ConfigError):
             EmbeddingModel(dim=32).refresh(threshold=-0.1)
+
+    def test_nan_threshold_rejected_and_pin_unmoved(self):
+        """NaN compares False to everything: it must not pass as a drift bound."""
+        m = EmbeddingModel(dim=32, seed=1).fit_idf(self.BASE)
+        m.partial_fit_idf(["novel words appear here"])
+        v0 = m.embed("cats")
+        generation, drift = m.generation, m.idf_drift()
+        with pytest.raises(ConfigError):
+            m.refresh(threshold=float("nan"))
+        assert (m.generation, m.idf_drift(), m.stale_docs) == (generation, drift, 1)
+        assert np.array_equal(m.embed("cats"), v0)
+
+    def test_corpus_nan_refresh_threshold_rejected(self):
+        with pytest.raises(ConfigError):
+            StreamingCorpus(dim=32, refresh_threshold=float("nan"))
+
+    @pytest.mark.parametrize("dim", [8.5, 64.0, "64"])
+    def test_non_integer_dim_rejected_at_construction(self, dim):
+        with pytest.raises(ConfigError):
+            EmbeddingModel(dim=dim)
+        with pytest.raises(ConfigError):
+            StreamingCorpus(dim=dim)
 
 
 # ------------------------------------------------- live index maintenance
@@ -358,6 +382,17 @@ class TestIngestBoundary:
         store = corpus.deduper.store
         survivors = sorted(d.doc_id for d, kept in zip(store.docs, store.kept) if kept)
         assert survivors == corpus.live_doc_ids()
+
+    @pytest.mark.parametrize("same_text", [True, False])
+    def test_doc_id_from_an_earlier_batch_raises_and_changes_nothing(self, corpus, same_text):
+        store = corpus.deduper.store
+        old = store.docs[0]
+        again = dataclasses.replace(old, text=old.text if same_text else "epsilon zeta eta")
+        before = self._state(corpus)
+        with pytest.raises(PipelineError, match="earlier batch"):
+            corpus.ingest([_doc(905, "alpha beta gamma delta"), again])
+        assert self._state(corpus) == before
+        assert sorted(store.kept_doc_ids()) == corpus.live_doc_ids()
 
     def test_a_good_batch_after_a_bad_one_is_admitted(self, corpus):
         with pytest.raises(PipelineError):
