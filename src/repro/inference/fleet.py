@@ -547,10 +547,9 @@ class EngineFleet:
     fleet faults, the driven engine's trajectory — every timestamp,
     iteration count, and KV decision — is bit-identical to ``engine.run()``
     on the same requests, whatever the router policy (the metamorphic
-    invariant).  Routers see the same :class:`RouterState` columns as
-    :class:`ClusterFleet`, refreshed from live engine state before every
-    decision; prefix-hit columns are optimistic route-time estimates, as in
-    a real cluster's routing tier.
+    invariant).  Routers read :class:`RouterState` columns refreshed from
+    live engine state before every decision; prefix-hit columns are
+    optimistic route-time estimates, as in a real cluster's routing tier.
 
     A plain fleet's ``decode`` pool is empty, so nothing ever ships; the
     KV-ship and decode-routing methods serve
