@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigError
-from ..utils import check_finite_fields
+from ..utils import check_finite_fields, check_int_fields
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,7 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         check_finite_fields(self, "base_delay_s", "multiplier", "max_delay_s")
+        check_int_fields(self, "max_retries")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be non-negative")
         if self.base_delay_s < 0.0:

@@ -53,7 +53,6 @@ from .router import (
     PrefixAwareRouter,
     RandomRouter,
     Router,
-    RouterState,
     make_router,
 )
 from .scheduler import (
@@ -87,7 +86,7 @@ __all__ = [
     "sweep_splits",
     "SLO", "Request",
     "ROUTER_NAMES", "LeastLoadedRouter", "PrefixAwareRouter", "RandomRouter",
-    "Router", "RouterState", "make_router",
+    "Router", "make_router",
     "STEP_HANDOFF", "ContinuousBatchScheduler", "ShortestJobFirstScheduler", "IterationCost", "ServingEngine", "StaticBatchScheduler",
     "LengthDistribution", "multi_turn_workload", "poisson_workload", "shared_prefix_workload",
 ]

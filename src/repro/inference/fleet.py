@@ -20,10 +20,12 @@ single-engine simulator to that level, twice over:
   request and makes million-request router studies tractable.
 
 Both understand :data:`~repro.faults.REPLICA_DEATH` faults (whole-replica
-loss: queue re-routed, in-flight work retried with backoff on survivors);
-``ClusterFleet`` also scales its replica count with queue depth
-(:class:`AutoscalePolicy`) and takes exactly the three router policies
-of :mod:`repro.inference.router`.
+loss: queue re-routed, in-flight work retried with backoff on survivors)
+and take exactly the three router policies of
+:mod:`repro.inference.router`, whose shared rules (seeded uniform pick,
+packed least-loaded key, prefix-holder scan) both apply to their own
+per-replica lists; ``ClusterFleet`` also scales its replica count with
+queue depth (:class:`AutoscalePolicy`).
 
 ``ClusterFleet.run`` delegates to the one request-level fleet event loop,
 :func:`repro.inference.pools.run_pool_fleet`: a plain fleet is the
@@ -43,15 +45,15 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from math import log
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError, SchedulerError
 from ..faults import REPLICA_DEATH, FaultEvent, FaultPlan, RetryPolicy, pool_target, slot_target
-from ..utils import check_finite_fields, derive_rng, percentile
+from ..utils import check_finite_fields, check_int_fields, derive_rng, percentile
 from .request import SLO, Request
-from .router import LeastLoadedRouter, PrefixAwareRouter, RandomRouter, Router, RouterState
+from .router import HUGE_KEY, Router, pick, prefix_holder, routing_mode, uniforms
 from .scheduler import STEP_HANDOFF, STEP_IDLE, ServingEngine
 from .transfer import TransferModel
 
@@ -59,10 +61,6 @@ if TYPE_CHECKING:  # pools imports fleet; the reverse edge is lazy
     from .pools import PoolSpec
 
 _INF = float("inf")
-
-#: The router types the pool DES realizes on its own load keys, in the
-#: order of its routing modes; a decode router is one of the first two.
-_ROUTER_TYPES = (RandomRouter, LeastLoadedRouter, PrefixAwareRouter)
 
 
 # ============================================================== workloads
@@ -217,6 +215,7 @@ class ReplicaModel:
 
     def __post_init__(self) -> None:
         check_finite_fields(self, "base_s", "per_prefill_token_s", "per_output_token_s")
+        check_int_fields(self, "slots", "kv_capacity_tokens", "block_tokens")
         if self.slots <= 0:
             raise ConfigError("slots must be positive")
         if self.kv_capacity_tokens <= 0:
@@ -255,6 +254,7 @@ class AutoscalePolicy:
             "spawn_delay_s",
             allow_inf=("high_queue_per_replica", "low_queue_per_replica"),
         )
+        check_int_fields(self, "min_replicas", "max_replicas")
         if self.min_replicas <= 0 or self.max_replicas < self.min_replicas:
             raise ConfigError("need 0 < min_replicas <= max_replicas")
         if self.low_queue_per_replica < 0.0 or (
@@ -461,10 +461,11 @@ class ClusterFleet:
     ``router`` is a :class:`~repro.inference.router.RandomRouter`,
     :class:`~repro.inference.router.LeastLoadedRouter` or
     :class:`~repro.inference.router.PrefixAwareRouter`, and
-    ``decode_router`` one of the first two; the loop specializes each
-    against incrementally maintained packed integer load keys (a
-    ``RandomRouter``'s seeded-uniform stream is drawn in blocks from its
-    ``stream``).  Any other router raises ``ConfigError`` here.
+    ``decode_router`` one of the first two
+    (:func:`~repro.inference.router.routing_mode`); the loop applies the
+    rules of :mod:`~repro.inference.router` to incrementally maintained
+    packed integer load keys.  Any other router raises ``ConfigError``
+    here.
     """
 
     def __init__(
@@ -488,16 +489,9 @@ class ClusterFleet:
             )
         if pools is None and decode_router is not None:
             raise ConfigError("decode_router needs a pool spec to route over")
-        if type(router) not in _ROUTER_TYPES:
-            raise ConfigError(
-                f"router must be a RandomRouter, LeastLoadedRouter or PrefixAwareRouter, "
-                f"not {type(router).__name__}"
-            )
-        if decode_router is not None and type(decode_router) not in _ROUTER_TYPES[:2]:
-            raise ConfigError(
-                "decode_router must be a RandomRouter or LeastLoadedRouter, "
-                f"not {type(decode_router).__name__}"
-            )
+        routing_mode(router)
+        if decode_router is not None:
+            routing_mode(decode_router, decode=True)
         self.router = router
         self.model = model or ReplicaModel()
         self.retry = retry or RetryPolicy()
@@ -547,9 +541,12 @@ class EngineFleet:
     fleet faults, the driven engine's trajectory — every timestamp,
     iteration count, and KV decision — is bit-identical to ``engine.run()``
     on the same requests, whatever the router policy (the metamorphic
-    invariant).  Routers read :class:`RouterState` columns refreshed from
-    live engine state before every decision; prefix-hit columns are
-    optimistic route-time estimates, as in a real cluster's routing tier.
+    invariant).  ``router`` must be exactly one of the three built-in
+    policies (:func:`~repro.inference.router.routing_mode`).  Each decision
+    applies the rules of :mod:`~repro.inference.router` to packed load
+    keys read from the live engines; the per-prefix cached-token lists a
+    prefix-aware router reads are optimistic route-time estimates, as in a
+    real cluster's routing tier.
 
     A plain fleet's ``decode`` pool is empty, so nothing ever ships; the
     KV-ship and decode-routing methods serve
@@ -560,7 +557,8 @@ class EngineFleet:
     # Set by DisaggEngineFleet, the only fleet with a decode pool.
     decode_router: Router
     transfer: TransferModel
-    _state_d: RouterState
+    _mode_d: int
+    _stream_d: Optional[Iterator[float]]
     _fail_windows: List[FaultEvent]
     _deg_windows: List[FaultEvent]
 
@@ -575,6 +573,7 @@ class EngineFleet:
     ) -> None:
         if n_replicas <= 0:
             raise ConfigError("n_replicas must be positive")
+        self._mode = routing_mode(router)
         self._deaths = _death_events(faults)
         self.router = router
         self.retry = retry or RetryPolicy()
@@ -584,15 +583,16 @@ class EngineFleet:
         sample = self.replicas[0].engine  # type: ignore[union-attr]
         capacity = getattr(sample.allocator, "capacity_tokens", None)
         self._kv_proxy = capacity is None
-        self._kv_span = int(capacity) if capacity is not None else max(sample.max_running, 1)
-        self.state = RouterState(n_replicas, self._kv_span)
-        self.state.routable[:] = True
-        self.state.rebuild_routable()
-        self.router.bind(self.state)
+        # Packed-key span: KV capacity (running count without an allocator) + 1.
+        self._span = (int(capacity) if capacity is not None else max(sample.max_running, 1)) + 1
+        self._stream = uniforms(router) if self._mode == 0 else None
+        # Prefix-aware state, per prefix id as in the pool DES: the prefix
+        # tokens each slot caches, and the slots that cache any.
+        self._cached: Dict[str, List[int]] = {}
+        self._holders: Dict[str, List[int]] = {}
         self.decode: List[_EngineReplica] = []
         self.fault_log: List[FaultEvent] = []
         self.assignments: Dict[str, int] = {}
-        self._prefix_codes: Dict[str, int] = {}
         self.retries = 0
         self.rejected = 0
         self.deaths = 0
@@ -604,34 +604,61 @@ class EngineFleet:
         """Route and serve ``requests`` across the fleet to completion."""
         return serve_engines(self, requests)
 
-    # --------------------------------------------------------- router feed
-    def _code_of(self, request: Request) -> int:
-        if request.prefix_id is None or request.prefix_tokens <= 0:
-            return -1
-        code = self._prefix_codes.get(request.prefix_id)
-        if code is None:
-            code = len(self._prefix_codes)
-            self._prefix_codes[request.prefix_id] = code
-        return code
-
-    def _refresh(self, state: RouterState, pool: Sequence[Optional[_EngineReplica]]) -> None:
-        for r in state.routable_indices.tolist():
-            w = pool[r]
-            assert w is not None
+    # ------------------------------------------------------------- routing
+    def _load_keys(self, pool: Sequence[Optional[_EngineReplica]]) -> List[int]:
+        """Each slot's packed ``(queued + running, KV used)`` key; dead = HUGE_KEY."""
+        span = self._span
+        keys: List[int] = []
+        for w in pool:
+            if w is None:
+                keys.append(HUGE_KEY)
+                continue
             engine = w.engine
-            state.queue_depth[r] = len(w.pending)
-            state.running[r] = len(engine.running) + len(engine._preempted)
             if self._kv_proxy:
-                state.kv_used[r] = len(engine.running)
+                kv = len(engine.running)
             else:
-                state.kv_used[r] = engine.allocator.stats.reserved_tokens  # type: ignore[union-attr]
+                kv = engine.allocator.stats.reserved_tokens  # type: ignore[union-attr]
+            keys.append((len(w.pending) + len(engine.running) + len(engine._preempted)) * span + kv)
+        return keys
+
+    def _choose(
+        self,
+        mode: int,
+        pool: Sequence[Optional[_EngineReplica]],
+        stream: Optional[Iterator[float]],
+        request: Optional[Request] = None,
+    ) -> int:
+        """The slot of ``pool`` that policy ``mode`` routes ``request`` to."""
+        if mode == 0:
+            assert stream is not None
+            return pick([r for r, w in enumerate(pool) if w is not None], next(stream))
+        keys = self._load_keys(pool)
+        r = -1
+        if mode == 2 and request is not None and request.prefix_tokens > 0:
+            pid = request.prefix_id
+            if pid in self._cached:
+                block = self.router.block_tokens
+                r = prefix_holder(
+                    self._holders[pid], self._cached[pid], keys, request.prefix_tokens, block
+                )
+        if r < 0:
+            r = keys.index(min(keys))
+            if keys[r] >= HUGE_KEY:
+                raise SchedulerError("no routable replicas")
+        return r
 
     def _route(self, request: Request, count_reroute: bool = False) -> None:
-        self._refresh(self.state, self.replicas)
-        code = self._code_of(request)
-        r = self.router.route(code, request.prefix_tokens)
-        if code >= 0:
-            self.state.record_prefix(code, r, request.prefix_tokens)
+        r = self._choose(self._mode, self.replicas, self._stream, request)
+        pid = request.prefix_id
+        if self._mode == 2 and pid is not None and request.prefix_tokens > 0:
+            cached = self._cached.get(pid)
+            if cached is None:
+                cached = self._cached[pid] = [0] * len(self.replicas)
+                self._holders[pid] = []
+            if request.prefix_tokens > cached[r]:
+                if cached[r] == 0:
+                    self._holders[pid].append(r)
+                cached[r] = request.prefix_tokens
         w = self.replicas[r]
         assert w is not None
         w.pending.append(request)
@@ -642,8 +669,7 @@ class EngineFleet:
 
     def _deliver(self, request: Request) -> None:
         """Queue a request whose KV ship landed on a decode engine."""
-        self._refresh(self._state_d, self.decode)
-        w = self.decode[self.decode_router.route(-1, 0)]
+        w = self.decode[self._choose(self._mode_d, self.decode, self._stream_d)]
         w.pending.append(request)
         w.active = True
 
@@ -706,12 +732,12 @@ class EngineFleet:
         return True
 
     def _remove(self, r: int) -> None:
+        """Empty slot ``r`` for good and drop its prefix-cache entries."""
         self.replicas[r] = None
-        self.state.routable[r] = False
-        self.state.rebuild_routable()
-        self.state.reset_counters(r)
-        self.state.clear_replica(r)
-        self.router.on_membership_change()
+        for pid, cached in self._cached.items():
+            if cached[r]:
+                cached[r] = 0
+                self._holders[pid].remove(r)
 
     def _absorb_death(
         self,
@@ -743,7 +769,7 @@ class EngineFleet:
         for ready, _, request in carried:
             heapq.heappush(retry_heap, (max(ready, event.at_s), seq[0], request))
             seq[0] += 1
-        if not self.state.routable_indices.shape[0] and (stranded or retry_heap):
+        if all(w is None for w in self.replicas) and (stranded or retry_heap):
             raise SchedulerError("replica_death left the fleet with no replicas")
         for request in stranded:
             self._route(request, count_reroute=True)

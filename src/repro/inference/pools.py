@@ -69,7 +69,7 @@ import copy
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -82,20 +82,28 @@ from ..faults import (
     RetryPolicy,
     pool_target,
 )
-from ..utils import check_finite_fields, derive_rng
+from ..utils import check_finite_fields, check_int_fields
 from .fleet import (
     ClusterFleet,
     EngineFleet,
     FleetResult,
     FleetWorkload,
     _EngineReplica,
-    _ROUTER_TYPES,
     _death_victim,
     serve_engines,
 )
 from .metrics import ServingReport, summarize
 from .request import SLO, Request
-from .router import LeastLoadedRouter, PrefixAwareRouter, RandomRouter, Router, RouterState
+from .router import (
+    HUGE_KEY,
+    LeastLoadedRouter,
+    PrefixAwareRouter,
+    Router,
+    pick,
+    prefix_holder,
+    routing_mode,
+    uniforms,
+)
 from .scheduler import ContinuousBatchScheduler, IterationCost, ServingEngine
 from .transfer import TransferModel
 
@@ -129,6 +137,7 @@ class MigrationPolicy:
 
     def __post_init__(self) -> None:
         check_finite_fields(self, allow_inf=("hot_queue_ratio",))
+        check_int_fields(self, "min_queue")
         if self.hot_queue_ratio <= 1.0:
             raise ConfigError("hot_queue_ratio must exceed 1")
         if self.min_queue < 1:
@@ -154,6 +163,7 @@ class PoolSpec:
 
     def __post_init__(self) -> None:
         check_finite_fields(self, "warmup_s")
+        check_int_fields(self, "prefill", "decode", "colocated")
         for name in ("prefill", "decode", "colocated"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"pool size {name!r} must be non-negative")
@@ -193,23 +203,6 @@ def make_pool_routers(*, block_tokens: int = 64) -> Tuple[Router, Router]:
     placement is pure load balancing (the KV arrives by wire either way).
     """
     return (PrefixAwareRouter(block_tokens=block_tokens), LeastLoadedRouter())
-
-
-def _uniforms(rng: np.random.Generator) -> Iterator[float]:
-    """An endless uniform stream off ``rng``, drawn in blocks of 8192.
-
-    Block draws consume the generator exactly as one scalar draw per
-    decision would, so the stream matches a naive per-decision loop.
-    """
-    while True:
-        yield from rng.random(8192).tolist()
-
-
-def _pick(cands: Sequence[int], u: float) -> int:
-    """The uniform choice ``cands[floor(u * len)]``, clamped as RandomRouter's."""
-    k = len(cands)
-    j = int(u * k)
-    return cands[j if j < k else k - 1]
 
 
 def _tournament_min(heap: List[Tuple[float, int]], tops: List[float]) -> float:
@@ -265,19 +258,19 @@ def run_pool_fleet(
         max_replicas - pools.total
     )
 
-    # Mode 0 random, 1 least-loaded, 2 prefix-aware: ClusterFleet admits
-    # no other router type.  Random routers draw their streams here.
+    # Mode 0 random, 1 least-loaded, 2 prefix-aware (router.routing_mode);
+    # a decode router is random or least-loaded (the default).
     router = fleet.router
     decode_router = fleet.decode_router
-    mode = _ROUTER_TYPES.index(type(router))
+    mode = routing_mode(router)
     if mode == 0:
-        route_u = _uniforms(derive_rng(router.seed, "fleet", router.stream))
+        route_u = uniforms(router)
     block_route = router.block_tokens if mode == 2 else model.block_tokens
-    random_d = type(decode_router) is RandomRouter
+    random_d = decode_router is not None and routing_mode(decode_router, decode=True) == 0
     if random_d:
-        droute_u = _uniforms(derive_rng(decode_router.seed, "fleet", decode_router.stream))
+        droute_u = uniforms(decode_router)
 
-    huge = 1 << 62
+    huge = HUGE_KEY
     span = model.kv_capacity_tokens + 1
     alive = [True] * pools.total + [False] * (max_replicas - pools.total)
     draining = [False] * max_replicas
@@ -417,7 +410,7 @@ def run_pool_fleet(
         if not cands:
             raise SchedulerError("no routable decode replicas")
         if random_d:
-            return _pick(cands, next(droute_u))
+            return pick(cands, next(droute_u))
         return dkey_l.index(min(dkey_l)) if excl < 0 else min(cands, key=dkey_l.__getitem__)
 
     def ship(i: int, t: float, excl: int = -1) -> None:
@@ -588,36 +581,12 @@ def run_pool_fleet(
         if not routable_p:
             raise SchedulerError("no routable prefill/colocated replicas")
         if mode == 0:
-            r = _pick(routable_p, next(route_u))
-        elif mode == 1:
-            r = pkey_l.index(min(pkey_l))
+            r = pick(routable_p, next(route_u))
         else:
             r = -1
             code = code_l[i]
-            pt = ptok_l[i]
-            if code >= 0 and pt > 0:
-                hl = holders.get(code)
-                if hl is not None:
-                    col = prefix_tab[code]
-                    best = 0
-                    bk = 0
-                    for r2 in hl:
-                        if not routable_f[r2]:
-                            continue
-                        c = col[r2]
-                        m = c if c < pt else pt
-                        h = m - m % block_route
-                        if h <= 0:
-                            continue
-                        if h > best:
-                            best = h
-                            bk = pkey_l[r2]
-                            r = r2
-                        elif h == best:
-                            k2 = pkey_l[r2]
-                            if k2 < bk or (k2 == bk and r2 < r):
-                                bk = k2
-                                r = r2
+            if mode == 2 and code in holders and ptok_l[i] > 0:
+                r = prefix_holder(holders[code], prefix_tab[code], pkey_l, ptok_l[i], block_route)
             if r < 0:
                 r = pkey_l.index(min(pkey_l))
         queues[r].append(i)
@@ -1007,7 +976,11 @@ class DisaggEngineFleet(EngineFleet):
     TransferModel` (KV_TRANSFER_FAIL windows turn the ship into a
     decode-side re-prefill with backoff, KV_DEGRADED divides the wire
     speed) and delivers it to the decode engine ``decode_router`` picks,
-    which admits it straight into decode.
+    which admits it straight into decode.  ``decode_router`` is a
+    :class:`~repro.inference.router.RandomRouter` or
+    :class:`~repro.inference.router.LeastLoadedRouter` (the default) and
+    runs through the same routing code as ``router``; any other router
+    raises ``ConfigError``.
 
     With one engine per pool, a zero-visible-delay transfer
     (``overlap=1.0``) and no contention, per-token timelines match a
@@ -1030,6 +1003,8 @@ class DisaggEngineFleet(EngineFleet):
     ) -> None:
         if n_prefill <= 0 or n_decode <= 0:
             raise ConfigError("need at least one prefill and one decode engine")
+        self.decode_router = decode_router or LeastLoadedRouter()
+        self._mode_d = routing_mode(self.decode_router, decode=True)
 
         def prefill_engine() -> ServingEngine:
             engine = engine_factory()
@@ -1038,11 +1013,7 @@ class DisaggEngineFleet(EngineFleet):
 
         super().__init__(prefill_engine, n_prefill, router or PrefixAwareRouter(), retry=retry)
         self.decode = [_EngineReplica(engine_factory()) for _ in range(n_decode)]
-        self.decode_router = decode_router or LeastLoadedRouter()
-        self._state_d = RouterState(n_decode, self._kv_span)
-        self._state_d.routable[:] = True
-        self._state_d.rebuild_routable()
-        self.decode_router.bind(self._state_d)
+        self._stream_d = uniforms(self.decode_router) if self._mode_d == 0 else None
         self.transfer = transfer or TransferModel()
         self._fail_windows = faults.of_kind(KV_TRANSFER_FAIL) if faults is not None else []
         self._deg_windows = faults.of_kind(KV_DEGRADED) if faults is not None else []

@@ -4,8 +4,8 @@ Cluster-level serving (paper §2.3; Mooncake [55] / DistServe [69] style)
 hinges on *where* a request lands: a replica that already holds the
 request's prompt prefix in its KV cache serves it with a fraction of the
 prefill work, while an overloaded replica queues it behind a deep backlog.
-This module provides the placement policies the fleet simulators
-(:mod:`repro.inference.fleet`) drive:
+This module is the one place that knows the placement rules the fleet
+simulators (:mod:`repro.inference.fleet`) apply:
 
 * :class:`RandomRouter` — seeded uniform choice over routable replicas
   (the baseline every serious policy must beat);
@@ -17,126 +17,52 @@ This module provides the placement policies the fleet simulators
   PrefixCacheSimulator`), falling back to least-loaded when no replica
   has seen the prefix.
 
-Routers read a :class:`RouterState`: cross-replica bookkeeping kept as
-NumPy *columns* (one slot per replica) owned and updated by the
-token-level :class:`~repro.inference.fleet.EngineFleet`.  The
-request-level pool DES (:func:`~repro.inference.pools.run_pool_fleet`)
-does not call ``route``: it realizes these three policies on its own
-packed integer load keys, which is why ``ClusterFleet`` takes no other
-router type.
-Decisions are batched at the C level — uniform draws come from a buffered
-seeded stream and the load/hit reductions are single vectorized argmins —
-so a routing decision costs O(1) Python operations regardless of fleet
-size.  Everything is deterministic: the only randomness is
-:class:`RandomRouter`'s :func:`~repro.utils.derive_rng` stream, and its
-buffered draws consume the stream exactly as one-at-a-time draws would,
+The router classes are policy values: a name plus the parameters the
+policy reads.  Both fleet loops (the token-level
+:func:`~repro.inference.fleet.serve_engines` and the request-level
+:func:`~repro.inference.pools.run_pool_fleet`) keep their own per-replica
+bookkeeping as plain lists and apply the rules below to it:
+
+* :func:`routing_mode` — the exact-type check every fleet runs on its
+  routers; only the three built-in types route;
+* :func:`uniforms` and :func:`pick` — a :class:`RandomRouter`'s seeded
+  uniform stream and its clamped choice;
+* least-loaded is ``keys.index(min(keys))`` over one packed integer load
+  key per replica slot, ``(queued + running) * (kv_capacity + 1) +
+  kv_used``, with unroutable slots at :data:`HUGE_KEY`;
+* :func:`prefix_holder` — the prefix-aware scan over the replicas that
+  cache a prefix.
+
+Everything is deterministic: the only randomness is a
+:class:`RandomRouter`'s :func:`~repro.utils.derive_rng` stream, drawn in
+blocks that consume it exactly as one scalar draw per decision would,
 which the naive-baseline parity suite relies on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Iterator, Sequence, Tuple
 
 from ..errors import ConfigError, SchedulerError
-from ..utils import derive_rng
-
-_INT64_MAX = np.iinfo(np.int64).max
+from ..utils import check_int_fields, derive_rng
 
 #: Policy names accepted by :func:`make_router`.
 ROUTER_NAMES: Tuple[str, ...] = ("random", "least-loaded", "prefix-aware")
 
-
-class RouterState:
-    """Live cross-replica columns a router reads (owned by the fleet).
-
-    One slot per replica; ``routable`` masks the slots a router may
-    currently pick.  The fleet mutates these arrays in place as requests
-    queue, start, finish, and as replicas die — routers never copy them.
-    """
-
-    def __init__(self, max_replicas: int, kv_capacity_tokens: int) -> None:
-        if max_replicas <= 0:
-            raise ConfigError("max_replicas must be positive")
-        if kv_capacity_tokens <= 0:
-            raise ConfigError("kv_capacity_tokens must be positive")
-        self.max_replicas = max_replicas
-        self.kv_capacity_tokens = kv_capacity_tokens
-        self.routable = np.zeros(max_replicas, dtype=np.bool_)
-        self.queue_depth = np.zeros(max_replicas, dtype=np.int64)
-        self.running = np.zeros(max_replicas, dtype=np.int64)
-        self.kv_used = np.zeros(max_replicas, dtype=np.int64)
-        self.routable_indices = np.zeros(0, dtype=np.int64)
-        # Per-prefix cached-token columns: code -> int64[max_replicas].
-        self._prefix: Dict[int, np.ndarray] = {}
-
-    def rebuild_routable(self) -> None:
-        """Refresh the routable index list after a membership change."""
-        self.routable_indices = np.flatnonzero(self.routable)
-
-    # ------------------------------------------------------- prefix cache
-    def prefix_hit_column(self, code: int) -> Optional[np.ndarray]:
-        """Cached prefix tokens per replica for ``code`` (``None`` = unseen)."""
-        return self._prefix.get(code)
-
-    def record_prefix(self, code: int, replica: int, tokens: int) -> None:
-        """Replica ``replica`` now caches ``tokens`` tokens of ``code``."""
-        col = self._prefix.get(code)
-        if col is None:
-            col = np.zeros(self.max_replicas, dtype=np.int64)
-            self._prefix[code] = col
-        if tokens > col[replica]:
-            col[replica] = tokens
-
-    def clear_replica(self, replica: int) -> None:
-        """Drop every cached prefix on ``replica`` (death / retirement)."""
-        for col in self._prefix.values():
-            col[replica] = 0
-
-    def reset_counters(self, replica: int) -> None:
-        """Zero the load columns for a fresh (or torn-down) replica slot."""
-        self.queue_depth[replica] = 0
-        self.running[replica] = 0
-        self.kv_used[replica] = 0
+#: The load key of an unroutable slot: above any real packed key.
+HUGE_KEY = 1 << 62
 
 
 class Router:
-    """Interface: pick a replica slot for one request."""
+    """A routing policy; fleets accept only the three built-in types."""
 
     name = "base"
 
-    def bind(self, state: RouterState) -> None:
-        """Attach to a fleet's live state columns before a run."""
-        self._state = state
-        self._setup()
-
-    def _setup(self) -> None:
-        """Hook: allocate per-run scratch after :meth:`bind`."""
-
-    def route(self, prefix_code: int, prefix_tokens: int) -> int:
-        """Return the routable replica index for a request.
-
-        ``prefix_code`` is the request's integer prefix id (``-1`` = no
-        shared prefix) and ``prefix_tokens`` its shared-prefix length.
-        """
-        raise NotImplementedError
-
-    def on_membership_change(self) -> None:
-        """Hook: the routable set changed (a replica died)."""
-
 
 class RandomRouter(Router):
-    """Seeded uniform routing over the routable replicas.
-
-    Draws are buffered (one vectorized ``rng.random`` call refills many
-    decisions) but consume the :func:`~repro.utils.derive_rng` stream
-    exactly as sequential scalar draws would, so batched and naive
-    implementations stay bit-identical.
-    """
+    """Seeded uniform routing over the routable replicas."""
 
     name = "random"
-    _BUFFER = 8192
 
     def __init__(self, seed: int = 0, stream: str = "router") -> None:
         # ``stream`` names the derive_rng sub-stream, so two RandomRouters
@@ -146,61 +72,16 @@ class RandomRouter(Router):
         self.seed = seed
         self.stream = stream
 
-    def _setup(self) -> None:
-        self._rng = derive_rng(self.seed, "fleet", self.stream)
-        self._buf = np.zeros(0, dtype=np.float64)
-        self._ptr = 0
-
-    def _next_uniform(self) -> float:
-        if self._ptr >= self._buf.shape[0]:
-            self._buf = self._rng.random(self._BUFFER)
-            self._ptr = 0
-        u = self._buf[self._ptr]
-        self._ptr += 1
-        return float(u)
-
-    def route(self, prefix_code: int, prefix_tokens: int) -> int:
-        idx = self._state.routable_indices
-        k = idx.shape[0]
-        if k == 0:
-            raise SchedulerError("no routable replicas")
-        j = int(self._next_uniform() * k)
-        if j >= k:  # guard the (measure-zero) top-of-range rounding
-            j = k - 1
-        return int(idx[j])
-
 
 class LeastLoadedRouter(Router):
     """Lexicographic ``(queued + running, KV pressure)`` argmin placement.
 
-    Both components are integers, so the key packs exactly into one int64
-    column — ``(queue_depth + running) * (kv_capacity + 1) + kv_used`` —
-    and the decision is a single C-level argmin with ties resolved to the
-    lowest replica index.
+    Both components are integers, so the key packs exactly into one
+    integer, ``(queued + running) * (kv_capacity + 1) + kv_used``, and ties
+    resolve to the lowest replica index.
     """
 
     name = "least-loaded"
-
-    def _setup(self) -> None:
-        n = self._state.max_replicas
-        self._span = np.int64(self._state.kv_capacity_tokens + 1)
-        self._key = np.zeros(n, dtype=np.int64)
-        self._masked = np.zeros(n, dtype=np.int64)
-
-    def load_key(self) -> np.ndarray:
-        """The packed load column, ``int64`` max on unroutable slots."""
-        s = self._state
-        np.add(s.queue_depth, s.running, out=self._key)
-        np.multiply(self._key, self._span, out=self._key)
-        np.add(self._key, s.kv_used, out=self._key)
-        self._masked.fill(_INT64_MAX)
-        np.copyto(self._masked, self._key, where=s.routable)
-        return self._masked
-
-    def route(self, prefix_code: int, prefix_tokens: int) -> int:
-        if self._state.routable_indices.shape[0] == 0:
-            raise SchedulerError("no routable replicas")
-        return int(np.argmin(self.load_key()))
 
 
 class PrefixAwareRouter(Router):
@@ -217,39 +98,87 @@ class PrefixAwareRouter(Router):
     name = "prefix-aware"
 
     def __init__(self, block_tokens: int = 64) -> None:
+        self.block_tokens = block_tokens
+        check_int_fields(self, "block_tokens")
         if block_tokens <= 0:
             raise ConfigError("block_tokens must be positive")
-        self.block_tokens = block_tokens
-        self._fallback = LeastLoadedRouter()
 
-    def _setup(self) -> None:
-        self._fallback.bind(self._state)
-        n = self._state.max_replicas
-        self._block = np.int64(self.block_tokens)
-        self._hits = np.zeros(n, dtype=np.int64)
-        self._hits_masked = np.zeros(n, dtype=np.int64)
-        self._selected = np.zeros(n, dtype=np.int64)
 
-    def route(self, prefix_code: int, prefix_tokens: int) -> int:
-        state = self._state
-        if prefix_code >= 0 and prefix_tokens > 0:
-            col = state.prefix_hit_column(prefix_code)
-            if col is not None:
-                np.minimum(col, np.int64(prefix_tokens), out=self._hits)
-                np.floor_divide(self._hits, self._block, out=self._hits)
-                np.multiply(self._hits, self._block, out=self._hits)
-                self._hits_masked.fill(-1)
-                np.copyto(self._hits_masked, self._hits, where=state.routable)
-                best = int(self._hits_masked.max())
-                if best > 0:
-                    self._selected.fill(_INT64_MAX)
-                    np.copyto(
-                        self._selected,
-                        self._fallback.load_key(),
-                        where=self._hits_masked == best,
-                    )
-                    return int(np.argmin(self._selected))
-        return self._fallback.route(prefix_code, prefix_tokens)
+_ROUTER_TYPES = (RandomRouter, LeastLoadedRouter, PrefixAwareRouter)
+
+
+def routing_mode(router: Router, *, decode: bool = False) -> int:
+    """The index of ``router``'s policy in :data:`ROUTER_NAMES`.
+
+    Only the exact built-in types route (a subclass could change nothing
+    the fleets read); a decode router is random or least-loaded, since no
+    prefix cache lives on the decode side.  Anything else raises
+    ``ConfigError``.
+    """
+    kinds = _ROUTER_TYPES[:2] if decode else _ROUTER_TYPES
+    if type(router) not in kinds:
+        role = "decode_router" if decode else "router"
+        allowed = ", ".join(kind.__name__ for kind in kinds)
+        raise ConfigError(f"{role} must be one of {allowed}, not {type(router).__name__}")
+    return kinds.index(type(router))
+
+
+def uniforms(router: RandomRouter) -> Iterator[float]:
+    """An endless uniform stream off ``router``'s seed and stream name.
+
+    Drawn in blocks of 8192, which consume the generator exactly as one
+    scalar draw per decision would.
+    """
+    rng = derive_rng(router.seed, "fleet", router.stream)
+    while True:
+        yield from rng.random(8192).tolist()
+
+
+def pick(cands: Sequence[int], u: float) -> int:
+    """The uniform choice ``cands[floor(u * len)]``, clamped to the last one."""
+    k = len(cands)
+    if not k:
+        raise SchedulerError("no routable replicas")
+    j = int(u * k)
+    return cands[j if j < k else k - 1]
+
+
+def prefix_holder(
+    holders: Sequence[int],
+    cached: Sequence[int],
+    keys: Sequence[int],
+    prefix_tokens: int,
+    block_tokens: int,
+) -> int:
+    """The routable holder with the longest block-rounded hit, or -1.
+
+    ``holders`` lists the slots that cache the prefix, ``cached[r]`` the
+    prefix tokens slot ``r`` holds, and ``keys[r]`` its load key
+    (:data:`HUGE_KEY` = unroutable).  A hit is capped at the request's
+    ``prefix_tokens`` and rounded down to whole blocks; ties go to the
+    lower load key, then the lower slot.  -1 means no routable holder has
+    a whole block, and the request falls back to least-loaded.
+    """
+    best = 0
+    best_key = 0
+    chosen = -1
+    for r in holders:
+        key = keys[r]
+        if key >= HUGE_KEY:
+            continue
+        c = cached[r]
+        m = c if c < prefix_tokens else prefix_tokens
+        hit = m - m % block_tokens
+        if hit <= 0:
+            continue
+        if hit > best:
+            best = hit
+            best_key = key
+            chosen = r
+        elif hit == best and (key < best_key or (key == best_key and r < chosen)):
+            best_key = key
+            chosen = r
+    return chosen
 
 
 def make_router(name: str, *, seed: int = 0, block_tokens: int = 64) -> Router:
@@ -261,3 +190,4 @@ def make_router(name: str, *, seed: int = 0, block_tokens: int = 64) -> Router:
     if name == "prefix-aware":
         return PrefixAwareRouter(block_tokens=block_tokens)
     raise ConfigError(f"unknown router {name!r}; have {ROUTER_NAMES}")
+

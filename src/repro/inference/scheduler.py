@@ -548,6 +548,18 @@ class ServingEngine:
         self._handoff_done = []
         return done
 
+    def _stall_message(self, head: Request) -> str:
+        message = (
+            f"engine stalled at t={self.now!r}: {head.request_id} is due but cannot be "
+            f"admitted with nothing running ({len(self._preempted)} preempted)"
+        )
+        if isinstance(self.allocator, PagedAllocator):
+            message += (
+                f"; {self.allocator.free_blocks()} free blocks, retained prefixes "
+                f"{self.allocator.prefix_ids()}"
+            )
+        return message
+
     # ------------------------------------------------------------ main loop
     def step(self, pending: Deque[Request]) -> str:
         """One trip through the discrete-event loop.
@@ -563,7 +575,9 @@ class ServingEngine:
         * :data:`STEP_IDLE` — no running, queued, preempted, or retrying
           work remains: the engine is drained.
 
-        ``run`` is exactly a loop over this method, so fleet-driven replicas
+        With nothing running, work that is due but cannot be admitted can
+        never be, so ``step`` raises :class:`SchedulerError` rather than
+        return without advancing the clock.  ``run`` is exactly a loop over this method, so fleet-driven replicas
         follow bit-identical trajectories to a standalone engine.
         """
         if self._injector is not None:
@@ -580,10 +594,17 @@ class ServingEngine:
                 if self._retry_queue:
                     next_times.append(self._retry_queue[0][0])
                 target = min(next_times)
-                if not pending and target <= self.now:
-                    raise SchedulerError(
-                        "retried sequences can never be re-admitted (KV too small)"
-                    )
+                if target <= self.now:
+                    # Work is due but admission refused it with nothing
+                    # running: no step can change that, so do not spin.
+                    if not pending:
+                        raise SchedulerError(
+                            "retried sequences can never be re-admitted (KV too small)"
+                        )
+                    head = pending[0]
+                    if _arrival_time(head) > self.now:
+                        head = self._retry_queue[0][2]
+                    raise SchedulerError(self._stall_message(head))
                 self.now = max(self.now, target)
                 return STEP_ADVANCED
             raise SchedulerError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import numbers
 from typing import Iterable, Iterator, List, Sequence, TypeVar
 
 import numpy as np
@@ -78,6 +79,19 @@ def check_finite_fields(obj: object, *names: str, allow_inf: Sequence[str] = ())
     for name in allow_inf:
         if math.isnan(getattr(obj, name)):
             raise ConfigError(f"{name} must not be NaN")
+
+
+def check_int_fields(obj: object, *names: str) -> None:
+    """Raise ``ConfigError`` when a named field of ``obj`` is not an integer.
+
+    Counts and sizes must be whole numbers: a NaN passes ``x <= 0`` and a
+    float such as 2.5 passes every range check, and both surface much later
+    as a stalled or skewed run.  Booleans are refused too.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def normalize(vector: np.ndarray) -> np.ndarray:

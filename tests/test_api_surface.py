@@ -33,10 +33,6 @@ KEEP: Dict[str, str] = {
         "ast.NodeVisitor dispatches it by node type",
     "src/repro/dbtasks/plan_selection.py::execute_plan":
         "L19's equivalence check runs every enumerated plan through it",
-    "src/repro/inference/kvcache.py::PagedAllocator.free_blocks":
-        "the KV-block conservation invariant reads it as its oracle",
-    "src/repro/inference/kvcache.py::PagedAllocator.prefix_ids":
-        "the prefix-sharing invariants read it as their oracle",
     "src/repro/inference/pools.py::make_pool_routers":
         "README's pool-fleet entry point for per-pool routers",
     "src/repro/inference/scheduler.py::ShortestJobFirstScheduler":

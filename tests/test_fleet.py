@@ -2,8 +2,9 @@
 
 Three layers of correctness for the multi-replica subsystem:
 
-* **Router units** — each policy picks the replica its contract names,
-  on crafted :class:`RouterState` columns.
+* **Router units** — each routing rule of :mod:`repro.inference.router`
+  picks the replica its contract names, on crafted per-replica lists and
+  on the load keys of a live :class:`EngineFleet`.
 * **Cluster DES** — :class:`ClusterFleet` matches the frozen naive
   baseline (``benchmarks/perf/_legacy_fleet.py``) **bitwise** at small
   scale, through deaths, shedding, and autoscaling; an empty fault plan
@@ -16,6 +17,7 @@ Three layers of correctness for the multi-replica subsystem:
 from __future__ import annotations
 
 import copy
+from collections import deque
 
 import numpy as np
 import pytest
@@ -25,10 +27,12 @@ from benchmarks.perf.harness_fleet import matches_legacy
 from repro.errors import ConfigError, SchedulerError
 from repro.faults import REPLICA_DEATH, FaultEvent, FaultPlan, RetryPolicy
 from repro.inference import (
+    ROUTER_NAMES,
     SLO,
     AutoscalePolicy,
     ClusterFleet,
     ContinuousBatchScheduler,
+    DisaggEngineFleet,
     EngineFleet,
     FleetWorkload,
     LeastLoadedRouter,
@@ -39,8 +43,8 @@ from repro.inference import (
     PrefixAwareRouter,
     RandomRouter,
     ReplicaModel,
+    Request,
     Router,
-    RouterState,
     ServingEngine,
     TransferModel,
     fleet_poisson_workload,
@@ -48,6 +52,9 @@ from repro.inference import (
     shared_prefix_workload,
     summarize_fleet,
 )
+from repro.inference.router import HUGE_KEY, pick, prefix_holder, routing_mode, uniforms
+from repro.inference.scheduler import STEP_IDLE
+from repro.utils import derive_rng
 
 POLICIES = ("random", "least-loaded", "prefix-aware")
 
@@ -167,81 +174,103 @@ class TestFleetWorkload:
 
 
 # ================================================================= routers
-def make_state(n=4, kv=1000):
-    state = RouterState(n, kv)
-    state.routable[:] = True
-    state.rebuild_routable()
-    return state
+def loaded_fleet(depths, kv_used, router=None, kv=1000):
+    """An EngineFleet whose slots hold ``depths`` queued requests and ``kv_used`` KV."""
+    fleet = EngineFleet(
+        lambda: ServingEngine(
+            ContinuousBatchScheduler(), allocator=PagedAllocator(kv, block_size=1)
+        ),
+        len(depths),
+        router or LeastLoadedRouter(),
+    )
+    for r, (depth, used) in enumerate(zip(depths, kv_used)):
+        w = fleet.replicas[r]
+        w.pending.extend(Request(f"q{r}-{j}", 99.0, 8, 2) for j in range(depth))
+        if used:
+            w.engine.allocator.admit(f"kv-{r}", used)
+    return fleet
 
 
 class TestRouters:
-    def test_state_validation(self):
-        with pytest.raises(ConfigError):
-            RouterState(0, 100)
-        with pytest.raises(ConfigError):
-            RouterState(4, 0)
+    """The shared rules of :mod:`repro.inference.router`."""
 
     def test_random_router_seeded_and_in_range(self):
-        state = make_state(8)
-        a = RandomRouter(seed=5)
-        a.bind(state)
-        picks = [a.route(-1, 0) for _ in range(200)]
-        assert set(picks) <= set(range(8))
+        cands = [0, 2, 3, 5, 6, 7, 9, 11]
+        a = uniforms(RandomRouter(seed=5))
+        picks = [pick(cands, next(a)) for _ in range(200)]
+        assert set(picks) <= set(cands)
         assert len(set(picks)) > 1
-        b = RandomRouter(seed=5)
-        b.bind(state)
-        assert [b.route(-1, 0) for _ in range(200)] == picks
+        b = uniforms(RandomRouter(seed=5))
+        assert [pick(cands, next(b)) for _ in range(200)] == picks
+        # Block draws consume the stream as one scalar draw per decision.
+        rng = derive_rng(5, "fleet", "router")
+        assert [pick(cands, rng.random()) for _ in range(200)] == picks
+        other = uniforms(RandomRouter(seed=5, stream="router-decode"))
+        assert [pick(cands, next(other)) for _ in range(200)] != picks
+        assert pick(cands, 1.0) == 11  # the top-of-range clamp
 
     def test_random_router_no_replicas(self):
-        state = make_state(2)
-        state.routable[:] = False
-        state.rebuild_routable()
-        r = RandomRouter()
-        r.bind(state)
         with pytest.raises(SchedulerError):
-            r.route(-1, 0)
+            pick([], 0.5)
+        fleet = EngineFleet(engine_factory, 2, RandomRouter())
+        fleet._remove(0)
+        fleet._remove(1)
+        with pytest.raises(SchedulerError):
+            fleet._choose(0, fleet.replicas, fleet._stream)
 
     def test_least_loaded_lexicographic(self):
-        state = make_state(3, kv=1000)
-        router = LeastLoadedRouter()
-        router.bind(state)
-        state.queue_depth[:] = [2, 1, 1]
-        state.kv_used[:] = [0, 500, 499]
+        fleet = loaded_fleet([2, 1, 1], [0, 500, 499])
+        keys = fleet._load_keys(fleet.replicas)
+        assert keys == [2 * 1001, 1001 + 500, 1001 + 499]
         # Same queue+running on 1 and 2: KV pressure breaks the tie.
-        assert router.route(-1, 0) == 2
-        state.kv_used[2] = 500
+        assert fleet._choose(1, fleet.replicas, None) == 2
+        fleet.replicas[2].engine.allocator.admit("kv-extra", 1)
         # Full tie resolves to the lowest index.
-        assert router.route(-1, 0) == 1
-        state.routable[1] = False
-        state.rebuild_routable()
-        assert router.route(-1, 0) == 2
+        assert fleet._choose(1, fleet.replicas, None) == 1
+        # A dead slot carries HUGE_KEY and is never chosen.
+        fleet._remove(1)
+        assert fleet._load_keys(fleet.replicas)[1] == HUGE_KEY
+        assert fleet._choose(1, fleet.replicas, None) == 2
+        fleet._remove(0)
+        fleet._remove(2)
+        with pytest.raises(SchedulerError):
+            fleet._choose(1, fleet.replicas, None)
 
     def test_prefix_aware_longest_block_rounded_hit(self):
-        state = make_state(3)
-        router = PrefixAwareRouter(block_tokens=64)
-        router.bind(state)
-        state.record_prefix(0, 1, 100)   # 1 full block
-        state.record_prefix(0, 2, 200)   # 3 full blocks
-        assert router.route(0, 512) == 2
-        # The hit is capped by the request's own prefix length.
-        assert router.route(0, 100) in (1, 2)
+        holders = [1, 2]
+        cached = [0, 100, 200]  # 1 and 3 full blocks of 64
+        assert prefix_holder(holders, cached, [0, 0, 0], 512, 64) == 2
+        # The hit is capped by the request's own prefix length: a tie goes
+        # to the lower load key, then to the lower index.
+        assert prefix_holder(holders, cached, [0, 0, 0], 100, 64) == 1
+        assert prefix_holder(holders, cached, [0, 5, 3], 100, 64) == 2
         # Sub-block cache counts for nothing: fall back to least-loaded.
-        state2 = make_state(3)
-        router2 = PrefixAwareRouter(block_tokens=64)
-        router2.bind(state2)
-        state2.record_prefix(0, 2, 63)
-        state2.queue_depth[:] = [1, 0, 1]
-        assert router2.route(0, 512) == 1
+        assert prefix_holder([2], [0, 0, 63], [1001, 0, 1001], 512, 64) == -1
+        fleet = loaded_fleet([1, 0, 1], [0, 0, 0], router=PrefixAwareRouter(block_tokens=64))
+        fleet._cached["p"] = [0, 0, 63]
+        fleet._holders["p"] = [2]
+        request = Request("r", 0.0, 600, 4, prefix_id="p", prefix_tokens=512)
+        assert fleet._choose(2, fleet.replicas, None, request) == 1
+        fleet._cached["p"][2] = 200
+        assert fleet._choose(2, fleet.replicas, None, request) == 2
 
     def test_prefix_aware_ignores_dead_holders(self):
-        state = make_state(3)
-        router = PrefixAwareRouter(block_tokens=64)
-        router.bind(state)
-        state.record_prefix(0, 2, 512)
-        state.routable[2] = False
-        state.rebuild_routable()
-        state.queue_depth[:] = [0, 1, 0]
-        assert router.route(0, 512) == 0
+        assert prefix_holder([2], [0, 0, 512], [0, 1001, HUGE_KEY], 512, 64) == -1
+        fleet = loaded_fleet([0, 1, 0], [0, 0, 0], router=PrefixAwareRouter(block_tokens=64))
+        request = Request("r", 0.0, 600, 4, prefix_id="p", prefix_tokens=512)
+        fleet._route(request)
+        assert fleet.assignments["r"] == 0 and fleet._holders["p"] == [0]
+        fleet._remove(0)  # a dead replica's prefix entries go with it
+        assert fleet._holders["p"] == [] and fleet._cached["p"] == [0, 0, 0]
+        again = Request("s", 0.0, 600, 4, prefix_id="p", prefix_tokens=512)
+        fleet._route(again)
+        assert fleet.assignments["s"] == 2
+
+    def test_routing_mode_indexes_router_names(self):
+        for mode, name in enumerate(ROUTER_NAMES):
+            assert routing_mode(make_router(name)) == mode
+        assert routing_mode(RandomRouter(), decode=True) == 0
+        assert routing_mode(LeastLoadedRouter(), decode=True) == 1
 
     def test_make_router(self):
         for name in POLICIES:
@@ -610,7 +639,6 @@ class TestDeathTargetValidation:
         with pytest.raises(ConfigError):
             EngineFleet(factory, 2, router, faults=_plan_with_bad_second_death(target))
         assert built == []
-        assert not hasattr(router, "_state")  # never bound to a fleet
 
     def test_valid_targets_still_build(self):
         plan = FaultPlan(
@@ -668,11 +696,27 @@ BAD_CONFIGS = {
     "autoscale-interval-nan": lambda: AutoscalePolicy(interval_s=NAN),
     "autoscale-spawn-inf": lambda: AutoscalePolicy(spawn_delay_s=INF),
     "autoscale-low-nan": lambda: AutoscalePolicy(low_queue_per_replica=NAN),
+    "replica-slots-nan": lambda: ReplicaModel(slots=NAN),
+    "replica-slots-float": lambda: ReplicaModel(slots=2.5),
+    "replica-kv-float": lambda: ReplicaModel(kv_capacity_tokens=4096.5),
+    "replica-block-nan": lambda: ReplicaModel(block_tokens=NAN),
+    "pool-colocated-float": lambda: PoolSpec(colocated=2.5),
+    "pool-prefill-nan": lambda: PoolSpec(prefill=NAN, decode=NAN, colocated=1),
+    "pool-decode-float": lambda: PoolSpec(prefill=1, decode=1.5),
+    "autoscale-min-nan": lambda: AutoscalePolicy(min_replicas=NAN),
+    "autoscale-max-float": lambda: AutoscalePolicy(max_replicas=8.5),
+    "migration-min-queue-nan": lambda: MigrationPolicy(min_queue=NAN),
+    "migration-min-queue-float": lambda: MigrationPolicy(min_queue=4.5),
+    "retry-max-retries-nan": lambda: RetryPolicy(max_retries=NAN),
+    "retry-max-retries-float": lambda: RetryPolicy(max_retries=2.5),
+    "router-block-nan": lambda: PrefixAwareRouter(block_tokens=NAN),
+    "router-block-float": lambda: PrefixAwareRouter(block_tokens=2.5),
 }
 
 
 class TestConfigBoundary:
-    """Fleet configs refuse NaN and infinite times at construction.
+    """Fleet configs refuse NaN and infinite times, and counts or sizes
+    that are not integers, at construction.
 
     ``x <= 0`` is False for NaN, so a NaN used to pass every range check
     and stall the run much later ("pool fleet stalled").
@@ -689,14 +733,13 @@ class TestConfigBoundary:
 
 
 class _RoundRobin(Router):
-    """A custom policy: the pool DES has no branch for it."""
+    """A custom policy: no fleet has a branch for it."""
 
-    def route(self, prefix_code, prefix_tokens):
-        return 0
+    name = "round-robin"
 
 
 class _TweakedLeastLoaded(LeastLoadedRouter):
-    """A subclass may change ``route``; only the exact built-in types pass."""
+    """A subclass of a built-in policy; only the exact built-in types pass."""
 
 
 class TestRouterBoundary:
@@ -731,3 +774,92 @@ class TestRouterBoundary:
         )
         res = fleet.run(small_workload(50))
         assert res.completed == 50
+
+    @pytest.mark.parametrize("router", (_RoundRobin(), _TweakedLeastLoaded()))
+    @pytest.mark.parametrize("disagg", (False, True))
+    def test_engine_fleets_refuse_other_router_types(self, router, disagg):
+        built = []
+
+        def factory():
+            built.append(1)
+            return engine_factory()
+
+        with pytest.raises(ConfigError, match="router"):
+            if disagg:
+                DisaggEngineFleet(factory, 1, 1, router=router)
+            else:
+                EngineFleet(factory, 2, router)
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "decode_router", (PrefixAwareRouter(), _RoundRobin(), _TweakedLeastLoaded())
+    )
+    def test_disagg_engine_fleet_refuses_other_decode_routers(self, decode_router):
+        built = []
+
+        def factory():
+            built.append(1)
+            return engine_factory()
+
+        with pytest.raises(ConfigError, match="decode_router"):
+            DisaggEngineFleet(factory, 1, 1, decode_router=decode_router)
+        assert built == []
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("decode_router", (None, RandomRouter(seed=2), LeastLoadedRouter()))
+    def test_disagg_engine_fleet_accepts_built_in_routers(self, policy, decode_router):
+        requests = engine_workload()[:30]
+        fleet = DisaggEngineFleet(
+            engine_factory, 1, 2, router=make_router(policy, seed=1), decode_router=decode_router
+        )
+        fleet.run(requests)
+        assert all(r.done for r in requests)
+
+
+# ============================================================== no spinning
+STALL_STEPS = 5_000
+
+
+def pinning_engine():
+    """The KV-pinning config: finished requests keep their blocks as prefixes."""
+    return ServingEngine(
+        ContinuousBatchScheduler(max_batch=8, chunk_tokens=256),
+        allocator=PagedAllocator(3000, block_size=16),
+        keep_prefix_on_release=True,
+    )
+
+
+def pinning_workload():
+    return shared_prefix_workload(rate_rps=24, duration_s=10, seed=5)
+
+
+class TestStalledEngineRaises:
+    """Nothing running and a due request it cannot admit: ``step`` raises
+    instead of returning without advancing the clock, forever."""
+
+    def test_bare_engine(self):
+        engine = pinning_engine()
+        pending = deque(sorted(pinning_workload(), key=lambda r: r.arrival_s))
+        with pytest.raises(SchedulerError, match=r"stalled.*free blocks.*'req-00000'"):
+            for _ in range(STALL_STEPS):
+                if engine.step(pending) == STEP_IDLE:
+                    break
+        assert not engine.running and pending
+
+    def test_engine_fleet(self):
+        steps = [0]
+
+        def factory():
+            engine = pinning_engine()
+            step = engine.step
+
+            def bounded(pending):
+                steps[0] += 1
+                assert steps[0] <= STALL_STEPS, "the fleet spun past its step budget"
+                return step(pending)
+
+            engine.step = bounded
+            return engine
+
+        with pytest.raises(SchedulerError, match="stalled.*retained prefixes"):
+            EngineFleet(factory, 2, LeastLoadedRouter()).run(pinning_workload())
