@@ -14,10 +14,12 @@ import copy
 
 import pytest
 
-from repro.faults import FaultPlan, RetryPolicy
+from repro.faults import GPU_CRASH, FaultPlan, RetryPolicy
 from repro.inference import (
+    SLO,
     ContinuousBatchScheduler,
     PagedAllocator,
+    ReservedAllocator,
     ServingEngine,
     ShortestJobFirstScheduler,
     StaticBatchScheduler,
@@ -135,6 +137,46 @@ GOLDEN = {
         "peak_reserved": 69856,
         "shared_saved": 0,
     },
+    # Captured before the one-pass append/retire step: E2's reservation
+    # baseline (four max_seq_len reservations fit) and the fault path
+    # (crash teardown, retry re-admission, SLO shedding, preemption).
+    "continuous_reserved_pressure_w2": {
+        "completed": 134,
+        "throughput_rps": 2.906173536730841,
+        "ttft_p50": 15.943148994704503,
+        "ttft_p99": 34.70085175011733,
+        "tbt_p50": 0.006999999999999673,
+        "tbt_p99": 0.05690999999999846,
+        "max_tbt_p99": 0.35545739999999865,
+        "mean_preemptions": 0.0,
+        "prefix_hit_rate": 0.0,
+        "iterations": 5325,
+        "now": 46.13675945751973,
+        "busy_s": 46.108739999999045,
+        "mean_waste": 0.9231432268146599,
+        "peak_reserved": 36864,
+        "shared_saved": 0,
+    },
+    "chunked_paged_crash_shed_w2": {
+        "completed": 52,
+        "throughput_rps": 2.8938353453350953,
+        "ttft_p50": 6.062244162491401,
+        "ttft_p99": 7.368149000230375,
+        "tbt_p50": 0.009499999999999176,
+        "tbt_p99": 0.03791000000000011,
+        "max_tbt_p99": 0.5372424000000057,
+        "mean_preemptions": 0.15384615384615385,
+        "prefix_hit_rate": 0.0,
+        "iterations": 980,
+        "now": 18.72038377196766,
+        "busy_s": 14.504130000000046,
+        "mean_waste": 0.011371421196982867,
+        "peak_reserved": 8992,
+        "shared_saved": 0,
+        "retries": 87,
+        "rejected": 82,
+        "crashes": 7,
+    },
 }
 
 
@@ -185,7 +227,31 @@ CASES = {
         lambda: PagedAllocator(120_000, block_size=16),
         {"keep_prefix_on_release": True},
     ),
+    "continuous_reserved_pressure_w2": (
+        lambda: ContinuousBatchScheduler(max_batch=16),
+        _w2,
+        lambda: ReservedAllocator(40_000, max_seq_len=9216),
+        {},
+    ),
+    "chunked_paged_crash_shed_w2": (
+        lambda: ContinuousBatchScheduler(max_batch=16, chunk_tokens=256),
+        _w2,
+        lambda: PagedAllocator(9000, block_size=16),
+        {
+            "faults": FaultPlan.seeded(
+                seed=3,
+                horizon_s=20.0,
+                rates={GPU_CRASH: 0.3},
+                mean_duration_s={GPU_CRASH: 0.5},
+            ),
+            "retry": RetryPolicy(),
+            "shed_slo": SLO(ttft_s=6.0),
+        },
+    ),
 }
+
+#: Cases that already inject faults; the empty-plan check runs on the rest.
+FAULTY = {"chunked_paged_crash_shed_w2"}
 
 
 def _run_case(case, **extra_engine_kw):
@@ -201,10 +267,7 @@ def _run_case(case, **extra_engine_kw):
     return engine, summarize(requests)
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_scheduler_output_is_bit_identical(case):
-    engine, report = _run_case(case)
-    expected = GOLDEN[case]
+def _observed(engine, report):
     got = {
         "completed": report.completed,
         "throughput_rps": report.throughput_rps,
@@ -223,11 +286,23 @@ def test_scheduler_output_is_bit_identical(case):
         got["mean_waste"] = engine.allocator.stats.mean_waste_fraction
         got["peak_reserved"] = engine.allocator.stats.peak_reserved
         got["shared_saved"] = engine.allocator.stats.shared_saved_tokens
+    if engine.fault_log:
+        got["retries"] = engine.retries
+        got["rejected"] = engine.rejected
+        got["crashes"] = len(engine.fault_log)
+    return got
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_scheduler_output_is_bit_identical(case):
+    engine, report = _run_case(case)
+    expected = GOLDEN[case]
+    got = _observed(engine, report)
     # Exact equality: a mechanical speedup must not move a single bit.
     assert got == expected
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
+@pytest.mark.parametrize("case", sorted(set(GOLDEN) - FAULTY))
 def test_empty_fault_plan_is_bit_identical(case):
     """Zero injected faults => the fault-aware engine changes nothing.
 
@@ -238,24 +313,5 @@ def test_empty_fault_plan_is_bit_identical(case):
     engine, report = _run_case(
         case, faults=FaultPlan.empty(), retry=RetryPolicy()
     )
-    expected = GOLDEN[case]
-    got = {
-        "completed": report.completed,
-        "throughput_rps": report.throughput_rps,
-        "ttft_p50": report.ttft_p50,
-        "ttft_p99": report.ttft_p99,
-        "tbt_p50": report.tbt_p50,
-        "tbt_p99": report.tbt_p99,
-        "max_tbt_p99": report.max_tbt_p99,
-        "mean_preemptions": report.mean_preemptions,
-        "prefix_hit_rate": report.prefix_hit_rate,
-        "iterations": engine.iterations,
-        "now": engine.now,
-        "busy_s": engine.busy_s,
-    }
-    if engine.allocator is not None:
-        got["mean_waste"] = engine.allocator.stats.mean_waste_fraction
-        got["peak_reserved"] = engine.allocator.stats.peak_reserved
-        got["shared_saved"] = engine.allocator.stats.shared_saved_tokens
-    assert got == expected
+    assert _observed(engine, report) == GOLDEN[case]
     assert engine.retries == 0 and engine.rejected == 0 and engine.fault_log == []
