@@ -140,25 +140,31 @@ def run_serving_case(
 
     Engines and request lists are built before timing, one per call, so a
     call times ``engine.run`` alone; every pair must agree on iterations,
-    completions and the final simulated clock.
+    the final simulated clock, and every request's first-token and finish
+    times and preemption count.
     """
 
     def engines(build: Callable[[], object]) -> Callable[[], object]:
         fresh = [(build(), admission_workload(num_requests)) for _ in range(REPEATS)]
 
-        def run() -> Tuple[object, int]:
+        def run() -> Tuple[object, List[Request]]:
             engine, requests = fresh.pop()
-            return engine, len(engine.run(requests))
+            return engine, engine.run(requests)
 
         return run
 
-    def check(legacy: Tuple, current: Tuple) -> None:
-        (old, old_done), (new, new_done) = legacy, current
-        assert (new.iterations, new_done, new.now) == (old.iterations, old_done, old.now), (
-            "trajectory drift: the refactor must be bit-identical"
-        )
+    def timelines(requests: List[Request]) -> List[Tuple]:
+        return [(r.first_token_s, r.finished_s, r.preemptions) for r in requests]
 
-    timing, _, (engine, completed) = time_pairs(
+    def check(legacy: Tuple, current: Tuple) -> None:
+        (old, old_requests), (new, new_requests) = legacy, current
+        assert (new.iterations, new.now, timelines(new_requests)) == (
+            old.iterations,
+            old.now,
+            timelines(old_requests),
+        ), "trajectory drift: the refactor must be bit-identical"
+
+    timing, _, (engine, requests) = time_pairs(
         engines(
             lambda: LegacyServingEngine(
                 LegacyContinuousBatchScheduler(max_batch=max_batch),
@@ -185,7 +191,8 @@ def run_serving_case(
         **timing,
         "detail": {
             "iterations": engine.iterations,
-            "completed": completed,
+            "completed": sum(1 for r in requests if r.finished_s is not None),
+            "preemptions": sum(r.preemptions for r in requests),
             "sim_now": engine.now,
         },
     }

@@ -15,9 +15,28 @@ from .harness import run_serving_case
 pytestmark = pytest.mark.perf
 
 
+#: Tiny scale for the commit-gate smoke: under a second.
+SMOKE_REQUESTS = 200
+
+
+def test_serving_smoke():
+    """Legacy parity with room to spare and under KV pressure.
+
+    The harness compares every request's first-token and finish times and
+    preemptions on each legacy/current pair; 4,096 KV tokens cannot hold
+    the admitted batch's decodes, so the preempting append path runs too.
+    """
+    roomy = run_serving_case(SMOKE_REQUESTS)
+    assert roomy["detail"]["completed"] == SMOKE_REQUESTS
+    assert roomy["detail"]["preemptions"] == 0
+    tight = run_serving_case(SMOKE_REQUESTS, capacity_tokens=4096)
+    assert tight["detail"]["completed"] == SMOKE_REQUESTS
+    assert tight["detail"]["preemptions"] > 0, tight
+
+
 def test_engine_trajectory_matches_legacy():
-    # The harness asserts equal iterations, completions and sim clock on
-    # every legacy/current pair.
+    # The harness asserts equal iterations, sim clock and per-request
+    # timelines on every legacy/current pair.
     case = run_serving_case(500)
     assert case["detail"]["completed"] == 500
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..errors import CacheError
 
@@ -110,18 +110,22 @@ class ReservedAllocator:
         self._used[request_id] += n_tokens
         self.stats.used_tokens += n_tokens
 
-    def can_append_all(self, pairs: Sequence[Tuple[str, int]]) -> bool:
-        """Would every ``(request_id, n_tokens)`` append succeed right now?"""
-        for request_id, n_tokens in pairs:
-            used = self._used.get(request_id)
-            if used is None or used + n_tokens > self.max_seq_len:
-                return False
-        return True
+    def append_batch(self, request_ids: Sequence[str]) -> bool:
+        """Append one token to each sequence, or to none of them.
 
-    def append_many(self, pairs: Sequence[Tuple[str, int]]) -> None:
-        """Apply one iteration's appends in a single call."""
-        for request_id, n_tokens in pairs:
-            self.append(request_id, n_tokens)
+        Returns False, with nothing changed, when any sequence's
+        reservation is full.
+        """
+        used = self._used
+        for request_id in request_ids:
+            if request_id not in used:
+                raise CacheError(f"unknown request {request_id!r}")
+            if used[request_id] >= self.max_seq_len:
+                return False
+        for request_id in request_ids:
+            used[request_id] += 1
+        self.stats.used_tokens += len(request_ids)
+        return True
 
     def release(self, request_id: str, *, keep_for_prefix: bool = False) -> None:
         used = self._used.pop(request_id, None)
@@ -166,11 +170,16 @@ class PagedAllocator:
         return math.ceil(tokens / self.block_size)
 
     def _alloc_blocks(self, count: int) -> List[int]:
-        if count > len(self._free):
+        free = self._free
+        if count > len(free):
             raise CacheError("out of KV blocks")
-        blocks = [self._free.pop() for _ in range(count)]
-        for b in blocks:
-            self._refcount[b] = 1
+        if count <= 0:
+            return []
+        # The last ``count`` free blocks, in the order repeated pops yield.
+        blocks = free[-count:]
+        del free[-count:]
+        blocks.reverse()
+        self._refcount.update(dict.fromkeys(blocks, 1))
         return blocks
 
     def _drop_ref(self, block: int) -> None:
@@ -243,13 +252,7 @@ class PagedAllocator:
         return cached
 
     def append(self, request_id: str, n_tokens: int = 1) -> None:
-        seq = self._sequences.get(request_id)
-        if seq is None:
-            raise CacheError(f"unknown request {request_id!r}")
-        self._append_to_seq(seq, n_tokens)
-
-    def _append_to_seq(self, seq: _Sequence, n_tokens: int) -> None:
-        """Append with O(1) stats accounting.
+        """Append ``n_tokens`` KV entries to one sequence, with O(1) stats.
 
         Appends only ever grow an unshared last block or open fresh blocks,
         so ``used_tokens`` advances by exactly ``n_tokens`` and
@@ -258,10 +261,13 @@ class PagedAllocator:
         cached prompt), where the old block's contribution to ``used``
         depends on sharing structure; that rare case recounts exactly.
         """
+        seq = self._sequences.get(request_id)
+        if seq is None:
+            raise CacheError(f"unknown request {request_id!r}")
         shared_transition = False
         for _ in range(n_tokens):
             last = seq.blocks[-1] if seq.blocks else None
-            last_shared = last is not None and self._refcount.get(last, 1) > 1
+            last_shared = last is not None and self._refcount[last] > 1
             if (
                 last is None
                 or last_shared
@@ -269,47 +275,66 @@ class PagedAllocator:
             ):
                 seq.blocks.extend(self._alloc_blocks(1))
                 seq.tokens_in_last_block = 0
-                if last_shared:
-                    shared_transition = True
+                shared_transition = shared_transition or last_shared
             seq.tokens += 1
             seq.tokens_in_last_block += 1
+        self._account_appends(n_tokens, shared_transition)
+
+    def append_batch(self, request_ids: Sequence[str]) -> bool:
+        """Append one token to each sequence, or to none of them.
+
+        One iteration's decode appends in a single call, in ``request_ids``
+        order. Returns False, with nothing changed, when the fresh blocks
+        they would open do not fit in the free list (frees never happen
+        mid-batch, so that count is exact); the caller then appends one by
+        one under its own pressure policy. A batch no longer than the free
+        list always fits, since one token opens at most one block.
+        """
+        sequences = self._sequences
+        try:
+            seqs = [sequences[request_id] for request_id in request_ids]
+        except KeyError as exc:
+            raise CacheError(f"unknown request {exc.args[0]!r}") from None
+        size = self.block_size
+        refcount = self._refcount
+        free = self._free
+        if len(seqs) > len(free):
+            fresh = 0
+            for seq in seqs:
+                blocks = seq.blocks
+                if (
+                    not blocks
+                    or seq.tokens_in_last_block >= size
+                    or refcount[blocks[-1]] > 1
+                ):
+                    fresh += 1
+            if fresh > len(free):
+                return False
+        shared_transition = False
+        for seq in seqs:
+            blocks = seq.blocks
+            if blocks and seq.tokens_in_last_block < size and refcount[blocks[-1]] == 1:
+                seq.tokens_in_last_block += 1
+            else:
+                if blocks and refcount[blocks[-1]] > 1:
+                    shared_transition = True
+                block = free.pop()
+                refcount[block] = 1
+                blocks.append(block)
+                seq.tokens_in_last_block = 1
+            seq.tokens += 1
+        self._account_appends(len(seqs), shared_transition)
+        return True
+
+    def _account_appends(self, n_tokens: int, shared_transition: bool) -> None:
         if shared_transition:
             self._recount()
-        else:
-            stats = self.stats
-            stats.reserved_tokens = (self.num_blocks - len(self._free)) * self.block_size
-            stats.used_tokens += n_tokens
-            if stats.reserved_tokens > stats.peak_reserved:
-                stats.peak_reserved = stats.reserved_tokens
-
-    def can_append_all(self, pairs: Sequence[Tuple[str, int]]) -> bool:
-        """Would every ``(request_id, n_tokens)`` append succeed right now?
-
-        Exact: frees never happen mid-batch, so the batch fits iff the total
-        count of fresh blocks it would open fits in the free list.
-        """
-        needed = 0
-        for request_id, n_tokens in pairs:
-            seq = self._sequences.get(request_id)
-            if seq is None:
-                return False
-            last = seq.blocks[-1] if seq.blocks else None
-            if last is None or self._refcount.get(last, 1) > 1:
-                room = 0
-            else:
-                room = self.block_size - seq.tokens_in_last_block
-            overflow = n_tokens - room
-            if overflow > 0:
-                needed += -(-overflow // self.block_size)
-        return needed <= len(self._free)
-
-    def append_many(self, pairs: Sequence[Tuple[str, int]]) -> None:
-        """Apply one iteration's appends in a single call, in pair order."""
-        for request_id, n_tokens in pairs:
-            seq = self._sequences.get(request_id)
-            if seq is None:
-                raise CacheError(f"unknown request {request_id!r}")
-            self._append_to_seq(seq, n_tokens)
+            return
+        stats = self.stats
+        stats.reserved_tokens = (self.num_blocks - len(self._free)) * self.block_size
+        stats.used_tokens += n_tokens
+        if stats.reserved_tokens > stats.peak_reserved:
+            stats.peak_reserved = stats.reserved_tokens
 
     def release(self, request_id: str, *, keep_for_prefix: bool = False) -> None:
         """Free a sequence; optionally register its blocks as a reusable prefix."""
@@ -319,12 +344,18 @@ class PagedAllocator:
         if keep_for_prefix:
             prefix_id = request_id if isinstance(request_id, str) else str(request_id)
             self.register_prefix(prefix_id, seq.blocks, seq.tokens)
+        # Sole holder of every block iff every drop frees its block.
+        exclusive = not keep_for_prefix
         refcount = self._refcount
-        exclusive = not keep_for_prefix and all(
-            refcount.get(b, 0) == 1 for b in seq.blocks
-        )
+        free = self._free
         for b in seq.blocks:
-            self._drop_ref(b)
+            held = refcount[b] - 1
+            if held:
+                refcount[b] = held
+                exclusive = False
+            else:
+                del refcount[b]
+                free.append(b)
         if exclusive:
             # Sole holder of every block: _recount attributed exactly
             # (full blocks + last partial) to this sequence, so subtract it.

@@ -20,9 +20,10 @@ per-iteration-rescan implementation (guarded by
 ``tests/test_scheduler_golden.py``) while avoiding O(n) work per
 iteration: arrivals drain from a deque, the engine maintains incremental
 ``_prefilling`` / ``_decoding`` sets instead of policies refiltering
-``running.values()``, SJF keeps a lazy heap keyed on remaining work, and
-all of an iteration's KV appends go to the allocator in one batched call
-when no memory pressure is in play.
+``running.values()``, SJF keeps a lazy heap keyed on remaining work, all
+of an iteration's KV appends go to the allocator in one batched call when
+no memory pressure is in play, and sequences retire as they emit their
+last token instead of through a scan of the decode set.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CacheError, SchedulerError
@@ -85,6 +87,9 @@ class _Running:
     # ``engine.running`` so priority ties resolve exactly as the old stable
     # sort over dict order did. Reassigned when a preempted sequence resumes.
     admit_index: int = 0
+    # Position in ``engine._decoding`` (an insertion-ordered dict): set on
+    # each entry, so same-iteration finishers retire in decode-set order.
+    decode_index: int = 0
 
     @property
     def prefilling(self) -> bool:
@@ -161,7 +166,8 @@ class ContinuousBatchScheduler(SchedulerPolicy):
         # ``_decoding`` preserves admission order (prefill budget is granted
         # in admission order, so completions land in admission order too),
         # matching the old filter over ``running.values()``.
-        decoding = list(engine._decoding.values())[: self.max_batch]
+        decoding = list(engine._decoding.values())
+        del decoding[self.max_batch :]
         prefill_work = _plan_prefill(engine._prefilling.values(), self.chunk_tokens)
         return prefill_work, decoding
 
@@ -307,6 +313,7 @@ class ServingEngine:
         self._prefilling: Dict[str, _Running] = {}
         self._decoding: Dict[str, _Running] = {}
         self._admit_counter = 0
+        self._decode_counter = 0
 
     # ------------------------------------------------------- state tracking
     def _insert_running(self, seq: _Running) -> None:
@@ -334,19 +341,24 @@ class ServingEngine:
         self._preempted.append(seq)
         return True
 
-    def _safe_append(self, request_id: str, n_tokens: int = 1) -> None:
-        """Append KV entries, preempting under memory pressure."""
-        if self.allocator is None or request_id not in self.running:
-            return
-        while True:
+    def _safe_append(self, request_id: str) -> None:
+        """Append one KV entry, preempting the youngest under memory pressure.
+
+        Stops once ``request_id`` itself is the victim. When it is the last
+        running sequence and still cannot append, no preemption can help.
+        """
+        assert self.allocator is not None
+        while request_id in self.running:
             try:
-                self.allocator.append(request_id, n_tokens)
+                self.allocator.append(request_id)
                 return
             except CacheError as exc:
-                if "unknown request" in str(exc):
-                    return  # sequence was preempted earlier this iteration
                 if not self._preempt_youngest():
-                    raise
+                    raise SchedulerError(
+                        f"engine stalled at t={self.now!r}: {request_id}, the last "
+                        f"running sequence, cannot append a KV entry ({exc})"
+                        + self._kv_detail()
+                    ) from exc
 
     # ------------------------------------------------------- fault recovery
     def _deliver_faults(self) -> None:
@@ -430,6 +442,12 @@ class ServingEngine:
             self.allocator.release(request.request_id)
 
     def _try_admit(self, queue: Deque[Request]) -> None:
+        if (
+            not self._preempted
+            and not self._retry_queue
+            and (not queue or _arrival_time(queue[0]) > self.now)
+        ):
+            return  # nothing is due
         if not self.scheduler.may_admit(self):
             return
         cap = self.max_running
@@ -489,7 +507,7 @@ class ServingEngine:
                     self._complete_on_arrival(request)
                     continue
                 self.running[request.request_id] = seq
-                self._decoding[request.request_id] = seq
+                self._enter_decode(seq)
                 self.scheduler.on_decode_ready(seq)
                 continue
             cached = 0
@@ -521,22 +539,34 @@ class ServingEngine:
             )
 
     # --------------------------------------------------------- phase shifts
-    def _finish_prefill(self, seq: _Running) -> None:
-        """Move a sequence whose prompt just drained into the decode set."""
+    def _enter_decode(self, seq: _Running) -> None:
+        seq.decode_index = self._decode_counter
+        self._decode_counter += 1
+        self._decoding[seq.request.request_id] = seq
+
+    def _finish_prefill(self, seq: _Running) -> bool:
+        """Move a sequence whose prompt just drained into the decode set.
+
+        Returns True when it enters the decode set already finished (its
+        first token was its whole output), so it retires this iteration.
+        """
         request_id = seq.request.request_id
         self._prefilling.pop(request_id, None)
         if self.handoff_mode:
             # The first token is out; the rest of the generation belongs
-            # to a decode engine.  KV release is deferred to the end of
-            # the step so this iteration's batched appends still land.
+            # to a decode engine.  KV release waits for the end of the
+            # step: a mid-iteration free would change which later
+            # one-by-one appends preempt.
             self.running.pop(request_id, None)
             self.handoffs += 1
             self._handoff_done.append(seq.request)
             self._handoff_release.append(request_id)
-            return
-        self._decoding[request_id] = seq
-        if not seq.finished:
-            self.scheduler.on_decode_ready(seq)
+            return False
+        self._enter_decode(seq)
+        if seq.finished:
+            return True
+        self.scheduler.on_decode_ready(seq)
+        return False
 
     def drain_finished(self) -> List[Request]:
         """Hand over (and clear) the requests whose prefill completed.
@@ -548,17 +578,20 @@ class ServingEngine:
         self._handoff_done = []
         return done
 
+    def _kv_detail(self) -> str:
+        if not isinstance(self.allocator, PagedAllocator):
+            return ""
+        return (
+            f"; {self.allocator.free_blocks()} free blocks, retained prefixes "
+            f"{self.allocator.prefix_ids()}"
+        )
+
     def _stall_message(self, head: Request) -> str:
-        message = (
+        return (
             f"engine stalled at t={self.now!r}: {head.request_id} is due but cannot be "
             f"admitted with nothing running ({len(self._preempted)} preempted)"
+            + self._kv_detail()
         )
-        if isinstance(self.allocator, PagedAllocator):
-            message += (
-                f"; {self.allocator.free_blocks()} free blocks, retained prefixes "
-                f"{self.allocator.prefix_ids()}"
-            )
-        return message
 
     # ------------------------------------------------------------ main loop
     def step(self, pending: Deque[Request]) -> str:
@@ -575,10 +608,21 @@ class ServingEngine:
         * :data:`STEP_IDLE` — no running, queued, preempted, or retrying
           work remains: the engine is drained.
 
-        With nothing running, work that is due but cannot be admitted can
-        never be, so ``step`` raises :class:`SchedulerError` rather than
-        return without advancing the clock.  ``run`` is exactly a loop over this method, so fleet-driven replicas
-        follow bit-identical trajectories to a standalone engine.
+        An iteration touches each batched sequence once.  Its KV appends
+        (the first token of each completing prefill, then one per decoding
+        sequence) go to the allocator's ``append_batch`` in one call before
+        the sequences advance; only if that refuses, with nothing changed,
+        are they appended one by one, preempting the youngest sequence
+        under pressure.  A sequence that emits its last token is collected
+        on the spot and retires at the end of the iteration, in decode-set
+        order.
+
+        ``step`` raises :class:`SchedulerError` rather than spin: with
+        nothing running, work that is due but cannot be admitted can never
+        be, and the last running sequence that cannot append has no one
+        left to preempt.  ``run`` is exactly a loop over this method, so
+        fleet-driven replicas follow bit-identical trajectories to a
+        standalone engine.
         """
         if self._injector is not None:
             self._deliver_faults()
@@ -618,76 +662,76 @@ class ServingEngine:
         self.now += iter_time
         self.busy_s += iter_time
         self.iterations += 1
-        if self.allocator is not None:
-            self.allocator.stats.observe()
-        # This iteration's KV appends: the first token of each completing
-        # prefill, then one per decoding sequence. If the allocator can take
-        # them all, they land in one call after the loop and no sequence can
-        # be preempted mid-iteration. Otherwise each is appended in turn,
-        # preempting under pressure, and the membership checks skip victims.
-        append_pairs: List[Tuple[str, int]] = [
-            (seq.request.request_id, 1)
-            for seq, tokens in prefill_work
-            if tokens == seq.prefill_remaining and seq.decoded == 0
-        ]
-        append_pairs.extend((seq.request.request_id, 1) for seq in decoding)
         allocator = self.allocator
-        one_by_one = allocator is not None and not allocator.can_append_all(append_pairs)
         running = self.running
+        now = self.now
+        # This iteration's KV appends: the first token of each completing
+        # prefill, then one per decoding sequence. If the allocator takes
+        # them all in one call, no sequence can be preempted mid-iteration.
+        # Otherwise each is appended in turn, preempting under pressure, and
+        # the membership checks skip the victims.
+        one_by_one = False
+        if allocator is not None:
+            allocator.stats.observe()
+            request_ids = [
+                seq.request.request_id
+                for seq, tokens in prefill_work
+                if tokens == seq.prefill_remaining and seq.decoded == 0
+            ]
+            request_ids += [seq.request.request_id for seq in decoding]
+            one_by_one = not allocator.append_batch(request_ids)
+        # Sequences that emitted their last token; they retire below.
+        finished: List[_Running] = []
         for seq, tokens in prefill_work:
-            request_id = seq.request.request_id
-            if request_id not in running:
+            request = seq.request
+            if one_by_one and request.request_id not in running:
                 continue  # preempted earlier in this iteration
             seq.prefill_remaining -= tokens
-            if not seq.prefilling:
+            if seq.prefill_remaining <= 0:
                 if seq.decoded == 0:
-                    seq.request.first_token_s = self.now
-                    seq.request.token_times.append(self.now)
+                    request.first_token_s = now
+                    request.token_times.append(now)
                     seq.decoded = 1
                     if one_by_one:
-                        self._safe_append(request_id, 1)
-                if request_id in running:
-                    self._finish_prefill(seq)
+                        self._safe_append(request.request_id)
+                if request.request_id in running and self._finish_prefill(seq):
+                    finished.append(seq)
+        on_decode_ready = self.scheduler.on_decode_ready
         for seq in decoding:
-            request_id = seq.request.request_id
-            if request_id not in running:
+            request = seq.request
+            if one_by_one and request.request_id not in running:
                 continue  # preempted earlier in this iteration
             seq.decoded += 1
-            seq.request.token_times.append(self.now)
+            request.token_times.append(now)
             if one_by_one:
-                self._safe_append(request_id, 1)
-            if request_id in running and not seq.finished:
-                self.scheduler.on_decode_ready(seq)
-        if allocator is not None and not one_by_one:
-            allocator.append_many(append_pairs)
-        # Release handed-off sequences' local KV (deferred past the
-        # batched appends above; the shipped copy is the decode side's).
+                self._safe_append(request.request_id)
+                if request.request_id not in running:
+                    continue  # its own append preempted it
+            if seq.decoded >= request.output_tokens:
+                finished.append(seq)
+            else:
+                on_decode_ready(seq)
         if self._handoff_release:
-            for request_id in self._handoff_release:
-                if self.allocator is not None:
-                    if self.keep_prefix_on_release and isinstance(
-                        self.allocator, PagedAllocator
-                    ):
-                        self.allocator.release(request_id, keep_for_prefix=True)
-                    else:
-                        self.allocator.release(request_id)
+            # Release handed-off sequences' local KV; the shipped copy is
+            # the decode side's.
+            if allocator is not None:
+                for request_id in self._handoff_release:
+                    allocator.release(
+                        request_id, keep_for_prefix=self.keep_prefix_on_release
+                    )
             self._handoff_release = []
-        # Retire finished sequences (they all sit in the decode set).
-        finished_ids = [
-            rid for rid, seq in self._decoding.items() if seq.finished
-        ]
-        for request_id in finished_ids:
-            seq = self._decoding.pop(request_id)
-            self.running.pop(request_id, None)
-            seq.request.finished_s = self.now
+        if len(finished) > 1:
+            finished.sort(key=attrgetter("decode_index"))
+        decoding_set = self._decoding
+        for seq in finished:
+            request_id = seq.request.request_id
+            if decoding_set.pop(request_id, None) is None:
+                continue  # finished, then preempted later in this iteration
+            running.pop(request_id, None)
+            seq.request.finished_s = now
             self.completed_total += 1
-            if self.allocator is not None:
-                if self.keep_prefix_on_release and isinstance(
-                    self.allocator, PagedAllocator
-                ):
-                    self.allocator.release(request_id, keep_for_prefix=True)
-                else:
-                    self.allocator.release(request_id)
+            if allocator is not None:
+                allocator.release(request_id, keep_for_prefix=self.keep_prefix_on_release)
         if self.handoffs > handoffs_before:
             return STEP_HANDOFF  # signal the fleet layer to drain_finished()
         return STEP_RAN

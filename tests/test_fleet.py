@@ -833,6 +833,25 @@ def pinning_workload():
     return shared_prefix_workload(rate_rps=24, duration_s=10, seed=5)
 
 
+def bounded_pinning_engines():
+    """A factory of pinning engines that share a budget of STALL_STEPS steps."""
+    steps = [0]
+
+    def factory():
+        engine = pinning_engine()
+        step = engine.step
+
+        def bounded(pending):
+            steps[0] += 1
+            assert steps[0] <= STALL_STEPS, "the fleet spun past its step budget"
+            return step(pending)
+
+        engine.step = bounded
+        return engine
+
+    return factory
+
+
 class TestStalledEngineRaises:
     """Nothing running and a due request it cannot admit: ``step`` raises
     instead of returning without advancing the clock, forever."""
@@ -847,19 +866,21 @@ class TestStalledEngineRaises:
         assert not engine.running and pending
 
     def test_engine_fleet(self):
-        steps = [0]
-
-        def factory():
-            engine = pinning_engine()
-            step = engine.step
-
-            def bounded(pending):
-                steps[0] += 1
-                assert steps[0] <= STALL_STEPS, "the fleet spun past its step budget"
-                return step(pending)
-
-            engine.step = bounded
-            return engine
-
         with pytest.raises(SchedulerError, match="stalled.*retained prefixes"):
-            EngineFleet(factory, 2, LeastLoadedRouter()).run(pinning_workload())
+            EngineFleet(bounded_pinning_engines(), 2, LeastLoadedRouter()).run(
+                pinning_workload()
+            )
+
+    @pytest.mark.parametrize("router_seed", [1, 6, 7])
+    def test_last_sequence_out_of_blocks(self, router_seed):
+        """The only running sequence cannot append its next token: no
+        preemption can free a block, so ``step`` raises a SchedulerError
+        naming the pinned cache (a bare CacheError escaped before)."""
+        with pytest.raises(
+            SchedulerError,
+            match=r"stalled.*the last running sequence, cannot append.*"
+            r"0 free blocks, retained prefixes \['req-",
+        ):
+            EngineFleet(
+                bounded_pinning_engines(), 2, make_router("random", seed=router_seed)
+            ).run(pinning_workload())

@@ -1672,6 +1672,105 @@ def test_disagg_fleet_conserves_requests_and_kv(data, requests, shape, n_prefill
     assert _timeline(empty) == _timeline(plain)
 
 
+def _check_kv_conservation(engine):
+    """Every KV block is free or held, refcounts count holders, and each
+    running sequence holds exactly its prompt plus emitted tokens."""
+    alloc = engine.allocator
+    holders = {}
+    for seq in alloc._sequences.values():
+        assert seq.tokens <= len(seq.blocks) * alloc.block_size
+        for b in seq.blocks:
+            holders[b] = holders.get(b, 0) + 1
+    for blocks in alloc._prefix_blocks.values():
+        for b in blocks:
+            holders[b] = holders.get(b, 0) + 1
+    assert alloc.free_blocks() + len(holders) == alloc.num_blocks
+    assert holders.keys().isdisjoint(alloc._free)
+    assert alloc._refcount == holders
+    assert alloc.stats.reserved_tokens == len(holders) * alloc.block_size
+    assert 0 <= alloc.stats.used_tokens <= alloc.stats.reserved_tokens
+    assert alloc._sequences.keys() == engine.running.keys()
+    for request_id, seq in engine.running.items():
+        tokens = seq.request.prompt_tokens + seq.decoded
+        assert alloc._sequences[request_id].tokens == tokens
+
+
+@st.composite
+def _follow_up_requests(draw):
+    """1-40 requests with long outputs; some continue an earlier request,
+    naming it as ``prefix_id`` with its whole prompt and output as prefix
+    (a multi-turn follow-up), so retained prefixes get hit."""
+    from repro.inference import Request
+
+    requests = []
+    t = 0.0
+    for i in range(draw(st.integers(1, 40))):
+        t += draw(st.sampled_from([0.0, 0.001, 0.02]))
+        parent = draw(st.none() | st.integers(0, i - 1)) if i else None
+        prefix = 0 if parent is None else (
+            requests[parent].prompt_tokens + requests[parent].output_tokens
+        )
+        requests.append(
+            Request(
+                request_id=f"r{i:03d}",
+                arrival_s=t,
+                prompt_tokens=prefix + draw(st.integers(1, 120)),
+                output_tokens=draw(st.sampled_from([1, 2, 7, 40, 130])),
+                prefix_id=None if parent is None else f"r{parent:03d}",
+                prefix_tokens=prefix,
+            )
+        )
+    return requests
+
+
+# (KV tokens, block size): 640 tokens hold one long request but not four,
+# so admission stalls and decodes outgrow the cache, running the one-by-one
+# preempting append path; 8,192 tokens rarely feel pressure.
+_KV_SHAPES = st.sampled_from([(640, 1), (640, 4), (1024, 16), (2048, 32), (8192, 16)])
+
+
+@seed(20321)
+@given(
+    _follow_up_requests(),
+    _KV_SHAPES,
+    st.sampled_from([1, 4, 16]),
+    st.sampled_from([None, 64, 512]),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([None, 0.5, 3.0]),
+)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_engine_conserves_kv_blocks(requests, kv, max_batch, chunk_tokens, keep_prefix, sjf, crash_at):
+    """After every step of a bare engine, KV blocks are conserved; every
+    run drains within its step budget or raises SchedulerError."""
+    from collections import deque
+
+    from repro.errors import SchedulerError
+    from repro.faults import GPU_CRASH, FaultEvent, FaultPlan
+    from repro.inference import ContinuousBatchScheduler, ServingEngine, ShortestJobFirstScheduler
+    from repro.inference.scheduler import STEP_IDLE
+
+    policy = ShortestJobFirstScheduler if sjf else ContinuousBatchScheduler
+    faults = None if crash_at is None else FaultPlan([FaultEvent(at_s=crash_at, kind=GPU_CRASH)])
+    engine = ServingEngine(
+        policy(max_batch=max_batch, chunk_tokens=chunk_tokens),
+        allocator=PagedAllocator(kv[0], block_size=kv[1]),
+        keep_prefix_on_release=keep_prefix,
+        faults=faults,
+    )
+    pending = deque(requests)
+    for _ in range(50_000):
+        try:
+            status = engine.step(pending)
+        except SchedulerError:
+            break
+        _check_kv_conservation(engine)
+        if status == STEP_IDLE:
+            break
+    else:
+        pytest.fail("the engine spun past its step budget")
+
+
 # ---------------------------------------------------- semopt and llm cache
 _SEM_TEXTS = (
     "database storage report: the database engine tunes storage query plans",
