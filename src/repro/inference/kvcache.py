@@ -111,20 +111,15 @@ class ReservedAllocator:
         self.stats.used_tokens += n_tokens
 
     def append_batch(self, request_ids: Sequence[str]) -> bool:
-        """Append one token to each sequence, or to none of them.
-
-        Returns False, with nothing changed, when any sequence's
-        reservation is full.
-        """
-        used = self._used
+        """Append one token to each sequence, or to none of them: returns
+        False, with nothing changed, when any reservation is full."""
         for request_id in request_ids:
-            if request_id not in used:
+            if request_id not in self._used:
                 raise CacheError(f"unknown request {request_id!r}")
-            if used[request_id] >= self.max_seq_len:
+            if self._used[request_id] >= self.max_seq_len:
                 return False
         for request_id in request_ids:
-            used[request_id] += 1
-        self.stats.used_tokens += len(request_ids)
+            self.append(request_id)
         return True
 
     def release(self, request_id: str, *, keep_for_prefix: bool = False) -> None:
@@ -170,16 +165,11 @@ class PagedAllocator:
         return math.ceil(tokens / self.block_size)
 
     def _alloc_blocks(self, count: int) -> List[int]:
-        free = self._free
-        if count > len(free):
+        if count > len(self._free):
             raise CacheError("out of KV blocks")
-        if count <= 0:
-            return []
-        # The last ``count`` free blocks, in the order repeated pops yield.
-        blocks = free[-count:]
-        del free[-count:]
-        blocks.reverse()
-        self._refcount.update(dict.fromkeys(blocks, 1))
+        blocks = [self._free.pop() for _ in range(count)]
+        for b in blocks:
+            self._refcount[b] = 1
         return blocks
 
     def _drop_ref(self, block: int) -> None:

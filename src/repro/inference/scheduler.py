@@ -166,8 +166,7 @@ class ContinuousBatchScheduler(SchedulerPolicy):
         # ``_decoding`` preserves admission order (prefill budget is granted
         # in admission order, so completions land in admission order too),
         # matching the old filter over ``running.values()``.
-        decoding = list(engine._decoding.values())
-        del decoding[self.max_batch :]
+        decoding = list(engine._decoding.values())[: self.max_batch]
         prefill_work = _plan_prefill(engine._prefilling.values(), self.chunk_tokens)
         return prefill_work, decoding
 
@@ -342,11 +341,8 @@ class ServingEngine:
         return True
 
     def _safe_append(self, request_id: str) -> None:
-        """Append one KV entry, preempting the youngest under memory pressure.
-
-        Stops once ``request_id`` itself is the victim. When it is the last
-        running sequence and still cannot append, no preemption can help.
-        """
+        """Append one KV entry, preempting the youngest sequence under
+        memory pressure until it fits or ``request_id`` is the victim."""
         assert self.allocator is not None
         while request_id in self.running:
             try:
@@ -665,11 +661,9 @@ class ServingEngine:
         allocator = self.allocator
         running = self.running
         now = self.now
-        # This iteration's KV appends: the first token of each completing
-        # prefill, then one per decoding sequence. If the allocator takes
-        # them all in one call, no sequence can be preempted mid-iteration.
-        # Otherwise each is appended in turn, preempting under pressure, and
-        # the membership checks skip the victims.
+        # One KV append per completing prefill's first token and per decode;
+        # one by one (membership checks skip preempted victims) only when
+        # the batch does not fit.
         one_by_one = False
         if allocator is not None:
             allocator.stats.observe()
