@@ -242,43 +242,27 @@ class PagedAllocator:
         return cached
 
     def append(self, request_id: str, n_tokens: int = 1) -> None:
-        """Append ``n_tokens`` KV entries to one sequence, with O(1) stats.
-
-        Appends only ever grow an unshared last block or open fresh blocks,
-        so ``used_tokens`` advances by exactly ``n_tokens`` and
-        ``reserved_tokens`` follows the free list — no full recount needed.
-        The one exception is writing past a *shared* last block (a fully
-        cached prompt), where the old block's contribution to ``used``
-        depends on sharing structure; that rare case recounts exactly.
-        """
-        seq = self._sequences.get(request_id)
-        if seq is None:
-            raise CacheError(f"unknown request {request_id!r}")
-        shared_transition = False
+        """Append ``n_tokens`` KV entries to one sequence, one at a time."""
         for _ in range(n_tokens):
-            last = seq.blocks[-1] if seq.blocks else None
-            last_shared = last is not None and self._refcount[last] > 1
-            if (
-                last is None
-                or last_shared
-                or seq.tokens_in_last_block >= self.block_size
-            ):
-                seq.blocks.extend(self._alloc_blocks(1))
-                seq.tokens_in_last_block = 0
-                shared_transition = shared_transition or last_shared
-            seq.tokens += 1
-            seq.tokens_in_last_block += 1
-        self._account_appends(n_tokens, shared_transition)
+            if not self.append_batch([request_id]):
+                raise CacheError("out of KV blocks")
 
     def append_batch(self, request_ids: Sequence[str]) -> bool:
         """Append one token to each sequence, or to none of them.
 
-        One iteration's decode appends in a single call, in ``request_ids``
-        order. Returns False, with nothing changed, when the fresh blocks
-        they would open do not fit in the free list (frees never happen
+        One iteration's appends in a single call, in ``request_ids`` order.
+        Returns False, with nothing changed, when the fresh blocks they
+        would open do not fit in the free list (frees never happen
         mid-batch, so that count is exact); the caller then appends one by
         one under its own pressure policy. A batch no longer than the free
         list always fits, since one token opens at most one block.
+
+        Stats stay O(1): appends only grow an unshared last block or open
+        fresh blocks, so ``used_tokens`` advances by exactly one per token
+        and ``reserved_tokens`` follows the free list. The one exception is
+        writing past a *shared* last block (a fully cached prompt), where
+        the old block's contribution to ``used`` depends on sharing
+        structure; that rare case recounts exactly.
         """
         sequences = self._sequences
         try:
@@ -313,18 +297,15 @@ class PagedAllocator:
                 blocks.append(block)
                 seq.tokens_in_last_block = 1
             seq.tokens += 1
-        self._account_appends(len(seqs), shared_transition)
-        return True
-
-    def _account_appends(self, n_tokens: int, shared_transition: bool) -> None:
         if shared_transition:
             self._recount()
-            return
+            return True
         stats = self.stats
-        stats.reserved_tokens = (self.num_blocks - len(self._free)) * self.block_size
-        stats.used_tokens += n_tokens
+        stats.reserved_tokens = (self.num_blocks - len(free)) * size
+        stats.used_tokens += len(seqs)
         if stats.reserved_tokens > stats.peak_reserved:
             stats.peak_reserved = stats.reserved_tokens
+        return True
 
     def release(self, request_id: str, *, keep_for_prefix: bool = False) -> None:
         """Free a sequence; optionally register its blocks as a reusable prefix."""

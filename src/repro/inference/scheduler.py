@@ -582,13 +582,6 @@ class ServingEngine:
             f"{self.allocator.prefix_ids()}"
         )
 
-    def _stall_message(self, head: Request) -> str:
-        return (
-            f"engine stalled at t={self.now!r}: {head.request_id} is due but cannot be "
-            f"admitted with nothing running ({len(self._preempted)} preempted)"
-            + self._kv_detail()
-        )
-
     # ------------------------------------------------------------ main loop
     def step(self, pending: Deque[Request]) -> str:
         """One trip through the discrete-event loop.
@@ -644,7 +637,11 @@ class ServingEngine:
                     head = pending[0]
                     if _arrival_time(head) > self.now:
                         head = self._retry_queue[0][2]
-                    raise SchedulerError(self._stall_message(head))
+                    raise SchedulerError(
+                        f"engine stalled at t={self.now!r}: {head.request_id} is due "
+                        f"but cannot be admitted with nothing running "
+                        f"({len(self._preempted)} preempted)" + self._kv_detail()
+                    )
                 self.now = max(self.now, target)
                 return STEP_ADVANCED
             raise SchedulerError(
