@@ -71,12 +71,13 @@ step "chaos smoke (benchmarks/test_e24_fault_recovery.py)"
 bounded 600 "chaos smoke" python -m pytest benchmarks/test_e24_fault_recovery.py -x -q \
     || failures=$((failures + 1))
 
-# Perf smoke: the tiny-scale `test_*_smoke` case of the prep, fleet, disagg,
-# semopt and stream suites.  Their speedup thresholds live in the perf-marked
-# suite; this gate is about the parity each harness checks on every timed
-# pair (identical dedup output and bitwise embeddings, bitwise fleet and pool
-# DES trajectories, identical semantic-pipeline outputs, streaming
-# convergence with the frozen full rebuild) on every commit.
+# Perf smoke: the tiny-scale `test_*_smoke` case of the serving, prep, fleet,
+# disagg, semopt and stream suites.  Their speedup thresholds live in the
+# perf-marked suite; this gate is about the parity each harness checks on
+# every timed pair (identical per-request serving timelines, identical dedup
+# output and bitwise embeddings, bitwise fleet and pool DES trajectories,
+# identical semantic-pipeline outputs, streaming convergence with the frozen
+# full rebuild) on every commit.
 step "perf smoke (benchmarks/perf -m perf -k smoke)"
 bounded 900 "perf smoke" python -m pytest benchmarks/perf -m perf -k smoke -q \
     || failures=$((failures + 1))

@@ -713,10 +713,9 @@ class ServingEngine:
             self._handoff_release = []
         if len(finished) > 1:
             finished.sort(key=attrgetter("decode_index"))
-        decoding_set = self._decoding
         for seq in finished:
             request_id = seq.request.request_id
-            if decoding_set.pop(request_id, None) is None:
+            if self._decoding.pop(request_id, None) is None:
                 continue  # finished, then preempted later in this iteration
             running.pop(request_id, None)
             seq.request.finished_s = now
